@@ -35,14 +35,25 @@ def _matrix_bytes(m: np.ndarray) -> bytes:
     return np.ascontiguousarray(m, dtype="<f8").tobytes()
 
 
-def _take(buf: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
+def _take(buf: bytes, offset: int, n: int, what: str, path: Path) -> tuple[bytes, int]:
     if offset + n > len(buf):
-        raise FormatError(f"truncated blob: needed {n} bytes for {what} at offset {offset}, file has {len(buf)}")
+        raise FormatError(f"truncated blob {path}: needed {n} bytes for {what} at offset {offset}, file has {len(buf)}")
     return buf[offset:offset + n], offset + n
 
 
+def _read_payload(buf: bytes, offset: int, path: Path, what: str) -> tuple[np.ndarray, int]:
+    """Dimensions, then a finite row-major float64 payload."""
+    raw, offset = _take(buf, offset, _DIMS.size, f"dimensions of {what}", path)
+    rows, cols = _DIMS.unpack(raw)
+    payload, end = _take(buf, offset, rows * cols * 8, f"{rows}x{cols} payload of {what}", path)
+    m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if not np.all(np.isfinite(m)):
+        raise FormatError(f"non-finite entries in {what} at offset {offset} in {path}")
+    return m, end
+
+
 def _read_header(buf: bytes, path: Path) -> int:
-    raw, offset = _take(buf, 0, _HEADER.size, "header")
+    raw, offset = _take(buf, 0, _HEADER.size, "header", path)
     magic, version = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at offset 0 in {path}, expected {MAGIC!r}")
@@ -64,13 +75,9 @@ def write_matrix(path, m: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
     buf = path.read_bytes()
-    offset = _read_header(buf, path)
-    raw, offset = _take(buf, offset, _DIMS.size, "dimensions")
-    rows, cols = _DIMS.unpack(raw)
-    payload, offset = _take(buf, offset, rows * cols * 8, f"{rows}x{cols} payload")
-    m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    if not np.all(np.isfinite(m)):
-        raise FormatError(f"non-finite entries in blob {path}")
+    m, offset = _read_payload(buf, _read_header(buf, path), path, "the matrix")
+    if offset != len(buf):
+        raise FormatError(f"trailing garbage at offset {offset} in {path}")
     return m
 
 
@@ -93,20 +100,18 @@ def read_named_matrices(path) -> list[tuple[str, np.ndarray]]:
     path = Path(path)
     buf = path.read_bytes()
     offset = _read_header(buf, path)
-    raw, offset = _take(buf, offset, _U32.size, "entry count")
+    raw, offset = _take(buf, offset, _U32.size, "entry count", path)
     (count,) = _U32.unpack(raw)
     items: list[tuple[str, np.ndarray]] = []
     for i in range(count):
-        raw, offset = _take(buf, offset, _U32.size, f"name length of entry {i}")
+        raw, offset = _take(buf, offset, _U32.size, f"name length of entry {i}", path)
         (name_len,) = _U32.unpack(raw)
-        raw, offset = _take(buf, offset, name_len, f"name of entry {i}")
-        name = raw.decode("utf-8")
-        raw, offset = _take(buf, offset, _DIMS.size, f"dimensions of {name!r}")
-        rows, cols = _DIMS.unpack(raw)
-        payload, offset = _take(buf, offset, rows * cols * 8, f"payload of {name!r}")
-        m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-        if not np.all(np.isfinite(m)):
-            raise FormatError(f"non-finite entries in {name!r} of {path}")
+        raw, offset = _take(buf, offset, name_len, f"name of entry {i}", path)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-UTF-8 name of entry {i} at offset {offset - name_len} in {path}") from exc
+        m, offset = _read_payload(buf, offset, path, repr(name))
         items.append((name, m))
     if offset != len(buf):
         raise FormatError(f"trailing garbage at offset {offset} in {path}")

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_json
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, HALLUCINATION_TOP_K,
-                      MetricsReport, REPORT_SCHEMA, ambiguity_probe,
-                      average_precision, canonical_json, difficulty_buckets,
-                      hallucination_rates, lap, map_at, mla, validate_report)
+                      MetricsReport, ambiguity_probe, average_precision,
+                      canonical_json, difficulty_buckets, hallucination_rates,
+                      lap, map_at, mla, validate_report)
 from .model import (ModelConfig, ModelState, forward_video, load_checkpoint,
                     predict_corpus, save_checkpoint)
 from .nn import Rng
@@ -97,10 +97,7 @@ def load_run_config(path: str | None) -> dict:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file {p} does not exist")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file {p} is not valid JSON: {exc}") from exc
+        data = read_json(p, "config file")
         if not isinstance(data, dict):
             raise FormatError(f"config file {p} must hold a single JSON object")
         unknown = sorted(set(data) - set(cfg))
@@ -371,29 +368,25 @@ def cmd_report(args) -> int:
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
     sections: list[tuple[str, str]] = []
-
-    for name in ("run.json", "config.json"):
+    for name, read, render in (("run.json", read_json, _render_kv),
+                               ("config.json", read_json, _render_kv),
+                               ("train_log.jsonl", read_training_log, render_train_log),
+                               ("ablation.json", read_json, render_ablation)):
         p = run_dir / name
         if p.exists():
-            payload = json.loads(p.read_text())
-            sections.append((name, _render_kv(payload)))
-
-    p = run_dir / "train_log.jsonl"
-    if p.exists():
-        sections.append((p.name, render_train_log(read_training_log(p))))
-
-    p = run_dir / "ablation.json"
-    if p.exists():
-        sections.append((p.name, render_ablation(json.loads(p.read_text()))))
+            payload = read(p)
+            try:
+                sections.append((name, render(payload)))
+            except (LookupError, TypeError, ValueError) as exc:
+                raise FormatError(f"malformed {p}: bad or missing key {exc}") from exc
 
     consumed = {"run.json", "config.json", "ablation.json"}
     for p in sorted(run_dir.glob("*.json")):
         if p.name in consumed or p.name.endswith(".ckpt.json"):
             continue
         try:
-            payload = json.loads(p.read_text())
-            validate_report(payload)
-        except (json.JSONDecodeError, FormatError):
+            payload = validate_report(read_json(p))
+        except FormatError:
             log.info("skipping %s: not a metrics report", p.name)
             continue
         sections.append((p.name, render_metrics(payload)))

@@ -98,20 +98,14 @@ def map_at(proposals: dict[str, list[Proposal]], gt: dict[str, list[Segment]],
 
 
 def lap(state: ModelState, aligned: Corpus, conflicted: Corpus,
-        thresholds=DEFAULT_TIOU_THRESHOLDS, relative: bool = False) -> float:
-    """Performance drop under conflicting language, in mAP percentage points.
-
-    With ``relative=True`` the drop is instead expressed as a percentage of
-    the aligned-corpus mAP (0 when that is 0).
-    """
+        thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+    """Performance drop under conflicting language, in mAP percentage points."""
     if len(aligned.videos) != len(conflicted.videos):
         raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(conflicted.videos)} conflicted videos")
     gt_a = {v.id: v.gt for v in aligned.videos}
     gt_c = {v.id: v.gt for v in conflicted.videos}
     _, map_aligned = map_at(predict_corpus(state, aligned), gt_a, thresholds)
     _, map_conflicted = map_at(predict_corpus(state, conflicted), gt_c, thresholds)
-    if relative:
-        return 100.0 * (map_aligned - map_conflicted) / map_aligned if map_aligned > 0 else 0.0
     return 100.0 * (map_aligned - map_conflicted)
 
 
@@ -162,31 +156,24 @@ def hallucination_rates(per_video_proposals, top_k: int = HALLUCINATION_TOP_K) -
     return float(fixed), float(degenerate / n)
 
 
-def mla(frame_lambdas, bucket, gt, frames: str = "positive") -> float:
+def mla(frame_lambdas, bucket, gt) -> float:
     """Mean gate value for a difficulty bucket.
 
-    ``frame_lambdas`` and ``gt`` are parallel per-video sequences.  The
-    default averages lambda over frames inside ground-truth segments whose
-    class is in the bucket; ``frames="all"`` instead averages over every
-    frame of videos containing at least one bucket-class segment.
+    ``frame_lambdas`` and ``gt`` are parallel per-video sequences; lambda is
+    averaged over frames inside ground-truth segments whose class is in the
+    bucket.
     """
     bucket = set(bucket)
     if not bucket:
         raise ConfigError("mla of an empty difficulty bucket")
-    if frames not in ("positive", "all"):
-        raise ConfigError(f"frames must be 'positive' or 'all', got {frames!r}")
     if len(frame_lambdas) != len(gt):
         raise ConfigError(f"got {len(frame_lambdas)} lambda tracks for {len(gt)} videos")
     values: list[float] = []
     for lam, segs in zip(frame_lambdas, gt):
         lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-        if frames == "all":
-            if any(s.label in bucket for s in segs):
-                values.extend(lam.tolist())
-        else:
-            for seg in segs:
-                if seg.label in bucket:
-                    values.extend(lam[int(seg.start):int(seg.end)].tolist())
+        for seg in segs:
+            if seg.label in bucket:
+                values.extend(lam[int(seg.start):int(seg.end)].tolist())
     return float(np.mean(values)) if values else 0.0
 
 
@@ -295,7 +282,8 @@ def canonical_json(value) -> str:
         if isinstance(v, (float, np.floating)):
             if not math.isfinite(v):
                 raise FormatError(f"non-finite value {v} in report")
-            return f"{float(v):.6f}"
+            text = f"{float(v):.6f}"
+            return "0.000000" if text == "-0.000000" else text  # one spelling of zero
         if isinstance(v, str):
             return json.dumps(v)
         if isinstance(v, dict):

@@ -14,13 +14,13 @@ offsets, and template-token logits used by the auxiliary captioning loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_json
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
 from .synthgen import Corpus, LanguageBundle, Segment, VideoRecord
@@ -95,22 +95,12 @@ class ModelState:
         self.loc_out.b.value[...] = 1.0  # start with open, non-degenerate intervals
 
     def named_params(self):
-        items = []
-        for prefix, layer in (("adv_fc", self.adv_fc),):
-            for suffix, p in layer.params():
-                items.append((f"{prefix}.{suffix}", p))
-        for i, conv in enumerate(self.cls_trunk):
-            for suffix, p in conv.params():
-                items.append((f"cls_trunk.{i}.{suffix}", p))
-        for prefix, layer in (("cls_out", self.cls_out), ("tmpl_out", self.tmpl_out)):
-            for suffix, p in layer.params():
-                items.append((f"{prefix}.{suffix}", p))
-        for i, conv in enumerate(self.loc_trunk):
-            for suffix, p in conv.params():
-                items.append((f"loc_trunk.{i}.{suffix}", p))
-        for suffix, p in self.loc_out.params():
-            items.append((f"loc_out.{suffix}", p))
-        return items
+        layers = [("adv_fc", self.adv_fc)]
+        layers += [(f"cls_trunk.{i}", conv) for i, conv in enumerate(self.cls_trunk)]
+        layers += [("cls_out", self.cls_out), ("tmpl_out", self.tmpl_out)]
+        layers += [(f"loc_trunk.{i}", conv) for i, conv in enumerate(self.loc_trunk)]
+        layers.append(("loc_out", self.loc_out))
+        return [(f"{prefix}.{suffix}", p) for prefix, layer in layers for suffix, p in layer.params()]
 
     def zero_grads(self) -> None:
         for _, p in self.named_params():
@@ -137,11 +127,24 @@ class _HeadCache:
 @dataclass(eq=False)
 class _VideoCache:
     head: _HeadCache
-    mode: str                       # "vision", "learned", "fixed", "language_only"
-    bundle: LanguageBundle | None
-    lam: np.ndarray | None = None
-    dlam_dadv: np.ndarray | None = None
-    adv_through_fc: bool = False
+    bundle: LanguageBundle | None = None  # set when the advantage head ran
+    dlam_dadv: np.ndarray | None = None   # set when the gate is learned
+
+
+_LANGUAGE_ONLY = object()  # gate source of the language-only ablation
+
+
+def _resolve_gate(cfg: ModelConfig, lambda_override: float | None):
+    """The gate source of a language pass: None for the learned gate, a
+    constant c, or _LANGUAGE_ONLY.  An override wins; otherwise
+    ``cfg.lambda_mode`` and ``cfg.fixed_lambda`` decide."""
+    if lambda_override is not None:
+        return float(lambda_override)
+    if cfg.lambda_mode == "fixed":
+        return float(cfg.fixed_lambda)
+    if cfg.lambda_mode == "language_only":
+        return _LANGUAGE_ONLY
+    return None
 
 
 def predict_advantage(adv_stream, state: ModelState) -> np.ndarray:
@@ -220,41 +223,35 @@ def forward_video(state: ModelState, vis, bundle: LanguageBundle | None,
     """Full forward pass for one video.
 
     ``bundle=None`` runs the vision-only path (both trunks read raw vision
-    features).  ``lambda_override`` pins the gate to a constant regardless
-    of the model's lambda mode; eval uses it for vision-view baselines.
+    features).  Otherwise the gate has one of three sources: learned from
+    the advantage head (``lambda_mode="learned"``), the constant
+    ``cfg.fixed_lambda`` (``"fixed"``), or language-only (the trunks read the
+    pure language streams, lambda = 1).  ``lambda_override``, when given,
+    wins over the mode and pins the gate to that constant; eval uses it for
+    vision-view baselines.
     """
     vis = as_matrix(vis, "vis")
-    L = vis.shape[0]
     if bundle is None:
         outputs, head = head_forward(vis, vis, state)
-        return outputs, _VideoCache(head, "vision", None)
+        return outputs, _VideoCache(head)
 
-    mode = state.cfg.lambda_mode
-    adv_pred = np.zeros((L, 1))
+    L = vis.shape[0]
+    gate = _resolve_gate(state.cfg, lambda_override)
+    if gate is _LANGUAGE_ONLY:
+        outputs, head = head_forward(bundle.cls_stream, bundle.loc_stream, state)
+        outputs.lam = np.ones((L, 1))
+        return outputs, _VideoCache(head)
+    adv_pred = predict_advantage(bundle.adv_stream, state)
     dlam_dadv = None
-    adv_through_fc = False
-    if mode == "language_only" and lambda_override is None:
-        lam = np.ones((L, 1))
-        f_cls, f_loc = bundle.cls_stream, bundle.loc_stream
+    if gate is None:
+        lam = lambda_from_advantage(adv_pred)
+        dlam_dadv = _lambda_grad(adv_pred, lam)
     else:
-        if mode == "language_only":
-            mode = "fixed"  # overridden gate turns the ablation into a gated pass
-        adv_pred = predict_advantage(bundle.adv_stream, state)
-        adv_through_fc = True
-        if lambda_override is not None:
-            lam = np.full((L, 1), float(lambda_override))
-            mode = "fixed"
-        elif mode == "fixed":
-            lam = np.full((L, 1), state.cfg.fixed_lambda)
-        else:
-            lam = lambda_from_advantage(adv_pred)
-            dlam_dadv = _lambda_grad(adv_pred, lam)
-        f_cls, f_loc = aggregate(vis, bundle, lam)
-    outputs, head = head_forward(f_cls, f_loc, state)
+        lam = np.full((L, 1), gate)
+    outputs, head = head_forward(*aggregate(vis, bundle, lam), state)
     outputs.lam = lam
     outputs.adv_pred = adv_pred
-    return outputs, _VideoCache(head, mode, bundle, lam=lam, dlam_dadv=dlam_dadv,
-                                adv_through_fc=adv_through_fc)
+    return outputs, _VideoCache(head, bundle, dlam_dadv)
 
 
 def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
@@ -262,21 +259,20 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
     """Accumulate parameter gradients for one video.
 
     ``d_adv`` is the direct gradient on the advantage prediction (from the
-    advantage regression loss); the gate path contribution is added here.
+    advantage regression loss); the gate path contribution is added here
+    when the gate is learned.  Both reach ``adv_fc`` only if it ran.
     """
     d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl)
-    if cache.mode in ("vision", "language_only"):
+    bundle = cache.bundle
+    if bundle is None:
         return
-    total_d_adv = None
-    if cache.mode == "learned":
-        bundle = cache.bundle
+    if cache.dlam_dadv is not None:
         d_lam = (d_f_cls * bundle.cls_stream).sum(axis=1, keepdims=True) \
             + (d_f_loc * bundle.loc_stream).sum(axis=1, keepdims=True)
-        total_d_adv = d_lam * cache.dlam_dadv
-    if d_adv is not None and cache.adv_through_fc:
-        total_d_adv = d_adv if total_d_adv is None else total_d_adv + d_adv
-    if total_d_adv is not None:
-        state.adv_fc.backward(total_d_adv)
+        d_gate = d_lam * cache.dlam_dadv
+        d_adv = d_gate if d_adv is None else d_gate + d_adv
+    if d_adv is not None:
+        state.adv_fc.backward(d_adv)
 
 
 def frame_targets(gt: list[Segment], frames: int, num_classes: int):
@@ -407,10 +403,10 @@ def load_checkpoint(path) -> ModelState:
     sidecar = Path(str(path) + ".json")
     if not sidecar.exists():
         raise FormatError(f"missing checkpoint sidecar {sidecar}")
+    blob = read_json(sidecar, "checkpoint sidecar")
     try:
-        blob = json.loads(sidecar.read_text())
         cfg = ModelConfig(**blob["model_config"]).validate()
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint sidecar {sidecar}: {exc}") from exc
     state = ModelState(cfg, rng=None)
     stored = dict(blobio.read_named_matrices(path))

@@ -36,12 +36,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
 class Rng:
     """Seeded, portable pseudo-random generator (SplitMix64).
 

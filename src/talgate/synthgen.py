@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_json
 from .nn import Rng
 
 MIN_SEGMENT = 8      # frames; shortest generated action
@@ -325,45 +325,51 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     return path
 
 
+def _get(obj, key: str, kind: type, where: str):
+    """``obj[key]``, which must exist and have JSON type ``kind``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        raise FormatError(f"{where}: key {key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
 def read_corpus(in_dir) -> Corpus:
     """Byte-exact inverse of write_corpus."""
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"no manifest.json in {in_dir}")
+    manifest = read_json(manifest_path, "manifest")
+    where = f"manifest {manifest_path}"
+    version = _get(manifest, "version", int, where)
+    if version != blobio.VERSION:
+        raise FormatError(f"unsupported corpus version {version} in {where}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable manifest {manifest_path}: {exc}") from exc
-    for key in ("version", "config", "videos"):
-        if key not in manifest:
-            raise FormatError(f"manifest {manifest_path} lacks key {key!r}")
-    if manifest["version"] != blobio.VERSION:
-        raise FormatError(f"unsupported corpus version {manifest['version']}")
-    raw_cfg = dict(manifest["config"])
-    try:
-        cfg = GenConfig(**raw_cfg).validate()
-    except TypeError as exc:
-        raise FormatError(f"bad config block in {manifest_path}: {exc}") from exc
+        cfg = GenConfig(**_get(manifest, "config", dict, where)).validate()
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad config block in {where}: {exc}") from exc
     videos = []
-    for entry in manifest["videos"]:
-        vid = entry.get("id")
+    for i, entry in enumerate(_get(manifest, "videos", list, where)):
+        at = f"{where}, videos[{i}]"
+        vid = _get(entry, "id", str, at)
+        shape = (_get(entry, "frames", int, at), _get(entry, "dim", int, at))
+        blobs = _get(entry, "blobs", dict, at)
         streams = {}
         for key in _STREAM_KEYS:
-            blob_name = entry["blobs"].get(key)
-            blob_path = in_dir / (blob_name or "")
-            if blob_name is None or not blob_path.exists():
-                raise FormatError(f"video {vid}: missing {key} blob {blob_name!r}")
+            blob_path = in_dir / _get(blobs, key, str, f"{at}.blobs")
+            if not blob_path.is_file():
+                raise FormatError(f"video {vid}: missing {key} blob {blob_path}")
             m = blobio.read_matrix(blob_path)
-            if m.shape != (entry["frames"], entry["dim"]):
-                raise FormatError(f"video {vid}: blob {blob_name} has shape {m.shape}, manifest says {(entry['frames'], entry['dim'])}")
+            if m.shape != shape:
+                raise FormatError(f"video {vid}: blob {blob_path} has shape {m.shape}, manifest says {shape}")
             streams[key] = m
         gt = []
-        for seg in entry["gt"]:
-            s, e, lab = int(seg["start"]), int(seg["end"]), int(seg["label"])
-            if not (0 <= s < e <= entry["frames"]) or not (0 <= lab < cfg.num_classes):
-                raise FormatError(f"video {vid}: invalid segment {seg}")
+        for j, seg in enumerate(_get(entry, "gt", list, at)):
+            s, e, lab = (_get(seg, k, int, f"{at}.gt[{j}]") for k in ("start", "end", "label"))
+            if not (0 <= s < e <= shape[0]) or not (0 <= lab < cfg.num_classes):
+                raise FormatError(f"video {vid}: invalid segment {seg} in {where}")
             gt.append(Segment(s, e, lab))
-        lang = LanguageBundle(streams["cls"], streams["loc"], streams["adv"], aligned=bool(entry["aligned"]))
+        lang = LanguageBundle(streams["cls"], streams["loc"], streams["adv"],
+                              aligned=_get(entry, "aligned", bool, at))
         videos.append(VideoRecord(vid, streams["vis"], lang, gt))
     return Corpus(cfg, videos)

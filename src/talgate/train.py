@@ -246,12 +246,12 @@ class TrainLog:
 
 def read_training_log(path) -> list[dict]:
     records = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for i, line in enumerate(Path(path).read_bytes().splitlines()):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"bad training log line {i + 1} in {path}: {exc}") from exc
     return records
 

@@ -2,6 +2,7 @@
 byte-level reproducibility, and a handcrafted perfect-detector run."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -295,6 +296,91 @@ class TestReportCommand:
         f.write_text("x")
         assert main(["report", "--run", str(f)]) == 2
         assert "not a directory" in capsys.readouterr().err
+
+
+def _truncate(p):
+    p.write_bytes(p.read_bytes()[:p.stat().st_size // 2])
+
+
+def _append(p):
+    p.write_bytes(p.read_bytes() + b"\x00\x01")
+
+
+def _flip(offset):
+    def corrupt(p):
+        raw = bytearray(p.read_bytes())
+        raw[offset] ^= 0xFF
+        p.write_bytes(bytes(raw))
+    return corrupt
+
+
+def _set(*path, value=None):
+    """Replace (or, with value None, drop) the key at ``path`` of a JSON file;
+    a .jsonl file is edited on its first line."""
+    def corrupt(p):
+        lines = p.read_text().splitlines() if p.suffix == ".jsonl" else [p.read_text()]
+        doc = json.loads(lines[0])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        p.write_text("\n".join([json.dumps(doc)] + lines[1:]))
+    return corrupt
+
+
+_EVAL = ["eval", "--ckpt", "{run}/model.ckpt", "--corpus", "{corpus}", "--out", "{tmp}/r.json"]
+
+# (file to corrupt, corruption, command reading it, text the error must name)
+CORRUPTIONS = [
+    ("corpus/v0000_vis.bin", _truncate, _EVAL, "truncated"),
+    ("corpus/v0000_vis.bin", _append, _EVAL, "trailing"),
+    ("corpus/v0000_vis.bin", _flip(0), _EVAL, "magic"),
+    ("run/model.ckpt", _truncate, _EVAL, "truncated"),
+    ("run/model.ckpt", _append, _EVAL, "trailing"),
+    ("run/model.ckpt", _flip(16), _EVAL, "name of entry 0"),
+    ("corpus/manifest.json", _truncate, _EVAL, "JSON"),
+    ("corpus/manifest.json", _append, _EVAL, "JSON"),
+    ("corpus/manifest.json", _flip(0), _EVAL, "JSON"),
+    ("corpus/manifest.json", _set("videos", 0, "blobs"), _EVAL, "blobs"),
+    ("corpus/manifest.json", _set("videos", 0, "blobs", "adv"), _EVAL, "adv"),
+    ("corpus/manifest.json", _set("videos", 0, "frames"), _EVAL, "frames"),
+    ("corpus/manifest.json", _set("videos", 0, "aligned"), _EVAL, "aligned"),
+    ("corpus/manifest.json", _set("videos", 0, "gt", 0, "label"), _EVAL, "label"),
+    ("corpus/manifest.json", _set("config"), _EVAL, "config"),
+    ("corpus/manifest.json", _set("config", value=[1]), _EVAL, "config"),
+    ("corpus/manifest.json", _set("config", "dim"), _EVAL, "dim"),
+    ("run/model.ckpt.json", _truncate, _EVAL, "JSON"),
+    ("run/model.ckpt.json", _append, _EVAL, "JSON"),
+    ("run/model.ckpt.json", _flip(0), _EVAL, "JSON"),
+    ("run/model.ckpt.json", _set("model_config"), _EVAL, "model_config"),
+    ("run/model.ckpt.json", _set("model_config", "dim"), _EVAL, "dim"),
+    ("run/run.json", _truncate, ["report", "--run", "{run}"], "JSON"),
+    ("run/run.json", _flip(0), ["report", "--run", "{run}"], "JSON"),
+    ("run/config.json", _append, ["report", "--run", "{run}"], "JSON"),
+    ("run/config.json", lambda p: p.write_text("[3]"), ["report", "--run", "{run}"], "config.json"),
+    ("run/train_log.jsonl", _flip(0), ["report", "--run", "{run}"], "line 1"),
+    ("run/train_log.jsonl", _set("loss_dh"), ["report", "--run", "{run}"], "loss_dh"),
+    ("sweep/ablation.json", _truncate, ["report", "--run", "{sweep}"], "JSON"),
+    ("sweep/ablation.json", _set("rows"), ["report", "--run", "{sweep}"], "rows"),
+    ("sweep/ablation.json", _set("rows", 0, "lap"), ["report", "--run", "{sweep}"], "lap"),
+]
+
+
+@pytest.mark.parametrize("target, corrupt, argv, needle", CORRUPTIONS,
+                         ids=[f"{i:02d}-{t.split('/')[-1]}" for i, (t, *_) in enumerate(CORRUPTIONS)])
+def test_corrupted_input_is_data_error(workspace, sweep, tmp_path, capsys,
+                                       target, corrupt, argv, needle):
+    shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+    shutil.copytree(workspace / "run", tmp_path / "run")
+    shutil.copytree(sweep[0] / "sweep", tmp_path / "sweep")
+    corrupt(tmp_path / target)
+    dirs = {k: str(tmp_path / k) for k in ("corpus", "run", "sweep")}
+    assert main([a.format(tmp=tmp_path, **dirs) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and (tmp_path / target).name in err and needle in err, err
 
 
 class TestRendering:

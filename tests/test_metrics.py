@@ -150,8 +150,6 @@ class TestLap:
         _, ma = map_at(predict_corpus(state, corpus), {v.id: v.gt for v in corpus.videos})
         _, mc = map_at(predict_corpus(state, twin), {v.id: v.gt for v in twin.videos})
         assert lap(state, corpus, twin) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
-        want_rel = 100.0 * (ma - mc) / ma if ma > 0 else 0.0
-        assert lap(state, corpus, twin, relative=True) == pytest.approx(want_rel, abs=1e-12)
 
     def test_size_mismatch(self):
         corpus, twin = small_eval_setup(seed=63)
@@ -239,19 +237,11 @@ class TestMla:
                     values.extend(lam[seg.start:seg.end, 0].tolist())
         assert mla(tracks, bucket, gt) == pytest.approx(np.mean(values), rel=1e-12)
 
-    def test_all_frames_mode(self):
-        tracks = [np.full(10, 0.2), np.full(10, 0.8)]
-        gt = [[S(0, 5, 0)], [S(0, 5, 1)]]
-        assert mla(tracks, {0}, gt, frames="all") == pytest.approx(0.2)
-        assert mla(tracks, {0, 1}, gt, frames="all") == pytest.approx(0.5)
-
     def test_errors(self):
         tracks = [np.zeros(10)]
         gt = [[S(0, 5, 0)]]
         with pytest.raises(ConfigError, match="empty"):
             mla(tracks, set(), gt)
-        with pytest.raises(ConfigError, match="frames"):
-            mla(tracks, {0}, gt, frames="some")
         with pytest.raises(ConfigError, match="1 lambda"):
             mla(tracks, {0}, gt + [[]])
 
@@ -346,6 +336,10 @@ class TestCanonicalJson:
     def test_empty_containers(self):
         assert canonical_json({}) == "{}\n"
         assert canonical_json([]) == "[]\n"
+
+    def test_one_spelling_of_zero(self):
+        assert canonical_json([-0.0, -1e-9, 0.0, -1e-6]) == \
+            "[\n  0.000000,\n  0.000000,\n  0.000000,\n  -0.000001\n]\n"
 
     def test_rejects_non_finite(self):
         with pytest.raises(FormatError, match="non-finite"):

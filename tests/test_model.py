@@ -388,6 +388,36 @@ class TestForwardBackwardGradients:
             err = grad_check(f, p.value.copy())
             assert err < 1e-4, f"{mode} gradient for {name} off by {err}"
 
+    @pytest.mark.parametrize("mode, override, gate_term", [
+        ("learned", None, True),
+        ("fixed", None, False),
+        ("language_only", None, None),  # the advantage head never runs
+        ("learned", 0.0, False),
+    ])
+    def test_advantage_gradient_routing(self, mode, override, gate_term):
+        rng = Rng(21)
+        state = ModelState(tiny_model_config(lambda_mode=mode, fixed_lambda=0.6), rng)
+        L = 10
+        vis = rng.normal_matrix(L, 5)
+        bundle = random_bundle(rng, L, 5)
+        r1, r2, r3 = rng.normal_matrix(L, 3), rng.normal_matrix(L, 2), rng.normal_matrix(L, 4)
+        d_adv = rng.normal_matrix(L, 1)
+
+        def adv_grads(d):
+            state.zero_grads()
+            _, cache = forward_video(state, vis, bundle, lambda_override=override)
+            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d)
+            return state.adv_fc.w.grad.copy(), state.adv_fc.b.grad.copy()
+
+        w0, b0 = adv_grads(None)
+        w1, b1 = adv_grads(d_adv)
+        if gate_term is None:
+            assert not w1.any() and not b1.any()
+            return
+        assert w0.any() == gate_term and b0.any() == gate_term
+        np.testing.assert_allclose(w1 - w0, bundle.adv_stream.T @ d_adv, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(b1 - b0, d_adv.sum(axis=0, keepdims=True), rtol=1e-9, atol=1e-12)
+
     def test_vision_mode_skips_language_params(self):
         rng = Rng(19)
         state = ModelState(tiny_model_config(), rng)

@@ -275,6 +275,29 @@ class TestVisionLanguageEpoch:
         s = steps[0]
         assert abs(s.total - (s.dh + 0.1 * s.tg + 0.1 * s.adv)) <= 1e-12
 
+    def test_normalize_frame_loss_divides_by_positive_count(self, monkeypatch):
+        import talgate.train as train_module
+        seen = []
+
+        def spy(table, per_frame_vl, gt):
+            seen.append(np.array(per_frame_vl, copy=True))
+            return target_advantage(table, per_frame_vl, gt)
+
+        monkeypatch.setattr(train_module, "target_advantage", spy)
+        corpus = tiny_corpus(seed=8, num_videos=1)
+        table = ClasswiseLossTable()
+        for c in range(3):
+            table.add(c, 0.8)
+        for normalize in (False, True):
+            state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(42))
+            cfg = TrainConfig(epochs=2, normalize_frame_loss=normalize).validate()
+            opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            steps = vision_language_epoch(corpus, state, opt, cfg, table)
+        raw, normalized = seen
+        positives = sum(s.end - s.start for s in corpus.videos[0].gt)
+        assert steps[0].positives == positives > 1
+        assert normalized.tobytes() == (raw / positives).tobytes()
+
     def test_requires_table(self):
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
