@@ -21,10 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FormatError, read_json
-from .metrics import (DEFAULT_TIOU_THRESHOLDS, HALLUCINATION_TOP_K,
-                      MetricsReport, ambiguity_probe, average_precision,
-                      canonical_json, difficulty_buckets, hallucination_rates,
-                      lap, map_at, mla, validate_report)
+from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
+                      average_precision, canonical_json, difficulty_buckets,
+                      hallucination_rates, lap, map_at, mla, validate_report)
 from .model import (ModelConfig, ModelState, forward_video, load_checkpoint,
                     predict_corpus, save_checkpoint)
 from .nn import Rng
@@ -85,10 +84,36 @@ def default_run_config() -> dict:
         "normalize_frame_loss": False,
         # evaluation
         "tiou_thresholds": list(DEFAULT_TIOU_THRESHOLDS),
-        "hallucination_top_k": HALLUCINATION_TOP_K,
         # shared
         "seed": 0,
     }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _check_type(path: Path, key: str, value, default) -> None:
+    """A config value must have the JSON type of the key's default; a null
+    default (``hidden``: use the feature dim) also admits an integer."""
+    if default is None:
+        ok, want = value is None or _is_int(value), "an integer or null"
+    elif isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok, want = _is_number(value), "a number"
+    elif isinstance(default, list):
+        ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config file {path}: key {key!r} must be {want}, got {json.dumps(value)}")
 
 
 def load_run_config(path: str | None) -> dict:
@@ -102,8 +127,10 @@ def load_run_config(path: str | None) -> dict:
             raise FormatError(f"config file {p} must hold a single JSON object")
         unknown = sorted(set(data) - set(cfg))
         if unknown:
-            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+            raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
                               f"valid keys: {', '.join(sorted(cfg))}")
+        for key, value in data.items():
+            _check_type(p, key, value, cfg[key])
         cfg.update(data)
     env = os.environ.get(SEED_ENV)
     if env is not None:
@@ -165,8 +192,7 @@ def _check_compatible(state: ModelState, corpus: Corpus) -> None:
 
 
 def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
-                 probe: bool = False, thresholds=DEFAULT_TIOU_THRESHOLDS,
-                 top_k: int = HALLUCINATION_TOP_K) -> MetricsReport:
+                 probe: bool = False, thresholds=DEFAULT_TIOU_THRESHOLDS) -> MetricsReport:
     """Score one checkpoint on one corpus.
 
     Difficulty buckets come from the same model's vision view (gate pinned
@@ -176,7 +202,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     gt = {v.id: v.gt for v in corpus.videos}
     proposals = predict_corpus(state, corpus)
     per_threshold, map_avg = map_at(proposals, gt, thresholds)
-    fixed_rate, infinite_rate = hallucination_rates(proposals, top_k)
+    fixed_rate, infinite_rate = hallucination_rates(proposals)
 
     vision_props = predict_corpus(state, corpus, lambda_override=0.0)
     vision_ap = {}

@@ -113,8 +113,10 @@ def _top_k(props: list[Proposal], k: int) -> list[Proposal]:
     return sorted(props, key=_proposal_order)[:k]
 
 
-def hallucination_rates(per_video_proposals, top_k: int = HALLUCINATION_TOP_K) -> tuple[float, float]:
-    """Degenerate-output rates over per-video top-k proposal lists.
+def hallucination_rates(per_video_proposals: dict[str, list[Proposal]],
+                        top_k: int = HALLUCINATION_TOP_K) -> tuple[float, float]:
+    """Degenerate-output rates over per-video top-k proposal lists, keyed by
+    video id.
 
     fixed_rate: fraction of videos whose rounded top-k boundary multiset is
     shared by at least half the corpus (group of identical outputs of size
@@ -123,22 +125,18 @@ def hallucination_rates(per_video_proposals, top_k: int = HALLUCINATION_TOP_K) -
     infinite_rate: fraction of videos holding >= 3 same-class proposals
     that pairwise overlap with tIoU > 0.95.
     """
-    lists = list(per_video_proposals.values()) if isinstance(per_video_proposals, dict) \
-        else list(per_video_proposals)
-    n = len(lists)
+    tops = [_top_k(props, top_k) for props in per_video_proposals.values()]
+    n = len(tops)
     if n == 0:
         return 0.0, 0.0
-    keys = []
-    for props in lists:
-        top = _top_k(props, top_k)
-        keys.append(tuple(sorted((int(round(p.start)), int(round(p.end))) for p in top)))
+    keys = [tuple(sorted((int(round(p.start)), int(round(p.end))) for p in top))
+            for top in tops]
     counts = Counter(keys)
     need = max(2, math.ceil(n / 2))
     fixed = sum(1 for k in keys if counts[k] >= need) / n
 
     degenerate = 0
-    for props in lists:
-        top = _top_k(props, top_k)
+    for top in tops:
         by_label: dict[int, list[Proposal]] = {}
         for p in top:
             by_label.setdefault(p.label, []).append(p)
@@ -208,18 +206,17 @@ class ProbeStats:
     acc_at: dict[float, float]
 
 
-def ambiguity_probe(state: ModelState, clips, span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
+def ambiguity_probe(state: ModelState, clips: Corpus, span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
     """Overconfidence probe on no-action clips.
 
     Keeps only the highest-confidence proposal per clip; a clip with no
     proposals counts as confidence 0 and span 0.  acc_at[t] is the fraction
     of clips whose kept (normalized) span stays below t.
     """
-    videos = clips.videos if isinstance(clips, Corpus) else list(clips)
-    if not videos:
+    if not clips.videos:
         raise ConfigError("ambiguity probe needs at least one clip")
     confs, spans = [], []
-    for v in videos:
+    for v in clips.videos:
         props = predict_video(state, v)
         frames = v.vis.shape[0]
         if props:

@@ -333,12 +333,10 @@ def _proposal_order(p: Proposal):
     return (-p.score, p.start, p.end, p.label)
 
 
-def tiou(a, b) -> float:
-    """Temporal IoU of two intervals given as (start, end) or objects with
-    .start/.end attributes.  Zero-length intervals are an error."""
-    sa, ea = (a.start, a.end) if hasattr(a, "start") else (a[0], a[1])
-    sb, eb = (b.start, b.end) if hasattr(b, "start") else (b[0], b[1])
-    sa, ea, sb, eb = float(sa), float(ea), float(sb), float(eb)
+def tiou(a: Proposal | Segment, b: Proposal | Segment) -> float:
+    """Temporal IoU of two intervals (proposals or ground-truth segments).
+    Zero-length intervals are an error."""
+    sa, ea, sb, eb = float(a.start), float(a.end), float(b.start), float(b.end)
     if not (sa < ea) or not (sb < eb):
         raise ValueError(f"tiou of degenerate interval: ({sa}, {ea}) vs ({sb}, {eb})")
     inter = max(0.0, min(ea, eb) - max(sa, sb))

@@ -7,8 +7,9 @@ place and returns the gradient with respect to the layer input.  Layers are
 single-threaded by contract: never run forward/backward concurrently on the
 same object.
 
-Loss helpers come in pairs (value function + derivative function) so the
-training loop can assemble exact gradients without a tape.
+A loss returns its derivatives with its value (``diou_loss``) or has a
+``_grad`` companion (``focal_loss``), so the training loop can assemble
+exact gradients without a tape.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ def focal_loss_grad(p, y, alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray
     return np.where(y > 0.5, dpos, dneg) * inside
 
 
-def _diou_parts(ps, pe, gs, ge):
-    """Vectorized DIoU loss and its derivatives w.r.t. the predicted ends.
+def diou_loss(ps, pe, gs, ge):
+    """Vectorized DIoU loss and its derivatives w.r.t. the predicted ends:
+    (loss, dloss/dps, dloss/dpe), each shaped like the inputs.
 
     loss = 1 - IoU + (center distance)**2 / (enclosing length)**2.
     All inputs are same-shape arrays of non-degenerate intervals.
@@ -310,29 +312,6 @@ def _diou_parts(ps, pe, gs, ge):
     return loss, -diou_dps + dpen_dps, -diou_dpe + dpen_dpe
 
 
-def _check_interval(iv, name: str) -> tuple[float, float]:
-    s, e = float(iv[0]), float(iv[1])
-    if not (s < e):
-        raise ValueError(f"{name} interval ({s}, {e}) is degenerate")
-    return s, e
-
-
-def diou_loss_1d(pred, gt) -> float:
-    """Distance-IoU loss for a pair of 1-D intervals; value in [0, 2)."""
-    ps, pe = _check_interval(pred, "pred")
-    gs, ge = _check_interval(gt, "gt")
-    loss, _, _ = _diou_parts(ps, pe, gs, ge)
-    return float(loss)
-
-
-def diou_loss_1d_grad(pred, gt) -> tuple[float, float]:
-    """d loss / d (pred start, pred end)."""
-    ps, pe = _check_interval(pred, "pred")
-    gs, ge = _check_interval(gt, "gt")
-    _, dps, dpe = _diou_parts(ps, pe, gs, ge)
-    return float(dps), float(dpe)
-
-
 def log_softmax(logits) -> np.ndarray:
     """Row-wise log-softmax via the shifted log-sum-exp identity."""
     z = np.asarray(logits, dtype=np.float64)
@@ -342,49 +321,6 @@ def log_softmax(logits) -> np.ndarray:
     zmax = z.max(axis=1, keepdims=True)
     out = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
     return out[0] if squeeze else out
-
-
-def cross_entropy(logits, target: int) -> float:
-    """Negative log-likelihood of ``target`` under softmax(logits)."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    k = z.shape[0]
-    if k < 2:
-        raise ShapeError(f"cross_entropy needs at least 2 logits, got {k}")
-    if not (0 <= target < k):
-        raise ValueError(f"cross_entropy target {target} out of range for {k} classes")
-    return float(-log_softmax(z)[target])
-
-
-def cross_entropy_grad(logits, target: int) -> np.ndarray:
-    """d loss / d logits = softmax(logits) - onehot(target)."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    k = z.shape[0]
-    if k < 2:
-        raise ShapeError(f"cross_entropy needs at least 2 logits, got {k}")
-    if not (0 <= target < k):
-        raise ValueError(f"cross_entropy target {target} out of range for {k} classes")
-    g = np.exp(log_softmax(z))
-    g[target] -= 1.0
-    return g
-
-
-def mse(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
-    if a.size == 0:
-        raise ShapeError("mse of empty arrays")
-    return float(np.mean((a - b) ** 2))
-
-
-def mse_grad(a, b) -> np.ndarray:
-    """d mse / d a."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
-    return 2.0 * (a - b) / a.size
 
 
 def grad_check(f, x, h: float = 1e-5) -> float:

@@ -25,7 +25,7 @@ from .errors import ConfigError, FormatError
 from .model import (FrameOutputs, ModelConfig, ModelState, backward_video,
                     forward_video, frame_targets, template_loss,
                     template_loss_grad)
-from .nn import Param, Rng, focal_loss, focal_loss_grad, _diou_parts
+from .nn import Param, Rng, focal_loss, focal_loss_grad, diou_loss
 from .synthgen import Corpus, Segment
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
@@ -148,7 +148,7 @@ def detection_loss(outputs: FrameOutputs, gt: list[Segment], lambda_loc: float =
         li = np.nonzero(pos)[0]
         ps = li - off[li, 0] - INTERVAL_PAD
         pe = li + off[li, 1] + INTERVAL_PAD
-        dl, dps, dpe = _diou_parts(ps, pe, gstart[li], gend[li])
+        dl, dps, dpe = diou_loss(ps, pe, gstart[li], gend[li])
         per_frame[li] += lambda_loc * dl
         d_off[li, 0] = -lambda_loc * dps / m
         d_off[li, 1] = lambda_loc * dpe / m

@@ -144,3 +144,12 @@ def nms_reference(proposals, threshold):
 def cross_entropy_reference(logits, target):
     exps = [math.exp(z) for z in logits]
     return -math.log(exps[target] / sum(exps))
+
+
+def diou_reference(pred_start, pred_end, gt_start, gt_end):
+    """Distance-IoU loss of two intervals, from its definition:
+    1 - IoU + (distance between centers / enclosing length) ** 2."""
+    iou = interval_iou(pred_start, pred_end, gt_start, gt_end)
+    center_gap = (pred_start + pred_end) / 2.0 - (gt_start + gt_end) / 2.0
+    enclosing = max(pred_end, gt_end) - min(pred_start, gt_start)
+    return 1.0 - iou + (center_gap / enclosing) ** 2

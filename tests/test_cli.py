@@ -105,11 +105,54 @@ class TestRunConfig:
         monkeypatch.setenv(SEED_ENV, "0x10")
         assert load_run_config(None)["seed"] == 16
 
+    def test_values_of_each_json_type_accepted(self, tmp_path):
+        p = tmp_path / "c.json"
+        good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 3,
+                "normalize_frame_loss": True, "ambiguity": [0.1, 1],
+                "lambda_mode": "fixed"}
+        p.write_text(json.dumps(good))
+        run = load_run_config(str(p))
+        assert {k: run[k] for k in good} == good
+        p.write_text('{"hidden": null}')
+        assert load_run_config(str(p))["hidden"] is None
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "-1", str(2 ** 64)])
     def test_env_seed_rejects(self, value, monkeypatch):
         monkeypatch.setenv(SEED_ENV, value)
         with pytest.raises(ConfigError, match=SEED_ENV):
             load_run_config(None)
+
+
+MISTYPED_CONFIGS = [
+    ("train", "epochs", "x"),
+    ("gen", "dim", "8"),
+    ("train", "hidden", "8"),
+    ("train", "hidden", 8.0),
+    ("gen", "ambiguity", 3),
+    ("gen", "ambiguity", ["0.1", "0.1", "0.1"]),
+    ("gen", "seed", 1.5),
+    ("gen", "num_videos", True),
+    ("train", "normalize_frame_loss", "yes"),
+    ("train", "normalize_frame_loss", 1),
+    ("train", "lr", "0.1"),
+    ("train", "lr", False),
+    ("train", "lambda_mode", 1),
+    ("gen", "tiou_thresholds", None),
+]
+
+
+@pytest.mark.parametrize("command,key,value", MISTYPED_CONFIGS,
+                         ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in MISTYPED_CONFIGS])
+def test_mistyped_config_value_is_data_error(command, key, value, workspace, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **{key: value})
+    out = str(tmp_path / "out")
+    argv = {"gen": ["gen", "--config", cfg, "--out", out],
+            "train": ["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
+                      "--out", out]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert cfg in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGen:
@@ -152,6 +195,12 @@ class TestGen:
         p.write_text('{"zzz": 1}')
         assert main(["gen", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "zzz" in capsys.readouterr().err
+
+    def test_hallucination_top_k_is_not_a_config_key(self, tmp_path, capsys):
+        # eval reads no config; the report's top-k is metrics.HALLUCINATION_TOP_K
+        cfg = write_config(tmp_path / "c.json", hallucination_top_k=10)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config key(s) hallucination_top_k" in capsys.readouterr().err
 
     def test_unexpected_exception_is_internal(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path / "c.json")

@@ -17,7 +17,7 @@ from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, DifficultyBuckets,
                              map_at, mla, validate_report)
 from talgate.model import ModelConfig, ModelState, Proposal, predict_corpus
 from talgate.nn import Rng
-from talgate.synthgen import (GenConfig, Segment, generate_corpus,
+from talgate.synthgen import (Corpus, GenConfig, Segment, generate_corpus,
                               generate_distractors, inject_conflict)
 
 P = Proposal
@@ -214,10 +214,6 @@ class TestHallucinationRates:
         _, infinite = hallucination_rates({"v0": filler + trio, "v1": disjoint_props(rng, 2)})
         assert infinite == 0.0
 
-    def test_accepts_plain_sequences(self):
-        shared = [P(0.0, 10.0, 0, 0.9)]
-        assert hallucination_rates([shared, shared])[0] == 1.0
-
 
 class TestMla:
     def test_constant_gate(self):
@@ -309,7 +305,7 @@ class TestAmbiguityProbe:
 
     def test_empty_clip_list(self):
         with pytest.raises(ConfigError, match="at least one clip"):
-            ambiguity_probe(constant_output_state(48, 0.8), [])
+            ambiguity_probe(constant_output_state(48, 0.8), Corpus(probe_clips().config, []))
 
 
 class TestCanonicalJson:

@@ -287,16 +287,16 @@ class TestNms:
 
 class TestTiou:
     def test_values(self):
-        assert tiou((0.0, 10.0), (0.0, 10.0)) == 1.0
-        assert tiou((0.0, 1.0), (5.0, 6.0)) == 0.0
-        assert tiou((0.0, 10.0), (5.0, 15.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert tiou(Segment(0, 10, 0), Segment(0, 10, 1)) == 1.0
+        assert tiou(Proposal(0.0, 1.0, 0, 0.5), Proposal(5.0, 6.0, 0, 0.5)) == 0.0
+        assert tiou(Segment(0, 10, 0), Proposal(5.0, 15.0, 0, 0.5)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_accepts_objects_with_attributes(self):
         assert tiou(Proposal(0.0, 10.0, 0, 1.0), Segment(5, 15, 0)) == pytest.approx(1.0 / 3.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            tiou((3.0, 3.0), (0.0, 1.0))
+            tiou(Proposal(3.0, 3.0, 0, 0.5), Segment(0, 1, 0))
 
 
 class TestTemplateLoss:

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (conv1d_reference, cross_entropy_reference,
-                     linear_reference, splitmix64_stream)
-from talgate.nn import (Conv1d, Linear, Param, Rng, ShapeError, cross_entropy,
-                        cross_entropy_grad, diou_loss_1d, diou_loss_1d_grad,
+from oracles import (conv1d_reference, diou_reference, linear_reference,
+                     splitmix64_stream)
+from talgate.nn import (Conv1d, Linear, Param, Rng, ShapeError, diou_loss,
                         focal_loss, focal_loss_grad, grad_check, log_softmax,
-                        mse, mse_grad, relu, relu_grad, sigmoid,
-                        sigmoid_grad_from_output)
+                        relu, relu_grad, sigmoid, sigmoid_grad_from_output)
 
 
 class TestRng:
@@ -219,12 +217,16 @@ class TestFocal:
 
 
 class TestDiou:
+    @staticmethod
+    def value(pred, gt) -> float:
+        return float(diou_loss(pred[0], pred[1], gt[0], gt[1])[0])
+
     def test_identical_intervals_zero(self):
-        assert diou_loss_1d((3.0, 7.0), (3.0, 7.0)) == 0.0
+        assert self.value((3.0, 7.0), (3.0, 7.0)) == 0.0
 
     def test_hand_evaluated_disjoint_value(self):
         # IoU 0, centers 1 and 3, enclosure 4: 1 + (2/4)^2 = 1.25
-        assert diou_loss_1d((0.0, 2.0), (2.0, 4.0)) == pytest.approx(1.25, abs=1e-12)
+        assert self.value((0.0, 2.0), (2.0, 4.0)) == pytest.approx(1.25, abs=1e-12)
 
     def test_value_symmetric_in_arguments(self):
         rng = Rng(11)
@@ -233,7 +235,7 @@ class TestDiou:
             b = sorted([rng.normal(5.0), rng.normal(5.0)])
             if a[0] == a[1] or b[0] == b[1]:
                 continue
-            assert diou_loss_1d(a, b) == pytest.approx(diou_loss_1d(b, a), abs=1e-12)
+            assert self.value(a, b) == pytest.approx(self.value(b, a), abs=1e-12)
 
     def test_range_and_zero_iff_identical(self):
         rng = Rng(12)
@@ -242,14 +244,22 @@ class TestDiou:
             b = sorted([rng.normal(5.0), rng.normal(5.0)])
             if a[0] == a[1] or b[0] == b[1]:
                 continue
-            v = diou_loss_1d(a, b)
+            v = self.value(a, b)
             assert 0.0 <= v < 2.0
             if a != b:
                 assert v > 0.0
 
-    def test_degenerate_interval_rejected(self):
-        with pytest.raises(ValueError):
-            diou_loss_1d((2.0, 2.0), (0.0, 1.0))
+    def test_matches_reference(self):
+        rng = Rng(14)
+        pairs = []
+        while len(pairs) < 500:
+            a = sorted([rng.normal(5.0), rng.normal(5.0)])
+            b = sorted([rng.normal(5.0), rng.normal(5.0)])
+            if a[0] != a[1] and b[0] != b[1]:
+                pairs.append((*a, *b))
+        loss, _, _ = diou_loss(*np.array(pairs).T)
+        want = [diou_reference(*pair) for pair in pairs]
+        np.testing.assert_allclose(loss, want, rtol=1e-12, atol=1e-14)
 
     def test_grad_wrt_endpoints(self):
         rng = Rng(13)
@@ -263,82 +273,20 @@ class TestDiou:
                 continue
 
             def f(x, gs=gs, ge=ge):
-                loss = diou_loss_1d((x[0, 0], x[0, 1]), (gs, ge))
-                dps, dpe = diou_loss_1d_grad((x[0, 0], x[0, 1]), (gs, ge))
-                return loss, np.array([[dps, dpe]])
+                loss, dps, dpe = diou_loss(x[0, 0], x[0, 1], gs, ge)
+                return float(loss), np.array([[dps, dpe]])
 
             assert grad_check(f, np.array([[ps, pe]])) < 1e-5
             checked += 1
 
 
 class TestCrossEntropy:
-    def test_uniform_logits(self):
-        for k in (2, 5, 9):
-            assert cross_entropy(np.zeros(k), 0) == pytest.approx(math.log(k), abs=1e-12)
-
-    def test_saturated_target(self):
-        z = np.zeros(4)
-        z[2] = 1e3
-        assert cross_entropy(z, 2) <= 1e-12
-
-    def test_matches_direct_formula(self):
-        rng = Rng(14)
-        for _ in range(50):
-            z = rng.normal_matrix(1, 4, 3.0).reshape(-1)
-            t = rng.randint(4)
-            assert cross_entropy(z, t) == pytest.approx(
-                cross_entropy_reference(z.tolist(), t), rel=1e-12)
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros(3), 3)
-        with pytest.raises(ShapeError):
-            cross_entropy(np.zeros(1), 0)
-
-    def test_grad(self):
-        rng = Rng(15)
-        for _ in range(100):
-            z0 = rng.normal_matrix(1, 5, 2.0)
-            t = rng.randint(5)
-
-            def f(z, t=t):
-                return cross_entropy(z, t), cross_entropy_grad(z, t).reshape(1, -1)
-
-            assert grad_check(f, z0) < 1e-5
+    """log_softmax is the cross-entropy kernel of model.template_loss, whose
+    values and gradient are checked in test_model.TestTemplateLoss."""
 
     def test_log_softmax_rows_normalize(self):
         z = Rng(16).normal_matrix(6, 7, 4.0)
         np.testing.assert_allclose(np.exp(log_softmax(z)).sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestMse:
-    def test_trivial_cases(self):
-        a = Rng(17).normal_matrix(3, 3)
-        assert mse(a, a) == 0.0
-        assert mse(np.array([[1.0]]), np.array([[3.0]])) == 4.0
-
-    def test_matches_loop(self):
-        rng = Rng(18)
-        a = rng.normal_matrix(4, 5)
-        b = rng.normal_matrix(4, 5)
-        acc = 0.0
-        for i in range(4):
-            for j in range(5):
-                acc += (a[i, j] - b[i, j]) ** 2
-        assert mse(a, b) == pytest.approx(acc / 20.0, rel=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mse(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_grad(self):
-        rng = Rng(19)
-        b = rng.normal_matrix(3, 4)
-
-        def f(a):
-            return mse(a, b), mse_grad(a, b)
-
-        assert grad_check(f, rng.normal_matrix(3, 4)) < 1e-6
 
 
 class TestLayerGradients:

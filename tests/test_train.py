@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import diou_reference
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState,
                            backward_video, forward_video, template_loss,
                            template_loss_grad)
-from talgate.nn import (Param, Rng, diou_loss_1d, focal_loss, grad_check)
+from talgate.nn import Param, Rng, focal_loss, grad_check
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
                            TrainLog, advantage_loss, advantage_loss_grad,
@@ -120,8 +121,9 @@ class TestDetectionLoss:
             want = focal_loss(scores[l:l + 1], y).sum()
             if labels[l] != C:
                 seg = next(s for s in gt if s.start <= l < s.end)
-                pred = (l - offsets[l, 0] - INTERVAL_PAD, l + offsets[l, 1] + INTERVAL_PAD)
-                want += 0.7 * diou_loss_1d(pred, (float(seg.start), float(seg.end)))
+                want += 0.7 * diou_reference(l - offsets[l, 0] - INTERVAL_PAD,
+                                             l + offsets[l, 1] + INTERVAL_PAD,
+                                             float(seg.start), float(seg.end))
             assert det.per_frame[l, 0] == pytest.approx(want, rel=1e-12)
 
     def test_score_gradients(self):
