@@ -2,8 +2,13 @@
 
 Every command is a pure function of its input bytes, config, and seed, so
 re-running one reproduces the corpus, checkpoint, and report byte for
-byte.  Run configs are flat JSON; unknown keys are rejected.  The
-``ACTIONVLM_SEED`` environment variable overrides the config seed.
+byte.  A run config is flat JSON whose keys are the fields of
+``GenConfig``, ``ModelConfig`` and ``TrainConfig`` plus ``tiou_thresholds``;
+each default is the dataclass field's (``default_run_config``).  Every
+command checks the whole config at load, before it writes anything: an
+unknown key, a value of the wrong JSON type, a non-finite number or an
+out-of-range value exits 2 naming the config file.  The ``ACTIONVLM_SEED``
+environment variable overrides the config seed.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error, 3 internal.
 """
@@ -15,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,51 +56,34 @@ ABLATION_MODES = ("sweep", "vision-only", "language-only", "no-adv-loss", "no-tg
 
 
 def default_run_config() -> dict:
-    """Every config key with its default.  The stock corpus is the bias
+    """Every config key with its default: the six stock-corpus values
+    ``GenConfig`` has no default for, every defaulted field of the three
+    configs, and ablate's tIoU thresholds.  The stock corpus is the bias
     benchmark: classes 0-3 are visually easy with unhelpful language,
     classes 4-7 visually ambiguous with highly informative language."""
-    return {
-        # corpus
-        "num_classes": 8,
-        "num_videos": 64,
-        "frames": 256,
-        "dim": 32,
-        "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
-        "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9],
-        "noise_sigma": 1.0,
-        "background_fraction": 0.4,
-        # model
-        "head_layers": 2,
-        "kernel": 3,
-        "hidden": None,
-        "nms_tiou": 0.5,
-        "top_k_pre_nms": 200,
-        "score_threshold": 0.01,
-        "lambda_mode": "learned",
-        "fixed_lambda": 0.0,
-        # training
-        "epochs": 60,
-        "lr": 2e-3,
-        "lambda_loc": 1.0,
-        "lambda_tg": 0.1,
-        "lambda_adv": 0.1,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "normalize_frame_loss": False,
-        # evaluation
-        "tiou_thresholds": list(DEFAULT_TIOU_THRESHOLDS),
-        # shared
-        "seed": 0,
-    }
+    run = {"num_classes": 8, "num_videos": 64, "frames": 256, "dim": 32,
+           "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
+           "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9]}
+    for cls in (GenConfig, ModelConfig, TrainConfig):
+        run.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+    run["tiou_thresholds"] = list(DEFAULT_TIOU_THRESHOLDS)
+    return run
+
+
+def build_config(cls, run: dict, **given):
+    """A validated ``cls`` from the run-config keys named like its fields;
+    ``given`` supplies fields the run config does not decide (the model's
+    ``dim`` and ``num_classes`` come from the corpus)."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**{n: run[n] for n in names}, **given).validate()
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+def _is_finite(v) -> bool:  # JSON admits NaN and Infinity
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _check_type(path: Path, key: str, value, default) -> None:
@@ -107,9 +96,9 @@ def _check_type(path: Path, key: str, value, default) -> None:
     elif isinstance(default, int):
         ok, want = _is_int(value), "an integer"
     elif isinstance(default, float):
-        ok, want = _is_number(value), "a number"
+        ok, want = _is_finite(value), "a finite number"
     elif isinstance(default, list):
-        ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+        ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of finite numbers"
     else:
         ok, want = isinstance(value, str), "a string"
     if not ok:
@@ -132,6 +121,14 @@ def load_run_config(path: str | None) -> dict:
         for key, value in data.items():
             _check_type(p, key, value, cfg[key])
         cfg.update(data)
+        try:  # every value in range, the model checked at the config's own dim
+            for cls in (GenConfig, ModelConfig, TrainConfig):
+                build_config(cls, cfg)
+            if not cfg["tiou_thresholds"] or not all(0.0 < t <= 1.0 for t in cfg["tiou_thresholds"]):
+                raise ConfigError("tiou_thresholds must be a non-empty list of values in (0, 1], "
+                                  f"got {cfg['tiou_thresholds']}")
+        except ConfigError as exc:
+            raise ConfigError(f"config file {p}: {exc}") from exc
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -142,33 +139,6 @@ def load_run_config(path: str | None) -> dict:
             raise ConfigError(f"{SEED_ENV} must be an unsigned 64-bit integer, got {env}")
         cfg["seed"] = seed
     return cfg
-
-
-def gen_config_from(run: dict) -> GenConfig:
-    return GenConfig(
-        num_classes=run["num_classes"], num_videos=run["num_videos"],
-        frames=run["frames"], dim=run["dim"], ambiguity=run["ambiguity"],
-        helpfulness=run["helpfulness"], noise_sigma=run["noise_sigma"],
-        background_fraction=run["background_fraction"], seed=run["seed"],
-    ).validate()
-
-
-def model_config_from(run: dict, dim: int, num_classes: int) -> ModelConfig:
-    return ModelConfig(
-        dim=dim, num_classes=num_classes, head_layers=run["head_layers"],
-        kernel=run["kernel"], hidden=run["hidden"], nms_tiou=run["nms_tiou"],
-        top_k_pre_nms=run["top_k_pre_nms"], score_threshold=run["score_threshold"],
-        lambda_mode=run["lambda_mode"], fixed_lambda=run["fixed_lambda"],
-    ).validate()
-
-
-def train_config_from(run: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=run["epochs"], lr=run["lr"], lambda_loc=run["lambda_loc"],
-        lambda_tg=run["lambda_tg"], lambda_adv=run["lambda_adv"],
-        beta1=run["beta1"], beta2=run["beta2"], adam_eps=run["adam_eps"],
-        seed=run["seed"], normalize_frame_loss=run["normalize_frame_loss"],
-    ).validate()
 
 
 def _stamp(out_dir: Path, run: dict, command: str) -> None:
@@ -236,7 +206,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
 def cmd_gen(args) -> int:
     run = load_run_config(args.config)
-    corpus = generate_corpus(gen_config_from(run))
+    corpus = generate_corpus(build_config(GenConfig, run))
     out = Path(args.out)
     write_corpus(corpus, out)
     _stamp(out, run, "gen")
@@ -247,14 +217,15 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     corpus = read_corpus(args.corpus)
-    train_cfg = train_config_from(run)
+    train_cfg = build_config(TrainConfig, run)
     init_state = None
     if args.resume:
         init_state = load_checkpoint(args.resume)
         _check_compatible(init_state, corpus)
         model_cfg = init_state.cfg
     else:
-        model_cfg = model_config_from(run, corpus.config.dim, corpus.config.num_classes)
+        model_cfg = build_config(ModelConfig, run, dim=corpus.config.dim,
+                                 num_classes=corpus.config.num_classes)
     state, train_log = fit(corpus, model_cfg, train_cfg, init_state=init_state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -313,8 +284,9 @@ def cmd_ablate(args) -> int:
     for label, overrides in ablation_rows(args.mode):
         row_run = dict(run)
         row_run.update(overrides)
-        model_cfg = model_config_from(row_run, corpus.config.dim, corpus.config.num_classes)
-        train_cfg = train_config_from(row_run)
+        model_cfg = build_config(ModelConfig, row_run, dim=corpus.config.dim,
+                                 num_classes=corpus.config.num_classes)
+        train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
         _, map_avg = map_at(predict_corpus(state, corpus), gt, thresholds)
         drop = lap(state, corpus, twin, thresholds)

@@ -250,11 +250,6 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def sigmoid_grad_from_output(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    return y * (1.0 - y)
-
-
 def focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
     """Elementwise focal loss on probabilities clamped to [eps, 1 - eps].
 

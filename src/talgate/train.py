@@ -47,13 +47,14 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 0 or self.epochs % 2 != 0:
             raise ConfigError(f"epochs must be even and non-negative (strict epoch alternation), got {self.epochs}")
-        if not (self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "adam_eps"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("lambda_loc", "lambda_tg", "lambda_adv"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ConfigError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in [0, 1)")
+            raise ConfigError(f"Adam betas must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         return self
@@ -104,9 +105,6 @@ class ClasswiseLossTable:
 
     def means(self) -> dict[int, float]:
         return {c: self.mean(c) for c in sorted(self._sums)}
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._sums
 
 
 @dataclass(eq=False)

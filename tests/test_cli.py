@@ -2,6 +2,7 @@
 byte-level reproducibility, and a handcrafted perfect-detector run."""
 
 import json
+import math
 import shutil
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 
 import talgate.cli as cli
 from talgate.cli import (SEED_ENV, SWEEP_LAMBDAS, _align, _conflicted_twin,
-                         default_run_config, load_run_config, main,
-                         render_metrics, render_train_log)
+                         build_config, default_run_config, load_run_config,
+                         main, render_metrics, render_train_log)
 from talgate.errors import ConfigError, FormatError
 from talgate.metrics import validate_report
 from talgate.model import ModelConfig, ModelState, save_checkpoint
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, LanguageBundle, Segment,
                               VideoRecord, write_corpus)
+from talgate.train import TrainConfig
 
 TINY = {
     "num_classes": 3, "num_videos": 6, "frames": 48, "dim": 8,
@@ -67,12 +69,33 @@ class TestParser:
         assert exc.value.code == 1
 
 
+# The stock run config, written out: the benchmark's workloads run on these
+# defaults, so a changed dataclass default must show here.
+STOCK_RUN_CONFIG = {
+    "num_classes": 8, "num_videos": 64, "frames": 256, "dim": 32,
+    "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
+    "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9],
+    "noise_sigma": 1.0, "background_fraction": 0.4,
+    "head_layers": 2, "kernel": 3, "hidden": None, "nms_tiou": 0.5,
+    "top_k_pre_nms": 200, "score_threshold": 0.01, "lambda_mode": "learned",
+    "fixed_lambda": 0.0,
+    "epochs": 60, "lr": 2e-3, "lambda_loc": 1.0, "lambda_tg": 0.1, "lambda_adv": 0.1,
+    "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "normalize_frame_loss": False,
+    "tiou_thresholds": [0.3, 0.4, 0.5, 0.6, 0.7],
+    "seed": 0,
+}
+
+
 class TestRunConfig:
     def test_defaults_cover_every_builder(self):
         run = default_run_config()
-        cli.gen_config_from(run)
-        cli.model_config_from(run, run["dim"], run["num_classes"])
-        cli.train_config_from(run)
+        assert build_config(GenConfig, run).num_videos == 64
+        assert build_config(ModelConfig, run, dim=5, num_classes=3).dim == 5
+        assert build_config(TrainConfig, run).epochs == 60
+
+    def test_defaults_are_the_stock_config(self):
+        assert (json.dumps(default_run_config(), sort_keys=True)
+                == json.dumps(STOCK_RUN_CONFIG, sort_keys=True))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -107,8 +130,8 @@ class TestRunConfig:
 
     def test_values_of_each_json_type_accepted(self, tmp_path):
         p = tmp_path / "c.json"
-        good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 3,
-                "normalize_frame_loss": True, "ambiguity": [0.1, 1],
+        good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 4,
+                "normalize_frame_loss": True, "ambiguity": [0.1] * 7 + [1],
                 "lambda_mode": "fixed"}
         p.write_text(json.dumps(good))
         run = load_run_config(str(p))
@@ -138,21 +161,61 @@ MISTYPED_CONFIGS = [
     ("train", "lr", False),
     ("train", "lambda_mode", 1),
     ("gen", "tiou_thresholds", None),
+    # JSON's NaN and Infinity are not finite numbers
+    ("gen", "lr", math.nan),
+    ("gen", "tiou_thresholds", [0.5, math.nan]),
+    ("train", "lambda_loc", math.nan),
+    ("train", "lambda_adv", math.inf),
+    ("train", "lr", math.inf),
+    ("train", "noise_sigma", -math.inf),
+    ("ablate", "nms_tiou", math.nan),
 ]
+
+
+def run_bad_config(command, key, value, workspace, tmp_path, capsys):
+    """Run ``command`` on a config with ``key`` set to ``value``; it must exit
+    2 without an output directory.  Returns stderr and the config path."""
+    cfg = write_config(tmp_path / "c.json", **{key: value})
+    out = str(tmp_path / "out")
+    corpus = str(workspace / "corpus")
+    argv = {"gen": ["gen", "--config", cfg, "--out", out],
+            "train": ["train", "--corpus", corpus, "--config", cfg, "--out", out],
+            "ablate": ["ablate", "--corpus", corpus, "--config", cfg, "--mode", "vision-only",
+                       "--out", out]}[command]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err, cfg
 
 
 @pytest.mark.parametrize("command,key,value", MISTYPED_CONFIGS,
                          ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in MISTYPED_CONFIGS])
 def test_mistyped_config_value_is_data_error(command, key, value, workspace, tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", **{key: value})
-    out = str(tmp_path / "out")
-    argv = {"gen": ["gen", "--config", cfg, "--out", out],
-            "train": ["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
-                      "--out", out]}[command]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    err, cfg = run_bad_config(command, key, value, workspace, tmp_path, capsys)
     assert cfg in err and repr(key) in err
-    assert not (tmp_path / "out").exists()
+
+
+# Well-typed values out of range; every command rejects the whole config at
+# load, whichever part of it the command uses.
+BAD_VALUE_CONFIGS = [
+    ("gen", "epochs", 3),
+    ("gen", "adam_eps", 0.0),
+    ("train", "adam_eps", 0.0),
+    ("train", "adam_eps", -1.0),
+    ("train", "beta1", 1.0),
+    ("train", "noise_sigma", -0.5),
+    ("ablate", "tiou_thresholds", []),
+    ("ablate", "tiou_thresholds", [1.5]),
+    ("ablate", "tiou_thresholds", [0.0, 0.5]),
+    ("ablate", "adam_eps", -1.0),
+    ("ablate", "nms_tiou", 1.0),
+]
+
+
+@pytest.mark.parametrize("command,key,value", BAD_VALUE_CONFIGS,
+                         ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in BAD_VALUE_CONFIGS])
+def test_bad_config_value_is_data_error(command, key, value, workspace, tmp_path, capsys):
+    err, cfg = run_bad_config(command, key, value, workspace, tmp_path, capsys)
+    assert cfg in err and key in err
 
 
 class TestGen:

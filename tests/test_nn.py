@@ -9,7 +9,7 @@ from oracles import (conv1d_reference, diou_reference, linear_reference,
                      splitmix64_stream)
 from talgate.nn import (Conv1d, Linear, Param, Rng, ShapeError, diou_loss,
                         focal_loss, focal_loss_grad, grad_check, log_softmax,
-                        relu, relu_grad, sigmoid, sigmoid_grad_from_output)
+                        relu, relu_grad, sigmoid)
 
 
 class TestRng:
@@ -169,12 +169,6 @@ def test_sigmoid_symmetry():
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
 
-def test_sigmoid_grad_identity():
-    x = Rng(7).normal_matrix(10, 10)
-    y = sigmoid(x)
-    np.testing.assert_allclose(sigmoid_grad_from_output(y), y * (1 - y), atol=1e-15)
-
-
 class TestFocal:
     def test_perfect_prediction_is_tiny(self):
         assert float(focal_loss(1.0 - 1e-7, 1.0)) <= 1e-6
@@ -211,7 +205,7 @@ class TestFocal:
                 p = sigmoid(z)
                 loss = float(focal_loss(p, y).sum())
                 dp = focal_loss_grad(p, y)
-                return loss, dp * sigmoid_grad_from_output(p)
+                return loss, dp * (p * (1 - p))
 
             assert grad_check(f, z0) < 1e-5
 
