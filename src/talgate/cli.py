@@ -29,9 +29,10 @@ from . import __version__
 from .errors import ConfigError, FormatError, read_json
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       average_precision, canonical_json, difficulty_buckets,
-                      hallucination_rates, lap, map_at, mla, validate_report)
-from .model import (ModelConfig, ModelState, forward_video, load_checkpoint,
-                    predict_corpus, save_checkpoint)
+                      hallucination_rates, lap_from_aligned, map_at, mla,
+                      validate_report)
+from .model import (ModelConfig, ModelState, decode_proposals, forward_video,
+                    load_checkpoint, nms, predict_corpus, save_checkpoint)
 from .nn import Rng
 from .synthgen import (Corpus, GenConfig, generate_corpus,
                        generate_distractors, inject_conflict, read_corpus,
@@ -105,22 +106,33 @@ def _check_type(path: Path, key: str, value, default) -> None:
         raise ConfigError(f"config file {path}: key {key!r} must be {want}, got {json.dumps(value)}")
 
 
-def load_run_config(path: str | None) -> dict:
+def read_config_file(path: str | None) -> dict:
+    """The keys a run config file sets (none without a file), each of the
+    JSON type of its default."""
+    if path is None:
+        return {}
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file {p} does not exist")
+    data = read_json(p, "config file")
+    if not isinstance(data, dict):
+        raise FormatError(f"config file {p} must hold a single JSON object")
+    defaults = default_run_config()
+    unknown = sorted(set(data) - set(defaults))
+    if unknown:
+        raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
+                          f"valid keys: {', '.join(sorted(defaults))}")
+    for key, value in data.items():
+        _check_type(p, key, value, defaults[key])
+    return data
+
+
+def complete_run_config(given: dict, path: str | None) -> dict:
+    """The defaults updated with the keys ``given`` by the config file at
+    ``path``, every value range-checked, then the seed environment variable."""
     cfg = default_run_config()
+    cfg.update(given)
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
-        data = read_json(p, "config file")
-        if not isinstance(data, dict):
-            raise FormatError(f"config file {p} must hold a single JSON object")
-        unknown = sorted(set(data) - set(cfg))
-        if unknown:
-            raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
-                              f"valid keys: {', '.join(sorted(cfg))}")
-        for key, value in data.items():
-            _check_type(p, key, value, cfg[key])
-        cfg.update(data)
         try:  # every value in range, the model checked at the config's own dim
             for cls in (GenConfig, ModelConfig, TrainConfig):
                 build_config(cls, cfg)
@@ -128,7 +140,7 @@ def load_run_config(path: str | None) -> dict:
                 raise ConfigError("tiou_thresholds must be a non-empty list of values in (0, 1], "
                                   f"got {cfg['tiou_thresholds']}")
         except ConfigError as exc:
-            raise ConfigError(f"config file {p}: {exc}") from exc
+            raise ConfigError(f"config file {Path(path)}: {exc}") from exc
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -141,6 +153,11 @@ def load_run_config(path: str | None) -> dict:
     return cfg
 
 
+def load_run_config(path: str | None) -> dict:
+    """The full run config of the config file at ``path`` (or the defaults)."""
+    return complete_run_config(read_config_file(path), path)
+
+
 def _stamp(out_dir: Path, run: dict, command: str) -> None:
     """Config echo plus tool/version stamp; both byte-stable."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,6 +165,29 @@ def _stamp(out_dir: Path, run: dict, command: str) -> None:
     (out_dir / "run.json").write_text(json.dumps(
         {"command": command, "seed": run["seed"], "tool": "talgate", "version": __version__},
         sort_keys=True, indent=2) + "\n")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the whole new one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _check_resume(config_path: str | None, given: dict, ckpt: str, cfg: ModelConfig) -> None:
+    """Each model key the config file sets (``given``) must match the
+    resumed checkpoint's; keys left to their defaults are not compared."""
+    for f in fields(ModelConfig):
+        if f.name in ("dim", "num_classes") or f.name not in given:
+            continue  # the corpus decides dim and num_classes
+        have = getattr(cfg, f.name)
+        if given[f.name] != have:
+            raise ConfigError(f"config file {Path(config_path)}: key {f.name!r} is {json.dumps(given[f.name])}, "
+                              f"but the resumed checkpoint {ckpt} has {json.dumps(have)}")
 
 
 def _conflicted_twin(corpus: Corpus) -> Corpus:
@@ -162,27 +202,31 @@ def _check_compatible(state: ModelState, corpus: Corpus) -> None:
 
 
 def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
-                 probe: bool = False, thresholds=DEFAULT_TIOU_THRESHOLDS) -> MetricsReport:
-    """Score one checkpoint on one corpus.
+                 probe: bool = False) -> MetricsReport:
+    """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
 
-    Difficulty buckets come from the same model's vision view (gate pinned
-    to 0), the closest in-run stand-in for a vision-only baseline.
+    One forward pass per aligned video gives both its proposals and its
+    gates.  Difficulty buckets come from the same model's vision view
+    (gate pinned to 0), the closest in-run stand-in for a vision-only
+    baseline.
     """
-    thresholds = tuple(float(t) for t in thresholds)
     gt = {v.id: v.gt for v in corpus.videos}
-    proposals = predict_corpus(state, corpus)
-    per_threshold, map_avg = map_at(proposals, gt, thresholds)
+    proposals, lams = {}, []
+    for v in corpus.videos:
+        outputs, _ = forward_video(state, v.vis, v.lang)
+        proposals[v.id] = nms(decode_proposals(outputs, state.cfg), state.cfg.nms_tiou)
+        lams.append(outputs.lam)
+    per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals)
 
     vision_props = predict_corpus(state, corpus, lambda_override=0.0)
     vision_ap = {}
     for c in range(corpus.config.num_classes):
-        aps = [average_precision(vision_props, gt, c, t) for t in thresholds]
+        aps = [average_precision(vision_props, gt, c, t) for t in DEFAULT_TIOU_THRESHOLDS]
         vals = [a for a in aps if a is not None]
         vision_ap[c] = float(np.mean(vals)) if vals else 0.0
     buckets = difficulty_buckets(vision_ap)
 
-    lams = [forward_video(state, v.vis, v.lang)[0].lam for v in corpus.videos]
     gts = [v.gt for v in corpus.videos]
     mla_per_bucket = {}
     for name, bucket in (("hard", buckets.hard), ("medium", buckets.medium), ("easy", buckets.easy)):
@@ -191,7 +235,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     lap_value = None
     if conflict:
-        lap_value = lap(state, corpus, _conflicted_twin(corpus), thresholds)
+        lap_value = lap_from_aligned(state, corpus, map_avg, _conflicted_twin(corpus))
 
     mconf = mlen = acc_at = None
     if probe:
@@ -215,13 +259,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = load_run_config(args.config)
+    given = read_config_file(args.config)
+    run = complete_run_config(given, args.config)
     corpus = read_corpus(args.corpus)
     train_cfg = build_config(TrainConfig, run)
     init_state = None
     if args.resume:
         init_state = load_checkpoint(args.resume)
         _check_compatible(init_state, corpus)
+        _check_resume(args.config, given, args.resume, init_state.cfg)
         model_cfg = init_state.cfg
     else:
         model_cfg = build_config(ModelConfig, run, dim=corpus.config.dim,
@@ -249,9 +295,8 @@ def cmd_eval(args) -> int:
     report = build_report(state, corpus, conflict=args.conflict, probe=args.probe)
     text = report.to_json()
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(out, text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -289,14 +334,14 @@ def cmd_ablate(args) -> int:
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
         _, map_avg = map_at(predict_corpus(state, corpus), gt, thresholds)
-        drop = lap(state, corpus, twin, thresholds)
+        drop = lap_from_aligned(state, corpus, map_avg, twin, thresholds)
         rows.append({"label": label, "map_avg": map_avg, "lap": drop})
         print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")
     table = {"mode": args.mode, "rows": rows}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.json").write_text(canonical_json(table))
-    (out / "ablation.txt").write_text(render_ablation(table))
+    _write_atomic(out / "ablation.json", canonical_json(table))
+    _write_atomic(out / "ablation.txt", render_ablation(table))
     _stamp(out, run, "ablate")
     return EXIT_OK
 

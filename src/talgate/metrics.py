@@ -23,8 +23,8 @@ import numpy as np
 import jsonschema
 
 from .errors import ConfigError, FormatError
-from .model import (ModelState, Proposal, _proposal_order, predict_corpus,
-                    predict_video, tiou)
+from .model import (ModelState, Proposal, predict_corpus, predict_video,
+                    tiou, tiou_array)
 from .synthgen import Corpus, Segment
 
 log = logging.getLogger(__name__)
@@ -45,36 +45,47 @@ def average_precision(proposals: dict[str, list[Proposal]], gt: dict[str, list[S
     npos = sum(len(v) for v in gts.values())
     if npos == 0:
         return None
-    entries = []
-    for vid in sorted(proposals):
-        for p in proposals[vid]:
-            if p.label == label:
-                entries.append((p, vid))
-    entries.sort(key=lambda t: (-t[0].score, t[1], t[0].start, t[0].end))
-    matched = {vid: [False] * len(segs) for vid, segs in gts.items()}
-    tp = np.zeros(len(entries))
-    fp = np.zeros(len(entries))
-    for i, (p, vid) in enumerate(entries):
+    vids = sorted(proposals)
+    mine = [[p for p in proposals[vid] if p.label == label] for vid in vids]
+    flat = [p for ps in mine for p in ps]
+    video = np.repeat(np.arange(len(vids)), [len(ps) for ps in mine])
+    ps = np.array([p.start for p in flat], dtype=np.float64)
+    pe = np.array([p.end for p in flat], dtype=np.float64)
+    score = np.array([p.score for p in flat], dtype=np.float64)
+    order = np.lexsort((pe, ps, video, -score))  # ties by video id, start, end
+    ps, pe, video = ps[order, None], pe[order, None], video[order]
+    # every entry against its video's ground truth, in rows padded with (0, 1)
+    own = [gts.get(vid, []) for vid in vids]
+    count = np.array([len(segs) for segs in own], dtype=np.int64)
+    gs = np.zeros((len(vids), int(count.max(initial=0))))
+    ge = np.ones_like(gs)
+    real = np.arange(gs.shape[1]) < count[:, None]
+    gs[real] = [g.start for segs in own for g in segs]
+    ge[real] = [g.end for segs in own for g in segs]
+    if np.any(~(ps[:, 0] < pe[:, 0]) & (count[video] > 0)) or np.any(~(gs < ge)):
+        raise ValueError(f"average_precision of a degenerate interval (class {label})")
+    iou = np.where(real[video], tiou_array(ps, pe, gs[video], ge[video]), 0.0)
+    # below the threshold against every ground truth: a false positive,
+    # whatever is matched already; the rest match greedily in order
+    reach = np.flatnonzero(iou.max(axis=1, initial=0.0) >= threshold)
+    matched = [[False] * len(x) for x in own]
+    tp = np.zeros(len(flat))
+    for i, row, k in zip(reach.tolist(), iou[reach].tolist(), video[reach].tolist()):
         best_iou, best_j = 0.0, -1
-        for j, g in enumerate(gts.get(vid, [])):
-            if matched[vid][j]:
-                continue
-            v = tiou(p, g)
-            if v > best_iou:
+        for j, (v, used) in enumerate(zip(row, matched[k])):
+            if v > best_iou and not used:
                 best_iou, best_j = v, j
         if best_j >= 0 and best_iou >= threshold:
-            matched[vid][best_j] = True
+            matched[k][best_j] = True
             tp[i] = 1.0
-        else:
-            fp[i] = 1.0
+    fp = 1.0 - tp
     tpc = np.cumsum(tp)
     fpc = np.cumsum(fp)
     recall = tpc / npos
     precision = tpc / np.maximum(tpc + fpc, 1.0)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # the precision envelope
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
@@ -100,17 +111,24 @@ def map_at(proposals: dict[str, list[Proposal]], gt: dict[str, list[Segment]],
 def lap(state: ModelState, aligned: Corpus, conflicted: Corpus,
         thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
     """Performance drop under conflicting language, in mAP percentage points."""
+    gt_a = {v.id: v.gt for v in aligned.videos}
+    _, map_aligned = map_at(predict_corpus(state, aligned), gt_a, thresholds)
+    return lap_from_aligned(state, aligned, map_aligned, conflicted, thresholds)
+
+
+def lap_from_aligned(state: ModelState, aligned: Corpus, map_aligned: float,
+                     conflicted: Corpus, thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+    """``lap`` given the aligned corpus's mAP (averaged over the same
+    thresholds), for callers that have already scored it."""
     if len(aligned.videos) != len(conflicted.videos):
         raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(conflicted.videos)} conflicted videos")
-    gt_a = {v.id: v.gt for v in aligned.videos}
     gt_c = {v.id: v.gt for v in conflicted.videos}
-    _, map_aligned = map_at(predict_corpus(state, aligned), gt_a, thresholds)
     _, map_conflicted = map_at(predict_corpus(state, conflicted), gt_c, thresholds)
     return 100.0 * (map_aligned - map_conflicted)
 
 
 def _top_k(props: list[Proposal], k: int) -> list[Proposal]:
-    return sorted(props, key=_proposal_order)[:k]
+    return sorted(props, key=lambda p: (-p.score, p.start, p.end, p.label))[:k]
 
 
 def hallucination_rates(per_video_proposals: dict[str, list[Proposal]],

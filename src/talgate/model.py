@@ -329,10 +329,6 @@ class Proposal:
     score: float
 
 
-def _proposal_order(p: Proposal):
-    return (-p.score, p.start, p.end, p.label)
-
-
 def tiou(a: Proposal | Segment, b: Proposal | Segment) -> float:
     """Temporal IoU of two intervals (proposals or ground-truth segments).
     Zero-length intervals are an error."""
@@ -344,37 +340,70 @@ def tiou(a: Proposal | Segment, b: Proposal | Segment) -> float:
     return inter / union
 
 
+def tiou_array(sa, ea, sb, eb) -> np.ndarray:
+    """Elementwise ``tiou`` of broadcast interval arrays a and b, with the
+    same arithmetic.  Rejecting zero-length intervals is left to the caller."""
+    inter = np.minimum(ea, eb) - np.maximum(sa, sb)
+    inter = np.where(inter > 0.0, inter, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return inter / ((ea - sa) + (eb - sb) - inter)
+
+
 def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> list[Proposal]:
     """Frame-wise decoding: (l - off0, l + off1, c, score) above threshold.
 
-    Boundaries are clamped to [0, L]; empty intervals are dropped.  The
-    result is sorted by (score desc, start asc, end asc, label asc) and
-    truncated to cfg.top_k_pre_nms entries.
+    Boundaries are clamped to [0, L] (``max(0, l - off0)``,
+    ``min(L, l + off1)``); empty intervals are dropped.  The result is
+    sorted by (score desc, start asc, end asc, label asc), ties kept in
+    frame-major order, and truncated to cfg.top_k_pre_nms entries.
     """
     scores = outputs.cls_scores
     off = outputs.offsets
     L = scores.shape[0]
-    frames, classes = np.nonzero(scores >= cfg.score_threshold)
-    props = []
-    for l, c in zip(frames.tolist(), classes.tolist()):
-        start = max(0.0, l - off[l, 0])
-        end = min(float(L), l + off[l, 1])
-        if start >= end:
-            continue
-        props.append(Proposal(start, end, c, float(scores[l, c])))
-    props.sort(key=_proposal_order)
-    return props[:cfg.top_k_pre_nms]
+    frames, labels = np.nonzero(scores >= cfg.score_threshold)
+    start = frames - off[frames, 0]
+    start = np.where(start > 0.0, start, 0.0)  # Python's max(0, x), NaN included
+    end = frames + off[frames, 1]
+    end = np.where(end < L, end, float(L))      # Python's min(L, x)
+    live = start < end
+    start, end, labels = start[live], end[live], labels[live]
+    score = scores[frames[live], labels]
+    order = np.lexsort((labels, end, start, -score))[:cfg.top_k_pre_nms]
+    return [Proposal(*p) for p in zip(start[order].tolist(), end[order].tolist(),
+                                      labels[order].tolist(), score[order].tolist())]
 
 
 def nms(proposals: list[Proposal], tiou_threshold: float) -> list[Proposal]:
-    """Greedy class-wise suppression of overlaps above the threshold."""
-    ordered = sorted(proposals, key=_proposal_order)
-    keep: list[Proposal] = []
-    for p in ordered:
-        if any(k.label == p.label and tiou(k, p) > tiou_threshold for k in keep):
+    """Greedy class-wise suppression of overlaps above the threshold.
+
+    Candidates go in (score desc, start asc, end asc, label asc) order; one
+    is kept unless a kept proposal of its label overlaps it by more than
+    the threshold.  Each class's pairwise tIoU matrix is one expression with
+    ``tiou``'s arithmetic.  A zero-length interval that shares its label
+    with another proposal is a ValueError, as in ``tiou``.
+    """
+    s = np.array([p.start for p in proposals], dtype=np.float64)
+    e = np.array([p.end for p in proposals], dtype=np.float64)
+    label = np.array([p.label for p in proposals], dtype=np.int64)
+    score = np.array([p.score for p in proposals], dtype=np.float64)
+    order = np.lexsort((label, e, s, -score))
+    s, e, label = s[order], e[order], label[order]
+    alive = np.ones(len(order), dtype=bool)
+    for c in set(label.tolist()):  # (np.unique would import numpy.ma)
+        members = np.flatnonzero(label == c)
+        if len(members) < 2:
             continue
-        keep.append(p)
-    return keep
+        cs, ce = s[members], e[members]
+        if not np.all(cs < ce):
+            i = members[np.argmin(cs < ce)]
+            raise ValueError(f"nms of degenerate interval ({s[i]}, {e[i]}) with label {c}")
+        over = tiou_array(cs[:, None], ce[:, None], cs, ce) > tiou_threshold  # tiou(row a, column b)
+        keep = np.ones(len(members), dtype=bool)
+        for i in range(len(members) - 1):
+            if keep[i]:
+                keep[i + 1:] &= ~over[i, i + 1:]
+        alive[members] = keep
+    return [proposals[i] for i in order[alive].tolist()]
 
 
 def predict_video(state: ModelState, video: VideoRecord,

@@ -120,6 +120,35 @@ def ap_reference(proposals_by_video, gt_by_video, label, threshold):
     return ap
 
 
+def decode_reference(scores, offsets, threshold, top_k):
+    """Frame-wise proposal decoding, one frame and class at a time.
+
+    scores: L rows of C class scores; offsets: L rows of (left, right).
+    Every (frame l, class c) with score >= threshold proposes
+    (max(0, l - left), min(L, l + right)); empty intervals are dropped.
+    Returns [(start, end, label, score), ...] sorted by score desc, then
+    start, end, label ascending (frame-major among full ties), cut to top_k.
+    """
+    L = len(scores)
+    found = []
+    for l in range(L):
+        for c in range(len(scores[l])):
+            score = scores[l][c]
+            if not score >= threshold:
+                continue
+            start = l - offsets[l][0]
+            if not start > 0.0:
+                start = 0.0
+            end = l + offsets[l][1]
+            if not end < L:
+                end = float(L)
+            if start >= end:
+                continue
+            found.append((start, end, c, score))
+    found.sort(key=lambda p: (-p[3], p[0], p[1], p[2]))
+    return found[:top_k]
+
+
 def nms_reference(proposals, threshold):
     """Greedy class-wise suppression with the lexicographic tie-break.
 

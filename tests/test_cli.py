@@ -12,7 +12,7 @@ import talgate.cli as cli
 from talgate.cli import (SEED_ENV, SWEEP_LAMBDAS, _align, _conflicted_twin,
                          build_config, default_run_config, load_run_config,
                          main, render_metrics, render_train_log)
-from talgate.errors import ConfigError, FormatError
+from talgate.errors import ConfigError, FormatError, read_json
 from talgate.metrics import validate_report
 from talgate.model import ModelConfig, ModelState, save_checkpoint
 from talgate.nn import Rng
@@ -298,6 +298,43 @@ class TestTrain:
         assert (out / "model.ckpt.json").read_text() == \
             (workspace / "run" / "model.ckpt.json").read_text()
 
+    @pytest.mark.parametrize("overrides, key, given, stored", [
+        ({"kernel": 5}, "kernel", "5", "3"),
+        ({"lambda_mode": "fixed", "fixed_lambda": 1.0}, "lambda_mode", '"fixed"', '"learned"'),
+        ({"kernel": 3, "lambda_mode": "learned"}, None, None, None),
+    ])
+    def test_resume_checks_explicit_model_keys(self, workspace, tmp_path, capsys,
+                                               overrides, key, given, stored):
+        cfg = write_config(tmp_path / "c.json", epochs=0, **overrides)
+        ckpt = workspace / "run" / "model.ckpt"
+        out = tmp_path / "resumed"
+        rc = main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
+                   "--resume", str(ckpt), "--out", str(out)])
+        if key is None:  # explicit keys that match the checkpoint resume byte-exactly
+            assert rc == 0
+            assert (out / "model.ckpt").read_bytes() == ckpt.read_bytes()
+            return
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert cfg in err and repr(key) in err
+        assert f"is {given}," in err and f"has {stored}" in err
+        assert not out.exists()
+
+    def test_resume_reads_config_once(self, workspace, tmp_path, monkeypatch):
+        # a config given as a pipe (`--config <(...)`) can be read only once
+        cfg = write_config(tmp_path / "c.json", epochs=0)
+        reads = []
+
+        def counted(path, what="JSON file"):
+            reads.append(str(path))
+            return read_json(path, what)
+
+        monkeypatch.setattr(cli, "read_json", counted)
+        assert main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
+                     "--resume", str(workspace / "run" / "model.ckpt"),
+                     "--out", str(tmp_path / "resumed")]) == 0
+        assert reads.count(cfg) == 1
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -334,6 +371,45 @@ class TestEval:
                      "--conflict", "--probe", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text() == (workspace / "run" / "report.json").read_text()
+
+    def test_report_written_whole(self, workspace, tmp_path, capsys, monkeypatch):
+        argv = ["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
+                "--corpus", str(workspace / "corpus"), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert (tmp_path / "report.json").read_text() == capsys.readouterr().out
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        (tmp_path / "report.json").write_text("old")
+        assert main(argv) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert (tmp_path / "report.json").read_text() == "old"
+
+    def test_one_forward_pass_per_aligned_video(self, workspace, monkeypatch):
+        import talgate.model as model
+        from talgate.metrics import lap
+        from talgate.model import load_checkpoint
+        from talgate.synthgen import generate_distractors, read_corpus
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        corpus = read_corpus(workspace / "corpus")
+        passes = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                passes.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "forward_video", counted(cli.forward_video))
+        monkeypatch.setattr(model, "forward_video", counted(model.forward_video))
+        report = cli.build_report(state, corpus, conflict=True, probe=True)
+        monkeypatch.undo()
+        n, d = len(corpus.videos), len(generate_distractors(corpus.config).videos)
+        assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
+        assert report.lap == lap(state, corpus, _conflicted_twin(corpus))
 
     def test_checkpoint_corpus_mismatch(self, workspace, tmp_path, capsys):
         other = ModelState(ModelConfig(dim=16, num_classes=2), Rng(0))
@@ -379,6 +455,11 @@ class TestAblate:
         fixed0 = next(r for r in sweep_table["rows"] if r["label"] == "fixed-0.0")
         assert abs(table["rows"][0]["map_avg"] - fixed0["map_avg"]) < 1e-9
         assert abs(table["rows"][0]["lap"] - fixed0["lap"]) < 1e-9
+
+    def test_no_temp_files_left(self, sweep):
+        root, _ = sweep
+        assert sorted(p.name for p in (root / "sweep").iterdir()) == \
+            ["ablation.json", "ablation.txt", "config.json", "run.json"]
 
     def test_text_rendering(self, sweep):
         root, _ = sweep

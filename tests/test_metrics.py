@@ -77,6 +77,41 @@ class TestAveragePrecision:
                     else:
                         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_matches_reference_with_ties(self):
+        rng = Rng(53)
+        for _ in range(100):
+            # whole-frame bounds and three score levels: tied scores across
+            # videos, shared starts and ends, proposals equally close to two
+            # ground-truth segments, tIoU exactly at a threshold
+            gt, props = {}, {}
+            for vid in ("v0", "v1", "v2", "v3"):
+                gt[vid] = []
+                for _ in range(rng.randint(4)):
+                    s = rng.randint(12)
+                    gt[vid].append(S(s, s + 1 + rng.randint(5), rng.randint(2)))
+                props[vid] = []
+                for _ in range(rng.randint(10)):
+                    s = float(rng.randint(8))
+                    props[vid].append(P(s, s + 1.0 + rng.randint(5), rng.randint(2),
+                                        (1 + rng.randint(3)) / 4.0))
+            tuple_props = {vid: [(p.start, p.end, p.label, p.score) for p in ps]
+                           for vid, ps in props.items()}
+            tuple_gt = {vid: [(g.start, g.end, g.label) for g in gs] for vid, gs in gt.items()}
+            for label in range(2):
+                for t in (0.2, 0.25, 0.5, 0.75):
+                    got = average_precision(props, gt, label, t)
+                    want = ap_reference(tuple_props, tuple_gt, label, t)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_equal_overlap_matches_first_ground_truth(self):
+        # (2, 6) overlaps both segments by 1/3; it takes the first, so
+        # (0, 4) finds its segment taken and is a false positive
+        gt = {"v0": [S(0, 4, 0), S(4, 8, 0)]}
+        props = {"v0": [P(2.0, 6.0, 0, 0.9), P(0.0, 4.0, 0, 0.8)]}
+        assert average_precision(props, gt, 0, 0.3) == 0.5
+
     def test_monotone_in_threshold(self):
         rng = Rng(51)
         gt = {"v0": [S(i * 20, i * 20 + 10, 0) for i in range(5)]}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cross_entropy_reference, nms_reference
+from oracles import cross_entropy_reference, decode_reference, nms_reference
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposal,
                            aggregate, backward_video, decode_proposals,
@@ -256,6 +256,24 @@ class TestDecode:
         everything = decode_proposals(self.outputs(30, scores, offsets), self.cfg)
         assert props == everything[:7]
 
+    def test_matches_reference_with_ties(self):
+        rng = Rng(16)
+        cuts_through_ties = 0
+        for _ in range(80):
+            L, C = 1 + rng.randint(30), 2 + rng.randint(3)
+            # five score levels and half-frame offsets: tied scores, shared
+            # starts and ends, offsets past both video bounds, empty intervals
+            scores = np.array([[rng.randint(6) / 5.0 for _ in range(C)] for _ in range(L)])
+            offsets = np.array([[rng.randint(7) / 2.0 for _ in range(2)] for _ in range(L)])
+            top_k = 1 + rng.randint(L * C)
+            cfg = tiny_model_config(num_classes=C, score_threshold=0.2, top_k_pre_nms=top_k)
+            got = decode_proposals(FrameOutputs(scores, offsets, np.zeros((L, 1)),
+                                                np.zeros((L, 1)), np.zeros((L, C + 1))), cfg)
+            want = decode_reference(scores.tolist(), offsets.tolist(), 0.2, L * C)
+            assert [(p.start, p.end, p.label, p.score) for p in got] == want[:top_k]
+            cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
+        assert cuts_through_ties >= 10
+
 
 class TestNms:
     def test_identical_duplicates_collapse(self):
@@ -283,6 +301,31 @@ class TestNms:
             got = nms(props, 0.4)
             want = nms_reference([(p.start, p.end, p.label, p.score) for p in props], 0.4)
             assert [(p.start, p.end, p.label, p.score) for p in got] == want
+
+    def test_matches_reference_with_ties(self):
+        rng = Rng(18)
+        for _ in range(100):
+            # whole-frame bounds and four score levels: tied scores, shared
+            # starts and ends, exact duplicates, tIoU exactly at the threshold
+            props = []
+            for _ in range(1 + rng.randint(40)):
+                s = float(rng.randint(10))
+                props.append(Proposal(s, s + 1.0 + rng.randint(6), rng.randint(3),
+                                      (1 + rng.randint(4)) / 4.0))
+            for threshold in (0.3, 0.5):
+                got = nms(props, threshold)
+                want = nms_reference([(p.start, p.end, p.label, p.score) for p in props], threshold)
+                assert [(p.start, p.end, p.label, p.score) for p in got] == want
+
+    def test_zero_length_same_label_interval_rejected(self):
+        with pytest.raises(ValueError):
+            nms([Proposal(0.0, 4.0, 0, 0.9), Proposal(3.0, 3.0, 0, 0.5)], 0.5)
+        # alone in its class it is never compared, so it stays
+        props = [Proposal(0.0, 4.0, 0, 0.9), Proposal(3.0, 3.0, 1, 0.5)]
+        assert nms(props, 0.5) == props
+
+    def test_empty(self):
+        assert nms([], 0.5) == []
 
 
 class TestTiou:
