@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, write_atomic
 
 MAGIC = b"AVLM"
 VERSION = 1
@@ -82,18 +82,15 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_named_matrices(path, items: list[tuple[str, np.ndarray]]) -> None:
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION))
-        f.write(_U32.pack(len(items)))
-        for name, m in items:
-            m = np.asarray(m, dtype=np.float64)
-            if m.ndim != 2:
-                raise FormatError(f"entry {name!r} must be 2-D, got shape {m.shape}")
-            encoded = name.encode("utf-8")
-            f.write(_U32.pack(len(encoded)))
-            f.write(encoded)
-            f.write(_DIMS.pack(m.shape[0], m.shape[1]))
-            f.write(_matrix_bytes(m))
+    """Write the container atomically (``errors.write_atomic``)."""
+    parts = [_HEADER.pack(MAGIC, VERSION), _U32.pack(len(items))]
+    for name, m in items:
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2:
+            raise FormatError(f"entry {name!r} must be 2-D, got shape {m.shape}")
+        encoded = name.encode("utf-8")
+        parts += [_U32.pack(len(encoded)), encoded, _DIMS.pack(m.shape[0], m.shape[1]), _matrix_bytes(m)]
+    write_atomic(path, b"".join(parts))
 
 
 def read_named_matrices(path) -> list[tuple[str, np.ndarray]]:

@@ -20,13 +20,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError, read_json
+from .errors import ConfigError, FormatError, read_json, write_atomic
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       average_precision, canonical_json, difficulty_buckets,
                       hallucination_rates, lap_from_aligned, map_at, mla,
@@ -161,21 +161,10 @@ def load_run_config(path: str | None) -> dict:
 def _stamp(out_dir: Path, run: dict, command: str) -> None:
     """Config echo plus tool/version stamp; both byte-stable."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(run, sort_keys=True, indent=2) + "\n")
-    (out_dir / "run.json").write_text(json.dumps(
+    write_atomic(out_dir / "config.json", json.dumps(run, sort_keys=True, indent=2) + "\n")
+    write_atomic(out_dir / "run.json", json.dumps(
         {"command": command, "seed": run["seed"], "tool": "talgate", "version": __version__},
         sort_keys=True, indent=2) + "\n")
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over
-    ``path``: a reader sees the old file or the whole new one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _check_resume(config_path: str | None, given: dict, ckpt: str, cfg: ModelConfig) -> None:
@@ -269,6 +258,8 @@ def cmd_train(args) -> int:
         _check_compatible(init_state, corpus)
         _check_resume(args.config, given, args.resume, init_state.cfg)
         model_cfg = init_state.cfg
+        # echo the model keys used, the checkpoint's; the corpus decides dim and num_classes
+        run.update((k, v) for k, v in asdict(model_cfg).items() if k not in ("dim", "num_classes"))
     else:
         model_cfg = build_config(ModelConfig, run, dim=corpus.config.dim,
                                  num_classes=corpus.config.num_classes)
@@ -296,7 +287,7 @@ def cmd_eval(args) -> int:
     text = report.to_json()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, text)
+    write_atomic(out, text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -340,8 +331,8 @@ def cmd_ablate(args) -> int:
     table = {"mode": args.mode, "rows": rows}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "ablation.json", canonical_json(table))
-    _write_atomic(out / "ablation.txt", render_ablation(table))
+    write_atomic(out / "ablation.json", canonical_json(table))
+    write_atomic(out / "ablation.txt", render_ablation(table))
     _stamp(out, run, "ablate")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, read_json
+from .errors import ConfigError, FormatError, read_json, write_atomic
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
 from .synthgen import Corpus, LanguageBundle, Segment, VideoRecord
@@ -71,7 +71,13 @@ class ModelConfig:
 
 
 class ModelState:
-    """All trainable parameters, created in a fixed seeded order."""
+    """All trainable parameters, created in a fixed seeded order.
+
+    The parameters live in one store: ``values`` and ``grads`` are flat
+    float64 vectors, and every layer's ``Param`` is a reshaped view into
+    them, laid out in ``named_params`` order.  An optimizer updates
+    ``values`` as one vector, and ``zero_grads`` is one fill.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: Rng | None):
         cfg.validate()
@@ -94,6 +100,16 @@ class ModelState:
         self.loc_out = Linear(h, 2, rng, w_scale=1.0 / np.sqrt(h))
         self.loc_out.b.value[...] = 1.0  # start with open, non-degenerate intervals
 
+        params = [p for _, p in self.named_params()]
+        self.values = np.concatenate([p.value.ravel() for p in params])
+        self.grads = np.zeros_like(self.values)
+        offset = 0
+        for p in params:
+            shape, end = p.shape, offset + p.value.size
+            p.value = self.values[offset:end].reshape(shape)
+            p.grad = self.grads[offset:end].reshape(shape)
+            offset = end
+
     def named_params(self):
         layers = [("adv_fc", self.adv_fc)]
         layers += [(f"cls_trunk.{i}", conv) for i, conv in enumerate(self.cls_trunk)]
@@ -103,8 +119,7 @@ class ModelState:
         return [(f"{prefix}.{suffix}", p) for prefix, layer in layers for suffix, p in layer.params()]
 
     def zero_grads(self) -> None:
-        for _, p in self.named_params():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 @dataclass(eq=False)
@@ -206,16 +221,22 @@ def head_forward(f_cls, f_loc, state: ModelState) -> tuple[FrameOutputs, _HeadCa
     return outputs, _HeadCache(cls_pre, loc_pre, cls_scores, loc_raw)
 
 
-def _head_backward(state: ModelState, cache: _HeadCache, d_scores, d_offsets, d_tmpl):
+def _trunk_backward(trunk: list, pre: list, d_feat, input_grad: bool):
+    for i in reversed(range(len(trunk))):
+        d_feat = trunk[i].backward(d_feat * relu_grad(pre[i]), input_grad or i > 0)
+    return d_feat
+
+
+def _head_backward(state: ModelState, cache: _HeadCache, d_scores, d_offsets, d_tmpl,
+                   input_grad: bool):
+    """Accumulate the head's parameter gradients.  Returns (d_f_cls, d_f_loc),
+    the gradients on the trunk inputs, or (None, None) without ``input_grad``:
+    then the first conv layer of each trunk skips its input gradient."""
     d_logits = d_scores * cache.cls_scores * (1.0 - cache.cls_scores)
     d_feat = state.cls_out.backward(d_logits) + state.tmpl_out.backward(d_tmpl)
-    for conv, z in zip(reversed(state.cls_trunk), reversed(cache.cls_pre)):
-        d_feat = conv.backward(d_feat * relu_grad(z))
-    d_f_cls = d_feat
+    d_f_cls = _trunk_backward(state.cls_trunk, cache.cls_pre, d_feat, input_grad)
     d_feat = state.loc_out.backward(d_offsets * relu_grad(cache.loc_raw))
-    for conv, z in zip(reversed(state.loc_trunk), reversed(cache.loc_pre)):
-        d_feat = conv.backward(d_feat * relu_grad(z))
-    return d_f_cls, d_feat
+    return d_f_cls, _trunk_backward(state.loc_trunk, cache.loc_pre, d_feat, input_grad)
 
 
 def forward_video(state: ModelState, vis, bundle: LanguageBundle | None,
@@ -262,11 +283,12 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
     advantage regression loss); the gate path contribution is added here
     when the gate is learned.  Both reach ``adv_fc`` only if it ran.
     """
-    d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl)
+    learned = cache.dlam_dadv is not None  # only dlambda/da reads the trunk-input gradients
+    d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl, learned)
     bundle = cache.bundle
     if bundle is None:
         return
-    if cache.dlam_dadv is not None:
+    if learned:
         d_lam = (d_f_cls * bundle.cls_stream).sum(axis=1, keepdims=True) \
             + (d_f_loc * bundle.loc_stream).sum(axis=1, keepdims=True)
         d_gate = d_lam * cache.dlam_dadv
@@ -418,11 +440,12 @@ def predict_corpus(state: ModelState, corpus: Corpus,
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    """Parameters in the named-matrix container plus a JSON config sidecar."""
+    """Parameters in the named-matrix container plus a JSON config sidecar,
+    each written atomically."""
     path = Path(path)
     blobio.write_named_matrices(path, [(name, p.value) for name, p in state.named_params()])
-    sidecar = Path(str(path) + ".json")
-    sidecar.write_text(json.dumps({"model_config": asdict(state.cfg)}, sort_keys=True, indent=2) + "\n")
+    write_atomic(Path(str(path) + ".json"),
+                 json.dumps({"model_config": asdict(state.cfg)}, sort_keys=True, indent=2) + "\n")
 
 
 def load_checkpoint(path) -> ModelState:

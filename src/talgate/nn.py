@@ -3,13 +3,15 @@
 Every tensor in this module is a 2-D float64 numpy array ("matrix",
 row-major).  Layers cache the input of their most recent forward call;
 ``backward(dout)`` consumes that cache, accumulates parameter gradients in
-place and returns the gradient with respect to the layer input.  Layers are
+place and returns the gradient with respect to the layer input
+(``Conv1d.backward(dout, input_grad=False)`` skips that one).  Layers are
 single-threaded by contract: never run forward/backward concurrently on the
 same object.
 
 A loss returns its derivatives with its value (``diou_loss``) or has a
 ``_grad`` companion (``focal_loss``), so the training loop can assemble
-exact gradients without a tape.
+exact gradients without a tape.  The central-difference check of every
+gradient, ``grad_check``, lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -195,6 +197,12 @@ class Conv1d:
         self.b = Param(np.zeros((1, dout)))
         self._xp: np.ndarray | None = None
 
+    def _taps(self, xp: np.ndarray, L: int) -> np.ndarray:
+        """The k tap windows of the padded input as one (k, L, din) view
+        without a copy: window t is xp[t:t + L]."""
+        row, col = xp.strides
+        return np.ndarray((self.k, L, self.din), xp.dtype, xp, 0, (row, row, col))
+
     def forward(self, x) -> np.ndarray:
         x = as_matrix(x, "conv1d input")
         if x.shape[1] != self.din:
@@ -204,13 +212,17 @@ class Conv1d:
         xp = np.zeros((L + 2 * pad, self.din))
         xp[pad:pad + L] = x
         self._xp = xp
-        y = np.repeat(self.b.value, L, axis=0)
-        for t in range(self.k):
-            wt = self.w.value[t * self.din:(t + 1) * self.din]
-            y += xp[t:t + L] @ wt
+        # one stacked matmul runs the k per-tap GEMMs; the sum then adds the
+        # bias and the taps in tap order, so each output bit is the per-tap loop's
+        prods = np.matmul(self._taps(xp, L), self.w.value.reshape(self.k, self.din, -1))
+        y = prods[0] + self.b.value
+        for t in range(1, self.k):
+            y += prods[t]
         return y
 
-    def backward(self, dout) -> np.ndarray:
+    def backward(self, dout, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return the input gradient,
+        or None when ``input_grad`` is false and nothing will read it."""
         if self._xp is None:
             raise RuntimeError("conv1d backward before forward")
         dout = as_matrix(dout, "conv1d dout")
@@ -219,11 +231,14 @@ class Conv1d:
         if dout.shape != (L, self.w.shape[1]):
             raise ShapeError(f"conv1d: dout shape {dout.shape} does not match output shape {(L, self.w.shape[1])}")
         self.b.grad += dout.sum(axis=0, keepdims=True)
+        taps = self._taps(self._xp, L)
+        self.w.grad += np.matmul(taps.transpose(0, 2, 1), dout).reshape(self.w.shape)
+        if not input_grad:
+            return None
+        dtaps = np.matmul(dout, self.w.value.reshape(self.k, self.din, -1).transpose(0, 2, 1))
         dxp = np.zeros_like(self._xp)
         for t in range(self.k):
-            rows = slice(t * self.din, (t + 1) * self.din)
-            self.w.grad[rows] += self._xp[t:t + L].T @ dout
-            dxp[t:t + L] += dout @ self.w.value[rows].T
+            dxp[t:t + L] += dtaps[t]
         return dxp[pad:pad + L]
 
     def params(self) -> list[tuple[str, Param]]:
@@ -316,37 +331,3 @@ def log_softmax(logits) -> np.ndarray:
     zmax = z.max(axis=1, keepdims=True)
     out = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
     return out[0] if squeeze else out
-
-
-def grad_check(f, x, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps an array to (loss, grad) where grad has the shape of x.
-    The relative error at a coordinate is |analytic - numeric| divided by
-    max(1, |numeric|).  Non-finite values at any probe point are an error.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    loss0, grad = f(x)
-    grad = np.asarray(grad, dtype=np.float64)
-    if not np.isfinite(loss0) or not np.all(np.isfinite(grad)):
-        raise ValueError("grad_check: non-finite loss or gradient at the base point")
-    if grad.shape != x.shape:
-        raise ShapeError(f"grad_check: gradient shape {grad.shape} does not match input shape {x.shape}")
-    worst = 0.0
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += h
-        lp, _ = f(xp)
-        xm = x.copy()
-        xm[idx] -= h
-        lm, _ = f(xm)
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise ValueError(f"grad_check: non-finite loss at probe {idx}")
-        numeric = (lp - lm) / (2.0 * h)
-        rel = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
-        if rel > worst:
-            worst = rel
-        it.iternext()
-    return worst

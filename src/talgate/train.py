@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, write_atomic
 from .model import (FrameOutputs, ModelConfig, ModelState, backward_video,
                     forward_video, frame_targets, template_loss,
                     template_loss_grad)
-from .nn import Param, Rng, focal_loss, focal_loss_grad, diou_loss
+from .nn import Rng, focal_loss, focal_loss_grad, diou_loss
 from .synthgen import Corpus, Segment
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
@@ -61,13 +61,20 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; no weight decay."""
+    """Standard Adam with bias correction; no weight decay.
 
-    def __init__(self, params: list[tuple[str, Param]], lr: float,
+    It updates ``values`` in place from ``grads``, two same-shape arrays,
+    as whole vectors.  ``fit`` passes a ``ModelState``'s flat ``values`` and
+    ``grads`` stores, so one step is five elementwise operations over every
+    parameter at once.
+    """
+
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self._params = list(params)
-        self._m = [np.zeros_like(p.value) for _, p in self._params]
-        self._v = [np.zeros_like(p.value) for _, p in self._params]
+        self._values = values
+        self._grads = grads
+        self._m = np.zeros_like(values)
+        self._v = np.zeros_like(values)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -78,13 +85,12 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for (_, p), m, v in zip(self._params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v = self._grads, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self._values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 class ClasswiseLossTable:
@@ -239,7 +245,7 @@ class TrainLog:
 
     def write_jsonl(self, path) -> None:
         lines = [json.dumps(e.record(), sort_keys=True) for e in self.epochs]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_training_log(path) -> list[dict]:
@@ -333,7 +339,8 @@ def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     alternation, starting with a vision-only epoch."""
     train_cfg.validate()
     state = init_state if init_state is not None else ModelState(model_cfg.validate(), Rng(train_cfg.seed))
-    opt = Adam(state.named_params(), train_cfg.lr, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    opt = Adam(state.values, state.grads, train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
+               train_cfg.adam_eps)
     log = TrainLog()
     table: ClasswiseLossTable | None = None
     for epoch in range(train_cfg.epochs):

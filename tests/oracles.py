@@ -2,10 +2,15 @@
 
 Everything here is written the dumb way on purpose: explicit loops, no
 shared helpers from talgate, so a bug in the package cannot hide in the
-check that is supposed to catch it.
+check that is supposed to catch it.  The per-tap convolution and the
+per-parameter Adam run the package's NumPy products and elementwise updates
+one tap or one parameter at a time, so the package's batched forms must
+match them bit for bit.
 """
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -182,3 +187,81 @@ def diou_reference(pred_start, pred_end, gt_start, gt_end):
     center_gap = (pred_start + pred_end) / 2.0 - (gt_start + gt_end) / 2.0
     enclosing = max(pred_end, gt_end) - min(pred_start, gt_start)
     return 1.0 - iou + (center_gap / enclosing) ** 2
+
+
+def conv1d_taps_reference(x, w, b, k, dout):
+    """Same-padded Conv1d one tap at a time: returns (output, weight
+    gradient, bias gradient, input gradient) for output gradient ``dout``.
+
+    Tap t multiplies rows [t*din, (t+1)*din) of w with the input shifted by
+    t - pad; the output starts from the bias and adds the taps in order.
+    """
+    x, w, dout = np.asarray(x, float), np.asarray(w, float), np.asarray(dout, float)
+    L, din = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((L + 2 * pad, din))
+    xp[pad:pad + L] = x
+    out = np.repeat(np.asarray(b, float), L, axis=0)
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for t in range(k):
+        rows = slice(t * din, (t + 1) * din)
+        out += xp[t:t + L] @ w[rows]
+        dw[rows] += xp[t:t + L].T @ dout
+        dxp[t:t + L] += dout @ w[rows].T
+    return out, dw, dout.sum(axis=0, keepdims=True), dxp[pad:pad + L]
+
+
+def adam_reference(values, grad_steps, lr, beta1, beta2, eps):
+    """Adam with bias correction, one parameter at a time.
+
+    values: the initial parameter arrays (not modified); grad_steps: per
+    step, one gradient array per parameter.  Returns the final values.
+    """
+    values = [np.array(v, dtype=float) for v in values]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for value, m, v, g in zip(values, ms, vs, grads):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return values
+
+
+def grad_check(f, x, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps an array to (loss, grad) where grad has the shape of x.
+    The relative error at a coordinate is |analytic - numeric| divided by
+    max(1, |numeric|).  Non-finite values at any probe point are an error.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    loss0, grad = f(x)
+    grad = np.asarray(grad, dtype=np.float64)
+    if not np.isfinite(loss0) or not np.all(np.isfinite(grad)):
+        raise ValueError("grad_check: non-finite loss or gradient at the base point")
+    if grad.shape != x.shape:
+        raise ValueError(f"grad_check: gradient shape {grad.shape} does not match input shape {x.shape}")
+    worst = 0.0
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        xp = x.copy()
+        xp[idx] += h
+        lp, _ = f(xp)
+        xm = x.copy()
+        xm[idx] -= h
+        lm, _ = f(xm)
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise ValueError(f"grad_check: non-finite loss at probe {idx}")
+        numeric = (lp - lm) / (2.0 * h)
+        rel = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
+        if rel > worst:
+            worst = rel
+        it.iternext()
+    return worst

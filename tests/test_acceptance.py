@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import ap_reference, nms_reference
+from oracles import ap_reference, grad_check, nms_reference
 from talgate.cli import main
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
                              average_precision, difficulty_buckets, lap, mla)
@@ -20,7 +20,7 @@ from talgate.model import (ModelConfig, ModelState, Proposal, backward_video,
                            predict_corpus, predict_video, template_loss,
                            template_loss_grad)
 from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss,
-                        focal_loss_grad, grad_check, relu, relu_grad, sigmoid)
+                        focal_loss_grad, relu, relu_grad, sigmoid)
 from talgate.synthgen import LanguageBundle, Segment
 from talgate.train import (ClasswiseLossTable, TrainConfig, advantage_loss,
                            advantage_loss_grad, detection_loss,

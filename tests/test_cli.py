@@ -3,7 +3,9 @@ byte-level reproducibility, and a handcrafted perfect-detector run."""
 
 import json
 import math
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +321,46 @@ class TestTrain:
         assert cfg in err and repr(key) in err
         assert f"is {given}," in err and f"has {stored}" in err
         assert not out.exists()
+
+    def test_resume_echoes_checkpoint_model_keys(self, workspace, tmp_path):
+        first = tmp_path / "k5"
+        assert main(["train", "--corpus", str(workspace / "corpus"), "--out", str(first),
+                     "--config", write_config(tmp_path / "k5.json", epochs=0, kernel=5,
+                                              lambda_mode="fixed", fixed_lambda=0.4)]) == 0
+        # the resume config leaves every model key to its default
+        out = tmp_path / "resumed"
+        assert main(["train", "--corpus", str(workspace / "corpus"), "--out", str(out),
+                     "--config", write_config(tmp_path / "c.json", epochs=0),
+                     "--resume", str(first / "model.ckpt")]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        used = json.loads((out / "model.ckpt.json").read_text())["model_config"]
+        assert echo["kernel"] == used["kernel"] == 5
+        assert echo["lambda_mode"] == "fixed" and echo["fixed_lambda"] == 0.4
+        assert all(echo[k] == v for k, v in used.items())
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "model.ckpt"), ("train", "model.ckpt.json"), ("train", "train_log.jsonl"),
+        ("train", "config.json"), ("train", "run.json"), ("gen", "config.json"), ("gen", "run.json"),
+    ])
+    def test_artifact_written_whole(self, workspace, tmp_path, monkeypatch, command, name):
+        cfg = write_config(tmp_path / "c.json", epochs=2)
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--corpus", str(workspace / "corpus")],
+                "gen": ["gen"]}[command] + ["--config", cfg, "--out", str(out)]
+        assert main(argv) == 0
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if Path(dst).name == name:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fail_on_target)
+        (out / name).write_bytes(b"old")
+        assert main(argv) == 3
+        assert (out / name).read_bytes() == b"old"
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
     def test_resume_reads_config_once(self, workspace, tmp_path, monkeypatch):
         # a config given as a pipe (`--config <(...)`) can be read only once

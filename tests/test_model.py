@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cross_entropy_reference, decode_reference, nms_reference
+from oracles import (cross_entropy_reference, decode_reference, grad_check,
+                     nms_reference)
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposal,
                            aggregate, backward_video, decode_proposals,
@@ -14,7 +15,7 @@ from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposal,
                            predict_advantage, predict_corpus, predict_video,
                            save_checkpoint, template_loss, template_loss_grad,
                            tiou)
-from talgate.nn import Rng, ShapeError, grad_check
+from talgate.nn import Conv1d, Rng, ShapeError
 from talgate.synthgen import (Corpus, LanguageBundle, Segment, generate_corpus,
                               GenConfig)
 
@@ -461,6 +462,40 @@ class TestForwardBackwardGradients:
         np.testing.assert_allclose(w1 - w0, bundle.adv_stream.T @ d_adv, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(b1 - b0, d_adv.sum(axis=0, keepdims=True), rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("mode, language, override, skipped", [
+        ("learned", False, None, 2),        # vision-only pass
+        ("fixed", True, None, 2),
+        ("language_only", True, None, 2),
+        ("learned", True, 0.0, 2),          # gate pinned by an override
+        ("learned", True, None, 0),         # dlambda/da reads the trunk-input gradients
+    ])
+    def test_skipped_input_gradients_keep_parameter_gradients(self, monkeypatch, mode, language,
+                                                             override, skipped):
+        rng = Rng(23)
+        state = ModelState(tiny_model_config(lambda_mode=mode, fixed_lambda=0.6), rng)
+        L = 10
+        vis = rng.normal_matrix(L, 5)
+        bundle = random_bundle(rng, L, 5) if language else None
+        r1, r2, r3 = rng.normal_matrix(L, 3), rng.normal_matrix(L, 2), rng.normal_matrix(L, 4)
+        d_adv = rng.normal_matrix(L, 1) if language else None
+        backward = Conv1d.backward
+        flags = []
+
+        def grads(every_input_grad):
+            def spy(conv, dout, input_grad=True):
+                flags.append(input_grad)
+                return backward(conv, dout, input_grad or every_input_grad)
+
+            monkeypatch.setattr(Conv1d, "backward", spy)
+            state.zero_grads()
+            _, cache = forward_video(state, vis, bundle, lambda_override=override)
+            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
+            return state.grads.copy()
+
+        lean = grads(False)
+        assert flags.count(False) == skipped  # the first conv layer of each trunk
+        assert grads(True).tobytes() == lean.tobytes()
+
     def test_vision_mode_skips_language_params(self):
         rng = Rng(19)
         state = ModelState(tiny_model_config(), rng)
@@ -550,3 +585,30 @@ class TestCheckpoint:
         blobio.write_named_matrices(p, items)
         with pytest.raises(FormatError, match="mystery"):
             load_checkpoint(p)
+
+
+class TestParameterStore:
+    def check_store(self, state):
+        """Every Param is a view into the flat stores, laid out in
+        named_params order, and together they cover the stores exactly."""
+        params = [p for _, p in state.named_params()]
+        for p in params:
+            assert np.shares_memory(p.value, state.values)
+            assert np.shares_memory(p.grad, state.grads)
+        n = state.values.size
+        state.values[...] = np.arange(n)
+        state.grads[...] = -np.arange(n)
+        assert np.array_equal(np.concatenate([p.value.ravel() for p in params]), np.arange(n))
+        assert np.array_equal(np.concatenate([p.grad.ravel() for p in params]), -np.arange(n))
+        state.zero_grads()
+        assert not any(p.grad.any() for p in params)
+
+    def test_params_are_views_of_the_store(self):
+        self.check_store(ModelState(tiny_model_config(hidden=6), Rng(27)))
+
+    def test_loaded_params_are_views_of_the_store(self, tmp_path):
+        state = ModelState(tiny_model_config(hidden=6), Rng(28))
+        save_checkpoint(state, tmp_path / "m.ckpt")
+        back = load_checkpoint(tmp_path / "m.ckpt")
+        assert back.values.tobytes() == state.values.tobytes()
+        self.check_store(back)

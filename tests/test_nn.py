@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (conv1d_reference, diou_reference, linear_reference,
-                     splitmix64_stream)
+from oracles import (conv1d_reference, conv1d_taps_reference, diou_reference,
+                     grad_check, linear_reference, splitmix64_stream)
 from talgate.nn import (Conv1d, Linear, Param, Rng, ShapeError, diou_loss,
-                        focal_loss, focal_loss_grad, grad_check, log_softmax,
-                        relu, relu_grad, sigmoid)
+                        focal_loss, focal_loss_grad, log_softmax, relu,
+                        relu_grad, sigmoid)
 
 
 class TestRng:
@@ -151,6 +151,26 @@ class TestConv1d:
         expected = conv1d_reference(x.tolist(), conv.w.value.tolist(),
                                     conv.b.value.tolist(), 3)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k, L, din, dout", [
+        (1, 7, 3, 5), (3, 7, 3, 5), (5, 7, 5, 3), (5, 2, 3, 5), (3, 1, 4, 2), (3, 256, 32, 32),
+    ])
+    def test_matches_per_tap_loop_bitwise(self, k, L, din, dout):
+        rng = Rng(30 + k + L)
+        conv = Conv1d(k, din, dout, rng)
+        conv.b.value[...] = rng.normal_matrix(1, dout)
+        x = rng.normal_matrix(L, din)
+        g = rng.normal_matrix(L, dout)
+        out, dw, db, dx = conv1d_taps_reference(x, conv.w.value, conv.b.value, k, g)
+        assert conv.forward(x).tobytes() == out.tobytes()
+        assert conv.backward(g).tobytes() == dx.tobytes()
+        assert conv.w.grad.tobytes() == dw.tobytes()
+        assert conv.b.grad.tobytes() == db.tobytes()
+        # without the input gradient, the parameter gradients still accumulate
+        conv.forward(x)
+        assert conv.backward(g, input_grad=False) is None
+        assert conv.w.grad.tobytes() == (dw + dw).tobytes()
+        assert conv.b.grad.tobytes() == (db + db).tobytes()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):

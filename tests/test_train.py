@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import diou_reference
+from oracles import adam_reference, diou_reference, grad_check
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState,
                            backward_video, forward_video, template_loss,
                            template_loss_grad)
-from talgate.nn import Param, Rng, focal_loss, grad_check
+from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
                            TrainLog, advantage_loss, advantage_loss_grad,
@@ -60,14 +60,33 @@ class TestTrainConfig:
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Param(np.array([[1.0]]))
-        opt = Adam([("p", p)], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(p.value, p.grad, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         p.grad[...] = 2.0
         opt.step()
         assert p.value[0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
+    def test_matches_per_parameter_loop_bitwise(self):
+        rng = Rng(7)
+        state = ModelState(ModelConfig(dim=5, num_classes=3, hidden=4), rng)
+        params = [p for _, p in state.named_params()]
+        start = [p.value.copy() for p in params]
+        opt = Adam(state.values, state.grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        grad_steps = []
+        for step in range(6):
+            grads = [rng.normal_matrix(*p.shape) for p in params]
+            if step >= 3:  # zero gradients: the moments alone move the values
+                grads[0][...] = 0.0
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+            grad_steps.append(grads)
+        want = adam_reference(start, grad_steps, 0.01, 0.9, 0.999, 1e-8)
+        for (name, p), w in zip(state.named_params(), want):
+            assert p.value.tobytes() == w.tobytes(), name
+
     def test_zero_grad_leaves_value(self):
         p = Param(np.array([[1.0, -2.0]]))
-        opt = Adam([("p", p)], lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(p.value, p.grad, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
         before = p.value.tobytes()
         opt.step()
         assert p.value.tobytes() == before
@@ -210,7 +229,7 @@ class TestVisionEpoch:
         corpus = tiny_corpus()
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         adv_w = state.adv_fc.w.value.tobytes()
         adv_b = state.adv_fc.b.value.tobytes()
         tmpl_w = state.tmpl_out.w.value.tobytes()
@@ -226,7 +245,7 @@ class TestVisionEpoch:
         results = []
         for c in (corpus, twin):
             state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
-            opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             table, steps = vision_only_epoch(c, state, opt, cfg)
             results.append((state, table, steps))
         (sa, ta, stepsa), (sb, tb, stepsb) = results
@@ -239,7 +258,7 @@ class TestVisionEpoch:
         corpus = tiny_corpus(seed=11)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(1))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         table, steps = vision_only_epoch(corpus, state, opt, cfg)
         replay = ClasswiseLossTable()
         for s in steps:
@@ -255,7 +274,7 @@ class TestVisionLanguageEpoch:
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(seed))
         cfg = TrainConfig(epochs=2, lambda_tg=lambda_tg, lambda_adv=lambda_adv).validate()
-        opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         table = ClasswiseLossTable()
         for c in range(3):
             table.add(c, 0.8)
@@ -266,7 +285,7 @@ class TestVisionLanguageEpoch:
         corpus, trained, steps = self.run_one_video(0.0, 0.0)
         manual = ModelState(ModelConfig(dim=8, num_classes=3), Rng(40))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(manual.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(manual.values, manual.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         video = corpus.videos[0]
         manual.zero_grads()
         outputs, cache = forward_video(manual, video.vis, video.lang)
@@ -299,7 +318,7 @@ class TestVisionLanguageEpoch:
         for normalize in (False, True):
             state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(42))
             cfg = TrainConfig(epochs=2, normalize_frame_loss=normalize).validate()
-            opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             steps = vision_language_epoch(corpus, state, opt, cfg, table)
         raw, normalized = seen
         positives = sum(s.end - s.start for s in corpus.videos[0].gt)
@@ -310,7 +329,7 @@ class TestVisionLanguageEpoch:
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         with pytest.raises(ConfigError, match="table"):
             vision_language_epoch(corpus, state, opt, cfg, None)
 
