@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FormatError, read_json, write_atomic
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
-                      average_precision, canonical_json, difficulty_buckets,
+                      ap_by_class, canonical_json, difficulty_buckets,
                       hallucination_rates, lap_from_aligned, map_at, mla,
                       validate_report)
 from .model import (ModelConfig, ModelState, decode_proposals, forward_video,
@@ -210,8 +210,8 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     vision_props = predict_corpus(state, corpus, lambda_override=0.0)
     vision_ap = {}
-    for c in range(corpus.config.num_classes):
-        aps = [average_precision(vision_props, gt, c, t) for t in DEFAULT_TIOU_THRESHOLDS]
+    for c, aps in ap_by_class(vision_props, gt, range(corpus.config.num_classes),
+                              DEFAULT_TIOU_THRESHOLDS).items():
         vals = [a for a in aps if a is not None]
         vision_ap[c] = float(np.mean(vals)) if vals else 0.0
     buckets = difficulty_buckets(vision_ap)
@@ -258,11 +258,11 @@ def cmd_train(args) -> int:
         _check_compatible(init_state, corpus)
         _check_resume(args.config, given, args.resume, init_state.cfg)
         model_cfg = init_state.cfg
-        # echo the model keys used, the checkpoint's; the corpus decides dim and num_classes
-        run.update((k, v) for k, v in asdict(model_cfg).items() if k not in ("dim", "num_classes"))
     else:
         model_cfg = build_config(ModelConfig, run, dim=corpus.config.dim,
                                  num_classes=corpus.config.num_classes)
+    # echo the model keys used: the corpus's dim and num_classes, a resumed checkpoint's rest
+    run.update(asdict(model_cfg))
     state, train_log = fit(corpus, model_cfg, train_cfg, init_state=init_state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

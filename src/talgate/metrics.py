@@ -1,13 +1,19 @@
 """Localization quality and language-bias diagnostics.
 
-Average precision uses greedy one-to-one matching in descending score
-order (ties broken by video id, start, end) at a fixed temporal IoU
-threshold, and all-points interpolation (the precision envelope).  Classes
-with no ground truth are excluded from means and logged.
+Proposals arrive as one ``model.Proposals`` table per video, its rows in
+canonical order (score desc, then start, end, label asc).  Average
+precision uses greedy one-to-one matching in descending score order (ties
+broken by video id, start, end) at a fixed temporal IoU threshold, and
+all-points interpolation (the precision envelope).  Each class's entries
+are ordered and their tIoU against the ground truth computed once; only
+the matching runs per threshold.  Classes with no ground truth are
+excluded from means and logged.
 
 Bias diagnostics: the language-attribution performance drop (lap), output
-degeneracy rates (hallucination_rates), the mean gate per difficulty
-bucket (mla), and a no-action ambiguity probe (mconf / mlen / acc_at).
+degeneracy rates over each table's first rows (hallucination_rates), the
+mean gate per difficulty bucket (mla), and a no-action ambiguity probe
+(mconf / mlen / acc_at) that reads each clip's first decoded row, without
+NMS.
 """
 
 from __future__ import annotations
@@ -17,14 +23,13 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import jsonschema
 
 from .errors import ConfigError, FormatError
-from .model import (ModelState, Proposal, predict_corpus, predict_video,
-                    tiou, tiou_array)
+from .model import (ModelState, Proposals, decode_video, predict_corpus,
+                    tiou_array)
 from .synthgen import Corpus, Segment
 
 log = logging.getLogger(__name__)
@@ -35,62 +40,87 @@ HALLUCINATION_TOP_K = 10
 _NEAR_DUPLICATE_TIOU = 0.95
 
 
-def average_precision(proposals: dict[str, list[Proposal]], gt: dict[str, list[Segment]],
-                      label: int, threshold: float) -> float | None:
-    """All-points interpolated AP for one class at one tIoU threshold.
+def ap_by_class(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
+                classes, thresholds) -> dict[int, list[float | None]]:
+    """All-points interpolated AP of each class at each tIoU threshold, in
+    threshold order; None for a class without ground-truth segments.
 
-    Returns None when the class has no ground-truth segments.
+    Each class's entries are ordered and their tIoU against the ground
+    truth computed once; only the greedy matching runs per threshold.
     """
-    gts = {vid: [s for s in segs if s.label == label] for vid, segs in gt.items()}
-    npos = sum(len(v) for v in gts.values())
-    if npos == 0:
-        return None
     vids = sorted(proposals)
-    mine = [[p for p in proposals[vid] if p.label == label] for vid in vids]
-    flat = [p for ps in mine for p in ps]
-    video = np.repeat(np.arange(len(vids)), [len(ps) for ps in mine])
-    ps = np.array([p.start for p in flat], dtype=np.float64)
-    pe = np.array([p.end for p in flat], dtype=np.float64)
-    score = np.array([p.score for p in flat], dtype=np.float64)
-    order = np.lexsort((pe, ps, video, -score))  # ties by video id, start, end
-    ps, pe, video = ps[order, None], pe[order, None], video[order]
+    tables = [proposals[vid] for vid in vids]
+    video = np.repeat(np.arange(len(vids)), [len(t) for t in tables])
+    # every video's rows in one column each (the empty arrays admit an empty dict)
+    start = np.concatenate([t.start for t in tables] + [np.zeros(0)])
+    end = np.concatenate([t.end for t in tables] + [np.zeros(0)])
+    label = np.concatenate([t.label for t in tables] + [np.zeros(0, dtype=np.int64)])
+    score = np.concatenate([t.score for t in tables] + [np.zeros(0)])
+    # one stable sort for all classes: a class's entries keep their relative order
+    order = np.lexsort((end, start, video, -score))  # ties by video id, start, end
+    video, start, end, label = video[order], start[order], end[order], label[order]
+    aps = {}
+    for c in classes:
+        mine = label == c
+        aps[c] = _class_ap(vids, video[mine], start[mine], end[mine], gt, c, thresholds)
+    return aps
+
+
+def _class_ap(vids, video, ps, pe, gt, label, thresholds) -> list[float | None]:
+    """``ap_by_class`` for one class, given its entries in AP order."""
+    npos = sum(s.label == label for segs in gt.values() for s in segs)
+    if npos == 0:
+        return [None] * len(thresholds)
     # every entry against its video's ground truth, in rows padded with (0, 1)
-    own = [gts.get(vid, []) for vid in vids]
+    own = [[s for s in gt.get(vid, ()) if s.label == label] for vid in vids]
     count = np.array([len(segs) for segs in own], dtype=np.int64)
     gs = np.zeros((len(vids), int(count.max(initial=0))))
     ge = np.ones_like(gs)
     real = np.arange(gs.shape[1]) < count[:, None]
     gs[real] = [g.start for segs in own for g in segs]
     ge[real] = [g.end for segs in own for g in segs]
-    if np.any(~(ps[:, 0] < pe[:, 0]) & (count[video] > 0)) or np.any(~(gs < ge)):
+    if np.any(~(ps < pe) & (count[video] > 0)) or np.any(~(gs < ge)):
         raise ValueError(f"average_precision of a degenerate interval (class {label})")
-    iou = np.where(real[video], tiou_array(ps, pe, gs[video], ge[video]), 0.0)
-    # below the threshold against every ground truth: a false positive,
-    # whatever is matched already; the rest match greedily in order
-    reach = np.flatnonzero(iou.max(axis=1, initial=0.0) >= threshold)
-    matched = [[False] * len(x) for x in own]
-    tp = np.zeros(len(flat))
-    for i, row, k in zip(reach.tolist(), iou[reach].tolist(), video[reach].tolist()):
-        best_iou, best_j = 0.0, -1
-        for j, (v, used) in enumerate(zip(row, matched[k])):
-            if v > best_iou and not used:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= threshold:
-            matched[k][best_j] = True
-            tp[i] = 1.0
-    fp = 1.0 - tp
-    tpc = np.cumsum(tp)
-    fpc = np.cumsum(fp)
-    recall = tpc / npos
-    precision = tpc / np.maximum(tpc + fpc, 1.0)
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # the precision envelope
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+    iou = np.where(real[video], tiou_array(ps[:, None], pe[:, None], gs[video], ge[video]), 0.0)
+    best = iou.max(axis=1, initial=0.0)
+    aps = []
+    for threshold in thresholds:
+        # below the threshold against every ground truth: a false positive,
+        # whatever is matched already; the rest match greedily in order
+        reach = np.flatnonzero(best >= threshold)
+        matched = [[False] * len(x) for x in own]
+        tp = np.zeros(len(video))
+        for i, row, k in zip(reach.tolist(), iou[reach].tolist(), video[reach].tolist()):
+            best_iou, best_j = 0.0, -1
+            for j, (v, used) in enumerate(zip(row, matched[k])):
+                if v > best_iou and not used:
+                    best_iou, best_j = v, j
+            if best_j >= 0 and best_iou >= threshold:
+                matched[k][best_j] = True
+                tp[i] = 1.0
+        fp = 1.0 - tp
+        tpc = np.cumsum(tp)
+        fpc = np.cumsum(fp)
+        recall = tpc / npos
+        precision = tpc / np.maximum(tpc + fpc, 1.0)
+        mrec = np.concatenate(([0.0], recall, [1.0]))
+        mpre = np.concatenate(([0.0], precision, [0.0]))
+        mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # the precision envelope
+        steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+        aps.append(float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1])))
+    return aps
 
 
-def map_at(proposals: dict[str, list[Proposal]], gt: dict[str, list[Segment]],
+def average_precision(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
+                      label: int, threshold: float) -> float | None:
+    """All-points interpolated AP for one class at one tIoU threshold.
+
+    Returns None when the class has no ground-truth segments.
+    """
+    return ap_by_class(proposals, gt, (label,), (threshold,))[label][0]
+
+
+def map_at(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
            thresholds=DEFAULT_TIOU_THRESHOLDS) -> tuple[dict[float, float], float]:
     """Mean AP per threshold plus the average over thresholds."""
     if not thresholds:
@@ -98,13 +128,14 @@ def map_at(proposals: dict[str, list[Proposal]], gt: dict[str, list[Segment]],
     classes = sorted({s.label for segs in gt.values() for s in segs})
     if not classes:
         raise ConfigError("map_at needs ground truth for at least one class")
-    orphaned = sorted({p.label for ps in proposals.values() for p in ps} - set(classes))
-    for c in orphaned:
+    seen = set()
+    for table in proposals.values():
+        seen.update(table.label.tolist())
+    for c in sorted(seen - set(classes)):
         log.info("class %d has proposals but no ground truth; excluded from mAP", c)
-    per_threshold = {}
-    for t in thresholds:
-        aps = [average_precision(proposals, gt, c, t) for c in classes]
-        per_threshold[float(t)] = float(np.mean([a for a in aps if a is not None]))
+    aps = ap_by_class(proposals, gt, classes, thresholds)
+    per_threshold = {float(t): float(np.mean([aps[c][i] for c in classes]))
+                     for i, t in enumerate(thresholds)}
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
@@ -127,49 +158,48 @@ def lap_from_aligned(state: ModelState, aligned: Corpus, map_aligned: float,
     return 100.0 * (map_aligned - map_conflicted)
 
 
-def _top_k(props: list[Proposal], k: int) -> list[Proposal]:
-    return sorted(props, key=lambda p: (-p.score, p.start, p.end, p.label))[:k]
-
-
-def hallucination_rates(per_video_proposals: dict[str, list[Proposal]],
+def hallucination_rates(per_video_proposals: dict[str, Proposals],
                         top_k: int = HALLUCINATION_TOP_K) -> tuple[float, float]:
-    """Degenerate-output rates over per-video top-k proposal lists, keyed by
-    video id.
+    """Degenerate-output rates over per-video top-k proposals (the first
+    ``top_k`` rows of each table), keyed by video id.
 
     fixed_rate: fraction of videos whose rounded top-k boundary multiset is
     shared by at least half the corpus (group of identical outputs of size
     >= max(2, ceil(n/2)), counting the video itself).
 
     infinite_rate: fraction of videos holding >= 3 same-class proposals
-    that pairwise overlap with tIoU > 0.95.
+    that pairwise overlap with tIoU > 0.95.  A zero-length interval among
+    three or more top-k proposals of its class is a ValueError, as in
+    ``tiou``.
     """
-    tops = [_top_k(props, top_k) for props in per_video_proposals.values()]
+    tops = [table.take(slice(0, top_k)) for table in per_video_proposals.values()]
     n = len(tops)
     if n == 0:
         return 0.0, 0.0
-    keys = [tuple(sorted((int(round(p.start)), int(round(p.end))) for p in top))
+    keys = [tuple(sorted(zip(map(round, top.start.tolist()), map(round, top.end.tolist()))))
             for top in tops]
     counts = Counter(keys)
     need = max(2, math.ceil(n / 2))
     fixed = sum(1 for k in keys if counts[k] >= need) / n
+    return float(fixed), float(np.count_nonzero(_near_duplicate_trio(tops)) / n)
 
-    degenerate = 0
-    for top in tops:
-        by_label: dict[int, list[Proposal]] = {}
-        for p in top:
-            by_label.setdefault(p.label, []).append(p)
-        found = False
-        for group in by_label.values():
-            if len(group) < 3:
-                continue
-            for trio in combinations(group, 3):
-                if all(tiou(a, b) > _NEAR_DUPLICATE_TIOU for a, b in combinations(trio, 2)):
-                    found = True
-                    break
-            if found:
-                break
-        degenerate += found
-    return float(fixed), float(degenerate / n)
+
+def _near_duplicate_trio(tops: list[Proposals]) -> np.ndarray:
+    """Per table, whether three of its rows share a label and pairwise
+    overlap with tIoU > 0.95.  The tables are stacked into rows padded
+    with label -1, which matches no row."""
+    k = max(len(top) for top in tops)
+    s, e = np.zeros((len(tops), k)), np.ones((len(tops), k))
+    label = np.full((len(tops), k), -1, dtype=np.int64)
+    for i, top in enumerate(tops):
+        s[i, :len(top)], e[i, :len(top)], label[i, :len(top)] = top.start, top.end, top.label
+    same = (label[:, :, None] == label[:, None, :]) & (label[:, :, None] >= 0) & ~np.eye(k, dtype=bool)
+    if np.any(~(s < e) & (same.sum(axis=2) >= 2)):
+        raise ValueError("tiou of a zero-length interval among three or more proposals of its class")
+    near = same & (tiou_array(s[:, :, None], e[:, :, None], s[:, None, :], e[:, None, :])
+                   > _NEAR_DUPLICATE_TIOU)
+    links = near.astype(np.int64)
+    return np.any((links @ links > 0) & near, axis=(1, 2))  # a near pair with a row near both
 
 
 def mla(frame_lambdas, bucket, gt) -> float:
@@ -227,20 +257,20 @@ class ProbeStats:
 def ambiguity_probe(state: ModelState, clips: Corpus, span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
     """Overconfidence probe on no-action clips.
 
-    Keeps only the highest-confidence proposal per clip; a clip with no
-    proposals counts as confidence 0 and span 0.  acc_at[t] is the fraction
-    of clips whose kept (normalized) span stays below t.
+    Keeps only the highest-confidence proposal per clip, row 0 of its
+    decoded table (NMS would keep that row first, so it does not run); a
+    clip with no proposals counts as confidence 0 and span 0.  acc_at[t]
+    is the fraction of clips whose kept (normalized) span stays below t.
     """
     if not clips.videos:
         raise ConfigError("ambiguity probe needs at least one clip")
     confs, spans = [], []
     for v in clips.videos:
-        props = predict_video(state, v)
+        props = decode_video(state, v)
         frames = v.vis.shape[0]
-        if props:
-            top = props[0]
-            confs.append(float(top.score))
-            spans.append(float(top.end - top.start) / frames)
+        if len(props):
+            confs.append(float(props.score[0]))
+            spans.append(float(props.end[0] - props.start[0]) / frames)
         else:
             log.info("probe clip %s produced no proposals; counted as confidence 0, span 0", v.id)
             confs.append(0.0)
@@ -349,9 +379,12 @@ class MetricsReport:
         return canonical_json(payload)
 
 
+# built once: jsonschema.validate would check the schema itself on every call
+_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+
+
 def validate_report(payload: dict) -> dict:
-    try:
-        jsonschema.validate(payload, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise FormatError(f"metrics report violates schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(payload))
+    if error is not None:
+        raise FormatError(f"metrics report violates schema: {error.message}")
     return payload

@@ -294,7 +294,7 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
         d_gate = d_lam * cache.dlam_dadv
         d_adv = d_gate if d_adv is None else d_gate + d_adv
     if d_adv is not None:
-        state.adv_fc.backward(d_adv)
+        state.adv_fc.backward(d_adv, input_grad=False)  # its input, the advantage stream, is data
 
 
 def frame_targets(gt: list[Segment], frames: int, num_classes: int):
@@ -343,17 +343,47 @@ def template_loss_grad(tmpl_logits, gt: list[Segment]) -> np.ndarray:
     return g / L
 
 
-@dataclass(frozen=True)
-class Proposal:
-    start: float
-    end: float
-    label: int
-    score: float
+@dataclass(frozen=True, eq=False)
+class Proposals:
+    """The proposals of one video as a table of four parallel arrays.
+
+    Rows are in canonical order: score descending, then start, end and
+    label ascending.  ``decode_proposals`` emits that order and ``nms``
+    and slicing keep it; ``from_rows`` sorts arbitrary rows into it.
+    """
+    start: np.ndarray  # float64
+    end: np.ndarray    # float64
+    label: np.ndarray  # int64
+    score: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def take(self, rows) -> "Proposals":
+        """The table of the given rows, a slice or an index array; ascending
+        indices keep the canonical order."""
+        return Proposals(self.start[rows], self.end[rows], self.label[rows], self.score[rows])
+
+    def rows(self) -> list[tuple[float, float, int, float]]:
+        """(start, end, label, score) tuples of Python numbers, in order."""
+        return list(zip(self.start.tolist(), self.end.tolist(), self.label.tolist(),
+                        self.score.tolist()))
+
+    @classmethod
+    def from_rows(cls, rows) -> "Proposals":
+        """A table of (start, end, label, score) rows, sorted into canonical
+        order (rows with equal keys keep their given order)."""
+        rows = list(rows)
+        table = cls(np.array([r[0] for r in rows], dtype=np.float64),
+                    np.array([r[1] for r in rows], dtype=np.float64),
+                    np.array([r[2] for r in rows], dtype=np.int64),
+                    np.array([r[3] for r in rows], dtype=np.float64))
+        return table.take(np.lexsort((table.label, table.end, table.start, -table.score)))
 
 
-def tiou(a: Proposal | Segment, b: Proposal | Segment) -> float:
-    """Temporal IoU of two intervals (proposals or ground-truth segments).
-    Zero-length intervals are an error."""
+def tiou(a, b) -> float:
+    """Temporal IoU of two intervals, objects with ``start`` and ``end``
+    (ground-truth segments, say).  Zero-length intervals are an error."""
     sa, ea, sb, eb = float(a.start), float(a.end), float(b.start), float(b.end)
     if not (sa < ea) or not (sb < eb):
         raise ValueError(f"tiou of degenerate interval: ({sa}, {ea}) vs ({sb}, {eb})")
@@ -371,13 +401,13 @@ def tiou_array(sa, ea, sb, eb) -> np.ndarray:
         return inter / ((ea - sa) + (eb - sb) - inter)
 
 
-def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> list[Proposal]:
+def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> Proposals:
     """Frame-wise decoding: (l - off0, l + off1, c, score) above threshold.
 
     Boundaries are clamped to [0, L] (``max(0, l - off0)``,
-    ``min(L, l + off1)``); empty intervals are dropped.  The result is
-    sorted by (score desc, start asc, end asc, label asc), ties kept in
-    frame-major order, and truncated to cfg.top_k_pre_nms entries.
+    ``min(L, l + off1)``); empty intervals are dropped, so every row is a
+    non-empty interval.  The table is in canonical order, ties kept in
+    frame-major order, and cut to cfg.top_k_pre_nms rows.
     """
     scores = outputs.cls_scores
     off = outputs.offsets
@@ -391,51 +421,46 @@ def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> list[Proposal]:
     start, end, labels = start[live], end[live], labels[live]
     score = scores[frames[live], labels]
     order = np.lexsort((labels, end, start, -score))[:cfg.top_k_pre_nms]
-    return [Proposal(*p) for p in zip(start[order].tolist(), end[order].tolist(),
-                                      labels[order].tolist(), score[order].tolist())]
+    return Proposals(start[order], end[order], labels[order], score[order])
 
 
-def nms(proposals: list[Proposal], tiou_threshold: float) -> list[Proposal]:
+def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
     """Greedy class-wise suppression of overlaps above the threshold.
 
-    Candidates go in (score desc, start asc, end asc, label asc) order; one
-    is kept unless a kept proposal of its label overlaps it by more than
-    the threshold.  Each class's pairwise tIoU matrix is one expression with
-    ``tiou``'s arithmetic.  A zero-length interval that shares its label
-    with another proposal is a ValueError, as in ``tiou``.
+    Rows go in table order; one is kept unless a kept row of its label
+    overlaps it by more than the threshold.  Only kept rows are visited:
+    each computes its tIoU against the rows still live, with ``tiou``'s
+    arithmetic.  A zero-length interval that shares its label with another
+    row is a ValueError, as in ``tiou``.
     """
-    s = np.array([p.start for p in proposals], dtype=np.float64)
-    e = np.array([p.end for p in proposals], dtype=np.float64)
-    label = np.array([p.label for p in proposals], dtype=np.int64)
-    score = np.array([p.score for p in proposals], dtype=np.float64)
-    order = np.lexsort((label, e, s, -score))
-    s, e, label = s[order], e[order], label[order]
-    alive = np.ones(len(order), dtype=bool)
-    for c in set(label.tolist()):  # (np.unique would import numpy.ma)
-        members = np.flatnonzero(label == c)
-        if len(members) < 2:
-            continue
-        cs, ce = s[members], e[members]
-        if not np.all(cs < ce):
-            i = members[np.argmin(cs < ce)]
-            raise ValueError(f"nms of degenerate interval ({s[i]}, {e[i]}) with label {c}")
-        over = tiou_array(cs[:, None], ce[:, None], cs, ce) > tiou_threshold  # tiou(row a, column b)
-        keep = np.ones(len(members), dtype=bool)
-        for i in range(len(members) - 1):
-            if keep[i]:
-                keep[i + 1:] &= ~over[i, i + 1:]
-        alive[members] = keep
-    return [proposals[i] for i in order[alive].tolist()]
+    s, e, label = proposals.start, proposals.end, proposals.label
+    bad = np.flatnonzero(~(s < e) & (np.bincount(label)[label] > 1))
+    if len(bad):
+        i = bad[np.argmin(label[bad])]
+        raise ValueError(f"nms of degenerate interval ({s[i]}, {e[i]}) with label {label[i]}")
+    kept, live = [], np.arange(len(s))
+    while len(live):  # the first live row is kept and drops the live rows it suppresses
+        i, live = live[0], live[1:]
+        kept.append(i)
+        over = tiou_array(s[i], e[i], s[live], e[live]) > tiou_threshold  # tiou(kept, candidate)
+        live = live[(label[live] != label[i]) | ~over]
+    return proposals.take(np.array(kept, dtype=np.int64))
+
+
+def decode_video(state: ModelState, video: VideoRecord,
+                 lambda_override: float | None = None) -> Proposals:
+    """The decoded proposals of one video, before NMS."""
+    outputs, _ = forward_video(state, video.vis, video.lang, lambda_override)
+    return decode_proposals(outputs, state.cfg)
 
 
 def predict_video(state: ModelState, video: VideoRecord,
-                  lambda_override: float | None = None) -> list[Proposal]:
-    outputs, _ = forward_video(state, video.vis, video.lang, lambda_override)
-    return nms(decode_proposals(outputs, state.cfg), state.cfg.nms_tiou)
+                  lambda_override: float | None = None) -> Proposals:
+    return nms(decode_video(state, video, lambda_override), state.cfg.nms_tiou)
 
 
 def predict_corpus(state: ModelState, corpus: Corpus,
-                   lambda_override: float | None = None) -> dict[str, list[Proposal]]:
+                   lambda_override: float | None = None) -> dict[str, Proposals]:
     return {v.id: predict_video(state, v, lambda_override) for v in corpus.videos}
 
 

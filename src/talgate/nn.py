@@ -163,7 +163,9 @@ class Linear:
         self._x = x
         return x @ self.w.value + self.b.value
 
-    def backward(self, dout) -> np.ndarray:
+    def backward(self, dout, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return the input gradient,
+        or None when ``input_grad`` is false and nothing will read it."""
         if self._x is None:
             raise RuntimeError("linear backward before forward")
         dout = as_matrix(dout, "linear dout")
@@ -172,6 +174,8 @@ class Linear:
             raise ShapeError(f"linear: dout shape {dout.shape} does not match output shape {(x.shape[0], self.w.shape[1])}")
         self.w.grad += x.T @ dout
         self.b.grad += dout.sum(axis=0, keepdims=True)
+        if not input_grad:
+            return None
         return dout @ self.w.value.T
 
     def params(self) -> list[tuple[str, Param]]:

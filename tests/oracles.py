@@ -175,6 +175,38 @@ def nms_reference(proposals, threshold):
     return kept
 
 
+def hallucination_reference(rows_by_video, top_k):
+    """(fixed_rate, infinite_rate) of per-video proposal rows, by loops.
+
+    rows_by_video: {vid: [(start, end, label, score), ...]}.  Each video's
+    top_k rows by (score desc, start, end, label asc) are its output.
+    fixed: the video's rounded boundary multiset is shared by at least
+    max(2, ceil(n / 2)) videos, itself included.  infinite: some three
+    same-label top-k rows pairwise overlap with tIoU > 0.95.
+    """
+    tops = [sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))[:top_k]
+            for rows in rows_by_video.values()]
+    n = len(tops)
+    if n == 0:
+        return 0.0, 0.0
+    keys = [sorted((round(p[0]), round(p[1])) for p in top) for top in tops]
+    need = max(2, math.ceil(n / 2))
+    fixed = sum(1 for k in keys if sum(1 for other in keys if other == k) >= need)
+    infinite = 0
+    for top in tops:
+        found = False
+        for a in range(len(top)):
+            for b in range(a + 1, len(top)):
+                for c in range(b + 1, len(top)):
+                    trio = (top[a], top[b], top[c])
+                    if trio[0][2] == trio[1][2] == trio[2][2] and all(
+                            interval_iou(x[0], x[1], y[0], y[1]) > 0.95
+                            for x, y in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2]))):
+                        found = True
+        infinite += found
+    return fixed / n, infinite / n
+
+
 def cross_entropy_reference(logits, target):
     exps = [math.exp(z) for z in logits]
     return -math.log(exps[target] / sum(exps))

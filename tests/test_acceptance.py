@@ -15,7 +15,7 @@ from oracles import ap_reference, grad_check, nms_reference
 from talgate.cli import main
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
                              average_precision, difficulty_buckets, lap, mla)
-from talgate.model import (ModelConfig, ModelState, Proposal, backward_video,
+from talgate.model import (ModelConfig, ModelState, Proposals, backward_video,
                            forward_video, lambda_from_advantage, nms,
                            predict_corpus, predict_video, template_loss,
                            template_loss_grad)
@@ -211,15 +211,14 @@ def test_ap_and_nms_match_oracles():
                 cursor = end
             for _ in range(rng.randint(7)):
                 s = rng.uniform() * 50.0
-                props[vid].append(Proposal(s, s + 1.0 + rng.uniform() * 15.0,
-                                           rng.randint(4), round(rng.uniform(), 3)))
-        tuple_props = {v: [(p.start, p.end, p.label, p.score) for p in ps]
-                       for v, ps in props.items()}
+                props[vid].append((s, s + 1.0 + rng.uniform() * 15.0,
+                                   rng.randint(4), round(rng.uniform(), 3)))
+        tables = {v: Proposals.from_rows(rows) for v, rows in props.items()}
         tuple_gt = {v: [(g.start, g.end, g.label) for g in gs] for v, gs in gt.items()}
         for label in range(4):
             for t in DEFAULT_TIOU_THRESHOLDS:
-                got = average_precision(props, gt, label, t)
-                want = ap_reference(tuple_props, tuple_gt, label, t)
+                got = average_precision(tables, gt, label, t)
+                want = ap_reference(props, tuple_gt, label, t)
                 assert (got is None) == (want is None)
                 if want is not None:
                     worst = max(worst, abs(got - want))
@@ -230,11 +229,10 @@ def test_ap_and_nms_match_oracles():
         cand = []
         for _ in range(rng.randint(20) + 1):
             s = rng.uniform() * 40.0
-            cand.append(Proposal(s, s + 0.5 + rng.uniform() * 20.0,
-                                 rng.randint(3), round(rng.uniform(), 2)))
-        got = [(p.start, p.end, p.label, p.score) for p in nms(cand, 0.4)]
-        nms_exact = nms_exact and got == nms_reference(
-            [(p.start, p.end, p.label, p.score) for p in cand], 0.4)
+            cand.append((s, s + 0.5 + rng.uniform() * 20.0,
+                         rng.randint(3), round(rng.uniform(), 2)))
+        got = nms(Proposals.from_rows(cand), 0.4).rows()
+        nms_exact = nms_exact and got == nms_reference(cand, 0.4)
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and nms_exact and elapsed < 10.0

@@ -338,6 +338,19 @@ class TestTrain:
         assert echo["lambda_mode"] == "fixed" and echo["fixed_lambda"] == 0.4
         assert all(echo[k] == v for k, v in used.items())
 
+    def test_echoes_corpus_model_shape(self, tmp_path):
+        # a dim 8, 3-class corpus trained with a config that sets neither key
+        assert main(["gen", "--config", write_config(tmp_path / "gen.json"),
+                     "--out", str(tmp_path / "corpus")]) == 0
+        (tmp_path / "c.json").write_text(json.dumps({"epochs": 2}))
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(tmp_path / "corpus"), "--config",
+                     str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        used = json.loads((out / "model.ckpt.json").read_text())["model_config"]
+        assert (used["dim"], used["num_classes"]) == (8, 3)
+        assert all(echo[k] == v for k, v in used.items())
+
     @pytest.mark.parametrize("command, name", [
         ("train", "model.ckpt"), ("train", "model.ckpt.json"), ("train", "train_log.jsonl"),
         ("train", "config.json"), ("train", "run.json"), ("gen", "config.json"), ("gen", "run.json"),

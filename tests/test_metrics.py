@@ -5,23 +5,35 @@ import json
 import logging
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
-from oracles import ap_reference
+from oracles import ap_reference, hallucination_reference
 from talgate.errors import ConfigError, FormatError
-from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, DifficultyBuckets,
-                             MetricsReport, ProbeStats, ambiguity_probe,
+from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
+                             REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
+                             ProbeStats, ambiguity_probe, ap_by_class,
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, lap,
                              map_at, mla, validate_report)
-from talgate.model import ModelConfig, ModelState, Proposal, predict_corpus
+from talgate.model import (ModelConfig, ModelState, Proposals, decode_proposals,
+                           forward_video, predict_corpus, predict_video)
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, Segment, generate_corpus,
                               generate_distractors, inject_conflict)
 
-P = Proposal
 S = Segment
+
+
+def P(start, end, label, score):
+    """One proposal row."""
+    return (start, end, label, score)
+
+
+def tables(props):
+    """Per-video proposal rows as per-video tables."""
+    return {vid: Proposals.from_rows(rows) for vid, rows in props.items()}
 
 
 class TestAveragePrecision:
@@ -30,22 +42,22 @@ class TestAveragePrecision:
         props = {vid: [P(float(s.start), float(s.end), s.label, 0.9) for s in segs]
                  for vid, segs in gt.items()}
         for label in (0, 1):
-            assert average_precision(props, gt, label, 0.7) == 1.0
-        per_t, avg = map_at(props, gt)
+            assert average_precision(tables(props), gt, label, 0.7) == 1.0
+        per_t, avg = map_at(tables(props), gt)
         assert avg == 1.0 and all(v == 1.0 for v in per_t.values())
 
     def test_disjoint_proposals_score_zero(self):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(50.0, 60.0, 0, 0.9)]}
-        assert average_precision(props, gt, 0, 0.5) == 0.0
+        assert average_precision(tables(props), gt, 0, 0.5) == 0.0
 
     def test_no_ground_truth_returns_none(self):
-        assert average_precision({"v0": [P(0.0, 5.0, 2, 0.9)]}, {"v0": []}, 2, 0.5) is None
+        assert average_precision(tables({"v0": [P(0.0, 5.0, 2, 0.9)]}), {"v0": []}, 2, 0.5) is None
 
     def test_half_recall_single_step(self):
         gt = {"v0": [S(0, 10, 0), S(100, 110, 0)]}
         props = {"v0": [P(0.0, 10.0, 0, 0.9)]}
-        assert average_precision(props, gt, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert average_precision(tables(props), gt, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_brute_force_reference(self):
         rng = Rng(50)
@@ -64,14 +76,12 @@ class TestAveragePrecision:
                     s = rng.uniform() * 50.0
                     e = s + 1.0 + rng.uniform() * 15.0
                     props[vid].append(P(s, e, rng.randint(3), round(rng.uniform(), 3)))
-            tuple_props = {vid: [(p.start, p.end, p.label, p.score) for p in ps]
-                           for vid, ps in props.items()}
             tuple_gt = {vid: [(g.start, g.end, g.label) for g in gs]
                         for vid, gs in gt.items()}
             for label in range(3):
                 for t in DEFAULT_TIOU_THRESHOLDS:
-                    got = average_precision(props, gt, label, t)
-                    want = ap_reference(tuple_props, tuple_gt, label, t)
+                    got = average_precision(tables(props), gt, label, t)
+                    want = ap_reference(props, tuple_gt, label, t)
                     if want is None:
                         assert got is None
                     else:
@@ -94,13 +104,11 @@ class TestAveragePrecision:
                     s = float(rng.randint(8))
                     props[vid].append(P(s, s + 1.0 + rng.randint(5), rng.randint(2),
                                         (1 + rng.randint(3)) / 4.0))
-            tuple_props = {vid: [(p.start, p.end, p.label, p.score) for p in ps]
-                           for vid, ps in props.items()}
             tuple_gt = {vid: [(g.start, g.end, g.label) for g in gs] for vid, gs in gt.items()}
             for label in range(2):
                 for t in (0.2, 0.25, 0.5, 0.75):
-                    got = average_precision(props, gt, label, t)
-                    want = ap_reference(tuple_props, tuple_gt, label, t)
+                    got = average_precision(tables(props), gt, label, t)
+                    want = ap_reference(props, tuple_gt, label, t)
                     assert (got is None) == (want is None)
                     if want is not None:
                         assert got == pytest.approx(want, abs=1e-12)
@@ -110,14 +118,14 @@ class TestAveragePrecision:
         # (0, 4) finds its segment taken and is a false positive
         gt = {"v0": [S(0, 4, 0), S(4, 8, 0)]}
         props = {"v0": [P(2.0, 6.0, 0, 0.9), P(0.0, 4.0, 0, 0.8)]}
-        assert average_precision(props, gt, 0, 0.3) == 0.5
+        assert average_precision(tables(props), gt, 0, 0.3) == 0.5
 
     def test_monotone_in_threshold(self):
         rng = Rng(51)
         gt = {"v0": [S(i * 20, i * 20 + 10, 0) for i in range(5)]}
         props = {"v0": [P(i * 20 + rng.uniform() * 6.0, i * 20 + 10 + rng.uniform() * 6.0,
                           0, rng.uniform()) for i in range(5)]}
-        aps = [average_precision(props, gt, 0, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        aps = [average_precision(tables(props), gt, 0, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))
 
     def test_invariant_under_monotone_rescoring(self):
@@ -128,32 +136,68 @@ class TestAveragePrecision:
             s = rng.uniform() * 70.0
             props["v0"].append(P(s, s + 5.0 + rng.uniform() * 10.0, 0,
                                  0.1 + 0.8 * rng.uniform()))
-        rescored = {"v0": [P(p.start, p.end, p.label, 0.05 + 0.5 * p.score ** 2)
-                           for p in props["v0"]]}
+        rescored = {"v0": [P(start, end, label, 0.05 + 0.5 * score ** 2)
+                           for start, end, label, score in props["v0"]]}
         for t in (0.3, 0.5):
-            assert average_precision(props, gt, 0, t) == \
-                pytest.approx(average_precision(rescored, gt, 0, t), abs=1e-12)
+            assert average_precision(tables(props), gt, 0, t) == \
+                pytest.approx(average_precision(tables(rescored), gt, 0, t), abs=1e-12)
+
+
+def random_case(rng):
+    """Ground truth and proposal rows of classes 0-2 with whole-frame bounds
+    and three score levels: tied scores, shared bounds, tIoU exactly at a
+    threshold."""
+    gt, props = {}, {}
+    for vid in ("v0", "v1", "v2", "v3"):
+        gt[vid] = []
+        for _ in range(rng.randint(4)):
+            s = rng.randint(12)
+            gt[vid].append(S(s, s + 1 + rng.randint(5), rng.randint(3)))
+        props[vid] = []
+        for _ in range(rng.randint(10)):
+            s = float(rng.randint(8))
+            props[vid].append(P(s, s + 1.0 + rng.randint(5), rng.randint(3),
+                                (1 + rng.randint(3)) / 4.0))
+    return gt, props
 
 
 class TestMapAt:
+    def test_equals_per_class_threshold_loop(self):
+        rng = Rng(54)
+        thresholds = (0.2, 0.25, 0.5, 0.75)
+        for _ in range(40):
+            gt, props = random_case(rng)
+            t = tables(props)
+            classes = sorted({s.label for segs in gt.values() for s in segs})
+            if not classes:
+                continue
+            per_t, avg = map_at(t, gt, thresholds)
+            want = {th: float(np.mean([average_precision(t, gt, c, th) for c in classes]))
+                    for th in thresholds}
+            assert per_t == want
+            assert avg == float(np.mean(list(want.values())))
+            # every class, one without ground truth included (class 3)
+            assert ap_by_class(t, gt, range(4), thresholds) == \
+                {c: [average_precision(t, gt, c, th) for th in thresholds] for c in range(4)}
+
     def test_requires_ground_truth_and_thresholds(self):
         with pytest.raises(ConfigError, match="ground truth"):
-            map_at({"v0": []}, {"v0": []})
+            map_at(tables({"v0": []}), {"v0": []})
         with pytest.raises(ConfigError, match="threshold"):
-            map_at({"v0": []}, {"v0": [S(0, 5, 0)]}, thresholds=())
+            map_at(tables({"v0": []}), {"v0": [S(0, 5, 0)]}, thresholds=())
 
     def test_orphaned_class_logged_and_excluded(self, caplog):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(0.0, 10.0, 0, 0.9), P(0.0, 10.0, 5, 0.9)]}
         with caplog.at_level(logging.INFO, logger="talgate.metrics"):
-            per_t, avg = map_at(props, gt, thresholds=(0.5,))
+            per_t, avg = map_at(tables(props), gt, thresholds=(0.5,))
         assert avg == 1.0
         assert any("class 5" in r.message for r in caplog.records)
 
     def test_average_over_thresholds(self):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(0.0, 8.0, 0, 0.9)]}  # tIoU 0.8
-        per_t, avg = map_at(props, gt, thresholds=(0.5, 0.9))
+        per_t, avg = map_at(tables(props), gt, thresholds=(0.5, 0.9))
         assert per_t == {0.5: 1.0, 0.9: 0.0}
         assert avg == 0.5
 
@@ -205,18 +249,18 @@ def disjoint_props(rng, n, label=0):
 
 class TestHallucinationRates:
     def test_empty(self):
-        assert hallucination_rates({}) == (0.0, 0.0)
+        assert hallucination_rates(tables({})) == (0.0, 0.0)
 
     def test_identical_outputs_everywhere(self):
         shared = [P(0.0, 10.0, 0, 0.9), P(20.0, 30.0, 1, 0.8)]
-        fixed, infinite = hallucination_rates({f"v{i}": list(shared) for i in range(5)})
+        fixed, infinite = hallucination_rates(tables({f"v{i}": list(shared) for i in range(5)}))
         assert fixed == 1.0 and infinite == 0.0
 
     def test_unique_outputs(self):
         rng = Rng(70)
         per_video = {f"v{i}": [P(i * 100.0 + rng.uniform(), i * 100.0 + 10.0, 0, 0.9)]
                      for i in range(6)}
-        assert hallucination_rates(per_video) == (0.0, 0.0)
+        assert hallucination_rates(tables(per_video)) == (0.0, 0.0)
 
     def test_half_corpus_shares_one_output(self):
         rng = Rng(71)
@@ -224,30 +268,56 @@ class TestHallucinationRates:
         per_video = {f"s{i}": list(shared) for i in range(4)}
         for i in range(4):
             per_video[f"u{i}"] = [P(200.0 + 17.0 * i, 215.0 + 17.0 * i, 0, 0.9)]
-        fixed, _ = hallucination_rates(per_video)
+        fixed, _ = hallucination_rates(tables(per_video))
         assert fixed == 0.5
 
     def test_triple_near_duplicates_flagged(self):
         trio = [P(0.0, 100.0, 2, 0.9), P(0.0, 99.0, 2, 0.8), P(1.0, 100.0, 2, 0.7)]
-        _, infinite = hallucination_rates({"v0": trio, "v1": disjoint_props(Rng(72), 3)})
+        _, infinite = hallucination_rates(tables({"v0": trio, "v1": disjoint_props(Rng(72), 3)}))
         assert infinite == 0.5
 
     def test_pairs_and_cross_class_do_not_count(self):
         pair = [P(0.0, 100.0, 2, 0.9), P(0.0, 99.0, 2, 0.8)]
         mixed = [P(0.0, 100.0, 0, 0.9), P(0.0, 99.0, 1, 0.8), P(1.0, 100.0, 2, 0.7)]
-        assert hallucination_rates({"v0": pair, "v1": mixed})[1] == 0.0
+        assert hallucination_rates(tables({"v0": pair, "v1": mixed}))[1] == 0.0
 
     def test_borderline_overlap_not_near_duplicate(self):
         trio = [P(0.0, 100.0, 0, 0.9), P(0.0, 95.0, 0, 0.8), P(5.0, 100.0, 0, 0.7)]
-        assert hallucination_rates({"v0": trio, "v1": trio})[1] == 0.0
+        assert hallucination_rates(tables({"v0": trio, "v1": trio}))[1] == 0.0
 
     def test_top_k_cutoff_hides_low_ranked_triples(self):
         rng = Rng(73)
         filler = disjoint_props(rng, 10, label=1)
         trio = [P(1000.0, 1100.0, 0, 0.01), P(1000.0, 1099.0, 0, 0.01),
                 P(1001.0, 1100.0, 0, 0.01)]
-        _, infinite = hallucination_rates({"v0": filler + trio, "v1": disjoint_props(rng, 2)})
+        _, infinite = hallucination_rates(tables({"v0": filler + trio, "v1": disjoint_props(rng, 2)}))
         assert infinite == 0.0
+
+    def test_matches_loop_oracle(self):
+        rng = Rng(74)
+        seen_fixed = seen_infinite = 0
+        for _ in range(80):
+            # long intervals whose bounds move by half frames: pairs on both
+            # sides of tIoU 0.95, tied scores; some videos copy the first
+            # one's rows shifted by 0 or 0.5, which rounds half to even
+            props = {}
+            for i in range(1 + rng.randint(6)):
+                if i and rng.randint(2):
+                    shift = rng.randint(2) / 2.0
+                    props[f"v{i}"] = [P(s + shift, e + shift, c, sc) for s, e, c, sc in props["v0"]]
+                    continue
+                props[f"v{i}"] = []
+                for _ in range(rng.randint(14)):
+                    base = 200.0 * rng.randint(2)
+                    props[f"v{i}"].append(P(base + rng.randint(12) / 2.0,
+                                            base + 100.0 - rng.randint(12) / 2.0,
+                                            rng.randint(2), (1 + rng.randint(4)) / 4.0))
+            for top_k in (3, 10):
+                got = hallucination_rates(tables(props), top_k)
+                assert got == hallucination_reference(props, top_k)
+                seen_fixed += 0.0 < got[0] < 1.0
+                seen_infinite += 0.0 < got[1] < 1.0
+        assert seen_fixed >= 10 and seen_infinite >= 10
 
 
 class TestMla:
@@ -342,6 +412,24 @@ class TestAmbiguityProbe:
         with pytest.raises(ConfigError, match="at least one clip"):
             ambiguity_probe(constant_output_state(48, 0.8), Corpus(probe_clips().config, []))
 
+    @pytest.mark.parametrize("seed, top_k", [(5, 200), (6, 200), (5, 1)])
+    def test_top_row_is_first_row_kept_by_nms(self, seed, top_k):
+        clips = probe_clips(num=8)
+        state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k), Rng(seed))
+        confs, spans, suppressed = [], [], 0
+        for v in clips.videos:
+            decoded = decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg)
+            kept = predict_video(state, v)  # decode, then NMS
+            assert decoded.rows()[:1] == kept.rows()[:1]
+            suppressed += len(kept) < len(decoded)
+            top = kept.rows()[0] if len(kept) else (0.0, 0.0, 0, 0.0)
+            confs.append(top[3])
+            spans.append((top[1] - top[0]) / v.vis.shape[0])
+        assert suppressed > 0 or top_k == 1
+        want = ProbeStats(float(np.mean(confs)), float(np.mean(spans)),
+                          {t: float(np.mean([s < t for s in spans])) for t in PROBE_SPAN_THRESHOLDS})
+        assert ambiguity_probe(state, clips) == want
+
 
 class TestCanonicalJson:
     def test_golden_rendering(self):
@@ -430,3 +518,29 @@ class TestMetricsReport:
         payload["map_per_threshold"]["0.333"] = 0.5
         with pytest.raises(FormatError, match="schema"):
             validate_report(payload)
+
+    def test_schema_is_a_valid_schema(self):
+        jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+
+    def test_message_names_the_violation(self):
+        with pytest.raises(FormatError) as exc:
+            full_report(map_avg=1.5).to_json()
+        assert str(exc.value) == "metrics report violates schema: 1.5 is greater than the maximum of 1"
+
+    @pytest.mark.parametrize("changes", [
+        {"map_avg": -0.5}, {"lap": "high", "extra": 1}, {"fixed_rate": None},
+        {"acc_at": {"0.3": 0.5}}, {"mla_per_bucket": {"hard": 2.0, "tough": 0.1}},
+        {"fixed_rate": 2.0, "mconf": 3.0},  # the best match is not the first error found
+    ])
+    def test_message_matches_jsonschema_validate(self, changes):
+        payload = json.loads(full_report().to_json())
+        for key, value in changes.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(payload, REPORT_SCHEMA)
+        with pytest.raises(FormatError) as got:
+            validate_report(payload)
+        assert str(got.value) == f"metrics report violates schema: {want.value.message}"

@@ -1,6 +1,7 @@
 """Detector model: gate mapping, aggregation, decode/NMS, checkpoints."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import pytest
 from oracles import (cross_entropy_reference, decode_reference, grad_check,
                      nms_reference)
 from talgate.errors import ConfigError, FormatError
-from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposal,
+from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
                            predict_advantage, predict_corpus, predict_video,
                            save_checkpoint, template_loss, template_loss_grad,
                            tiou)
-from talgate.nn import Conv1d, Rng, ShapeError
+from talgate.nn import Conv1d, Linear, Rng, ShapeError
 from talgate.synthgen import (Corpus, LanguageBundle, Segment, generate_corpus,
                               GenConfig)
 
@@ -222,7 +223,7 @@ class TestDecode:
 
     def test_below_threshold_empty(self):
         out = self.outputs(5, np.full((5, 2), 0.001), np.ones((5, 2)))
-        assert decode_proposals(out, self.cfg) == []
+        assert decode_proposals(out, self.cfg).rows() == []
 
     def test_direct_substitution(self):
         scores = np.zeros((20, 2))
@@ -230,7 +231,7 @@ class TestDecode:
         offsets = np.zeros((20, 2))
         offsets[10] = (2.0, 3.0)
         props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
-        assert props == [Proposal(8.0, 13.0, 1, 0.9)]
+        assert props.rows() == [(8.0, 13.0, 1, 0.9)]
 
     def test_clamps_to_video_bounds(self):
         scores = np.zeros((20, 2))
@@ -238,13 +239,13 @@ class TestDecode:
         offsets = np.zeros((20, 2))
         offsets[1] = (5.0, 30.0)
         props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
-        assert props == [Proposal(0.0, 20.0, 0, 0.5)]
+        assert props.rows() == [(0.0, 20.0, 0, 0.5)]
 
     def test_drops_empty_intervals(self):
         scores = np.zeros((20, 2))
         scores[4, 0] = 0.5
         props = decode_proposals(self.outputs(20, scores, np.zeros((20, 2))), self.cfg)
-        assert props == []
+        assert len(props) == 0
 
     def test_sorted_and_truncated(self):
         rng = Rng(14)
@@ -253,9 +254,9 @@ class TestDecode:
         cfg = tiny_model_config(num_classes=2, top_k_pre_nms=7)
         props = decode_proposals(self.outputs(30, scores, offsets), cfg)
         assert len(props) == 7
-        assert all(a.score >= b.score for a, b in zip(props, props[1:]))
+        assert np.all(props.score[:-1] >= props.score[1:])
         everything = decode_proposals(self.outputs(30, scores, offsets), self.cfg)
-        assert props == everything[:7]
+        assert props.rows() == everything.rows()[:7]
 
     def test_matches_reference_with_ties(self):
         rng = Rng(16)
@@ -271,24 +272,23 @@ class TestDecode:
             got = decode_proposals(FrameOutputs(scores, offsets, np.zeros((L, 1)),
                                                 np.zeros((L, 1)), np.zeros((L, C + 1))), cfg)
             want = decode_reference(scores.tolist(), offsets.tolist(), 0.2, L * C)
-            assert [(p.start, p.end, p.label, p.score) for p in got] == want[:top_k]
+            assert got.rows() == want[:top_k]
             cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
         assert cuts_through_ties >= 10
 
 
 class TestNms:
     def test_identical_duplicates_collapse(self):
-        p = Proposal(2.0, 9.0, 0, 0.8)
-        assert nms([p, Proposal(2.0, 9.0, 0, 0.8)], 0.5) == [p]
+        p = (2.0, 9.0, 0, 0.8)
+        assert nms(Proposals.from_rows([p, (2.0, 9.0, 0, 0.8)]), 0.5).rows() == [p]
 
     def test_disjoint_survive(self):
-        props = [Proposal(0.0, 4.0, 0, 0.9), Proposal(10.0, 14.0, 0, 0.8),
-                 Proposal(0.0, 4.0, 1, 0.7)]
-        assert nms(props, 0.5) == props
+        props = [(0.0, 4.0, 0, 0.9), (10.0, 14.0, 0, 0.8), (0.0, 4.0, 1, 0.7)]
+        assert nms(Proposals.from_rows(props), 0.5).rows() == props
 
     def test_cross_class_never_suppresses(self):
-        props = [Proposal(0.0, 10.0, 0, 0.9), Proposal(0.0, 10.0, 1, 0.5)]
-        assert len(nms(props, 0.5)) == 2
+        props = [(0.0, 10.0, 0, 0.9), (0.0, 10.0, 1, 0.5)]
+        assert len(nms(Proposals.from_rows(props), 0.5)) == 2
 
     def test_matches_reference_on_random_sets(self):
         rng = Rng(15)
@@ -297,11 +297,9 @@ class TestNms:
             for _ in range(rng.randint(25) + 1):
                 s = rng.uniform() * 40.0
                 e = s + 0.5 + rng.uniform() * 20.0
-                props.append(Proposal(s, e, rng.randint(3),
-                                      round(rng.uniform(), 2)))  # ties likely
-            got = nms(props, 0.4)
-            want = nms_reference([(p.start, p.end, p.label, p.score) for p in props], 0.4)
-            assert [(p.start, p.end, p.label, p.score) for p in got] == want
+                props.append((s, e, rng.randint(3), round(rng.uniform(), 2)))  # ties likely
+            got = nms(Proposals.from_rows(props), 0.4)
+            assert got.rows() == nms_reference(props, 0.4)
 
     def test_matches_reference_with_ties(self):
         rng = Rng(18)
@@ -311,36 +309,55 @@ class TestNms:
             props = []
             for _ in range(1 + rng.randint(40)):
                 s = float(rng.randint(10))
-                props.append(Proposal(s, s + 1.0 + rng.randint(6), rng.randint(3),
-                                      (1 + rng.randint(4)) / 4.0))
+                props.append((s, s + 1.0 + rng.randint(6), rng.randint(3),
+                              (1 + rng.randint(4)) / 4.0))
             for threshold in (0.3, 0.5):
-                got = nms(props, threshold)
-                want = nms_reference([(p.start, p.end, p.label, p.score) for p in props], threshold)
-                assert [(p.start, p.end, p.label, p.score) for p in got] == want
+                got = nms(Proposals.from_rows(props), threshold)
+                assert got.rows() == nms_reference(props, threshold)
 
     def test_zero_length_same_label_interval_rejected(self):
         with pytest.raises(ValueError):
-            nms([Proposal(0.0, 4.0, 0, 0.9), Proposal(3.0, 3.0, 0, 0.5)], 0.5)
+            nms(Proposals.from_rows([(0.0, 4.0, 0, 0.9), (3.0, 3.0, 0, 0.5)]), 0.5)
         # alone in its class it is never compared, so it stays
-        props = [Proposal(0.0, 4.0, 0, 0.9), Proposal(3.0, 3.0, 1, 0.5)]
-        assert nms(props, 0.5) == props
+        props = [(0.0, 4.0, 0, 0.9), (3.0, 3.0, 1, 0.5)]
+        assert nms(Proposals.from_rows(props), 0.5).rows() == props
 
     def test_empty(self):
-        assert nms([], 0.5) == []
+        assert nms(Proposals.from_rows([]), 0.5).rows() == []
+
+    def test_keeps_table_order(self):
+        rng = Rng(24)
+        for _ in range(30):
+            rows = []
+            for _ in range(1 + rng.randint(30)):
+                s = float(rng.randint(10))
+                rows.append((s, s + 1.0 + rng.randint(6), rng.randint(3), (1 + rng.randint(4)) / 4.0))
+            table = Proposals.from_rows(rows)
+            assert table.rows() == sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
+            kept = nms(table, 0.4)
+            # the kept rows are a subsequence of the table, so in canonical order too
+            it = iter(table.rows())
+            assert all(row in it for row in kept.rows())
+            assert kept.rows() == sorted(kept.rows(), key=lambda p: (-p[3], p[0], p[1], p[2]))
+            assert [a.dtype for a in (kept.start, kept.end, kept.label, kept.score)] == \
+                [np.float64, np.float64, np.int64, np.float64]
+
+
+Interval = namedtuple("Interval", "start end")
 
 
 class TestTiou:
     def test_values(self):
         assert tiou(Segment(0, 10, 0), Segment(0, 10, 1)) == 1.0
-        assert tiou(Proposal(0.0, 1.0, 0, 0.5), Proposal(5.0, 6.0, 0, 0.5)) == 0.0
-        assert tiou(Segment(0, 10, 0), Proposal(5.0, 15.0, 0, 0.5)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert tiou(Interval(0.0, 1.0), Interval(5.0, 6.0)) == 0.0
+        assert tiou(Segment(0, 10, 0), Interval(5.0, 15.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_accepts_objects_with_attributes(self):
-        assert tiou(Proposal(0.0, 10.0, 0, 1.0), Segment(5, 15, 0)) == pytest.approx(1.0 / 3.0)
+        assert tiou(Interval(0.0, 10.0), Segment(5, 15, 0)) == pytest.approx(1.0 / 3.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            tiou(Proposal(3.0, 3.0, 0, 0.5), Segment(0, 1, 0))
+            tiou(Interval(3.0, 3.0), Segment(0, 1, 0))
 
 
 class TestTemplateLoss:
@@ -462,15 +479,17 @@ class TestForwardBackwardGradients:
         np.testing.assert_allclose(w1 - w0, bundle.adv_stream.T @ d_adv, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(b1 - b0, d_adv.sum(axis=0, keepdims=True), rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("mode, language, override, skipped", [
-        ("learned", False, None, 2),        # vision-only pass
-        ("fixed", True, None, 2),
-        ("language_only", True, None, 2),
-        ("learned", True, 0.0, 2),          # gate pinned by an override
-        ("learned", True, None, 0),         # dlambda/da reads the trunk-input gradients
+    # skipped: conv layers that skip their input gradient; adv_fc, a Linear
+    # whose input is the advantage stream, skips it whenever it runs backward
+    @pytest.mark.parametrize("mode, language, override, skipped, linear_skipped", [
+        ("learned", False, None, 2, 0),        # vision-only pass
+        ("fixed", True, None, 2, 1),
+        ("language_only", True, None, 2, 0),   # adv_fc does not run
+        ("learned", True, 0.0, 2, 1),          # gate pinned by an override
+        ("learned", True, None, 0, 1),         # dlambda/da reads the trunk-input gradients
     ])
     def test_skipped_input_gradients_keep_parameter_gradients(self, monkeypatch, mode, language,
-                                                             override, skipped):
+                                                             override, skipped, linear_skipped):
         rng = Rng(23)
         state = ModelState(tiny_model_config(lambda_mode=mode, fixed_lambda=0.6), rng)
         L = 10
@@ -478,22 +497,24 @@ class TestForwardBackwardGradients:
         bundle = random_bundle(rng, L, 5) if language else None
         r1, r2, r3 = rng.normal_matrix(L, 3), rng.normal_matrix(L, 2), rng.normal_matrix(L, 4)
         d_adv = rng.normal_matrix(L, 1) if language else None
-        backward = Conv1d.backward
-        flags = []
+        flags = {Conv1d: [], Linear: []}
 
         def grads(every_input_grad):
-            def spy(conv, dout, input_grad=True):
-                flags.append(input_grad)
-                return backward(conv, dout, input_grad or every_input_grad)
+            for layer in flags:
+                def spy(obj, dout, input_grad=True, backward=layer.backward, seen=flags[layer]):
+                    seen.append(input_grad)
+                    return backward(obj, dout, input_grad or every_input_grad)
 
-            monkeypatch.setattr(Conv1d, "backward", spy)
+                monkeypatch.setattr(layer, "backward", spy)
             state.zero_grads()
             _, cache = forward_video(state, vis, bundle, lambda_override=override)
             backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
+            monkeypatch.undo()
             return state.grads.copy()
 
         lean = grads(False)
-        assert flags.count(False) == skipped  # the first conv layer of each trunk
+        assert flags[Conv1d].count(False) == skipped  # the first conv layer of each trunk
+        assert flags[Linear].count(False) == linear_skipped
         assert grads(True).tobytes() == lean.tobytes()
 
     def test_vision_mode_skips_language_params(self):
@@ -516,7 +537,7 @@ class TestPrediction:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
         a = predict_video(state, corpus.videos[0])
         b = predict_video(state, corpus.videos[0])
-        assert a == b
+        assert a.rows() == b.rows()
         per_video = predict_corpus(state, corpus)
         assert set(per_video) == {v.id for v in corpus.videos}
 

@@ -54,3 +54,6 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert set(stats) <= tracing.metric_names()
     assert stats["train.fit.calls"] == 1 and stats["cli.build_report.calls"] == 1
     assert stats["model.forward_video.calls"] > 0 and stats["model.nms.calls"] > 0
+    # kept_ratio reads len() of nms's argument and result
+    assert 0 < stats["model.nms.kept_ratio"] <= 1
+    assert stats["metrics.ambiguity_probe.calls"] == 1
