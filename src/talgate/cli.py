@@ -92,8 +92,6 @@ def _check_type(path: Path, key: str, value, default) -> None:
     default (``hidden``: use the feature dim) also admits an integer."""
     if default is None:
         ok, want = value is None or _is_int(value), "an integer or null"
-    elif isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         ok, want = _is_int(value), "an integer"
     elif isinstance(default, float):
@@ -313,6 +311,8 @@ def ablation_rows(mode: str) -> list[tuple[str, dict]]:
 def cmd_ablate(args) -> int:
     run = load_run_config(args.config)
     corpus = read_corpus(args.corpus)
+    # every row's model, and the config echo, take dim and num_classes from the corpus
+    run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
     thresholds = tuple(float(t) for t in run["tiou_thresholds"])
     twin = _conflicted_twin(corpus)
     gt = {v.id: v.gt for v in corpus.videos}
@@ -320,8 +320,7 @@ def cmd_ablate(args) -> int:
     for label, overrides in ablation_rows(args.mode):
         row_run = dict(run)
         row_run.update(overrides)
-        model_cfg = build_config(ModelConfig, row_run, dim=corpus.config.dim,
-                                 num_classes=corpus.config.num_classes)
+        model_cfg = build_config(ModelConfig, row_run)
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
         _, map_avg = map_at(predict_corpus(state, corpus), gt, thresholds)

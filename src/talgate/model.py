@@ -320,24 +320,22 @@ def frame_targets(gt: list[Segment], frames: int, num_classes: int):
     return labels, gstart, gend
 
 
-def template_loss(tmpl_logits, gt: list[Segment]) -> float:
+def template_loss(tmpl_logits, labels: np.ndarray) -> float:
     """Mean per-frame cross-entropy against the template token sequence.
 
-    The token at frame l is the covering segment's class, or the background
-    token C when no segment covers l.
+    The token at frame l is ``labels[l]`` from ``frame_targets``: the
+    covering segment's class, or the background token C (the last logit
+    column) when no segment covers l.
     """
     z = as_matrix(tmpl_logits, "tmpl_logits")
-    L, width = z.shape
-    labels, _, _ = frame_targets(gt, L, width - 1)
     logp = log_softmax(z)
-    return float(-logp[np.arange(L), labels].mean())
+    return float(-logp[np.arange(len(z)), labels].mean())
 
 
-def template_loss_grad(tmpl_logits, gt: list[Segment]) -> np.ndarray:
+def template_loss_grad(tmpl_logits, labels: np.ndarray) -> np.ndarray:
     """d template_loss / d logits = (softmax - onehot) / L."""
     z = as_matrix(tmpl_logits, "tmpl_logits")
-    L, width = z.shape
-    labels, _, _ = frame_targets(gt, L, width - 1)
+    L = len(z)
     g = np.exp(log_softmax(z))
     g[np.arange(L), labels] -= 1.0
     return g / L
@@ -387,14 +385,13 @@ def tiou(a, b) -> float:
     sa, ea, sb, eb = float(a.start), float(a.end), float(b.start), float(b.end)
     if not (sa < ea) or not (sb < eb):
         raise ValueError(f"tiou of degenerate interval: ({sa}, {ea}) vs ({sb}, {eb})")
-    inter = max(0.0, min(ea, eb) - max(sa, sb))
-    union = (ea - sa) + (eb - sb) - inter
-    return inter / union
+    return float(tiou_array(sa, ea, sb, eb))
 
 
 def tiou_array(sa, ea, sb, eb) -> np.ndarray:
-    """Elementwise ``tiou`` of broadcast interval arrays a and b, with the
-    same arithmetic.  Rejecting zero-length intervals is left to the caller."""
+    """Elementwise temporal IoU of broadcast interval arrays a and b, the
+    one tIoU arithmetic of the package.  Rejecting zero-length intervals is
+    left to the caller (``tiou`` rejects them)."""
     inter = np.minimum(ea, eb) - np.maximum(sa, sb)
     inter = np.where(inter > 0.0, inter, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

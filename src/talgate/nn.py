@@ -8,9 +8,10 @@ place and returns the gradient with respect to the layer input
 single-threaded by contract: never run forward/backward concurrently on the
 same object.
 
-A loss returns its derivatives with its value (``diou_loss``) or has a
-``_grad`` companion (``focal_loss``), so the training loop can assemble
-exact gradients without a tape.  The central-difference check of every
+A loss returns its derivatives with its value (``diou_loss`` here,
+``train.advantage_loss``) or has a ``_grad`` companion (``focal_loss``,
+``model.template_loss``), so the training loop can assemble exact
+gradients without a tape.  The central-difference check of every
 gradient, ``grad_check``, lives with the tests (``tests/oracles.py``).
 """
 

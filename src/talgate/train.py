@@ -10,6 +10,11 @@ vision epoch supplies regression targets for the advantage head:
 
 evaluated on positive frames only and treated as a constant (no gradient
 flows into the detection head through the targets).
+
+Each step reads its video's ground truth once, through
+``model.frame_targets``: the per-frame labels (background is label C) and
+covering segment bounds feed the detection loss, the template loss and the
+advantage targets, and the step's present classes are the labels' own.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .model import (FrameOutputs, ModelConfig, ModelState, backward_video,
                     forward_video, frame_targets, template_loss,
                     template_loss_grad)
 from .nn import Rng, focal_loss, focal_loss_grad, diou_loss
-from .synthgen import Corpus, Segment
+from .synthgen import Corpus
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
 
@@ -42,7 +47,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    normalize_frame_loss: bool = False  # target per-frame loss divided by the positive count
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 0 or self.epochs % 2 != 0:
@@ -117,19 +121,16 @@ class ClasswiseLossTable:
 class DetectionLossResult:
     loss: float
     per_frame: np.ndarray        # L x 1 unnormalized per-frame summands
-    positives: int               # true positive-frame count (normalizer floors it at 1)
     d_cls_scores: np.ndarray     # L x C
     d_offsets: np.ndarray        # L x 2
 
-    @property
-    def normalizer(self) -> int:
-        return max(1, self.positives)
 
-
-def detection_loss(outputs: FrameOutputs, gt: list[Segment], lambda_loc: float = 1.0) -> DetectionLossResult:
+def detection_loss(outputs: FrameOutputs, labels: np.ndarray, gstart: np.ndarray,
+                   gend: np.ndarray, lambda_loc: float = 1.0) -> DetectionLossResult:
     """Focal classification over every frame plus DIoU regression on
     positive frames, summed per frame and normalized by the positive count
-    (floored at 1).
+    (floored at 1).  ``labels``, ``gstart`` and ``gend`` are the per-frame
+    targets of ``frame_targets``; label C marks background.
 
     Predicted intervals are padded by a fixed 1e-6 on both sides so frames
     whose offsets collapse to zero still yield a valid interval.
@@ -137,7 +138,6 @@ def detection_loss(outputs: FrameOutputs, gt: list[Segment], lambda_loc: float =
     scores = outputs.cls_scores
     off = outputs.offsets
     L, C = scores.shape
-    labels, gstart, gend = frame_targets(gt, L, C)
     pos = labels < C
     y = np.zeros((L, C))
     if pos.any():
@@ -157,48 +157,43 @@ def detection_loss(outputs: FrameOutputs, gt: list[Segment], lambda_loc: float =
         d_off[li, 0] = -lambda_loc * dps / m
         d_off[li, 1] = lambda_loc * dpe / m
     loss = float(per_frame.sum() / m)
-    return DetectionLossResult(loss, per_frame.reshape(L, 1), int(pos.sum()), d_scores, d_off)
+    return DetectionLossResult(loss, per_frame.reshape(L, 1), d_scores, d_off)
 
 
-def target_advantage(table: ClasswiseLossTable, per_frame_vl: np.ndarray,
-                     gt: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen regression targets for the advantage head.
+def _present_classes(labels: np.ndarray, num_classes: int) -> tuple[int, ...]:
+    """The classes of the non-background frames, ascending."""
+    return tuple(sorted(set(labels[labels < num_classes].tolist())))
+
+
+def target_advantage(table: ClasswiseLossTable, per_frame_vl: np.ndarray, labels: np.ndarray,
+                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen regression targets for the advantage head from the per-frame
+    labels of ``frame_targets`` (label ``num_classes`` is background).
 
     Returns (targets, mask), both L x 1; background frames are masked out.
+    A class present in ``labels`` but missing from the table is a ConfigError.
     """
     pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
-    L = pf.shape[0]
-    targets = np.zeros((L, 1))
-    mask = np.zeros((L, 1), dtype=bool)
-    for seg in gt:
-        s, e = int(seg.start), int(seg.end)
-        if not (0 <= s < e <= L):
-            raise ConfigError(f"segment ({seg.start}, {seg.end}) out of bounds for {L} frames")
-        mean_v = table.mean(seg.label)
-        targets[s:e, 0] = mean_v - pf[s:e, 0]
-        mask[s:e, 0] = True
-    return targets, mask
+    targets = np.zeros_like(pf)
+    for c in _present_classes(labels, num_classes):
+        frames = labels == c
+        targets[frames, 0] = table.mean(c) - pf[frames, 0]
+    return targets, (labels < num_classes).reshape(-1, 1)
 
 
-def advantage_loss(adv_pred, targets, mask) -> float:
-    """Mean squared error over masked (positive) frames; 0 when none."""
+def advantage_loss(adv_pred, targets, mask) -> tuple[float, np.ndarray]:
+    """Mean squared error over masked (positive) frames and its gradient
+    with respect to ``adv_pred``: (loss, grad), (0, zeros) when no frame
+    is masked in."""
     mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    if n == 0:
-        return 0.0
-    diff = (np.asarray(adv_pred, float) - np.asarray(targets, float))[mask]
-    return float(np.mean(diff * diff))
-
-
-def advantage_loss_grad(adv_pred, targets, mask) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    g = np.zeros_like(np.asarray(adv_pred, dtype=np.float64))
-    if n == 0:
-        return g
     diff = np.asarray(adv_pred, float) - np.asarray(targets, float)
-    g[mask] = 2.0 * diff[mask] / n
-    return g
+    grad = np.zeros_like(diff)
+    n = int(mask.sum())
+    if n == 0:
+        return 0.0, grad
+    d = diff[mask]
+    grad[mask] = 2.0 * d / n
+    return float(np.mean(d * d)), grad
 
 
 @dataclass(eq=False)
@@ -209,7 +204,6 @@ class StepLog:
     tg: float
     adv: float
     total: float
-    positives: int
     mean_lambda: float
 
 
@@ -289,20 +283,21 @@ def vision_only_epoch(corpus: Corpus, state: ModelState, opt: Adam,
     """
     if not corpus.videos:
         raise ConfigError("cannot train on an empty corpus")
+    C = state.cfg.num_classes
     table = ClasswiseLossTable()
     steps = []
     for video in corpus.videos:
         state.zero_grads()
         outputs, cache = forward_video(state, video.vis, None)
-        det = detection_loss(outputs, video.gt, cfg.lambda_loc)
+        labels, gstart, gend = frame_targets(video.gt, len(outputs.cls_scores), C)
+        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
         d_tmpl = np.zeros_like(outputs.tmpl_logits)
         backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl)
         opt.step()
-        present = tuple(sorted({seg.label for seg in video.gt}))
+        present = _present_classes(labels, C)
         for c in present:
             table.add(c, det.loss)
-        steps.append(StepLog(video.id, present, det.loss, 0.0, 0.0, det.loss,
-                             det.positives, 0.0))
+        steps.append(StepLog(video.id, present, det.loss, 0.0, 0.0, det.loss, 0.0))
     return table, steps
 
 
@@ -313,23 +308,22 @@ def vision_language_epoch(corpus: Corpus, state: ModelState, opt: Adam,
         raise ConfigError("vision-language epoch requires the loss table of the preceding vision-only epoch")
     if not corpus.videos:
         raise ConfigError("cannot train on an empty corpus")
+    C = state.cfg.num_classes
     steps = []
     for video in corpus.videos:
         state.zero_grads()
         outputs, cache = forward_video(state, video.vis, video.lang)
-        det = detection_loss(outputs, video.gt, cfg.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, video.gt)
-        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, video.gt)
-        per_frame = det.per_frame / det.normalizer if cfg.normalize_frame_loss else det.per_frame
-        targets, mask = target_advantage(table, per_frame, video.gt)
-        adv = advantage_loss(outputs.adv_pred, targets, mask)
-        d_adv = cfg.lambda_adv * advantage_loss_grad(outputs.adv_pred, targets, mask)
+        labels, gstart, gend = frame_targets(video.gt, len(outputs.cls_scores), C)
+        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
+        tg = template_loss(outputs.tmpl_logits, labels)
+        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
+        targets, mask = target_advantage(table, det.per_frame, labels, C)
+        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
         total = det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
+        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         opt.step()
-        present = tuple(sorted({seg.label for seg in video.gt}))
-        steps.append(StepLog(video.id, present, det.loss, tg, adv, total,
-                             det.positives, float(outputs.lam.mean())))
+        steps.append(StepLog(video.id, _present_classes(labels, C), det.loss, tg, adv, total,
+                             float(outputs.lam.mean())))
     return steps
 
 

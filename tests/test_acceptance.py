@@ -16,15 +16,14 @@ from talgate.cli import main
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
                              average_precision, difficulty_buckets, lap, mla)
 from talgate.model import (ModelConfig, ModelState, Proposals, backward_video,
-                           forward_video, lambda_from_advantage, nms,
-                           predict_corpus, predict_video, template_loss,
+                           forward_video, frame_targets, lambda_from_advantage,
+                           nms, predict_corpus, predict_video, template_loss,
                            template_loss_grad)
 from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss,
                         focal_loss_grad, relu, relu_grad, sigmoid)
 from talgate.synthgen import LanguageBundle, Segment
 from talgate.train import (ClasswiseLossTable, TrainConfig, advantage_loss,
-                           advantage_loss_grad, detection_loss,
-                           target_advantage)
+                           detection_loss, target_advantage)
 
 PASS_BAR = 2  # of the three benchmark seeds
 
@@ -76,19 +75,19 @@ def full_model_loss_error():
     for c in range(C):
         table.add(c, 0.7 + 0.1 * c)
     tc = TrainConfig()
+    labels, gstart, gend = frame_targets(gt, L, C)
     outputs0, _ = forward_video(state, vis, bundle)
-    det0 = detection_loss(outputs0, gt, tc.lambda_loc)
-    targets, mask = target_advantage(table, det0.per_frame, gt)
+    det0 = detection_loss(outputs0, labels, gstart, gend, tc.lambda_loc)
+    targets, mask = target_advantage(table, det0.per_frame, labels, C)
 
     def total_loss():
         state.zero_grads()
         outputs, cache = forward_video(state, vis, bundle)
-        det = detection_loss(outputs, gt, tc.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, gt)
-        d_tmpl = tc.lambda_tg * template_loss_grad(outputs.tmpl_logits, gt)
-        adv = advantage_loss(outputs.adv_pred, targets, mask)
-        d_adv = tc.lambda_adv * advantage_loss_grad(outputs.adv_pred, targets, mask)
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
+        det = detection_loss(outputs, labels, gstart, gend, tc.lambda_loc)
+        tg = template_loss(outputs.tmpl_logits, labels)
+        d_tmpl = tc.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
+        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
+        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, tc.lambda_adv * d_adv)
         return det.loss + tc.lambda_tg * tg + tc.lambda_adv * adv
 
     worst, points = 0.0, 0
@@ -148,19 +147,17 @@ def test_gradient_suite():
     errs["conv1d"] = module_grad_errors(conv, rng.normal_matrix(20, 5),
                                         rng.normal_matrix(20, 4))
 
-    gt = [Segment(3, 17, 2)]
+    tokens = frame_targets([Segment(3, 17, 2)], 25, 3)[0]
     errs["template"] = grad_check(
-        lambda z: (template_loss(z, gt), template_loss_grad(z, gt)),
+        lambda z: (template_loss(z, tokens), template_loss_grad(z, tokens)),
         rng.normal_matrix(25, 4))
 
     targets = rng.normal_matrix(100, 1)
     mask = rng.normal_matrix(100, 1) > -0.3
-    errs["advantage"] = grad_check(
-        lambda a: (advantage_loss(a, targets, mask),
-                   advantage_loss_grad(a, targets, mask)),
-        rng.normal_matrix(100, 1))
+    errs["advantage"] = grad_check(lambda a: advantage_loss(a, targets, mask),
+                                   rng.normal_matrix(100, 1))
 
-    det_gt = [Segment(5, 45, 0)]
+    det_targets = frame_targets([Segment(5, 45, 0)], 50, 2)
     det_off = 0.5 + 2.5 * np.abs(np.sin(rng.normal_matrix(50, 2)))
     det_scores = 0.15 + 0.7 * np.abs(np.sin(rng.normal_matrix(50, 2)))
 
@@ -170,11 +167,11 @@ def test_gradient_suite():
                             np.zeros((50, 1)), np.zeros((50, 3)))
 
     def f_scores(scores):
-        det = detection_loss(det_outputs(scores, det_off), det_gt)
+        det = detection_loss(det_outputs(scores, det_off), *det_targets)
         return det.loss, det.d_cls_scores
 
     def f_offsets(offsets):
-        det = detection_loss(det_outputs(det_scores, offsets), det_gt)
+        det = detection_loss(det_outputs(det_scores, offsets), *det_targets)
         return det.loss, det.d_offsets
 
     errs["detection_scores"] = grad_check(f_scores, det_scores.copy())

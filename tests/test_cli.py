@@ -82,7 +82,7 @@ STOCK_RUN_CONFIG = {
     "top_k_pre_nms": 200, "score_threshold": 0.01, "lambda_mode": "learned",
     "fixed_lambda": 0.0,
     "epochs": 60, "lr": 2e-3, "lambda_loc": 1.0, "lambda_tg": 0.1, "lambda_adv": 0.1,
-    "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "normalize_frame_loss": False,
+    "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
     "tiou_thresholds": [0.3, 0.4, 0.5, 0.6, 0.7],
     "seed": 0,
 }
@@ -133,8 +133,7 @@ class TestRunConfig:
     def test_values_of_each_json_type_accepted(self, tmp_path):
         p = tmp_path / "c.json"
         good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 4,
-                "normalize_frame_loss": True, "ambiguity": [0.1] * 7 + [1],
-                "lambda_mode": "fixed"}
+                "ambiguity": [0.1] * 7 + [1], "lambda_mode": "fixed"}
         p.write_text(json.dumps(good))
         run = load_run_config(str(p))
         assert {k: run[k] for k in good} == good
@@ -157,8 +156,6 @@ MISTYPED_CONFIGS = [
     ("gen", "ambiguity", ["0.1", "0.1", "0.1"]),
     ("gen", "seed", 1.5),
     ("gen", "num_videos", True),
-    ("train", "normalize_frame_loss", "yes"),
-    ("train", "normalize_frame_loss", 1),
     ("train", "lr", "0.1"),
     ("train", "lr", False),
     ("train", "lambda_mode", 1),
@@ -350,6 +347,18 @@ class TestTrain:
         used = json.loads((out / "model.ckpt.json").read_text())["model_config"]
         assert (used["dim"], used["num_classes"]) == (8, 3)
         assert all(echo[k] == v for k, v in used.items())
+
+    def test_ablate_echoes_corpus_model_shape(self, tmp_path):
+        # the same corpus ablated with a config that sets neither key
+        assert main(["gen", "--config", write_config(tmp_path / "gen.json"),
+                     "--out", str(tmp_path / "corpus")]) == 0
+        (tmp_path / "c.json").write_text(json.dumps({"epochs": 2}))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--corpus", str(tmp_path / "corpus"), "--config",
+                     str(tmp_path / "c.json"), "--mode", "vision-only", "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert (echo["dim"], echo["num_classes"]) == (8, 3)
+        assert echo["epochs"] == 2 and echo["lambda_mode"] == "learned"
 
     @pytest.mark.parametrize("command, name", [
         ("train", "model.ckpt"), ("train", "model.ckpt.json"), ("train", "train_log.jsonl"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (cross_entropy_reference, decode_reference, grad_check,
-                     nms_reference)
+                     interval_iou, nms_reference)
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
@@ -359,11 +359,29 @@ class TestTiou:
         with pytest.raises(ValueError):
             tiou(Interval(3.0, 3.0), Segment(0, 1, 0))
 
+    def test_equals_loop_oracle(self):
+        # half-frame grid: touching, nested, identical and disjoint pairs all occur
+        rng = Rng(18)
+        for _ in range(500):
+            sa, sb = rng.randint(20) / 2.0, rng.randint(20) / 2.0
+            a = Interval(sa, sa + (1 + rng.randint(12)) / 2.0)
+            b = Interval(sb, sb + (1 + rng.randint(12)) / 2.0)
+            want = interval_iou(a.start, a.end, b.start, b.end)
+            assert tiou(a, b) == want and type(tiou(a, b)) is float
+            a = Interval(10.0 * rng.uniform(), 10.0 * rng.uniform() + 10.0)
+            assert tiou(a, b) == interval_iou(a.start, a.end, b.start, b.end)
+
+
+def tokens(gt, z):
+    """The template tokens of ``gt``: ``frame_targets`` labels with the last
+    logit column as background."""
+    return frame_targets(gt, z.shape[0], z.shape[1] - 1)[0]
+
 
 class TestTemplateLoss:
     def test_uniform_logits(self):
         z = np.zeros((10, 4))
-        assert template_loss(z, [Segment(0, 5, 1)]) == pytest.approx(math.log(4), abs=1e-12)
+        assert template_loss(z, tokens([Segment(0, 5, 1)], z)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_saturated_correct_tokens(self):
         L, C = 12, 3
@@ -371,7 +389,7 @@ class TestTemplateLoss:
         labels[2:7] = 1
         z = np.full((L, C + 1), -50.0)
         z[np.arange(L), labels] = 50.0
-        assert template_loss(z, [Segment(2, 7, 1)]) <= 1e-12
+        assert template_loss(z, tokens([Segment(2, 7, 1)], z)) <= 1e-12
 
     def test_matches_per_frame_oracle(self):
         rng = Rng(16)
@@ -380,19 +398,21 @@ class TestTemplateLoss:
         labels = [3, 2, 2, 2, 3, 3, 0, 0, 3]
         expected = np.mean([cross_entropy_reference(z[l].tolist(), labels[l])
                             for l in range(9)])
-        assert template_loss(z, gt) == pytest.approx(expected, rel=1e-12)
+        assert tokens(gt, z).tolist() == labels
+        assert template_loss(z, tokens(gt, z)) == pytest.approx(expected, rel=1e-12)
 
     def test_overlapping_segments_rejected(self):
+        # the tokens come from frame_targets, which rejects the overlap
         z = np.zeros((10, 4))
         with pytest.raises(ConfigError, match="overlap"):
-            template_loss(z, [Segment(0, 5, 1), Segment(4, 8, 2)])
+            template_loss(z, tokens([Segment(0, 5, 1), Segment(4, 8, 2)], z))
 
     def test_grad(self):
         rng = Rng(17)
         gt = [Segment(2, 6, 1)]
 
         def f(z):
-            return template_loss(z, gt), template_loss_grad(z, gt)
+            return template_loss(z, tokens(gt, z)), template_loss_grad(z, tokens(gt, z))
 
         assert grad_check(f, rng.normal_matrix(8, 4)) < 1e-6
 

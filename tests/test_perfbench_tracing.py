@@ -57,3 +57,6 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     # kept_ratio reads len() of nms's argument and result
     assert 0 < stats["model.nms.kept_ratio"] <= 1
     assert stats["metrics.ambiguity_probe.calls"] == 1
+    # the training losses keep their traced names and are called by fit
+    for name in ("train.detection_loss", "model.template_loss", "model.template_loss_grad"):
+        assert stats[f"{name}.calls"] > 0, name

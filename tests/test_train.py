@@ -8,15 +8,14 @@ import pytest
 from oracles import adam_reference, diou_reference, grad_check
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState,
-                           backward_video, forward_video, template_loss,
-                           template_loss_grad)
+                           backward_video, forward_video, frame_targets,
+                           template_loss, template_loss_grad)
 from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
-                           TrainLog, advantage_loss, advantage_loss_grad,
-                           detection_loss, fit, read_training_log,
-                           target_advantage, vision_language_epoch,
-                           vision_only_epoch)
+                           TrainLog, advantage_loss, detection_loss, fit,
+                           read_training_log, target_advantage,
+                           vision_language_epoch, vision_only_epoch)
 
 
 def tiny_corpus(seed=3, num_videos=8, num_classes=3, frames=64, dim=8):
@@ -24,6 +23,11 @@ def tiny_corpus(seed=3, num_videos=8, num_classes=3, frames=64, dim=8):
                     dim=dim, ambiguity=(0.3,) * num_classes,
                     helpfulness=(0.7,) * num_classes, seed=seed)
     return generate_corpus(cfg)
+
+
+def targets_of(gt, scores):
+    """``frame_targets`` at the frame and class count of a score matrix."""
+    return frame_targets(gt, *scores.shape)
 
 
 def frame_outputs(scores, offsets):
@@ -115,15 +119,13 @@ class TestDetectionLoss:
         offsets = np.zeros((L, 2))
         for l in range(4, 12):
             offsets[l] = (l - 4.0, 12.0 - l)
-        det = detection_loss(frame_outputs(scores, offsets), gt)
+        det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
         assert det.loss <= 1e-5
-        assert det.positives == 8 and det.normalizer == 8
 
     def test_no_ground_truth_is_pure_focal(self):
         rng = Rng(30)
         scores = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(10, 3)))
-        det = detection_loss(frame_outputs(scores, np.ones((10, 2))), [])
-        assert det.positives == 0 and det.normalizer == 1
+        det = detection_loss(frame_outputs(scores, np.ones((10, 2))), *targets_of([], scores))
         expected = focal_loss(scores, np.zeros((10, 3))).sum()
         assert det.loss == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(det.d_offsets, np.zeros((10, 2)))
@@ -134,8 +136,8 @@ class TestDetectionLoss:
         gt = [Segment(2, 7, 0), Segment(10, 14, 2)]
         scores = 1.0 / (1.0 + np.exp(-rng.normal_matrix(L, C)))
         offsets = np.abs(rng.normal_matrix(L, 2)) + 0.3
-        det = detection_loss(frame_outputs(scores, offsets), gt, lambda_loc=0.7)
-        assert det.loss == pytest.approx(det.per_frame.sum() / det.normalizer, rel=1e-12)
+        det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores), lambda_loc=0.7)
+        assert det.loss == pytest.approx(det.per_frame.sum() / 9, rel=1e-12)  # 9 positive frames
         labels = np.full(L, C)
         for seg in gt:
             labels[seg.start:seg.end] = seg.label
@@ -157,7 +159,7 @@ class TestDetectionLoss:
         offsets = np.abs(rng.normal_matrix(12, 2)) + 0.5
 
         def f(scores):
-            det = detection_loss(frame_outputs(scores, offsets), gt)
+            det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
             return det.loss, det.d_cls_scores
 
         scores0 = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(12, 2)))
@@ -169,7 +171,7 @@ class TestDetectionLoss:
         scores = np.full((12, 2), 0.4)
 
         def f(offsets):
-            det = detection_loss(frame_outputs(scores, offsets), gt)
+            det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
             return det.loss, det.d_offsets
 
         offsets0 = np.abs(rng.normal_matrix(12, 2)) + 0.5
@@ -182,25 +184,48 @@ class TestAdvantageTargets:
         t.add(label, mean)
         return t
 
+    def targets(self, table, per_frame, gt, num_classes=4):
+        labels, _, _ = frame_targets(gt, len(per_frame), num_classes)
+        return target_advantage(table, per_frame, labels, num_classes)
+
     def test_direct_difference(self):
         table = self.table_with(1, 0.5)
         pf = np.full((10, 1), 0.3)
-        targets, mask = target_advantage(table, pf, [Segment(2, 6, 1)])
+        targets, mask = self.targets(table, pf, [Segment(2, 6, 1)])
         assert np.all(targets[2:6] == pytest.approx(0.2, abs=1e-15))
+        assert np.all(targets[:2] == 0.0) and np.all(targets[6:] == 0.0)
         assert mask[2:6].all() and not mask[:2].any() and not mask[6:].any()
 
     def test_equal_losses_zero_target(self):
         table = self.table_with(0, 0.4)
-        targets, _ = target_advantage(table, np.full((6, 1), 0.4), [Segment(0, 6, 0)])
+        targets, _ = self.targets(table, np.full((6, 1), 0.4), [Segment(0, 6, 0)])
         assert np.all(targets == 0.0)
 
     def test_missing_class_rejected(self):
         with pytest.raises(ConfigError, match="class 3"):
-            target_advantage(self.table_with(0, 0.1), np.zeros((6, 1)), [Segment(0, 3, 3)])
+            self.targets(self.table_with(0, 0.1), np.zeros((6, 1)), [Segment(0, 3, 3)])
+
+    def test_only_classes_the_video_has_are_looked_up(self):
+        # the table lacks classes 1 and 3: only the video's class 3 is an error
+        table = self.table_with(0, 0.5)
+        table.add(2, 0.9)
+        pf = np.arange(12, dtype=float).reshape(12, 1) / 10.0
+        targets, mask = self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 0)])
+        want = np.zeros((12, 1))
+        want[1:4] = 0.9 - pf[1:4]
+        want[7:10] = 0.5 - pf[7:10]
+        assert targets.tobytes() == want.tobytes()
+        assert mask[:, 0].tolist() == [False, True, True, True, False, False, False,
+                                       True, True, True, False, False]
+        with pytest.raises(ConfigError, match="class 3"):
+            self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 3)])
+        with pytest.raises(ConfigError, match="class 1"):
+            self.targets(table, pf, [Segment(7, 10, 1)])
 
     def test_out_of_bounds_segment(self):
+        # the labels come from frame_targets, which rejects the segment
         with pytest.raises(ConfigError, match="out of bounds"):
-            target_advantage(self.table_with(0, 0.1), np.zeros((6, 1)), [Segment(0, 9, 0)])
+            self.targets(self.table_with(0, 0.1), np.zeros((6, 1)), [Segment(0, 9, 0)])
 
 
 class TestAdvantageLoss:
@@ -208,8 +233,11 @@ class TestAdvantageLoss:
         pred = np.array([[1.0], [2.0], [5.0]])
         targets = np.array([[1.0], [4.0], [9.0]])
         mask = np.array([[True], [True], [False]])
-        assert advantage_loss(pred, targets, mask) == pytest.approx(2.0, abs=1e-15)
-        assert advantage_loss(pred, targets, np.zeros((3, 1), dtype=bool)) == 0.0
+        loss, grad = advantage_loss(pred, targets, mask)
+        assert loss == pytest.approx(2.0, abs=1e-15)
+        assert grad[:, 0].tolist() == [0.0, -2.0, 0.0]  # 2 * diff / 2 on the masked rows
+        loss, grad = advantage_loss(pred, targets, np.zeros((3, 1), dtype=bool))
+        assert loss == 0.0 and np.array_equal(grad, np.zeros((3, 1)))
 
     def test_grad(self):
         rng = Rng(34)
@@ -217,11 +245,11 @@ class TestAdvantageLoss:
         mask = rng.normal_matrix(8, 1) > 0.0
 
         def f(pred):
-            return advantage_loss(pred, targets, mask), advantage_loss_grad(pred, targets, mask)
+            return advantage_loss(pred, targets, mask)
 
         assert grad_check(f, rng.normal_matrix(8, 1)) < 1e-6
         empty = np.zeros((8, 1), dtype=bool)
-        assert np.array_equal(advantage_loss_grad(targets, targets, empty), np.zeros((8, 1)))
+        assert np.array_equal(advantage_loss(targets, targets, empty)[1], np.zeros((8, 1)))
 
 
 class TestVisionEpoch:
@@ -289,7 +317,7 @@ class TestVisionLanguageEpoch:
         video = corpus.videos[0]
         manual.zero_grads()
         outputs, cache = forward_video(manual, video.vis, video.lang)
-        det = detection_loss(outputs, video.gt, cfg.lambda_loc)
+        det = detection_loss(outputs, *targets_of(video.gt, outputs.cls_scores), cfg.lambda_loc)
         backward_video(manual, cache, det.d_cls_scores, det.d_offsets,
                        np.zeros_like(outputs.tmpl_logits), np.zeros_like(outputs.adv_pred))
         opt.step()
@@ -302,28 +330,25 @@ class TestVisionLanguageEpoch:
         s = steps[0]
         assert abs(s.total - (s.dh + 0.1 * s.tg + 0.1 * s.adv)) <= 1e-12
 
-    def test_normalize_frame_loss_divides_by_positive_count(self, monkeypatch):
+    def test_targets_read_unnormalized_per_frame_loss(self, monkeypatch):
         import talgate.train as train_module
-        seen = []
+        seen = {}
 
-        def spy(table, per_frame_vl, gt):
-            seen.append(np.array(per_frame_vl, copy=True))
-            return target_advantage(table, per_frame_vl, gt)
+        def det_spy(*args, **kwargs):
+            seen["det"] = detection_loss(*args, **kwargs)
+            return seen["det"]
 
-        monkeypatch.setattr(train_module, "target_advantage", spy)
-        corpus = tiny_corpus(seed=8, num_videos=1)
-        table = ClasswiseLossTable()
-        for c in range(3):
-            table.add(c, 0.8)
-        for normalize in (False, True):
-            state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(42))
-            cfg = TrainConfig(epochs=2, normalize_frame_loss=normalize).validate()
-            opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            steps = vision_language_epoch(corpus, state, opt, cfg, table)
-        raw, normalized = seen
+        def adv_spy(table, per_frame_vl, labels, num_classes):
+            seen["per_frame"] = np.array(per_frame_vl, copy=True)
+            return target_advantage(table, per_frame_vl, labels, num_classes)
+
+        monkeypatch.setattr(train_module, "detection_loss", det_spy)
+        monkeypatch.setattr(train_module, "target_advantage", adv_spy)
+        corpus, _, _ = self.run_one_video(0.1, 0.1)
         positives = sum(s.end - s.start for s in corpus.videos[0].gt)
-        assert steps[0].positives == positives > 1
-        assert normalized.tobytes() == (raw / positives).tobytes()
+        assert positives > 1
+        assert seen["per_frame"].tobytes() == seen["det"].per_frame.tobytes()
+        assert seen["det"].loss == pytest.approx(seen["per_frame"].sum() / positives, rel=1e-12)
 
     def test_requires_table(self):
         corpus = tiny_corpus(seed=8, num_videos=1)
@@ -342,13 +367,13 @@ class TestStopGradient:
         video = corpus.videos[0]
         state.zero_grads()
         outputs, cache = forward_video(state, video.vis, video.lang)
-        det = detection_loss(outputs, video.gt, cfg.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, video.gt)
-        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, video.gt)
-        targets, mask = target_advantage(table, det.per_frame, video.gt)
-        adv = advantage_loss(outputs.adv_pred, targets, mask)
-        d_adv = cfg.lambda_adv * advantage_loss_grad(outputs.adv_pred, targets, mask)
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
+        labels, gstart, gend = targets_of(video.gt, outputs.cls_scores)
+        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
+        tg = template_loss(outputs.tmpl_logits, labels)
+        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
+        targets, mask = target_advantage(table, det.per_frame, labels, state.cfg.num_classes)
+        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
+        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         grads = {name: p.grad.copy() for name, p in state.named_params()}
         return det.loss, tg, adv, grads
 
@@ -381,6 +406,27 @@ class TestFit:
         assert log.epochs[0].table_means is not None
         assert log.epochs[1].table_means is None
         assert all(s.mean_lambda == 0.0 for s in log.epochs[0].steps)
+
+    def test_reads_ground_truth_once_per_step(self, monkeypatch):
+        import talgate.train as train_module
+        calls, reads = [], []
+
+        class CountingGt(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        def spy(gt, frames, num_classes):
+            calls.append(gt)
+            return frame_targets(gt, frames, num_classes)
+
+        monkeypatch.setattr(train_module, "frame_targets", spy)
+        corpus = tiny_corpus()
+        for video in corpus.videos:
+            video.gt = CountingGt(video.gt)
+        fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=4, seed=2))
+        steps = 4 * len(corpus.videos)
+        assert len(calls) == steps and len(reads) == steps
 
     def test_zero_epochs_passthrough(self):
         corpus = tiny_corpus()
