@@ -31,8 +31,9 @@ from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       ap_by_class, canonical_json, difficulty_buckets,
                       hallucination_rates, lap_from_aligned, map_at, mla,
                       validate_report)
-from .model import (ModelConfig, ModelState, decode_proposals, forward_video,
-                    load_checkpoint, nms, predict_corpus, save_checkpoint)
+from .model import (ModelConfig, ModelState, Proposals, decode_proposals,
+                    forward_video, load_checkpoint, nms, predict_corpus,
+                    save_checkpoint)
 from .nn import Rng
 from .synthgen import (Corpus, GenConfig, generate_corpus,
                        generate_distractors, inject_conflict, read_corpus,
@@ -192,17 +193,21 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
                  probe: bool = False) -> MetricsReport:
     """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
 
-    One forward pass per aligned video gives both its proposals and its
-    gates.  Difficulty buckets come from the same model's vision view
-    (gate pinned to 0), the closest in-run stand-in for a vision-only
+    One forward pass per aligned video gives both its decoded proposals
+    and its gates, and one NMS pass suppresses the corpus's stack of
+    decoded tables.  Difficulty buckets come from the same model's vision
+    view (gate pinned to 0), the closest in-run stand-in for a vision-only
     baseline.
     """
     gt = {v.id: v.gt for v in corpus.videos}
-    proposals, lams = {}, []
+    decoded, lams = [], []
     for v in corpus.videos:
         outputs, _ = forward_video(state, v.vis, v.lang)
-        proposals[v.id] = nms(decode_proposals(outputs, state.cfg), state.cfg.nms_tiou)
+        decoded.append(decode_proposals(outputs, state.cfg))
         lams.append(outputs.lam)
+    kept = nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(corpus.videos))
+    del decoded  # the conflicted pass below sets the memory peak
+    proposals = dict(zip([v.id for v in corpus.videos], kept))
     per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals)
 

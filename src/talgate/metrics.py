@@ -1,7 +1,9 @@
 """Localization quality and language-bias diagnostics.
 
 Proposals arrive as one ``model.Proposals`` table per video, its rows in
-canonical order (score desc, then start, end, label asc).  Average
+canonical order (score desc, then start, end, label asc); NMS has already
+run, once over the stack of a corpus's tables (``model.predict_corpus``).
+``ap_by_class`` stacks the tables again, in video id order.  Average
 precision uses greedy one-to-one matching in descending score order (ties
 broken by video id, start, end) at a fixed temporal IoU threshold, and
 all-points interpolation (the precision envelope).  Each class's entries
@@ -49,13 +51,8 @@ def ap_by_class(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
     truth computed once; only the greedy matching runs per threshold.
     """
     vids = sorted(proposals)
-    tables = [proposals[vid] for vid in vids]
-    video = np.repeat(np.arange(len(vids)), [len(t) for t in tables])
-    # every video's rows in one column each (the empty arrays admit an empty dict)
-    start = np.concatenate([t.start for t in tables] + [np.zeros(0)])
-    end = np.concatenate([t.end for t in tables] + [np.zeros(0)])
-    label = np.concatenate([t.label for t in tables] + [np.zeros(0, dtype=np.int64)])
-    score = np.concatenate([t.score for t in tables] + [np.zeros(0)])
+    table = Proposals.stack(proposals[vid] for vid in vids)
+    video, start, end, label, score = table.video, table.start, table.end, table.label, table.score
     # one stable sort for all classes: a class's entries keep their relative order
     order = np.lexsort((end, start, video, -score))  # ties by video id, start, end
     video, start, end, label = video[order], start[order], end[order], label[order]

@@ -343,16 +343,20 @@ def template_loss_grad(tmpl_logits, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Proposals:
-    """The proposals of one video as a table of four parallel arrays.
+    """Proposals as a table of five parallel arrays, one row per proposal.
 
-    Rows are in canonical order: score descending, then start, end and
-    label ascending.  ``decode_proposals`` emits that order and ``nms``
-    and slicing keep it; ``from_rows`` sorts arbitrary rows into it.
+    ``video`` numbers the video of each row: 0 throughout the table of one
+    video, 0..V-1 in the ``stack`` of V videos' tables.  Rows are in
+    canonical order: video ascending, then score descending, then start,
+    end and label ascending.  ``decode_proposals`` emits that order and
+    ``nms``, ``stack``, ``split`` and slicing keep it; ``from_rows`` sorts
+    the rows of one video into it.
     """
     start: np.ndarray  # float64
     end: np.ndarray    # float64
     label: np.ndarray  # int64
     score: np.ndarray  # float64
+    video: np.ndarray  # int64, ascending
 
     def __len__(self) -> int:
         return len(self.start)
@@ -360,7 +364,8 @@ class Proposals:
     def take(self, rows) -> "Proposals":
         """The table of the given rows, a slice or an index array; ascending
         indices keep the canonical order."""
-        return Proposals(self.start[rows], self.end[rows], self.label[rows], self.score[rows])
+        return Proposals(self.start[rows], self.end[rows], self.label[rows], self.score[rows],
+                         self.video[rows])
 
     def rows(self) -> list[tuple[float, float, int, float]]:
         """(start, end, label, score) tuples of Python numbers, in order."""
@@ -369,14 +374,33 @@ class Proposals:
 
     @classmethod
     def from_rows(cls, rows) -> "Proposals":
-        """A table of (start, end, label, score) rows, sorted into canonical
-        order (rows with equal keys keep their given order)."""
+        """The table of one video's (start, end, label, score) rows, sorted
+        into canonical order (rows with equal keys keep their given order)."""
         rows = list(rows)
         table = cls(np.array([r[0] for r in rows], dtype=np.float64),
                     np.array([r[1] for r in rows], dtype=np.float64),
                     np.array([r[2] for r in rows], dtype=np.int64),
-                    np.array([r[3] for r in rows], dtype=np.float64))
+                    np.array([r[3] for r in rows], dtype=np.float64),
+                    np.zeros(len(rows), dtype=np.int64))
         return table.take(np.lexsort((table.label, table.end, table.start, -table.score)))
+
+    @classmethod
+    def stack(cls, tables) -> "Proposals":
+        """One table of the given one-video tables, table i as video i."""
+        tables = list(tables)
+        # the empty arrays admit an empty list
+        return cls(np.concatenate([t.start for t in tables] + [np.zeros(0)]),
+                   np.concatenate([t.end for t in tables] + [np.zeros(0)]),
+                   np.concatenate([t.label for t in tables] + [np.zeros(0, dtype=np.int64)]),
+                   np.concatenate([t.score for t in tables] + [np.zeros(0)]),
+                   np.repeat(np.arange(len(tables)), [len(t) for t in tables]))
+
+    def split(self, videos: int) -> list["Proposals"]:
+        """The one-video tables of a stack of ``videos`` videos, the inverse
+        of ``stack``."""
+        bounds = np.searchsorted(self.video, np.arange(videos + 1)).tolist()
+        return [Proposals(self.start[a:b], self.end[a:b], self.label[a:b], self.score[a:b],
+                          np.zeros(b - a, dtype=np.int64)) for a, b in zip(bounds, bounds[1:])]
 
 
 def tiou(a, b) -> float:
@@ -418,30 +442,42 @@ def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> Proposals:
     start, end, labels = start[live], end[live], labels[live]
     score = scores[frames[live], labels]
     order = np.lexsort((labels, end, start, -score))[:cfg.top_k_pre_nms]
-    return Proposals(start[order], end[order], labels[order], score[order])
+    return Proposals(start[order], end[order], labels[order], score[order],
+                     np.zeros(len(order), dtype=np.int64))
 
 
 def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
-    """Greedy class-wise suppression of overlaps above the threshold.
+    """Greedy class-wise suppression of overlaps above the threshold, in
+    each video of the table on its own.
 
-    Rows go in table order; one is kept unless a kept row of its label
-    overlaps it by more than the threshold.  Only kept rows are visited:
-    each computes its tIoU against the rows still live, with ``tiou``'s
-    arithmetic.  A zero-length interval that shares its label with another
+    A video's rows go in table order; one is kept unless a kept row of its
+    video and label overlaps it by more than the threshold.  The greedy
+    loops of all videos advance in lock-step: each round keeps the first
+    live row of every video that still has one and computes, with
+    ``tiou``'s arithmetic, its tIoU against the live rows of its video
+    only.  A pass takes as many rounds as the most rows one video keeps.
+    A zero-length interval that shares its video and label with another
     row is a ValueError, as in ``tiou``.
     """
-    s, e, label = proposals.start, proposals.end, proposals.label
-    bad = np.flatnonzero(~(s < e) & (np.bincount(label)[label] > 1))
+    s, e, label, video = proposals.start, proposals.end, proposals.label, proposals.video
+    group = video * (int(label.max(initial=0)) + 1) + label  # one number per (video, label)
+    bad = np.flatnonzero(~(s < e) & (np.bincount(group)[group] > 1))
     if len(bad):
-        i = bad[np.argmin(label[bad])]
-        raise ValueError(f"nms of degenerate interval ({s[i]}, {e[i]}) with label {label[i]}")
-    kept, live = [], np.arange(len(s))
-    while len(live):  # the first live row is kept and drops the live rows it suppresses
-        i, live = live[0], live[1:]
-        kept.append(i)
-        over = tiou_array(s[i], e[i], s[live], e[live]) > tiou_threshold  # tiou(kept, candidate)
-        live = live[(label[live] != label[i]) | ~over]
-    return proposals.take(np.array(kept, dtype=np.int64))
+        i = bad[0]
+        raise ValueError(f"nms of degenerate interval ({s[i]}, {e[i]}) with label {label[i]} "
+                         f"in video {video[i]}")
+    kept, live = [np.zeros(0, dtype=np.int64)], np.arange(len(s))
+    while len(live):  # live rows stay in table order, so video-major
+        v = video[live]
+        first = np.concatenate(([True], v[1:] != v[:-1]))  # the first live row of its video
+        heads = live[first]
+        kept.append(heads)
+        lead = heads[np.cumsum(first) - 1]  # the kept row of each live row's video
+        over = tiou_array(s[lead], e[lead], s[live], e[live]) > tiou_threshold  # tiou(kept, candidate)
+        stay = (label[live] != label[lead]) | ~over
+        stay[first] = False
+        live = live[stay]
+    return proposals.take(np.sort(np.concatenate(kept)))
 
 
 def decode_video(state: ModelState, video: VideoRecord,
@@ -458,7 +494,11 @@ def predict_video(state: ModelState, video: VideoRecord,
 
 def predict_corpus(state: ModelState, corpus: Corpus,
                    lambda_override: float | None = None) -> dict[str, Proposals]:
-    return {v.id: predict_video(state, v, lambda_override) for v in corpus.videos}
+    """The kept proposals of every video, keyed by id: each video is
+    decoded on its own, then one ``nms`` pass suppresses the stack of them."""
+    decoded = Proposals.stack(decode_video(state, v, lambda_override) for v in corpus.videos)
+    return dict(zip([v.id for v in corpus.videos],
+                    nms(decoded, state.cfg.nms_tiou).split(len(corpus.videos))))
 
 
 def save_checkpoint(state: ModelState, path) -> None:

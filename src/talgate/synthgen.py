@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, read_json
+from .errors import ConfigError, FormatError, read_json, write_atomic
 from .nn import Rng
 
 MIN_SEGMENT = 8      # frames; shortest generated action
@@ -295,9 +295,17 @@ _STREAM_KEYS = ("vis", "cls", "loc", "adv")
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
-    """Write blobs plus a manifest; returns the manifest path."""
+    """Write blobs plus a manifest; returns the manifest path.
+
+    An old manifest is removed before the first blob is written, and the
+    new one is written last and atomically: a write that stops part-way
+    leaves a directory without a manifest, which ``read_corpus`` rejects,
+    never a manifest beside another corpus's blobs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "manifest.json"
+    path.unlink(missing_ok=True)
     entries = []
     for video in corpus.videos:
         streams = {
@@ -320,8 +328,7 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
             "blobs": blob_names,
         })
     manifest = {"version": blobio.VERSION, "config": asdict(corpus.config), "videos": entries}
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
 

@@ -475,6 +475,26 @@ class TestEval:
         assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
         assert report.lap == lap(state, corpus, _conflicted_twin(corpus))
 
+    def test_one_nms_pass_per_corpus_pass(self, workspace, monkeypatch):
+        import talgate.model as model
+        from talgate.model import load_checkpoint
+        from talgate.synthgen import read_corpus
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        corpus = read_corpus(workspace / "corpus")
+        tables, nms = [], model.nms
+
+        def counted(table, tiou_threshold):
+            tables.append(table)
+            return nms(table, tiou_threshold)
+
+        monkeypatch.setattr(cli, "nms", counted)
+        monkeypatch.setattr(model, "nms", counted)
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        monkeypatch.undo()
+        # aligned, vision view, conflicted; the probe runs no NMS
+        assert len(tables) == 3
+        assert all(set(t.video.tolist()) == set(range(len(corpus.videos))) for t in tables)
+
     def test_checkpoint_corpus_mismatch(self, workspace, tmp_path, capsys):
         other = ModelState(ModelConfig(dim=16, num_classes=2), Rng(0))
         ckpt = tmp_path / "other.ckpt"

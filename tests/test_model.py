@@ -277,6 +277,16 @@ class TestDecode:
         assert cuts_through_ties >= 10
 
 
+def random_rows(rng, n, labels=3, levels=4):
+    """n rows with whole-frame bounds and ``levels`` score levels: tied
+    scores, shared starts and ends, exact duplicates, tIoU at thresholds."""
+    rows = []
+    for _ in range(n):
+        s = float(rng.randint(10))
+        rows.append((s, s + 1.0 + rng.randint(6), rng.randint(labels), (1 + rng.randint(levels)) / levels))
+    return rows
+
+
 class TestNms:
     def test_identical_duplicates_collapse(self):
         p = (2.0, 9.0, 0, 0.8)
@@ -304,13 +314,7 @@ class TestNms:
     def test_matches_reference_with_ties(self):
         rng = Rng(18)
         for _ in range(100):
-            # whole-frame bounds and four score levels: tied scores, shared
-            # starts and ends, exact duplicates, tIoU exactly at the threshold
-            props = []
-            for _ in range(1 + rng.randint(40)):
-                s = float(rng.randint(10))
-                props.append((s, s + 1.0 + rng.randint(6), rng.randint(3),
-                              (1 + rng.randint(4)) / 4.0))
+            props = random_rows(rng, 1 + rng.randint(40))
             for threshold in (0.3, 0.5):
                 got = nms(Proposals.from_rows(props), threshold)
                 assert got.rows() == nms_reference(props, threshold)
@@ -328,10 +332,7 @@ class TestNms:
     def test_keeps_table_order(self):
         rng = Rng(24)
         for _ in range(30):
-            rows = []
-            for _ in range(1 + rng.randint(30)):
-                s = float(rng.randint(10))
-                rows.append((s, s + 1.0 + rng.randint(6), rng.randint(3), (1 + rng.randint(4)) / 4.0))
+            rows = random_rows(rng, 1 + rng.randint(30))
             table = Proposals.from_rows(rows)
             assert table.rows() == sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
             kept = nms(table, 0.4)
@@ -549,6 +550,73 @@ class TestForwardBackwardGradients:
         assert np.array_equal(state.adv_fc.b.grad, np.zeros((1, 1)))
 
 
+def per_video_rows(stacked_rows, videos):
+    return [table.rows() for table in stacked_rows.split(videos)]
+
+
+class TestStackedNms:
+    """``nms`` on a stack of one-video tables equals ``nms_reference`` run
+    on each video alone."""
+
+    def check(self, videos_rows, threshold):
+        stacked = Proposals.stack(Proposals.from_rows(rows) for rows in videos_rows)
+        got = nms(stacked, threshold)
+        assert got.video.tolist() == sorted(got.video.tolist())
+        assert per_video_rows(got, len(videos_rows)) == \
+            [nms_reference(rows, threshold) for rows in videos_rows]
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_matches_reference_per_video(self, threshold):
+        rng = Rng(31)
+        for _ in range(40):
+            videos = [random_rows(rng, rng.randint(30)) for _ in range(1 + rng.randint(8))]
+            videos.insert(rng.randint(len(videos) + 1), [])  # an empty video
+            videos.insert(rng.randint(len(videos) + 1), random_rows(rng, 1))  # a one-row video
+            self.check(videos, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_one_label_and_tied_scores(self, threshold):
+        rng = Rng(32)
+        for _ in range(30):
+            self.check([random_rows(rng, rng.randint(25), labels=1, levels=1)
+                        for _ in range(1 + rng.randint(6))], threshold)
+
+    def test_one_video_needs_many_more_rounds(self):
+        rng = Rng(33)
+        # 60 disjoint rows, all kept: 60 rounds, while the others stop after a few
+        long = [(3.0 * i, 3.0 * i + 2.0, 0, 0.5) for i in range(60)]
+        others = [random_rows(rng, 20) for _ in range(5)]
+        for at in range(len(others) + 1):
+            videos = others[:at] + [long] + others[at:]
+            self.check(videos, 0.5)
+        assert len(nms(Proposals.stack([Proposals.from_rows(long)]), 0.5)) == 60
+
+    def test_empty_stacks(self):
+        assert len(nms(Proposals.stack([]), 0.5)) == 0
+        assert per_video_rows(nms(Proposals.stack([Proposals.from_rows([])] * 3), 0.5), 3) == \
+            [[], [], []]
+
+    def test_stack_split_round_trip(self):
+        rng = Rng(34)
+        videos = [random_rows(rng, n) for n in (0, 4, 1, 0, 7, 0)]
+        tables = [Proposals.from_rows(rows) for rows in videos]
+        stacked = Proposals.stack(tables)
+        assert stacked.video.tolist() == [i for i, rows in enumerate(videos) for _ in rows]
+        back = stacked.split(len(videos))
+        assert [t.rows() for t in back] == [t.rows() for t in tables]
+        assert all(t.video.tolist() == [0] * len(t) for t in back)
+
+    def test_zero_length_interval_names_its_video(self):
+        ok = [(0.0, 4.0, 0, 0.9)]
+        bad = [(0.0, 4.0, 0, 0.9), (3.0, 3.0, 0, 0.5)]
+        with pytest.raises(ValueError, match="in video 2"):
+            nms(Proposals.stack(Proposals.from_rows(r) for r in (ok, ok, bad, ok)), 0.5)
+        # the same label in another video does not count
+        alone = [(3.0, 3.0, 0, 0.5)]
+        got = nms(Proposals.stack(Proposals.from_rows(r) for r in (ok, alone, ok)), 0.5)
+        assert per_video_rows(got, 3) == [ok, alone, ok]
+
+
 class TestPrediction:
     def test_predict_video_deterministic(self):
         gen = GenConfig(num_classes=3, num_videos=2, frames=32, dim=8,
@@ -560,6 +628,27 @@ class TestPrediction:
         assert a.rows() == b.rows()
         per_video = predict_corpus(state, corpus)
         assert set(per_video) == {v.id for v in corpus.videos}
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("gate", [None, 0.0])
+    def test_predict_corpus_equals_per_video_oracles(self, seed, gate):
+        gen = GenConfig(num_classes=3, num_videos=6, frames=40, dim=8,
+                        ambiguity=(0.2, 0.5, 0.8), helpfulness=(0.5,) * 3, seed=seed)
+        corpus = generate_corpus(gen)
+        cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
+        state = ModelState(cfg, Rng(seed))
+        got = predict_corpus(state, corpus, lambda_override=gate)
+        assert list(got) == [v.id for v in corpus.videos]
+        kept = 0
+        for v in corpus.videos:
+            out, _ = forward_video(state, v.vis, v.lang, gate)
+            decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
+                                       cfg.score_threshold, cfg.top_k_pre_nms)
+            want = nms_reference(decoded, cfg.nms_tiou)
+            assert got[v.id].rows() == want
+            assert got[v.id].rows() == predict_video(state, v, gate).rows()
+            kept += len(want) < len(decoded)
+        assert kept >= 3  # NMS dropped rows in most videos
 
 
 class TestCheckpoint:

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from talgate import blobio
 from talgate.errors import ConfigError, FormatError
 from talgate.nn import Rng
 from talgate.synthgen import (GenConfig, generate_corpus, generate_distractors,
@@ -292,6 +293,27 @@ class TestCorpusIO:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
             read_corpus(tmp_path)
+
+    @pytest.mark.parametrize("blobs", [0, 1, 5, 7])  # of 8
+    def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch, blobs):
+        # a write over an existing corpus that stops after some blobs must
+        # not leave the old manifest beside a mix of old and new blobs
+        write_corpus(generate_corpus(small_config(num_videos=2, seed=1)), tmp_path)
+        real, written = blobio.write_matrix, []
+
+        def write_some(path, m):
+            if len(written) == blobs:
+                raise OSError("disk full")
+            written.append(path)
+            real(path, m)
+
+        monkeypatch.setattr(blobio, "write_matrix", write_some)
+        with pytest.raises(OSError):
+            write_corpus(generate_corpus(small_config(num_videos=2, seed=2)), tmp_path)
+        assert len(written) == blobs
+        with pytest.raises(FormatError, match="manifest.json"):
+            read_corpus(tmp_path)
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_unreadable_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{nope")
