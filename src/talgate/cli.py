@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .model import (ModelConfig, ModelState, Proposals, decode_proposals,
                     forward_video, load_checkpoint, nms, predict_corpus,
                     save_checkpoint)
 from .nn import Rng
-from .synthgen import (Corpus, GenConfig, generate_corpus,
+from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
                        generate_distractors, inject_conflict, read_corpus,
                        write_corpus)
 from .train import TrainConfig, fit, read_training_log
@@ -178,7 +179,8 @@ def _check_resume(config_path: str | None, given: dict, ckpt: str, cfg: ModelCon
                               f"but the resumed checkpoint {ckpt} has {json.dumps(have)}")
 
 
-def _conflicted_twin(corpus: Corpus) -> Corpus:
+def _conflicted_twin(corpus: Corpus) -> Iterator[VideoRecord]:
+    """The corpus's conflicted twin, built one video at a time."""
     return inject_conflict(corpus, Rng((corpus.config.seed ^ _CONFLICT_SALT) % 2 ** 64))
 
 
@@ -197,7 +199,9 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     and its gates, and one NMS pass suppresses the corpus's stack of
     decoded tables.  Difficulty buckets come from the same model's vision
     view (gate pinned to 0), the closest in-run stand-in for a vision-only
-    baseline.
+    baseline.  The conflicted twin (``conflict``) and the distractor clips
+    (``probe``) are generated and scored one video at a time, so neither
+    is ever held whole.
     """
     gt = {v.id: v.gt for v in corpus.videos}
     decoded, lams = [], []
@@ -211,7 +215,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals)
 
-    vision_props = predict_corpus(state, corpus, lambda_override=0.0)
+    vision_props = predict_corpus(state, corpus.videos, lambda_override=0.0)
     vision_ap = {}
     for c, aps in ap_by_class(vision_props, gt, range(corpus.config.num_classes),
                               DEFAULT_TIOU_THRESHOLDS).items():
@@ -319,7 +323,7 @@ def cmd_ablate(args) -> int:
     # every row's model, and the config echo, take dim and num_classes from the corpus
     run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
     thresholds = tuple(float(t) for t in run["tiou_thresholds"])
-    twin = _conflicted_twin(corpus)
+    twin = list(_conflicted_twin(corpus))  # scored once per row
     gt = {v.id: v.gt for v in corpus.videos}
     rows = []
     for label, overrides in ablation_rows(args.mode):
@@ -328,7 +332,7 @@ def cmd_ablate(args) -> int:
         model_cfg = build_config(ModelConfig, row_run)
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
-        _, map_avg = map_at(predict_corpus(state, corpus), gt, thresholds)
+        _, map_avg = map_at(predict_corpus(state, corpus.videos), gt, thresholds)
         drop = lap_from_aligned(state, corpus, map_avg, twin, thresholds)
         rows.append({"label": label, "map_avg": map_avg, "lap": drop})
         print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ import jsonschema
 from .errors import ConfigError, FormatError
 from .model import (ModelState, Proposals, decode_video, predict_corpus,
                     tiou_array)
-from .synthgen import Corpus, Segment
+from .synthgen import Corpus, Segment, VideoRecord
 
 log = logging.getLogger(__name__)
 
@@ -136,22 +137,35 @@ def map_at(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
-def lap(state: ModelState, aligned: Corpus, conflicted: Corpus,
+def lap(state: ModelState, aligned: Corpus, conflicted: Iterable[VideoRecord],
         thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
-    """Performance drop under conflicting language, in mAP percentage points."""
+    """Performance drop under conflicting language, in mAP percentage points.
+
+    ``conflicted`` is read once, one video at a time (a
+    ``synthgen.inject_conflict`` stream, say); it must hold as many videos
+    as ``aligned``.
+    """
     gt_a = {v.id: v.gt for v in aligned.videos}
-    _, map_aligned = map_at(predict_corpus(state, aligned), gt_a, thresholds)
+    _, map_aligned = map_at(predict_corpus(state, aligned.videos), gt_a, thresholds)
     return lap_from_aligned(state, aligned, map_aligned, conflicted, thresholds)
 
 
 def lap_from_aligned(state: ModelState, aligned: Corpus, map_aligned: float,
-                     conflicted: Corpus, thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+                     conflicted: Iterable[VideoRecord],
+                     thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
     """``lap`` given the aligned corpus's mAP (averaged over the same
-    thresholds), for callers that have already scored it."""
-    if len(aligned.videos) != len(conflicted.videos):
-        raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(conflicted.videos)} conflicted videos")
-    gt_c = {v.id: v.gt for v in conflicted.videos}
-    _, map_conflicted = map_at(predict_corpus(state, conflicted), gt_c, thresholds)
+    thresholds), for callers that have already scored it.  The size check
+    runs once ``conflicted`` has been read."""
+    seen = []  # (id, ground truth) of each conflicted video, in order
+
+    def note(video: VideoRecord) -> VideoRecord:
+        seen.append((video.id, video.gt))
+        return video
+
+    kept = predict_corpus(state, map(note, conflicted))
+    if len(aligned.videos) != len(seen):
+        raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(seen)} conflicted videos")
+    _, map_conflicted = map_at(kept, dict(seen), thresholds)
     return 100.0 * (map_aligned - map_conflicted)
 
 
@@ -251,27 +265,30 @@ class ProbeStats:
     acc_at: dict[float, float]
 
 
-def ambiguity_probe(state: ModelState, clips: Corpus, span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
+def ambiguity_probe(state: ModelState, clips: Iterable[VideoRecord],
+                    span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
     """Overconfidence probe on no-action clips.
 
     Keeps only the highest-confidence proposal per clip, row 0 of its
     decoded table (NMS would keep that row first, so it does not run); a
     clip with no proposals counts as confidence 0 and span 0.  acc_at[t]
     is the fraction of clips whose kept (normalized) span stays below t.
+    ``clips`` is read once, each clip dropped before the next is read (a
+    ``synthgen.generate_distractors`` stream holds one at a time).
     """
-    if not clips.videos:
-        raise ConfigError("ambiguity probe needs at least one clip")
     confs, spans = [], []
-    for v in clips.videos:
-        props = decode_video(state, v)
-        frames = v.vis.shape[0]
+    for clip in clips:
+        props = decode_video(state, clip)
         if len(props):
             confs.append(float(props.score[0]))
-            spans.append(float(props.end[0] - props.start[0]) / frames)
+            spans.append(float(props.end[0] - props.start[0]) / clip.vis.shape[0])
         else:
-            log.info("probe clip %s produced no proposals; counted as confidence 0, span 0", v.id)
+            log.info("probe clip %s produced no proposals; counted as confidence 0, span 0", clip.id)
             confs.append(0.0)
             spans.append(0.0)
+        del clip  # freed before the stream builds the next
+    if not confs:
+        raise ConfigError("ambiguity probe needs at least one clip")
     acc = {float(t): float(np.mean([s < t for s in spans])) for t in span_thresholds}
     return ProbeStats(float(np.mean(confs)), float(np.mean(spans)), acc)
 

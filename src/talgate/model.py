@@ -14,6 +14,7 @@ offsets, and template-token logits used by the auxiliary captioning loss.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import blobio
 from .errors import ConfigError, FormatError, read_json, write_atomic
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
-from .synthgen import Corpus, LanguageBundle, Segment, VideoRecord
+from .synthgen import LanguageBundle, Segment, VideoRecord
 
 LAMBDA_MODES = ("learned", "fixed", "language_only")
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
@@ -143,7 +144,8 @@ class _HeadCache:
 class _VideoCache:
     head: _HeadCache
     bundle: LanguageBundle | None = None  # set when the advantage head ran
-    dlam_dadv: np.ndarray | None = None   # set when the gate is learned
+    adv_pred: np.ndarray | None = None    # adv_pred and lam: set when the gate is learned
+    lam: np.ndarray | None = None
 
 
 _LANGUAGE_ONLY = object()  # gate source of the language-only ablation
@@ -263,16 +265,13 @@ def forward_video(state: ModelState, vis, bundle: LanguageBundle | None,
         outputs.lam = np.ones((L, 1))
         return outputs, _VideoCache(head)
     adv_pred = predict_advantage(bundle.adv_stream, state)
-    dlam_dadv = None
-    if gate is None:
-        lam = lambda_from_advantage(adv_pred)
-        dlam_dadv = _lambda_grad(adv_pred, lam)
-    else:
-        lam = np.full((L, 1), gate)
+    lam = lambda_from_advantage(adv_pred) if gate is None else np.full((L, 1), gate)
     outputs, head = head_forward(*aggregate(vis, bundle, lam), state)
     outputs.lam = lam
     outputs.adv_pred = adv_pred
-    return outputs, _VideoCache(head, bundle, dlam_dadv)
+    if gate is None:
+        return outputs, _VideoCache(head, bundle, adv_pred, lam)
+    return outputs, _VideoCache(head, bundle)
 
 
 def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
@@ -283,7 +282,7 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
     advantage regression loss); the gate path contribution is added here
     when the gate is learned.  Both reach ``adv_fc`` only if it ran.
     """
-    learned = cache.dlam_dadv is not None  # only dlambda/da reads the trunk-input gradients
+    learned = cache.lam is not None  # only dlambda/da reads the trunk-input gradients
     d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl, learned)
     bundle = cache.bundle
     if bundle is None:
@@ -291,7 +290,7 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
     if learned:
         d_lam = (d_f_cls * bundle.cls_stream).sum(axis=1, keepdims=True) \
             + (d_f_loc * bundle.loc_stream).sum(axis=1, keepdims=True)
-        d_gate = d_lam * cache.dlam_dadv
+        d_gate = d_lam * _lambda_grad(cache.adv_pred, cache.lam)
         d_adv = d_gate if d_adv is None else d_gate + d_adv
     if d_adv is not None:
         state.adv_fc.backward(d_adv, input_grad=False)  # its input, the advantage stream, is data
@@ -492,13 +491,21 @@ def predict_video(state: ModelState, video: VideoRecord,
     return nms(decode_video(state, video, lambda_override), state.cfg.nms_tiou)
 
 
-def predict_corpus(state: ModelState, corpus: Corpus,
+def predict_corpus(state: ModelState, videos: Iterable[VideoRecord],
                    lambda_override: float | None = None) -> dict[str, Proposals]:
-    """The kept proposals of every video, keyed by id: each video is
-    decoded on its own, then one ``nms`` pass suppresses the stack of them."""
-    decoded = Proposals.stack(decode_video(state, v, lambda_override) for v in corpus.videos)
-    return dict(zip([v.id for v in corpus.videos],
-                    nms(decoded, state.cfg.nms_tiou).split(len(corpus.videos))))
+    """The kept proposals of every video, keyed by id, in the order read.
+
+    ``videos`` is read once: each video is decoded as it arrives and only
+    its decoded table is kept, then one ``nms`` pass suppresses the stack
+    of them.  A video is dropped before the next is read, so a generated
+    stream (``synthgen.inject_conflict``) holds one video at a time.
+    """
+    ids, decoded = [], []
+    for video in videos:
+        ids.append(video.id)
+        decoded.append(decode_video(state, video, lambda_override))
+        del video  # freed before the stream builds the next
+    return dict(zip(ids, nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(ids))))
 
 
 def save_checkpoint(state: ModelState, path) -> None:

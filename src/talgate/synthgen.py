@@ -15,6 +15,7 @@ config generates byte-identical corpora on every run.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -227,7 +228,7 @@ def generate_corpus(cfg: GenConfig) -> Corpus:
     return Corpus(cfg, videos)
 
 
-def inject_conflict(corpus: Corpus, rng: Rng) -> Corpus:
+def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
     """Regenerate language under a seeded derangement of class identities.
 
     Vision frames and ground truth are reused untouched (byte-identical);
@@ -235,6 +236,11 @@ def inject_conflict(corpus: Corpus, rng: Rng) -> Corpus:
     one actually present, so language evidence actively contradicts vision.
     Fresh noise comes from ``rng``, so applying twice with equal seeds is
     not an involution.
+
+    The corpus is checked and the derangement drawn at the call; the
+    returned iterator then builds the conflicted videos one at a time, in
+    corpus order, so a reader that drops each before asking for the next
+    holds one at a time.  ``list(...)`` it to read the twin twice.
     """
     cfg = corpus.config
     if cfg.num_classes < 2:
@@ -244,15 +250,14 @@ def inject_conflict(corpus: Corpus, rng: Rng) -> Corpus:
             raise ConfigError(f"video {video.id} is already conflicted")
     pi = rng.derangement(cfg.num_classes)
     lat = _draw_latents(cfg, Rng(cfg.seed))
-    videos = []
-    for video in corpus.videos:
-        labels = [pi[seg.label] for seg in video.gt]
-        lang = _language_bundle(cfg, lat, video.gt, labels, rng, aligned=False)
-        videos.append(VideoRecord(video.id, video.vis, lang, video.gt))
-    return Corpus(cfg, videos)
+    return (VideoRecord(video.id, video.vis,
+                        _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt],
+                                         rng, aligned=False),
+                        video.gt)
+            for video in corpus.videos)
 
 
-def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Corpus:
+def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Iterator[VideoRecord]:
     """Maximum-ambiguity clips that contain no annotated action.
 
     Each clip shows pseudo-segments blended 50/50 between a class and its
@@ -262,6 +267,10 @@ def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Corpus
     that faithfully reports "no completed action here".  Ground truth is
     empty.  The advantage carrier keeps its usual in-segment pattern so a
     trained gate responds as it would on real footage.
+
+    The config and clip count (``cfg.num_videos`` by default) are checked
+    at the call; the returned iterator then builds the clips one at a time,
+    ids ``d0000``, ``d0001``, ...  ``list(...)`` it to read them twice.
     """
     cfg.validate()
     n = cfg.num_videos if num_clips is None else int(num_clips)
@@ -271,27 +280,42 @@ def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Corpus
     eligible = [c for c in range(cfg.num_classes) if cfg.ambiguity[c] == peak]
     lat = _draw_latents(cfg, Rng(cfg.seed))
     rng = Rng(cfg.seed ^ _DISTRACTOR_SALT)
-    videos = []
-    for i in range(n):
-        pseudo = [Segment(s.start, s.end, eligible[rng.randint(len(eligible))])
-                  for s in _sample_segments(cfg, rng)]
-        vis = _vision_frames(cfg, lat, pseudo, rng, force_beta=0.5)
-        cls_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
-        loc_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
-        adv_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
-        mean_h = float(np.mean(cfg.helpfulness))
-        cls = np.repeat(mean_h * lat.lang_bg, cfg.frames, axis=0)
-        adv = np.zeros((cfg.frames, cfg.dim))
-        for seg in pseudo:
-            h = cfg.helpfulness[seg.label]
-            cls[seg.start:seg.end] = h * lat.lang_bg
-            adv[seg.start:seg.end] = h * lat.adv_dir
-        lang = LanguageBundle(cls + cls_noise, loc_noise, adv + adv_noise, aligned=True)
-        videos.append(VideoRecord(f"d{i:04d}", vis, lang, []))
-    return Corpus(cfg, videos)
+    return (_distractor(cfg, lat, eligible, rng, f"d{i:04d}") for i in range(n))
+
+
+def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
+                vid: str) -> VideoRecord:
+    """One ``generate_distractors`` clip, its draws taken from ``rng``."""
+    pseudo = [Segment(s.start, s.end, eligible[rng.randint(len(eligible))])
+              for s in _sample_segments(cfg, rng)]
+    vis = _vision_frames(cfg, lat, pseudo, rng, force_beta=0.5)
+    cls_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
+    loc_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
+    adv_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
+    mean_h = float(np.mean(cfg.helpfulness))
+    cls = np.repeat(mean_h * lat.lang_bg, cfg.frames, axis=0)
+    adv = np.zeros((cfg.frames, cfg.dim))
+    for seg in pseudo:
+        h = cfg.helpfulness[seg.label]
+        cls[seg.start:seg.end] = h * lat.lang_bg
+        adv[seg.start:seg.end] = h * lat.adv_dir
+    lang = LanguageBundle(cls + cls_noise, loc_noise, adv + adv_noise, aligned=True)
+    return VideoRecord(vid, vis, lang, [])
 
 
 _STREAM_KEYS = ("vis", "cls", "loc", "adv")
+
+
+def _manifest_blobs(path: Path) -> set[str]:
+    """The blob file names a corpus manifest names, each a bare ``.bin``
+    name in the manifest's directory; none for a missing or unreadable
+    manifest."""
+    try:
+        entries = read_json(path, "manifest")["videos"]
+        names = {name for entry in entries for name in entry["blobs"].values()}
+    except (OSError, FormatError, LookupError, TypeError, AttributeError):
+        return set()
+    return {n for n in names if isinstance(n, str) and n.endswith(".bin") and Path(n).name == n}
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
@@ -300,11 +324,14 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     An old manifest is removed before the first blob is written, and the
     new one is written last and atomically: a write that stops part-way
     leaves a directory without a manifest, which ``read_corpus`` rejects,
-    never a manifest beside another corpus's blobs.
+    never a manifest beside another corpus's blobs.  Once the new manifest
+    is written, the blobs the old one named and the new one does not are
+    removed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
+    old_blobs = _manifest_blobs(path)
     path.unlink(missing_ok=True)
     entries = []
     for video in corpus.videos:
@@ -329,6 +356,8 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         })
     manifest = {"version": blobio.VERSION, "config": asdict(corpus.config), "videos": entries}
     write_atomic(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    for name in old_blobs - {n for e in entries for n in e["blobs"].values()}:
+        (out_dir / name).unlink(missing_ok=True)
     return path
 
 

@@ -13,7 +13,7 @@ import pytest
 from talgate.cli import _CONFLICT_SALT
 from talgate.model import ModelConfig, ModelState
 from talgate.nn import Rng
-from talgate.synthgen import (Corpus, GenConfig, generate_corpus,
+from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
                               generate_distractors, inject_conflict)
 from talgate.train import TrainConfig, TrainLog, fit
 
@@ -36,8 +36,8 @@ class BiasRun:
     seed: int
     train_corpus: Corpus
     eval_corpus: Corpus
-    conflicted_eval: Corpus
-    distractors: Corpus
+    conflicted_eval: list[VideoRecord]
+    distractors: list[VideoRecord]
     full: ModelState
     full_log: TrainLog
     vision: ModelState
@@ -51,8 +51,9 @@ def _build_run(seed: int) -> BiasRun:
     # prototypes, which is what makes cross-split evaluation meaningful
     train_corpus = Corpus(gen, whole.videos[:64])
     eval_corpus = Corpus(gen, whole.videos[64:])
-    conflicted = inject_conflict(eval_corpus, Rng((seed ^ _CONFLICT_SALT) % 2**64))
-    distractors = generate_distractors(replace(gen, num_videos=32))
+    # both are read by several tests, so the streams are materialised once
+    conflicted = list(inject_conflict(eval_corpus, Rng((seed ^ _CONFLICT_SALT) % 2**64)))
+    distractors = list(generate_distractors(replace(gen, num_videos=32)))
 
     base = ModelConfig(dim=gen.dim, num_classes=gen.num_classes)
     tc = TrainConfig(seed=seed)

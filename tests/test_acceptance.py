@@ -263,7 +263,7 @@ def test_vision_only_invariance(bias_runs):
     run = runs[0]
     videos_checked = 0
     identical = True
-    for va, vc in zip(run.eval_corpus.videos, run.conflicted_eval.videos):
+    for va, vc in zip(run.eval_corpus.videos, run.conflicted_eval):
         zeroed = LanguageBundle(np.zeros_like(va.lang.cls_stream),
                                 np.zeros_like(va.lang.loc_stream),
                                 np.zeros_like(va.lang.adv_stream))
@@ -299,8 +299,8 @@ def test_hard_bucket_gains_and_gate_ordering(bias_runs):
     for run in runs.values():
         gt = {v.id: v.gt for v in run.eval_corpus.videos}
         C = run.eval_corpus.config.num_classes
-        vis_ap = eval_class_ap(predict_corpus(run.vision, run.eval_corpus), gt, C)
-        full_ap = eval_class_ap(predict_corpus(run.full, run.eval_corpus), gt, C)
+        vis_ap = eval_class_ap(predict_corpus(run.vision, run.eval_corpus.videos), gt, C)
+        full_ap = eval_class_ap(predict_corpus(run.full, run.eval_corpus.videos), gt, C)
         buckets = difficulty_buckets(vis_ap)
         gain = 100.0 * (np.mean([full_ap[c] for c in buckets.hard])
                         - np.mean([vis_ap[c] for c in buckets.hard]))

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from talgate.metrics import validate_report
 from talgate.model import ModelConfig, ModelState, save_checkpoint
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, LanguageBundle, Segment,
-                              VideoRecord, write_corpus)
+                              VideoRecord, generate_corpus, write_corpus)
 from talgate.train import TrainConfig
 
 TINY = {
@@ -471,7 +473,7 @@ class TestEval:
         monkeypatch.setattr(model, "forward_video", counted(model.forward_video))
         report = cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
-        n, d = len(corpus.videos), len(generate_distractors(corpus.config).videos)
+        n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
         assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
         assert report.lap == lap(state, corpus, _conflicted_twin(corpus))
 
@@ -494,6 +496,91 @@ class TestEval:
         # aligned, vision view, conflicted; the probe runs no NMS
         assert len(tables) == 3
         assert all(set(t.video.tolist()) == set(range(len(corpus.videos))) for t in tables)
+
+    def test_generated_videos_are_freed_one_at_a_time(self, workspace, monkeypatch):
+        from talgate.model import load_checkpoint
+        from talgate.synthgen import read_corpus
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        corpus = read_corpus(workspace / "corpus")
+        want = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
+        shared = {id(v.vis) for v in corpus.videos}  # the twin reuses the corpus's frames
+        built = []
+
+        def watched(make):
+            def wrapper(*args, **kwargs):
+                stream = make(*args, **kwargs)
+
+                def one_at_a_time():
+                    refs = []
+                    while True:
+                        # what was built for the last video is gone before the next is
+                        # built, but for the input the advantage layer caches for backward
+                        alive = [x for x in (r() for r in refs)
+                                 if x is not None and x is not state.adv_fc._x]
+                        assert not alive, f"{built[-1]} still alive"
+                        video = next(stream, None)
+                        if video is None:
+                            return
+                        built.append(video.id)
+                        own = [m for m in (video.vis, video.lang.cls_stream, video.lang.loc_stream,
+                                           video.lang.adv_stream) if id(m) not in shared]
+                        refs = [weakref.ref(x) for x in (video, video.lang, *own)]
+                        yield video
+                        del video, own
+                return one_at_a_time()
+            return wrapper
+
+        monkeypatch.setattr(cli, "inject_conflict", watched(cli.inject_conflict))
+        monkeypatch.setattr(cli, "generate_distractors", watched(cli.generate_distractors))
+        got = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
+        ids = [v.id for v in corpus.videos]
+        assert built == ids + [f"d{i:04d}" for i in range(len(ids))]
+        assert got == want
+
+    def test_eval_memory_does_not_grow_with_generated_videos(self):
+        # the twin and the clips are scored as they are built: from 4 to 16
+        # videos, build_report's peak above the loaded corpus grows by less
+        # than one clip (holding them whole grows it by about 12 clips)
+        frames, dim = 512, 32
+
+        def peak(num_videos):
+            gen = GenConfig(num_classes=4, num_videos=num_videos, frames=frames, dim=dim,
+                            ambiguity=(0.1, 0.1, 0.8, 0.8), helpfulness=(0.2, 0.2, 0.9, 0.9),
+                            seed=3)
+            corpus = generate_corpus(gen)
+            state = ModelState(ModelConfig(dim=dim, num_classes=4), Rng(1))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli.build_report(state, corpus, conflict=True, probe=True)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        clip = 4 * frames * dim * 8  # a distractor clip's four float64 streams
+        assert peak(16) - peak(4) < clip
+
+    def test_eval_computes_no_gate_gradient(self, workspace, monkeypatch):
+        import talgate.model as model
+        from talgate.model import load_checkpoint
+        from talgate.synthgen import read_corpus
+        from talgate.train import fit
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        assert state.cfg.lambda_mode == "learned"
+        corpus = read_corpus(workspace / "corpus")
+        calls = []
+        real = model._lambda_grad
+
+        def counted(adv_pred, lam):
+            calls.append(len(lam))
+            return real(adv_pred, lam)
+
+        monkeypatch.setattr(model, "_lambda_grad", counted)
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        assert calls == []
+        # two epochs of one video: a vision step, then one vision-language step
+        fit(Corpus(corpus.config, corpus.videos[:1]), state.cfg, TrainConfig(epochs=2))
+        assert calls == [corpus.config.frames]
 
     def test_checkpoint_corpus_mismatch(self, workspace, tmp_path, capsys):
         other = ModelState(ModelConfig(dim=16, num_classes=2), Rng(0))
@@ -699,9 +786,10 @@ class TestConflictedTwin:
     def test_deterministic(self, workspace):
         from talgate.synthgen import read_corpus
         corpus = read_corpus(workspace / "corpus")
-        a = _conflicted_twin(corpus)
-        b = _conflicted_twin(corpus)
-        for va, vb in zip(a.videos, b.videos):
+        a = list(_conflicted_twin(corpus))
+        b = list(_conflicted_twin(corpus))
+        assert len(a) == len(b) == len(corpus.videos)
+        for va, vb in zip(a, b):
             assert va.lang.cls_stream.tobytes() == vb.lang.cls_stream.tobytes()
             assert not va.lang.aligned
 

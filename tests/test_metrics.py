@@ -1,6 +1,7 @@
 """Evaluation metrics: AP/mAP against a brute-force reference, robustness
 and degeneracy rates, gate statistics, probe, and the report format."""
 
+import itertools
 import json
 import logging
 import math
@@ -206,7 +207,7 @@ def small_eval_setup(seed=60):
     cfg = GenConfig(num_classes=3, num_videos=6, frames=64, dim=8,
                     ambiguity=(0.3,) * 3, helpfulness=(0.7,) * 3, seed=seed)
     corpus = generate_corpus(cfg)
-    twin = inject_conflict(corpus, Rng(seed + 1))
+    twin = Corpus(cfg, list(inject_conflict(corpus, Rng(seed + 1))))
     return corpus, twin
 
 
@@ -215,28 +216,35 @@ class TestLap:
         corpus, twin = small_eval_setup()
         state = ModelState(ModelConfig(dim=8, num_classes=3, lambda_mode="fixed",
                                        fixed_lambda=0.0), Rng(0))
-        assert lap(state, corpus, twin) == 0.0
+        assert lap(state, corpus, twin.videos) == 0.0
 
     def test_antisymmetric(self):
         corpus, twin = small_eval_setup(seed=61)
         state = ModelState(ModelConfig(dim=8, num_classes=3, lambda_mode="fixed",
                                        fixed_lambda=1.0), Rng(1))
-        assert lap(state, corpus, twin) == -lap(state, twin, corpus)
+        assert lap(state, corpus, twin.videos) == -lap(state, twin, corpus.videos)
 
     def test_matches_direct_map_difference(self):
         corpus, twin = small_eval_setup(seed=62)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
-        _, ma = map_at(predict_corpus(state, corpus), {v.id: v.gt for v in corpus.videos})
-        _, mc = map_at(predict_corpus(state, twin), {v.id: v.gt for v in twin.videos})
-        assert lap(state, corpus, twin) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
+        _, ma = map_at(predict_corpus(state, corpus.videos), {v.id: v.gt for v in corpus.videos})
+        _, mc = map_at(predict_corpus(state, twin.videos), {v.id: v.gt for v in twin.videos})
+        assert lap(state, corpus, twin.videos) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
+        # a stream of the twin, read once, scores the same
+        assert lap(state, corpus, inject_conflict(corpus, Rng(63))) == lap(state, corpus, twin.videos)
 
     def test_size_mismatch(self):
         corpus, twin = small_eval_setup(seed=63)
-        from talgate.synthgen import Corpus
         short = Corpus(twin.config, twin.videos[:-1])
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         with pytest.raises(ConfigError, match="mismatch"):
-            lap(state, corpus, short)
+            lap(state, corpus, short.videos)
+        # a streamed twin one video short, and one a video long
+        stream = itertools.islice(inject_conflict(corpus, Rng(64)), len(corpus.videos) - 1)
+        with pytest.raises(ConfigError, match="corpus size mismatch: 6 aligned vs 5 conflicted"):
+            lap(state, corpus, stream)
+        with pytest.raises(ConfigError, match="corpus size mismatch: 6 aligned vs 7 conflicted"):
+            lap(state, corpus, itertools.chain(inject_conflict(corpus, Rng(64)), twin.videos[:1]))
 
 
 def disjoint_props(rng, n, label=0):
@@ -410,14 +418,16 @@ class TestAmbiguityProbe:
 
     def test_empty_clip_list(self):
         with pytest.raises(ConfigError, match="at least one clip"):
-            ambiguity_probe(constant_output_state(48, 0.8), Corpus(probe_clips().config, []))
+            ambiguity_probe(constant_output_state(48, 0.8), [])
+        with pytest.raises(ConfigError, match="at least one clip"):
+            ambiguity_probe(constant_output_state(48, 0.8), iter(()))
 
     @pytest.mark.parametrize("seed, top_k", [(5, 200), (6, 200), (5, 1)])
     def test_top_row_is_first_row_kept_by_nms(self, seed, top_k):
-        clips = probe_clips(num=8)
+        clips = list(probe_clips(num=8))
         state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k), Rng(seed))
         confs, spans, suppressed = [], [], 0
-        for v in clips.videos:
+        for v in clips:
             decoded = decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg)
             kept = predict_video(state, v)  # decode, then NMS
             assert decoded.rows()[:1] == kept.rows()[:1]

@@ -626,7 +626,7 @@ class TestPrediction:
         a = predict_video(state, corpus.videos[0])
         b = predict_video(state, corpus.videos[0])
         assert a.rows() == b.rows()
-        per_video = predict_corpus(state, corpus)
+        per_video = predict_corpus(state, corpus.videos)
         assert set(per_video) == {v.id for v in corpus.videos}
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -637,7 +637,7 @@ class TestPrediction:
         corpus = generate_corpus(gen)
         cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
         state = ModelState(cfg, Rng(seed))
-        got = predict_corpus(state, corpus, lambda_override=gate)
+        got = predict_corpus(state, corpus.videos, lambda_override=gate)
         assert list(got) == [v.id for v in corpus.videos]
         kept = 0
         for v in corpus.videos:

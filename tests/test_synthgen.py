@@ -14,7 +14,7 @@ import pytest
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
 from talgate.nn import Rng
-from talgate.synthgen import (GenConfig, generate_corpus, generate_distractors,
+from talgate.synthgen import (Corpus, GenConfig, generate_corpus, generate_distractors,
                               inject_conflict, partner_class, read_corpus,
                               write_corpus)
 
@@ -163,7 +163,7 @@ class TestInjectConflict:
     def setup_method(self):
         self.cfg = small_config(num_videos=16, helpfulness=(1.0,) * 4)
         self.corpus = generate_corpus(self.cfg)
-        self.twin = inject_conflict(self.corpus, Rng(99))
+        self.twin = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(99))))
 
     def test_vision_and_gt_untouched(self):
         for a, b in zip(self.corpus.videos, self.twin.videos):
@@ -199,11 +199,11 @@ class TestInjectConflict:
             inject_conflict(self.twin, Rng(1))
 
     def test_same_rng_seed_same_twin(self):
-        again = inject_conflict(self.corpus, Rng(99))
+        again = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(99))))
         assert corpus_bytes(again) == corpus_bytes(self.twin)
 
     def test_different_rng_seed_different_noise(self):
-        other = inject_conflict(self.corpus, Rng(100))
+        other = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(100))))
         assert corpus_bytes(other) != corpus_bytes(self.twin)
 
 
@@ -211,7 +211,7 @@ class TestDistractors:
     def setup_method(self):
         self.cfg = small_config(num_videos=16, ambiguity=(0.1, 0.1, 0.8, 0.8),
                                 helpfulness=(0.3, 0.3, 0.9, 0.9), seed=5)
-        self.clips = generate_distractors(self.cfg)
+        self.clips = Corpus(self.cfg, list(generate_distractors(self.cfg)))
 
     def test_no_ground_truth_and_ids(self):
         assert len(self.clips.videos) == 16
@@ -221,13 +221,13 @@ class TestDistractors:
             assert v.lang.aligned
 
     def test_deterministic_and_distinct_from_corpus(self):
-        again = generate_distractors(self.cfg)
+        again = Corpus(self.cfg, list(generate_distractors(self.cfg)))
         assert corpus_bytes(again) == corpus_bytes(self.clips)
         corpus = generate_corpus(self.cfg)
         assert corpus_bytes(corpus) != corpus_bytes(self.clips)
 
     def test_num_clips_override(self):
-        assert len(generate_distractors(self.cfg, num_clips=3).videos) == 3
+        assert len(list(generate_distractors(self.cfg, num_clips=3))) == 3
         with pytest.raises(ConfigError):
             generate_distractors(self.cfg, num_clips=0)
 
@@ -314,6 +314,33 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="manifest.json"):
             read_corpus(tmp_path)
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_rewrite_removes_blobs_the_new_manifest_drops(self, tmp_path):
+        write_corpus(generate_corpus(small_config(num_videos=12)), tmp_path)
+        small = generate_corpus(small_config(num_videos=3))
+        write_corpus(small, tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted([f"v{i:04d}_{k}.bin" for i in range(3)
+                                for k in ("vis", "cls", "loc", "adv")] + ["manifest.json"])
+        assert corpus_bytes(read_corpus(tmp_path)) == corpus_bytes(small)
+
+    @pytest.mark.parametrize("manifest", [
+        "{nope",                                                   # not JSON
+        json.dumps({"videos": [{"blobs": ["v0000_vis.bin"]}]}),    # blobs not a mapping
+        json.dumps({"videos": [{"blobs": {"vis": "../outside.bin", "cls": "keep.txt",
+                                          "loc": "sub/v0000_loc.bin"}}]}),
+    ], ids=["not-json", "blobs-not-a-mapping", "names-outside-or-not-bin"])
+    def test_rewrite_removes_only_bare_blob_names_of_a_readable_manifest(self, tmp_path, manifest):
+        out = tmp_path / "c"
+        (out / "sub").mkdir(parents=True)
+        bystanders = [tmp_path / "outside.bin", out / "keep.txt", out / "sub" / "v0000_loc.bin",
+                      out / "v0000_vis.bin"]
+        for p in bystanders:
+            p.write_text("x")
+        (out / "manifest.json").write_text(manifest)
+        write_corpus(generate_corpus(small_config(num_videos=1)), out)
+        assert [p.exists() for p in bystanders] == [True] * 4
+        assert (out / "v0000_vis.bin").read_bytes() != b"x"  # overwritten by the new corpus
 
     def test_unreadable_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{nope")
