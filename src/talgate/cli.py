@@ -10,7 +10,8 @@ unknown key, a value of the wrong JSON type, a non-finite number or an
 out-of-range value exits 2 naming the config file.  The ``ACTIONVLM_SEED``
 environment variable overrides the config seed.
 
-Exit codes: 0 success, 1 usage error, 2 data/invariant error, 3 internal.
+Exit codes: 0 success, 1 usage error, 2 data/invariant error (an OS error
+that names its path included: a missing corpus, say), 3 internal.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from . import __version__
 from .errors import ConfigError, FormatError, read_json, write_atomic
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       ap_by_class, canonical_json, difficulty_buckets,
-                      hallucination_rates, lap_from_aligned, map_at, mla,
-                      validate_report)
-from .model import (ModelConfig, ModelState, Proposals, decode_proposals,
-                    forward_video, load_checkpoint, nms, predict_corpus,
+                      hallucination_rates, lap, map_at, mla, validate_report)
+from .model import (ModelConfig, ModelState, load_checkpoint, predict_corpus,
                     save_checkpoint)
 from .nn import Rng
 from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
@@ -195,27 +194,21 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
                  probe: bool = False) -> MetricsReport:
     """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
 
-    One forward pass per aligned video gives both its decoded proposals
-    and its gates, and one NMS pass suppresses the corpus's stack of
-    decoded tables.  Difficulty buckets come from the same model's vision
-    view (gate pinned to 0), the closest in-run stand-in for a vision-only
-    baseline.  The conflicted twin (``conflict``) and the distractor clips
-    (``probe``) are generated and scored one video at a time, so neither
-    is ever held whole.
+    Every corpus pass is one ``predict_corpus`` call; the aligned one also
+    gives the gates ``mla`` reads.  Difficulty buckets come from the same
+    model's vision view, the corpus without its language (the vision-only
+    path, which a gate of 0 reproduces bitwise), the closest in-run
+    stand-in for a vision-only baseline.  The conflicted twin (``conflict``)
+    and the distractor clips (``probe``) are generated and scored one video
+    at a time, so neither is ever held whole.
     """
     gt = {v.id: v.gt for v in corpus.videos}
-    decoded, lams = [], []
-    for v in corpus.videos:
-        outputs, _ = forward_video(state, v.vis, v.lang)
-        decoded.append(decode_proposals(outputs, state.cfg))
-        lams.append(outputs.lam)
-    kept = nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(corpus.videos))
-    del decoded  # the conflicted pass below sets the memory peak
-    proposals = dict(zip([v.id for v in corpus.videos], kept))
+    proposals, lams = predict_corpus(state, corpus.videos)
     per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals)
 
-    vision_props = predict_corpus(state, corpus.videos, lambda_override=0.0)
+    vision_props, _ = predict_corpus(state, (VideoRecord(v.id, v.vis, None, v.gt)
+                                             for v in corpus.videos))
     vision_ap = {}
     for c, aps in ap_by_class(vision_props, gt, range(corpus.config.num_classes),
                               DEFAULT_TIOU_THRESHOLDS).items():
@@ -231,7 +224,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     lap_value = None
     if conflict:
-        lap_value = lap_from_aligned(state, corpus, map_avg, _conflicted_twin(corpus))
+        lap_value = lap(state, corpus, map_avg, _conflicted_twin(corpus))
 
     mconf = mlen = acc_at = None
     if probe:
@@ -332,8 +325,8 @@ def cmd_ablate(args) -> int:
         model_cfg = build_config(ModelConfig, row_run)
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
-        _, map_avg = map_at(predict_corpus(state, corpus.videos), gt, thresholds)
-        drop = lap_from_aligned(state, corpus, map_avg, twin, thresholds)
+        _, map_avg = map_at(predict_corpus(state, corpus.videos)[0], gt, thresholds)
+        drop = lap(state, corpus, map_avg, twin, thresholds)
         rows.append({"label": label, "map_avg": map_avg, "lap": drop})
         print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")
     table = {"mode": args.mode, "rows": rows}
@@ -502,12 +495,11 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:
+        # an OS error that names its path: a missing corpus, an --out that is a directory
+        if isinstance(exc, (ConfigError, FormatError)) or (isinstance(exc, OSError) and exc.filename):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

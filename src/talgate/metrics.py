@@ -11,11 +11,12 @@ are ordered and their tIoU against the ground truth computed once; only
 the matching runs per threshold.  Classes with no ground truth are
 excluded from means and logged.
 
-Bias diagnostics: the language-attribution performance drop (lap), output
-degeneracy rates over each table's first rows (hallucination_rates), the
-mean gate per difficulty bucket (mla), and a no-action ambiguity probe
-(mconf / mlen / acc_at) that reads each clip's first decoded row, without
-NMS.
+Bias diagnostics: the language-attribution performance drop (lap: the
+conflicted twin's mAP against the given aligned mAP), output degeneracy
+rates over each table's first rows (hallucination_rates), the mean gate per
+difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
+ambiguity probe (mconf / mlen / acc_at) reading each clip's first decoded
+row, without NMS.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 import jsonschema
 
 from .errors import ConfigError, FormatError
-from .model import (ModelState, Proposals, decode_video, predict_corpus,
-                    tiou_array)
+from .model import (ModelState, Proposals, decode_proposals, forward_video,
+                    predict_corpus, tiou_array)
 from .synthgen import Corpus, Segment, VideoRecord
 
 log = logging.getLogger(__name__)
@@ -137,32 +138,23 @@ def map_at(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
-def lap(state: ModelState, aligned: Corpus, conflicted: Iterable[VideoRecord],
-        thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+def lap(state: ModelState, aligned: Corpus, map_aligned: float,
+        conflicted: Iterable[VideoRecord], thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
     """Performance drop under conflicting language, in mAP percentage points.
 
-    ``conflicted`` is read once, one video at a time (a
+    ``map_aligned`` is the aligned corpus's mAP averaged over the same
+    thresholds (``map_at`` of ``predict_corpus``); this scores only the
+    conflicted pass.  ``conflicted`` is read once, one video at a time (a
     ``synthgen.inject_conflict`` stream, say); it must hold as many videos
-    as ``aligned``.
+    as ``aligned``, which is checked once it has been read.
     """
-    gt_a = {v.id: v.gt for v in aligned.videos}
-    _, map_aligned = map_at(predict_corpus(state, aligned.videos), gt_a, thresholds)
-    return lap_from_aligned(state, aligned, map_aligned, conflicted, thresholds)
-
-
-def lap_from_aligned(state: ModelState, aligned: Corpus, map_aligned: float,
-                     conflicted: Iterable[VideoRecord],
-                     thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
-    """``lap`` given the aligned corpus's mAP (averaged over the same
-    thresholds), for callers that have already scored it.  The size check
-    runs once ``conflicted`` has been read."""
     seen = []  # (id, ground truth) of each conflicted video, in order
 
     def note(video: VideoRecord) -> VideoRecord:
         seen.append((video.id, video.gt))
         return video
 
-    kept = predict_corpus(state, map(note, conflicted))
+    kept, _ = predict_corpus(state, map(note, conflicted))
     if len(aligned.videos) != len(seen):
         raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(seen)} conflicted videos")
     _, map_conflicted = map_at(kept, dict(seen), thresholds)
@@ -278,7 +270,7 @@ def ambiguity_probe(state: ModelState, clips: Iterable[VideoRecord],
     """
     confs, spans = [], []
     for clip in clips:
-        props = decode_video(state, clip)
+        props = decode_proposals(forward_video(state, clip.vis, clip.lang)[0], state.cfg)
         if len(props):
             confs.append(float(props.score[0]))
             spans.append(float(props.end[0] - props.start[0]) / clip.vis.shape[0])

@@ -100,6 +100,7 @@ class ModelState:
             self.loc_trunk.append(Conv1d(cfg.kernel, din, h, rng))
         self.loc_out = Linear(h, 2, rng, w_scale=1.0 / np.sqrt(h))
         self.loc_out.b.value[...] = 1.0  # start with open, non-degenerate intervals
+        self.forwards = 0  # forward passes run, which tells a stale cache in backward_video
 
         params = [p for _, p in self.named_params()]
         self.values = np.concatenate([p.value.ravel() for p in params])
@@ -143,25 +144,10 @@ class _HeadCache:
 @dataclass(eq=False)
 class _VideoCache:
     head: _HeadCache
-    bundle: LanguageBundle | None = None  # set when the advantage head ran
-    adv_pred: np.ndarray | None = None    # adv_pred and lam: set when the gate is learned
+    forward: int                          # state.forwards when the pass ran
+    bundle: LanguageBundle | None = None  # bundle, adv_pred and lam: set when the advantage head ran
+    adv_pred: np.ndarray | None = None
     lam: np.ndarray | None = None
-
-
-_LANGUAGE_ONLY = object()  # gate source of the language-only ablation
-
-
-def _resolve_gate(cfg: ModelConfig, lambda_override: float | None):
-    """The gate source of a language pass: None for the learned gate, a
-    constant c, or _LANGUAGE_ONLY.  An override wins; otherwise
-    ``cfg.lambda_mode`` and ``cfg.fixed_lambda`` decide."""
-    if lambda_override is not None:
-        return float(lambda_override)
-    if cfg.lambda_mode == "fixed":
-        return float(cfg.fixed_lambda)
-    if cfg.lambda_mode == "language_only":
-        return _LANGUAGE_ONLY
-    return None
 
 
 def predict_advantage(adv_stream, state: ModelState) -> np.ndarray:
@@ -241,37 +227,37 @@ def _head_backward(state: ModelState, cache: _HeadCache, d_scores, d_offsets, d_
     return d_f_cls, _trunk_backward(state.loc_trunk, cache.loc_pre, d_feat, input_grad)
 
 
-def forward_video(state: ModelState, vis, bundle: LanguageBundle | None,
-                  lambda_override: float | None = None) -> tuple[FrameOutputs, _VideoCache]:
+def forward_video(state: ModelState, vis,
+                  bundle: LanguageBundle | None) -> tuple[FrameOutputs, _VideoCache]:
     """Full forward pass for one video.
 
-    ``bundle=None`` runs the vision-only path (both trunks read raw vision
-    features).  Otherwise the gate has one of three sources: learned from
-    the advantage head (``lambda_mode="learned"``), the constant
-    ``cfg.fixed_lambda`` (``"fixed"``), or language-only (the trunks read the
-    pure language streams, lambda = 1).  ``lambda_override``, when given,
-    wins over the mode and pins the gate to that constant; eval uses it for
-    vision-view baselines.
+    ``bundle=None`` runs the vision-only path: both trunks read raw vision
+    features, the advantage head does not run, and the gate reads 0.
+    Otherwise ``cfg.lambda_mode`` picks the gate: learned from the advantage
+    head (``"learned"``), the constant ``cfg.fixed_lambda`` (``"fixed"``),
+    or language-only (``"language_only"``: the trunks read the pure
+    language streams, lambda = 1, and the advantage head does not run).  A
+    gate fixed at 0 reproduces the vision-only path bit for bit.
     """
     vis = as_matrix(vis, "vis")
+    state.forwards += 1
     if bundle is None:
         outputs, head = head_forward(vis, vis, state)
-        return outputs, _VideoCache(head)
+        return outputs, _VideoCache(head, state.forwards)
 
     L = vis.shape[0]
-    gate = _resolve_gate(state.cfg, lambda_override)
-    if gate is _LANGUAGE_ONLY:
+    mode = state.cfg.lambda_mode
+    if mode == "language_only":
         outputs, head = head_forward(bundle.cls_stream, bundle.loc_stream, state)
         outputs.lam = np.ones((L, 1))
-        return outputs, _VideoCache(head)
+        return outputs, _VideoCache(head, state.forwards)
     adv_pred = predict_advantage(bundle.adv_stream, state)
-    lam = lambda_from_advantage(adv_pred) if gate is None else np.full((L, 1), gate)
+    learned = mode == "learned"
+    lam = lambda_from_advantage(adv_pred) if learned else np.full((L, 1), float(state.cfg.fixed_lambda))
     outputs, head = head_forward(*aggregate(vis, bundle, lam), state)
     outputs.lam = lam
     outputs.adv_pred = adv_pred
-    if gate is None:
-        return outputs, _VideoCache(head, bundle, adv_pred, lam)
-    return outputs, _VideoCache(head, bundle)
+    return outputs, _VideoCache(head, state.forwards, bundle, adv_pred, lam)
 
 
 def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
@@ -280,11 +266,17 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
 
     ``d_adv`` is the direct gradient on the advantage prediction (from the
     advantage regression loss); the gate path contribution is added here
-    when the gate is learned.  Both reach ``adv_fc`` only if it ran.
+    when the gate is learned.  Both reach ``adv_fc`` only if it ran.  A
+    cache of any forward pass but the state's last is a RuntimeError: the
+    layers have since cached another input.
     """
-    learned = cache.lam is not None  # only dlambda/da reads the trunk-input gradients
-    d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl, learned)
+    if cache.forward != state.forwards:
+        raise RuntimeError(f"backward_video of forward pass {cache.forward}, but the model has "
+                           f"run {state.forwards - cache.forward} forward pass(es) since")
     bundle = cache.bundle
+    # only dlambda/da reads the trunk-input gradients
+    learned = bundle is not None and state.cfg.lambda_mode == "learned"
+    d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl, learned)
     if bundle is None:
         return
     if learned:
@@ -479,33 +471,27 @@ def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
     return proposals.take(np.sort(np.concatenate(kept)))
 
 
-def decode_video(state: ModelState, video: VideoRecord,
-                 lambda_override: float | None = None) -> Proposals:
-    """The decoded proposals of one video, before NMS."""
-    outputs, _ = forward_video(state, video.vis, video.lang, lambda_override)
-    return decode_proposals(outputs, state.cfg)
+def predict_corpus(state: ModelState, videos: Iterable[VideoRecord]
+                   ) -> tuple[dict[str, Proposals], list[np.ndarray]]:
+    """Score a corpus: (kept proposals of every video keyed by id, each
+    video's L x 1 gate), both in the order read.
 
-
-def predict_video(state: ModelState, video: VideoRecord,
-                  lambda_override: float | None = None) -> Proposals:
-    return nms(decode_video(state, video, lambda_override), state.cfg.nms_tiou)
-
-
-def predict_corpus(state: ModelState, videos: Iterable[VideoRecord],
-                   lambda_override: float | None = None) -> dict[str, Proposals]:
-    """The kept proposals of every video, keyed by id, in the order read.
-
-    ``videos`` is read once: each video is decoded as it arrives and only
-    its decoded table is kept, then one ``nms`` pass suppresses the stack
-    of them.  A video is dropped before the next is read, so a generated
-    stream (``synthgen.inject_conflict``) holds one video at a time.
+    ``videos`` is read once: each video runs one forward pass, and only
+    its decoded table and its gate are kept; then one ``nms`` pass
+    suppresses the stack of tables.  A video is dropped before the next is
+    read, so a generated stream (``synthgen.inject_conflict``) holds one
+    video at a time.  Records without language (``lang=None``) take the
+    vision-only path.
     """
-    ids, decoded = [], []
+    ids, decoded, gates = [], [], []
     for video in videos:
+        outputs = forward_video(state, video.vis, video.lang)[0]
         ids.append(video.id)
-        decoded.append(decode_video(state, video, lambda_override))
-        del video  # freed before the stream builds the next
-    return dict(zip(ids, nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(ids))))
+        decoded.append(decode_proposals(outputs, state.cfg))
+        gates.append(outputs.lam)
+        del video, outputs  # freed before the stream builds the next
+    kept = nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(ids))
+    return dict(zip(ids, kept)), gates
 
 
 def save_checkpoint(state: ModelState, path) -> None:

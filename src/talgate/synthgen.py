@@ -89,7 +89,7 @@ class LanguageBundle:
 class VideoRecord:
     id: str
     vis: np.ndarray
-    lang: LanguageBundle
+    lang: LanguageBundle | None  # None: the vision-only view of a video
     gt: list[Segment] = field(default_factory=list)
 
 

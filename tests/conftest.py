@@ -11,13 +11,29 @@ from dataclasses import dataclass, replace
 import pytest
 
 from talgate.cli import _CONFLICT_SALT
-from talgate.model import ModelConfig, ModelState
+from talgate.metrics import DEFAULT_TIOU_THRESHOLDS, lap, map_at
+from talgate.model import ModelConfig, ModelState, predict_corpus
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
                               generate_distractors, inject_conflict)
 from talgate.train import TrainConfig, TrainLog, fit
 
 BIAS_SEEDS = (0, 1, 2)
+
+
+def gate_pinned(state: ModelState, value: float = 0.0) -> ModelState:
+    """A model with ``state``'s parameters and its gate fixed at ``value``."""
+    pinned = ModelState(replace(state.cfg, lambda_mode="fixed", fixed_lambda=value), None)
+    pinned.values[...] = state.values
+    return pinned
+
+
+def aligned_lap(state: ModelState, aligned: Corpus, conflicted,
+                thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+    """``metrics.lap``, the aligned corpus's mAP scored first."""
+    kept, _ = predict_corpus(state, aligned.videos)
+    _, map_aligned = map_at(kept, {v.id: v.gt for v in aligned.videos}, thresholds)
+    return lap(state, aligned, map_aligned, conflicted, thresholds)
 
 
 def bias_gen_config(seed: int, num_videos: int = 96) -> GenConfig:

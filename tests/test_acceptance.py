@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import aligned_lap, gate_pinned
 from oracles import ap_reference, grad_check, nms_reference
 from talgate.cli import main
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
-                             average_precision, difficulty_buckets, lap, mla)
+                             average_precision, difficulty_buckets, mla)
 from talgate.model import (ModelConfig, ModelState, Proposals, backward_video,
                            forward_video, frame_targets, lambda_from_advantage,
-                           nms, predict_corpus, predict_video, template_loss,
+                           nms, predict_corpus, template_loss,
                            template_loss_grad)
 from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss,
                         focal_loss_grad, relu, relu_grad, sigmoid)
@@ -261,6 +262,7 @@ def test_gate_mapping_properties():
 def test_vision_only_invariance(bias_runs):
     runs, _ = bias_runs
     run = runs[0]
+    pinned = gate_pinned(run.full)  # its parameters, the gate fixed at 0
     videos_checked = 0
     identical = True
     for va, vc in zip(run.eval_corpus.videos, run.conflicted_eval):
@@ -269,13 +271,13 @@ def test_vision_only_invariance(bias_runs):
                                 np.zeros_like(va.lang.adv_stream))
         pure, _ = forward_video(run.full, va.vis, None)
         for bundle in (va.lang, vc.lang, zeroed):
-            out, _ = forward_video(run.full, va.vis, bundle, lambda_override=0.0)
+            out, _ = forward_video(pinned, va.vis, bundle)
             identical = identical and (
                 out.cls_scores.tobytes() == pure.cls_scores.tobytes()
                 and out.offsets.tobytes() == pure.offsets.tobytes()
                 and out.tmpl_logits.tobytes() == pure.tmpl_logits.tobytes())
         videos_checked += 1
-    zero_lap = lap(run.vision, run.eval_corpus, run.conflicted_eval)
+    zero_lap = aligned_lap(run.vision, run.eval_corpus, run.conflicted_eval)
     ok = identical and zero_lap == 0.0
     assert announce(
         "vision-only-invariance", ok,
@@ -299,8 +301,8 @@ def test_hard_bucket_gains_and_gate_ordering(bias_runs):
     for run in runs.values():
         gt = {v.id: v.gt for v in run.eval_corpus.videos}
         C = run.eval_corpus.config.num_classes
-        vis_ap = eval_class_ap(predict_corpus(run.vision, run.eval_corpus.videos), gt, C)
-        full_ap = eval_class_ap(predict_corpus(run.full, run.eval_corpus.videos), gt, C)
+        vis_ap = eval_class_ap(predict_corpus(run.vision, run.eval_corpus.videos)[0], gt, C)
+        full_ap = eval_class_ap(predict_corpus(run.full, run.eval_corpus.videos)[0], gt, C)
         buckets = difficulty_buckets(vis_ap)
         gain = 100.0 * (np.mean([full_ap[c] for c in buckets.hard])
                         - np.mean([vis_ap[c] for c in buckets.hard]))
@@ -324,9 +326,9 @@ def test_conflict_robustness_ordering(bias_runs):
     runs, _ = bias_runs
     learned, fixed1, zero_exact = [], [], []
     for run in runs.values():
-        learned.append(lap(run.full, run.eval_corpus, run.conflicted_eval))
-        fixed1.append(lap(run.fixed_one, run.eval_corpus, run.conflicted_eval))
-        zero_exact.append(lap(run.vision, run.eval_corpus, run.conflicted_eval) == 0.0)
+        learned.append(aligned_lap(run.full, run.eval_corpus, run.conflicted_eval))
+        fixed1.append(aligned_lap(run.fixed_one, run.eval_corpus, run.conflicted_eval))
+        zero_exact.append(aligned_lap(run.vision, run.eval_corpus, run.conflicted_eval) == 0.0)
     ordered = sum(l < f for l, f in zip(learned, fixed1))
     ok = ordered >= PASS_BAR and all(zero_exact)
     assert announce(

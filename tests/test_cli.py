@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import talgate.cli as cli
+from conftest import aligned_lap
 from talgate.cli import (SEED_ENV, SWEEP_LAMBDAS, _align, _conflicted_twin,
                          build_config, default_run_config, load_run_config,
                          main, render_metrics, render_train_log)
@@ -455,8 +456,8 @@ class TestEval:
         assert (tmp_path / "report.json").read_text() == "old"
 
     def test_one_forward_pass_per_aligned_video(self, workspace, monkeypatch):
+        import talgate.metrics as metrics
         import talgate.model as model
-        from talgate.metrics import lap
         from talgate.model import load_checkpoint
         from talgate.synthgen import generate_distractors, read_corpus
         state = load_checkpoint(workspace / "run" / "model.ckpt")
@@ -469,13 +470,41 @@ class TestEval:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "forward_video", counted(cli.forward_video))
+        # every module that calls it: predict_corpus's and the probe's
         monkeypatch.setattr(model, "forward_video", counted(model.forward_video))
+        monkeypatch.setattr(metrics, "forward_video", counted(metrics.forward_video))
         report = cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
         assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
-        assert report.lap == lap(state, corpus, _conflicted_twin(corpus))
+        assert report.lap == aligned_lap(state, corpus, _conflicted_twin(corpus))
+
+    def test_vision_view_reads_no_language(self, workspace, monkeypatch):
+        import talgate.model as model
+        from talgate.model import load_checkpoint
+        from talgate.synthgen import generate_distractors, read_corpus
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        assert state.cfg.lambda_mode == "learned"
+        corpus = read_corpus(workspace / "corpus")
+        advantage_passes, bundles = [], []
+        forward, forward_video = state.adv_fc.forward, model.forward_video
+
+        def counted(x):
+            advantage_passes.append(len(x))
+            return forward(x)
+
+        def noted(*args):  # (state, vis, bundle)
+            bundles.append(args[2])
+            return forward_video(*args)
+
+        monkeypatch.setattr(state.adv_fc, "forward", counted)
+        monkeypatch.setattr(model, "forward_video", noted)  # predict_corpus's passes
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        monkeypatch.undo()
+        n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
+        # aligned, conflicted, distractors; the vision view runs no advantage head
+        assert len(advantage_passes) == n + n + d
+        assert [b is None for b in bundles[:n + n]] == [False] * n + [True] * n
 
     def test_one_nms_pass_per_corpus_pass(self, workspace, monkeypatch):
         import talgate.model as model
@@ -489,7 +518,6 @@ class TestEval:
             tables.append(table)
             return nms(table, tiou_threshold)
 
-        monkeypatch.setattr(cli, "nms", counted)
         monkeypatch.setattr(model, "nms", counted)
         cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
@@ -678,6 +706,10 @@ def _flip(offset):
     return corrupt
 
 
+def _unlink(p):
+    p.unlink()
+
+
 def _set(*path, value=None):
     """Replace (or, with value None, drop) the key at ``path`` of a JSON file;
     a .jsonl file is edited on its first line."""
@@ -730,6 +762,9 @@ CORRUPTIONS = [
     ("sweep/ablation.json", _truncate, ["report", "--run", "{sweep}"], "JSON"),
     ("sweep/ablation.json", _set("rows"), ["report", "--run", "{sweep}"], "rows"),
     ("sweep/ablation.json", _set("rows", 0, "lap"), ["report", "--run", "{sweep}"], "lap"),
+    # a gen stopped before its manifest, and a blob removed that the manifest still names
+    ("corpus/manifest.json", _unlink, _EVAL, "no manifest.json"),
+    ("corpus/v0000_vis.bin", _unlink, _EVAL, "missing vis blob"),
 ]
 
 
@@ -745,6 +780,25 @@ def test_corrupted_input_is_data_error(workspace, sweep, tmp_path, capsys,
     assert main([a.format(tmp=tmp_path, **dirs) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and (tmp_path / target).name in err and needle in err, err
+
+
+# IsADirectoryError, FileExistsError, FileExistsError, IsADirectoryError
+@pytest.mark.parametrize("argv", [
+    _EVAL[:-1] + ["{dir}"],
+    ["gen", "--config", "{cfg}", "--out", "{file}"],
+    ["train", "--corpus", "{corpus}", "--config", "{cfg}", "--out", "{file}"],
+    ["gen", "--config", "{dir}", "--out", "{tmp}/out"],
+], ids=["eval-out-dir", "gen-out-file", "train-out-file", "gen-config-dir"])
+def test_os_error_on_a_named_path_is_data_error(workspace, tmp_path, capsys, argv):
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("x")
+    names = dict(run=workspace / "run", corpus=workspace / "corpus", tmp=tmp_path,
+                 cfg=write_config(tmp_path / "c.json", epochs=0), **paths)
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    named = next(str(p) for k, p in paths.items() if "{%s}" % k in argv)
+    assert err.startswith("error:") and named in err, err
 
 
 class TestRendering:

@@ -10,16 +10,17 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import aligned_lap
 from oracles import ap_reference, hallucination_reference
 from talgate.errors import ConfigError, FormatError
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
                              REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
                              ProbeStats, ambiguity_probe, ap_by_class,
                              average_precision, canonical_json,
-                             difficulty_buckets, hallucination_rates, lap,
-                             map_at, mla, validate_report)
+                             difficulty_buckets, hallucination_rates, map_at,
+                             mla, validate_report)
 from talgate.model import (ModelConfig, ModelState, Proposals, decode_proposals,
-                           forward_video, predict_corpus, predict_video)
+                           forward_video, nms, predict_corpus)
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, Segment, generate_corpus,
                               generate_distractors, inject_conflict)
@@ -216,35 +217,37 @@ class TestLap:
         corpus, twin = small_eval_setup()
         state = ModelState(ModelConfig(dim=8, num_classes=3, lambda_mode="fixed",
                                        fixed_lambda=0.0), Rng(0))
-        assert lap(state, corpus, twin.videos) == 0.0
+        assert aligned_lap(state, corpus, twin.videos) == 0.0
 
     def test_antisymmetric(self):
         corpus, twin = small_eval_setup(seed=61)
         state = ModelState(ModelConfig(dim=8, num_classes=3, lambda_mode="fixed",
                                        fixed_lambda=1.0), Rng(1))
-        assert lap(state, corpus, twin.videos) == -lap(state, twin, corpus.videos)
+        assert aligned_lap(state, corpus, twin.videos) == -aligned_lap(state, twin, corpus.videos)
 
     def test_matches_direct_map_difference(self):
         corpus, twin = small_eval_setup(seed=62)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
-        _, ma = map_at(predict_corpus(state, corpus.videos), {v.id: v.gt for v in corpus.videos})
-        _, mc = map_at(predict_corpus(state, twin.videos), {v.id: v.gt for v in twin.videos})
-        assert lap(state, corpus, twin.videos) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
+        _, ma = map_at(predict_corpus(state, corpus.videos)[0], {v.id: v.gt for v in corpus.videos})
+        _, mc = map_at(predict_corpus(state, twin.videos)[0], {v.id: v.gt for v in twin.videos})
+        assert aligned_lap(state, corpus, twin.videos) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
         # a stream of the twin, read once, scores the same
-        assert lap(state, corpus, inject_conflict(corpus, Rng(63))) == lap(state, corpus, twin.videos)
+        assert aligned_lap(state, corpus, inject_conflict(corpus, Rng(63))) == \
+            aligned_lap(state, corpus, twin.videos)
 
     def test_size_mismatch(self):
         corpus, twin = small_eval_setup(seed=63)
         short = Corpus(twin.config, twin.videos[:-1])
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         with pytest.raises(ConfigError, match="mismatch"):
-            lap(state, corpus, short.videos)
+            aligned_lap(state, corpus, short.videos)
         # a streamed twin one video short, and one a video long
         stream = itertools.islice(inject_conflict(corpus, Rng(64)), len(corpus.videos) - 1)
         with pytest.raises(ConfigError, match="corpus size mismatch: 6 aligned vs 5 conflicted"):
-            lap(state, corpus, stream)
+            aligned_lap(state, corpus, stream)
         with pytest.raises(ConfigError, match="corpus size mismatch: 6 aligned vs 7 conflicted"):
-            lap(state, corpus, itertools.chain(inject_conflict(corpus, Rng(64)), twin.videos[:1]))
+            aligned_lap(state, corpus,
+                        itertools.chain(inject_conflict(corpus, Rng(64)), twin.videos[:1]))
 
 
 def disjoint_props(rng, n, label=0):
@@ -429,7 +432,7 @@ class TestAmbiguityProbe:
         confs, spans, suppressed = [], [], 0
         for v in clips:
             decoded = decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg)
-            kept = predict_video(state, v)  # decode, then NMS
+            kept = nms(decoded, state.cfg.nms_tiou)
             assert decoded.rows()[:1] == kept.rows()[:1]
             suppressed += len(kept) < len(decoded)
             top = kept.rows()[0] if len(kept) else (0.0, 0.0, 0, 0.0)

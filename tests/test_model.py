@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from conftest import gate_pinned
 from oracles import (cross_entropy_reference, decode_reference, grad_check,
                      interval_iou, nms_reference)
 from talgate.errors import ConfigError, FormatError
@@ -13,12 +14,11 @@ from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
-                           predict_advantage, predict_corpus, predict_video,
-                           save_checkpoint, template_loss, template_loss_grad,
-                           tiou)
+                           predict_advantage, predict_corpus, save_checkpoint,
+                           template_loss, template_loss_grad, tiou)
 from talgate.nn import Conv1d, Linear, Rng, ShapeError
-from talgate.synthgen import (Corpus, LanguageBundle, Segment, generate_corpus,
-                              GenConfig)
+from talgate.synthgen import (Corpus, LanguageBundle, Segment, VideoRecord,
+                              generate_corpus, GenConfig)
 
 
 def tiny_model_config(**overrides):
@@ -172,8 +172,8 @@ class TestForwardModes:
         aligned = random_bundle(rng, 20, 5)
         conflicted = random_bundle(rng, 20, 5)
         zeroed = LanguageBundle(np.zeros((20, 5)), np.zeros((20, 5)), np.zeros((20, 5)))
-        outs = [forward_video(state, vis, b, lambda_override=0.0)[0]
-                for b in (aligned, conflicted, zeroed)]
+        pinned = gate_pinned(state)  # its parameters, the gate fixed at 0
+        outs = [forward_video(pinned, vis, b)[0] for b in (aligned, conflicted, zeroed)]
         pure, _ = forward_video(state, vis, None)
         for o in outs:
             assert o.cls_scores.tobytes() == pure.cls_scores.tobytes()
@@ -470,15 +470,17 @@ class TestForwardBackwardGradients:
             err = grad_check(f, p.value.copy())
             assert err < 1e-4, f"{mode} gradient for {name} off by {err}"
 
-    @pytest.mark.parametrize("mode, override, gate_term", [
+    # pin: the learned model's parameters with the gate fixed at that value
+    @pytest.mark.parametrize("mode, pin, gate_term", [
         ("learned", None, True),
         ("fixed", None, False),
         ("language_only", None, None),  # the advantage head never runs
         ("learned", 0.0, False),
     ])
-    def test_advantage_gradient_routing(self, mode, override, gate_term):
+    def test_advantage_gradient_routing(self, mode, pin, gate_term):
         rng = Rng(21)
         state = ModelState(tiny_model_config(lambda_mode=mode, fixed_lambda=0.6), rng)
+        state = state if pin is None else gate_pinned(state, pin)
         L = 10
         vis = rng.normal_matrix(L, 5)
         bundle = random_bundle(rng, L, 5)
@@ -487,7 +489,7 @@ class TestForwardBackwardGradients:
 
         def adv_grads(d):
             state.zero_grads()
-            _, cache = forward_video(state, vis, bundle, lambda_override=override)
+            _, cache = forward_video(state, vis, bundle)
             backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d)
             return state.adv_fc.w.grad.copy(), state.adv_fc.b.grad.copy()
 
@@ -502,17 +504,18 @@ class TestForwardBackwardGradients:
 
     # skipped: conv layers that skip their input gradient; adv_fc, a Linear
     # whose input is the advantage stream, skips it whenever it runs backward
-    @pytest.mark.parametrize("mode, language, override, skipped, linear_skipped", [
+    @pytest.mark.parametrize("mode, language, pin, skipped, linear_skipped", [
         ("learned", False, None, 2, 0),        # vision-only pass
         ("fixed", True, None, 2, 1),
         ("language_only", True, None, 2, 0),   # adv_fc does not run
-        ("learned", True, 0.0, 2, 1),          # gate pinned by an override
+        ("learned", True, 0.0, 2, 1),          # the learned model's gate pinned at 0
         ("learned", True, None, 0, 1),         # dlambda/da reads the trunk-input gradients
     ])
     def test_skipped_input_gradients_keep_parameter_gradients(self, monkeypatch, mode, language,
-                                                             override, skipped, linear_skipped):
+                                                             pin, skipped, linear_skipped):
         rng = Rng(23)
         state = ModelState(tiny_model_config(lambda_mode=mode, fixed_lambda=0.6), rng)
+        state = state if pin is None else gate_pinned(state, pin)
         L = 10
         vis = rng.normal_matrix(L, 5)
         bundle = random_bundle(rng, L, 5) if language else None
@@ -528,7 +531,7 @@ class TestForwardBackwardGradients:
 
                 monkeypatch.setattr(layer, "backward", spy)
             state.zero_grads()
-            _, cache = forward_video(state, vis, bundle, lambda_override=override)
+            _, cache = forward_video(state, vis, bundle)
             backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
             monkeypatch.undo()
             return state.grads.copy()
@@ -537,6 +540,22 @@ class TestForwardBackwardGradients:
         assert flags[Conv1d].count(False) == skipped  # the first conv layer of each trunk
         assert flags[Linear].count(False) == linear_skipped
         assert grads(True).tobytes() == lean.tobytes()
+
+    def test_stale_cache_is_an_error(self):
+        rng = Rng(24)
+        state = ModelState(tiny_model_config(), rng)
+        L = 8
+        first, second = [(rng.normal_matrix(L, 5), random_bundle(rng, L, 5)) for _ in range(2)]
+        r1, r2, r3 = rng.normal_matrix(L, 3), rng.normal_matrix(L, 2), rng.normal_matrix(L, 4)
+        state.zero_grads()
+        _, stale = forward_video(state, *first)
+        _, cache = forward_video(state, *second)
+        # the layers now hold the second video's inputs: its gradients would be wrong
+        with pytest.raises(RuntimeError, match="1 forward pass"):
+            backward_video(state, stale, r1.copy(), r2.copy(), r3.copy())
+        assert not state.grads.any()
+        backward_video(state, cache, r1.copy(), r2.copy(), r3.copy())
+        assert state.grads.any()
 
     def test_vision_mode_skips_language_params(self):
         rng = Rng(19)
@@ -623,10 +642,11 @@ class TestPrediction:
                         ambiguity=(0.2,) * 3, helpfulness=(0.5,) * 3, seed=1)
         corpus = generate_corpus(gen)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
-        a = predict_video(state, corpus.videos[0])
-        b = predict_video(state, corpus.videos[0])
+        v = corpus.videos[0]
+        a = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
+        b = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
         assert a.rows() == b.rows()
-        per_video = predict_corpus(state, corpus.videos)
+        per_video, _ = predict_corpus(state, corpus.videos)
         assert set(per_video) == {v.id for v in corpus.videos}
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -635,18 +655,23 @@ class TestPrediction:
         gen = GenConfig(num_classes=3, num_videos=6, frames=40, dim=8,
                         ambiguity=(0.2, 0.5, 0.8), helpfulness=(0.5,) * 3, seed=seed)
         corpus = generate_corpus(gen)
+        # gate 0: the vision view, the records without their language
+        videos = corpus.videos if gate is None else [VideoRecord(v.id, v.vis, None, v.gt)
+                                                     for v in corpus.videos]
         cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
         state = ModelState(cfg, Rng(seed))
-        got = predict_corpus(state, corpus.videos, lambda_override=gate)
-        assert list(got) == [v.id for v in corpus.videos]
+        got, gates = predict_corpus(state, videos)
+        assert list(got) == [v.id for v in videos] and len(gates) == len(videos)
         kept = 0
-        for v in corpus.videos:
-            out, _ = forward_video(state, v.vis, v.lang, gate)
+        for v, lam in zip(videos, gates):
+            out, _ = forward_video(state, v.vis, v.lang)
             decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
                                        cfg.score_threshold, cfg.top_k_pre_nms)
             want = nms_reference(decoded, cfg.nms_tiou)
             assert got[v.id].rows() == want
-            assert got[v.id].rows() == predict_video(state, v, gate).rows()
+            assert got[v.id].rows() == nms(decode_proposals(out, cfg), cfg.nms_tiou).rows()
+            assert lam.shape == (v.vis.shape[0], 1) and lam.tobytes() == out.lam.tobytes()
+            assert gate is None or not lam.any()
             kept += len(want) < len(decoded)
         assert kept >= 3  # NMS dropped rows in most videos
 
