@@ -17,6 +17,8 @@ that names its path included: a missing corpus, say), 3 internal.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import logging
 import os
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       ap_by_class, canonical_json, difficulty_buckets,
                       hallucination_rates, lap, map_at, mla, validate_report)
@@ -80,31 +82,6 @@ def build_config(cls, run: dict, **given):
     return cls(**{n: run[n] for n in names}, **given).validate()
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:  # JSON admits NaN and Infinity
-    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
-
-
-def _check_type(path: Path, key: str, value, default) -> None:
-    """A config value must have the JSON type of the key's default; a null
-    default (``hidden``: use the feature dim) also admits an integer."""
-    if default is None:
-        ok, want = value is None or _is_int(value), "an integer or null"
-    elif isinstance(default, int):
-        ok, want = _is_int(value), "an integer"
-    elif isinstance(default, float):
-        ok, want = _is_finite(value), "a finite number"
-    elif isinstance(default, list):
-        ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of finite numbers"
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
-        raise ConfigError(f"config file {path}: key {key!r} must be {want}, got {json.dumps(value)}")
-
-
 def read_config_file(path: str | None) -> dict:
     """The keys a run config file sets (none without a file), each of the
     JSON type of its default."""
@@ -122,7 +99,7 @@ def read_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
                           f"valid keys: {', '.join(sorted(defaults))}")
     for key, value in data.items():
-        _check_type(p, key, value, defaults[key])
+        check_type(f"config file {p}", key, value, defaults[key])
     return data
 
 
@@ -490,6 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # have glibc keep 4 MB free atop the heap when it trims (mallopt M_TOP_PAD, -2): scoring
+    # frees about a megabyte per video, which the next video would otherwise fault back in
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # a libc without mallopt
+        ctypes.CDLL(None).mallopt(-2, 4 << 20)
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")

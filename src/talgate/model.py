@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
 from .synthgen import LanguageBundle, Segment, VideoRecord
@@ -100,7 +100,6 @@ class ModelState:
             self.loc_trunk.append(Conv1d(cfg.kernel, din, h, rng))
         self.loc_out = Linear(h, 2, rng, w_scale=1.0 / np.sqrt(h))
         self.loc_out.b.value[...] = 1.0  # start with open, non-degenerate intervals
-        self.forwards = 0  # forward passes run, which tells a stale cache in backward_video
 
         params = [p for _, p in self.named_params()]
         self.values = np.concatenate([p.value.ravel() for p in params])
@@ -134,28 +133,19 @@ class FrameOutputs:
 
 
 @dataclass(eq=False)
-class _HeadCache:
-    cls_pre: list
-    loc_pre: list
-    cls_scores: np.ndarray
-    loc_raw: np.ndarray
-
-
-@dataclass(eq=False)
 class _VideoCache:
-    head: _HeadCache
-    forward: int                          # state.forwards when the pass ran
-    bundle: LanguageBundle | None = None  # bundle, adv_pred and lam: set when the advantage head ran
+    """What ``backward_video`` reads of one forward pass: per trunk, each conv
+    layer's (padded input, pre-activation) and its output layers' input."""
+    cls_convs: list
+    cls_feat: np.ndarray  # read by cls_out and tmpl_out alike
+    cls_scores: np.ndarray
+    loc_convs: list
+    loc_feat: np.ndarray
+    loc_raw: np.ndarray
+    bundle: LanguageBundle | None = None  # bundle, adv_in, adv_pred, lam: set when the advantage head ran
+    adv_in: np.ndarray | None = None
     adv_pred: np.ndarray | None = None
     lam: np.ndarray | None = None
-
-
-def predict_advantage(adv_stream, state: ModelState) -> np.ndarray:
-    """Linear per-frame advantage estimate from the advantage carrier."""
-    adv_stream = as_matrix(adv_stream, "adv_stream")
-    if adv_stream.shape[1] != state.cfg.dim:
-        raise ShapeError(f"adv_stream shape {adv_stream.shape} does not match dim {state.cfg.dim}")
-    return state.adv_fc.forward(adv_stream)
 
 
 def lambda_from_advantage(adv_pred) -> np.ndarray:
@@ -186,45 +176,36 @@ def aggregate(vis, bundle: LanguageBundle, lam) -> tuple[np.ndarray, np.ndarray]
     return vis + lam * bundle.cls_stream, vis + lam * bundle.loc_stream
 
 
-def head_forward(f_cls, f_loc, state: ModelState) -> tuple[FrameOutputs, _HeadCache]:
+def _trunk_forward(trunk: list, x) -> tuple[np.ndarray, list]:
+    """A conv trunk's relu features and, per layer, the (padded input,
+    pre-activation) its backward reads."""
+    convs = []
+    for conv in trunk:
+        z, xp = conv.forward(x)
+        convs.append((xp, z))
+        x = relu(z)
+    return x, convs
+
+
+def head_forward(f_cls, f_loc, state: ModelState) -> tuple[FrameOutputs, _VideoCache]:
     """Run both trunks; lambda/advantage fields are zero placeholders."""
-    a = as_matrix(f_cls, "f_cls")
-    cls_pre = []
-    for conv in state.cls_trunk:
-        z = conv.forward(a)
-        cls_pre.append(z)
-        a = relu(z)
-    cls_scores = sigmoid(state.cls_out.forward(a))
-    tmpl_logits = state.tmpl_out.forward(a)
-    b = as_matrix(f_loc, "f_loc")
-    loc_pre = []
-    for conv in state.loc_trunk:
-        z = conv.forward(b)
-        loc_pre.append(z)
-        b = relu(z)
-    loc_raw = state.loc_out.forward(b)
+    feat, cls_convs = _trunk_forward(state.cls_trunk, f_cls)
+    logits, cls_feat = state.cls_out.forward(feat)
+    cls_scores = sigmoid(logits)
+    tmpl_logits = state.tmpl_out.forward(cls_feat)[0]
+    feat, loc_convs = _trunk_forward(state.loc_trunk, f_loc)
+    loc_raw, loc_feat = state.loc_out.forward(feat)
     offsets = relu(loc_raw)
     L = cls_scores.shape[0]
     outputs = FrameOutputs(cls_scores, offsets, np.zeros((L, 1)), np.zeros((L, 1)), tmpl_logits)
-    return outputs, _HeadCache(cls_pre, loc_pre, cls_scores, loc_raw)
+    return outputs, _VideoCache(cls_convs, cls_feat, cls_scores, loc_convs, loc_feat, loc_raw)
 
 
-def _trunk_backward(trunk: list, pre: list, d_feat, input_grad: bool):
+def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
     for i in reversed(range(len(trunk))):
-        d_feat = trunk[i].backward(d_feat * relu_grad(pre[i]), input_grad or i > 0)
+        xp, z = convs[i]
+        d_feat = trunk[i].backward(xp, d_feat * relu_grad(z), input_grad or i > 0)
     return d_feat
-
-
-def _head_backward(state: ModelState, cache: _HeadCache, d_scores, d_offsets, d_tmpl,
-                   input_grad: bool):
-    """Accumulate the head's parameter gradients.  Returns (d_f_cls, d_f_loc),
-    the gradients on the trunk inputs, or (None, None) without ``input_grad``:
-    then the first conv layer of each trunk skips its input gradient."""
-    d_logits = d_scores * cache.cls_scores * (1.0 - cache.cls_scores)
-    d_feat = state.cls_out.backward(d_logits) + state.tmpl_out.backward(d_tmpl)
-    d_f_cls = _trunk_backward(state.cls_trunk, cache.cls_pre, d_feat, input_grad)
-    d_feat = state.loc_out.backward(d_offsets * relu_grad(cache.loc_raw))
-    return d_f_cls, _trunk_backward(state.loc_trunk, cache.loc_pre, d_feat, input_grad)
 
 
 def forward_video(state: ModelState, vis,
@@ -240,24 +221,23 @@ def forward_video(state: ModelState, vis,
     gate fixed at 0 reproduces the vision-only path bit for bit.
     """
     vis = as_matrix(vis, "vis")
-    state.forwards += 1
     if bundle is None:
-        outputs, head = head_forward(vis, vis, state)
-        return outputs, _VideoCache(head, state.forwards)
+        return head_forward(vis, vis, state)
 
     L = vis.shape[0]
     mode = state.cfg.lambda_mode
     if mode == "language_only":
-        outputs, head = head_forward(bundle.cls_stream, bundle.loc_stream, state)
+        outputs, cache = head_forward(bundle.cls_stream, bundle.loc_stream, state)
         outputs.lam = np.ones((L, 1))
-        return outputs, _VideoCache(head, state.forwards)
-    adv_pred = predict_advantage(bundle.adv_stream, state)
+        return outputs, cache
+    adv_pred, adv_in = state.adv_fc.forward(bundle.adv_stream)
     learned = mode == "learned"
     lam = lambda_from_advantage(adv_pred) if learned else np.full((L, 1), float(state.cfg.fixed_lambda))
-    outputs, head = head_forward(*aggregate(vis, bundle, lam), state)
+    outputs, cache = head_forward(*aggregate(vis, bundle, lam), state)
     outputs.lam = lam
     outputs.adv_pred = adv_pred
-    return outputs, _VideoCache(head, state.forwards, bundle, adv_pred, lam)
+    cache.bundle, cache.adv_in, cache.adv_pred, cache.lam = bundle, adv_in, adv_pred, lam
+    return outputs, cache
 
 
 def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
@@ -266,17 +246,18 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
 
     ``d_adv`` is the direct gradient on the advantage prediction (from the
     advantage regression loss); the gate path contribution is added here
-    when the gate is learned.  Both reach ``adv_fc`` only if it ran.  A
-    cache of any forward pass but the state's last is a RuntimeError: the
-    layers have since cached another input.
+    when the gate is learned.  Both reach ``adv_fc`` only if it ran.
     """
-    if cache.forward != state.forwards:
-        raise RuntimeError(f"backward_video of forward pass {cache.forward}, but the model has "
-                           f"run {state.forwards - cache.forward} forward pass(es) since")
     bundle = cache.bundle
-    # only dlambda/da reads the trunk-input gradients
+    # only dlambda/da reads the trunk-input gradients; without it the first
+    # conv layer of each trunk skips its input gradient
     learned = bundle is not None and state.cfg.lambda_mode == "learned"
-    d_f_cls, d_f_loc = _head_backward(state, cache.head, d_scores, d_offsets, d_tmpl, learned)
+    d_logits = d_scores * cache.cls_scores * (1.0 - cache.cls_scores)
+    d_feat = state.cls_out.backward(cache.cls_feat, d_logits) \
+        + state.tmpl_out.backward(cache.cls_feat, d_tmpl)
+    d_f_cls = _trunk_backward(state.cls_trunk, cache.cls_convs, d_feat, learned)
+    d_feat = state.loc_out.backward(cache.loc_feat, d_offsets * relu_grad(cache.loc_raw))
+    d_f_loc = _trunk_backward(state.loc_trunk, cache.loc_convs, d_feat, learned)
     if bundle is None:
         return
     if learned:
@@ -285,7 +266,7 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
         d_gate = d_lam * _lambda_grad(cache.adv_pred, cache.lam)
         d_adv = d_gate if d_adv is None else d_gate + d_adv
     if d_adv is not None:
-        state.adv_fc.backward(d_adv, input_grad=False)  # its input, the advantage stream, is data
+        state.adv_fc.backward(cache.adv_in, d_adv, input_grad=False)  # its input, the advantage stream, is data
 
 
 def frame_targets(gt: list[Segment], frames: int, num_classes: int):
@@ -510,7 +491,11 @@ def load_checkpoint(path) -> ModelState:
         raise FormatError(f"missing checkpoint sidecar {sidecar}")
     blob = read_json(sidecar, "checkpoint sidecar")
     try:
-        cfg = ModelConfig(**blob["model_config"]).validate()
+        given = blob["model_config"]
+        for f in fields(ModelConfig):  # dim and num_classes, without a default, are integers
+            if f.name in given:
+                check_type("model_config", f.name, given[f.name], 0 if f.default is MISSING else f.default)
+        cfg = ModelConfig(**given).validate()
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint sidecar {sidecar}: {exc}") from exc
     state = ModelState(cfg, rng=None)

@@ -1,12 +1,13 @@
 """Dense numeric kernels with hand-written reverse-mode gradients.
 
 Every tensor in this module is a 2-D float64 numpy array ("matrix",
-row-major).  Layers cache the input of their most recent forward call;
-``backward(dout)`` consumes that cache, accumulates parameter gradients in
-place and returns the gradient with respect to the layer input
-(``Conv1d.backward(dout, input_grad=False)`` skips that one).  Layers are
-single-threaded by contract: never run forward/backward concurrently on the
-same object.
+row-major).  A layer holds only its parameters; the activations its
+backward reads live with the caller (``model._VideoCache``).
+``forward(x)`` returns ``(y, saved)``: the output and that read (the
+checked input, zero-padded for ``Conv1d``), kept while a backward may
+follow and then dropped.  ``backward(saved, dout)`` accumulates the
+parameter gradients in place and returns the gradient with respect to the
+layer input (``input_grad=False`` skips that one).
 
 A loss returns its derivatives with its value (``diou_loss`` here,
 ``train.advantage_loss``) or has a ``_grad`` companion (``focal_loss``,
@@ -154,23 +155,19 @@ class Linear:
         w0 = rng.normal_matrix(din, dout, scale) if rng is not None else np.zeros((din, dout))
         self.w = Param(w0)
         self.b = Param(np.zeros((1, dout)))
-        self._x: np.ndarray | None = None
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(y, x): the output and the checked input, which ``backward`` reads."""
         x = as_matrix(x, "linear input")
         din = self.w.shape[0]
         if x.shape[1] != din:
             raise ShapeError(f"linear: input shape {x.shape} does not match weight shape {self.w.shape}")
-        self._x = x
-        return x @ self.w.value + self.b.value
+        return x @ self.w.value + self.b.value, x
 
-    def backward(self, dout, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, x: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients; return the input gradient,
         or None when ``input_grad`` is false and nothing will read it."""
-        if self._x is None:
-            raise RuntimeError("linear backward before forward")
         dout = as_matrix(dout, "linear dout")
-        x = self._x
         if dout.shape != (x.shape[0], self.w.shape[1]):
             raise ShapeError(f"linear: dout shape {dout.shape} does not match output shape {(x.shape[0], self.w.shape[1])}")
         self.w.grad += x.T @ dout
@@ -200,7 +197,6 @@ class Conv1d:
         self.din = din
         self.w = Param(w0)
         self.b = Param(np.zeros((1, dout)))
-        self._xp: np.ndarray | None = None
 
     def _taps(self, xp: np.ndarray, L: int) -> np.ndarray:
         """The k tap windows of the padded input as one (k, L, din) view
@@ -208,7 +204,8 @@ class Conv1d:
         row, col = xp.strides
         return np.ndarray((self.k, L, self.din), xp.dtype, xp, 0, (row, row, col))
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(y, xp): the output and the padded input, which ``backward`` reads."""
         x = as_matrix(x, "conv1d input")
         if x.shape[1] != self.din:
             raise ShapeError(f"conv1d: input shape {x.shape} does not match channel count {self.din}")
@@ -216,32 +213,29 @@ class Conv1d:
         pad = (self.k - 1) // 2
         xp = np.zeros((L + 2 * pad, self.din))
         xp[pad:pad + L] = x
-        self._xp = xp
         # one stacked matmul runs the k per-tap GEMMs; the sum then adds the
         # bias and the taps in tap order, so each output bit is the per-tap loop's
         prods = np.matmul(self._taps(xp, L), self.w.value.reshape(self.k, self.din, -1))
         y = prods[0] + self.b.value
         for t in range(1, self.k):
             y += prods[t]
-        return y
+        return y, xp
 
-    def backward(self, dout, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, xp: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients; return the input gradient,
         or None when ``input_grad`` is false and nothing will read it."""
-        if self._xp is None:
-            raise RuntimeError("conv1d backward before forward")
         dout = as_matrix(dout, "conv1d dout")
         pad = (self.k - 1) // 2
-        L = self._xp.shape[0] - 2 * pad
+        L = xp.shape[0] - 2 * pad
         if dout.shape != (L, self.w.shape[1]):
             raise ShapeError(f"conv1d: dout shape {dout.shape} does not match output shape {(L, self.w.shape[1])}")
         self.b.grad += dout.sum(axis=0, keepdims=True)
-        taps = self._taps(self._xp, L)
+        taps = self._taps(xp, L)
         self.w.grad += np.matmul(taps.transpose(0, 2, 1), dout).reshape(self.w.shape)
         if not input_grad:
             return None
         dtaps = np.matmul(dout, self.w.value.reshape(self.k, self.din, -1).transpose(0, 2, 1))
-        dxp = np.zeros_like(self._xp)
+        dxp = np.zeros_like(xp)
         for t in range(self.k):
             dxp[t:t + L] += dtaps[t]
         return dxp[pad:pad + L]

@@ -370,7 +370,9 @@ def _get(obj, key: str, kind: type, where: str):
 
 
 def read_corpus(in_dir) -> Corpus:
-    """Byte-exact inverse of write_corpus."""
+    """Byte-exact inverse of write_corpus.  A manifest it cannot have written
+    (no videos, a repeated id, frames or dim off the config block, a segment
+    out of bounds or overlapping another) is a FormatError naming the key."""
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
@@ -384,11 +386,19 @@ def read_corpus(in_dir) -> Corpus:
         cfg = GenConfig(**_get(manifest, "config", dict, where)).validate()
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad config block in {where}: {exc}") from exc
+    entries = _get(manifest, "videos", list, where)
+    if not entries:
+        raise FormatError(f"{where}: key 'videos' is an empty list")
     videos = []
-    for i, entry in enumerate(_get(manifest, "videos", list, where)):
+    for i, entry in enumerate(entries):
         at = f"{where}, videos[{i}]"
         vid = _get(entry, "id", str, at)
+        if any(v.id == vid for v in videos):
+            raise FormatError(f"{at}.id: duplicate video id {vid!r}")
         shape = (_get(entry, "frames", int, at), _get(entry, "dim", int, at))
+        for key, have, want in zip(("frames", "dim"), shape, (cfg.frames, cfg.dim)):
+            if have != want:
+                raise FormatError(f"{at}.{key} is {have}, but the config block says {want}")
         blobs = _get(entry, "blobs", dict, at)
         streams = {}
         for key in _STREAM_KEYS:
@@ -404,6 +414,8 @@ def read_corpus(in_dir) -> Corpus:
             s, e, lab = (_get(seg, k, int, f"{at}.gt[{j}]") for k in ("start", "end", "label"))
             if not (0 <= s < e <= shape[0]) or not (0 <= lab < cfg.num_classes):
                 raise FormatError(f"video {vid}: invalid segment {seg} in {where}")
+            if any(s < g.end and g.start < e for g in gt):
+                raise FormatError(f"{at}.gt[{j}]: segment ({s}, {e}) overlaps an earlier one")
             gt.append(Segment(s, e, lab))
         lang = LanguageBundle(streams["cls"], streams["loc"], streams["adv"],
                               aligned=_get(entry, "aligned", bool, at))

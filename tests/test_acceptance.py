@@ -39,9 +39,8 @@ def module_grad_errors(mod, x0, R):
     def f_x(x):
         mod.w.grad[...] = 0.0
         mod.b.grad[...] = 0.0
-        y = mod.forward(x)
-        dx = mod.backward(R)
-        return float((y * R).sum()), dx
+        y, reads = mod.forward(x)
+        return float((y * R).sum()), mod.backward(reads, R)
 
     errs = [grad_check(f_x, x0)]
     for p in (mod.w, mod.b):
@@ -50,8 +49,8 @@ def module_grad_errors(mod, x0, R):
             p.value[...] = candidate
             mod.w.grad[...] = 0.0
             mod.b.grad[...] = 0.0
-            y = mod.forward(x0)
-            mod.backward(R)
+            y, reads = mod.forward(x0)
+            mod.backward(reads, R)
             grad = p.grad.copy()
             p.value[...] = saved
             return float((y * R).sum()), grad

@@ -532,7 +532,7 @@ class TestEval:
         corpus = read_corpus(workspace / "corpus")
         want = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
         shared = {id(v.vis) for v in corpus.videos}  # the twin reuses the corpus's frames
-        built = []
+        built, every = [], []
 
         def watched(make):
             def wrapper(*args, **kwargs):
@@ -541,10 +541,8 @@ class TestEval:
                 def one_at_a_time():
                     refs = []
                     while True:
-                        # what was built for the last video is gone before the next is
-                        # built, but for the input the advantage layer caches for backward
-                        alive = [x for x in (r() for r in refs)
-                                 if x is not None and x is not state.adv_fc._x]
+                        # what was built for the last video is gone before the next is built
+                        alive = [x for x in (r() for r in refs) if x is not None]
                         assert not alive, f"{built[-1]} still alive"
                         video = next(stream, None)
                         if video is None:
@@ -553,6 +551,7 @@ class TestEval:
                         own = [m for m in (video.vis, video.lang.cls_stream, video.lang.loc_stream,
                                            video.lang.adv_stream) if id(m) not in shared]
                         refs = [weakref.ref(x) for x in (video, video.lang, *own)]
+                        every.extend(refs)
                         yield video
                         del video, own
                 return one_at_a_time()
@@ -561,6 +560,8 @@ class TestEval:
         monkeypatch.setattr(cli, "inject_conflict", watched(cli.inject_conflict))
         monkeypatch.setattr(cli, "generate_distractors", watched(cli.generate_distractors))
         got = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
+        # and once the report is built, nothing of any generated video is left
+        assert [r for r in every if r() is not None] == []
         ids = [v.id for v in corpus.videos]
         assert built == ids + [f"d{i:04d}" for i in range(len(ids))]
         assert got == want
@@ -727,7 +728,16 @@ def _set(*path, value=None):
     return corrupt
 
 
+def _overlapping_segment(p):
+    doc = json.loads(p.read_text())
+    gt = doc["videos"][0]["gt"]
+    gt.append(gt[0])
+    p.write_text(json.dumps(doc))
+
+
 _EVAL = ["eval", "--ckpt", "{run}/model.ckpt", "--corpus", "{corpus}", "--out", "{tmp}/r.json"]
+_TRAIN = ["train", "--corpus", "{corpus}", "--config", "{run}/config.json", "--out", "{tmp}/out"]
+_RESUME = _TRAIN + ["--resume", "{run}/model.ckpt"]
 
 # (file to corrupt, corruption, command reading it, text the error must name)
 CORRUPTIONS = [
@@ -765,6 +775,19 @@ CORRUPTIONS = [
     # a gen stopped before its manifest, and a blob removed that the manifest still names
     ("corpus/manifest.json", _unlink, _EVAL, "no manifest.json"),
     ("corpus/v0000_vis.bin", _unlink, _EVAL, "missing vis blob"),
+    # manifests write_corpus never writes: a repeated id, no videos, a video off the
+    # config's shape, overlapping segments
+    *[("corpus/manifest.json", corrupt, argv, needle) for argv in (_EVAL, _TRAIN)
+      for corrupt, needle in [(_set("videos", 1, "id", value="v0000"), "videos[1].id"),
+                              (_set("videos", value=[]), "'videos'"),
+                              (_set("videos", 0, "frames", value=20), "videos[0].frames"),
+                              (_set("videos", 0, "dim", value=3), "videos[0].dim"),
+                              (_overlapping_segment, "videos[0].gt[")]],
+    # sidecar values of the wrong JSON type, read by eval and by train --resume
+    *[("run/model.ckpt.json", _set("model_config", key, value=value), argv, repr(key))
+      for argv in (_EVAL, _RESUME)
+      for key, value in [("dim", 4.5), ("head_layers", 1.5), ("top_k_pre_nms", 2.5),
+                         ("hidden", True)]],
 ]
 
 

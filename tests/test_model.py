@@ -14,7 +14,7 @@ from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
-                           predict_advantage, predict_corpus, save_checkpoint,
+                           predict_corpus, save_checkpoint,
                            template_loss, template_loss_grad, tiou)
 from talgate.nn import Conv1d, Linear, Rng, ShapeError
 from talgate.synthgen import (Corpus, LanguageBundle, Segment, VideoRecord,
@@ -79,7 +79,7 @@ class TestAdvantageHead:
     def test_zero_parameters_zero_output(self):
         state = ModelState(tiny_model_config(), rng=None)
         state.adv_fc.b.value[...] = 0.0
-        out = predict_advantage(np.ones((9, 5)), state)
+        out, _ = state.adv_fc.forward(np.ones((9, 5)))
         assert out.shape == (9, 1)
         assert np.array_equal(out, np.zeros((9, 1)))
 
@@ -88,12 +88,12 @@ class TestAdvantageHead:
         state = ModelState(tiny_model_config(), rng)
         x = rng.normal_matrix(6, 5)
         expected = x @ state.adv_fc.w.value + state.adv_fc.b.value
-        np.testing.assert_allclose(predict_advantage(x, state), expected, atol=1e-12)
+        np.testing.assert_allclose(state.adv_fc.forward(x)[0], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         state = ModelState(tiny_model_config(), None)
         with pytest.raises(ShapeError):
-            predict_advantage(np.ones((4, 7)), state)
+            state.adv_fc.forward(np.ones((4, 7)))
 
 
 class TestAggregate:
@@ -195,7 +195,7 @@ class TestForwardModes:
         vis = rng.normal_matrix(12, 5)
         bundle = random_bundle(rng, 12, 5)
         outputs, _ = forward_video(state, vis, bundle)
-        adv = predict_advantage(bundle.adv_stream, state)
+        adv, _ = state.adv_fc.forward(bundle.adv_stream)
         lam = lambda_from_advantage(adv)
         np.testing.assert_array_equal(outputs.adv_pred, adv)
         np.testing.assert_array_equal(outputs.lam, lam)
@@ -525,9 +525,10 @@ class TestForwardBackwardGradients:
 
         def grads(every_input_grad):
             for layer in flags:
-                def spy(obj, dout, input_grad=True, backward=layer.backward, seen=flags[layer]):
+                def spy(obj, saved, dout, input_grad=True, backward=layer.backward,
+                        seen=flags[layer]):
                     seen.append(input_grad)
-                    return backward(obj, dout, input_grad or every_input_grad)
+                    return backward(obj, saved, dout, input_grad or every_input_grad)
 
                 monkeypatch.setattr(layer, "backward", spy)
             state.zero_grads()
@@ -541,21 +542,26 @@ class TestForwardBackwardGradients:
         assert flags[Linear].count(False) == linear_skipped
         assert grads(True).tobytes() == lean.tobytes()
 
-    def test_stale_cache_is_an_error(self):
+    def test_backward_of_an_older_pass_is_its_own(self):
         rng = Rng(24)
         state = ModelState(tiny_model_config(), rng)
         L = 8
         first, second = [(rng.normal_matrix(L, 5), random_bundle(rng, L, 5)) for _ in range(2)]
         r1, r2, r3 = rng.normal_matrix(L, 3), rng.normal_matrix(L, 2), rng.normal_matrix(L, 4)
-        state.zero_grads()
-        _, stale = forward_video(state, *first)
-        _, cache = forward_video(state, *second)
-        # the layers now hold the second video's inputs: its gradients would be wrong
-        with pytest.raises(RuntimeError, match="1 forward pass"):
-            backward_video(state, stale, r1.copy(), r2.copy(), r3.copy())
-        assert not state.grads.any()
-        backward_video(state, cache, r1.copy(), r2.copy(), r3.copy())
-        assert state.grads.any()
+        d_adv = rng.normal_matrix(L, 1)
+
+        def grads(between):
+            state.zero_grads()
+            _, cache = forward_video(state, *first)
+            for vis, bundle in between:
+                forward_video(state, vis, bundle)
+            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
+            return state.grads.copy()
+
+        own = grads([])
+        assert own.any()
+        # the cache holds all its pass's reads: other passes in between change no bit
+        assert grads([second, (second[0], None)]).tobytes() == own.tobytes()
 
     def test_vision_mode_skips_language_params(self):
         rng = Rng(19)

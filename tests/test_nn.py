@@ -108,9 +108,11 @@ class TestLinear:
         lin = Linear(3, 3)
         lin.w.value[...] = np.eye(3)
         x = Rng(1).normal_matrix(5, 3)
-        assert np.array_equal(lin.forward(x), x)
+        y, saved = lin.forward(x)
+        assert np.array_equal(y, x) and saved is x  # a checked matrix is kept as given
         lin.w.value[...] = 0.0
-        assert np.array_equal(lin.forward(x), np.zeros((5, 3)))
+        assert np.array_equal(lin.forward(x)[0], np.zeros((5, 3)))
+        assert set(vars(lin)) == {"w", "b"}  # the caller keeps what a pass saves
 
     def test_matches_loop_reference(self):
         rng = Rng(2)
@@ -118,16 +120,12 @@ class TestLinear:
         lin.b.value[...] = rng.normal_matrix(1, 2)
         x = rng.normal_matrix(3, 2)
         expected = linear_reference(x.tolist(), lin.w.value.tolist(), lin.b.value.tolist())
-        np.testing.assert_allclose(lin.forward(x), expected, atol=1e-12)
+        np.testing.assert_allclose(lin.forward(x)[0], expected, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         lin = Linear(3, 2)
         with pytest.raises(ShapeError, match=r"\(4, 4\).*\(3, 2\)"):
             lin.forward(np.zeros((4, 4)))
-
-    def test_backward_requires_forward(self):
-        with pytest.raises(RuntimeError):
-            Linear(2, 2).backward(np.zeros((1, 2)))
 
 
 class TestConv1d:
@@ -135,12 +133,12 @@ class TestConv1d:
         conv = Conv1d(1, 4, 4)
         conv.w.value[...] = np.eye(4)
         x = Rng(3).normal_matrix(6, 4)
-        assert np.array_equal(conv.forward(x), x)
+        assert np.array_equal(conv.forward(x)[0], x)
 
     def test_zero_input_broadcasts_bias(self):
         conv = Conv1d(3, 2, 5)
         conv.b.value[...] = np.arange(5.0)
-        out = conv.forward(np.zeros((7, 2)))
+        out, _ = conv.forward(np.zeros((7, 2)))
         np.testing.assert_array_equal(out, np.tile(np.arange(5.0), (7, 1)))
 
     def test_matches_loop_reference(self):
@@ -150,7 +148,7 @@ class TestConv1d:
         x = rng.normal_matrix(5, 2)
         expected = conv1d_reference(x.tolist(), conv.w.value.tolist(),
                                     conv.b.value.tolist(), 3)
-        np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
+        np.testing.assert_allclose(conv.forward(x)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("k, L, din, dout", [
         (1, 7, 3, 5), (3, 7, 3, 5), (5, 7, 5, 3), (5, 2, 3, 5), (3, 1, 4, 2), (3, 256, 32, 32),
@@ -162,15 +160,18 @@ class TestConv1d:
         x = rng.normal_matrix(L, din)
         g = rng.normal_matrix(L, dout)
         out, dw, db, dx = conv1d_taps_reference(x, conv.w.value, conv.b.value, k, g)
-        assert conv.forward(x).tobytes() == out.tobytes()
-        assert conv.backward(g).tobytes() == dx.tobytes()
+        y, xp = conv.forward(x)
+        assert y.tobytes() == out.tobytes()
+        pad = (k - 1) // 2
+        assert xp.shape == (L + 2 * pad, din) and not xp[:pad].any() and not xp[L + pad:].any()
+        assert conv.backward(xp, g).tobytes() == dx.tobytes()
         assert conv.w.grad.tobytes() == dw.tobytes()
         assert conv.b.grad.tobytes() == db.tobytes()
         # without the input gradient, the parameter gradients still accumulate
-        conv.forward(x)
-        assert conv.backward(g, input_grad=False) is None
+        assert conv.backward(xp, g, input_grad=False) is None
         assert conv.w.grad.tobytes() == (dw + dw).tobytes()
         assert conv.b.grad.tobytes() == (db + db).tobytes()
+        assert set(vars(conv)) == {"k", "din", "w", "b"}
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -313,21 +314,21 @@ class TestLayerGradients:
 
             def wrt_x(x):
                 lin.w.zero_grad(), lin.b.zero_grad()
-                out = lin.forward(x)
-                return float((out * r).sum()), lin.backward(r)
+                out, saved = lin.forward(x)
+                return float((out * r).sum()), lin.backward(saved, r)
 
             def wrt_w(w):
                 lin.w.value[...] = w
                 lin.w.zero_grad(), lin.b.zero_grad()
-                out = lin.forward(x0)
-                lin.backward(r)
+                out, saved = lin.forward(x0)
+                lin.backward(saved, r)
                 return float((out * r).sum()), lin.w.grad.copy()
 
             def wrt_b(b):
                 lin.b.value[...] = b
                 lin.w.zero_grad(), lin.b.zero_grad()
-                out = lin.forward(x0)
-                lin.backward(r)
+                out, saved = lin.forward(x0)
+                lin.backward(saved, r)
                 return float((out * r).sum()), lin.b.grad.copy()
 
             assert grad_check(wrt_x, x0) < 1e-6
@@ -343,14 +344,14 @@ class TestLayerGradients:
 
             def wrt_x(x):
                 conv.w.zero_grad(), conv.b.zero_grad()
-                out = conv.forward(x)
-                return float((out * r).sum()), conv.backward(r)
+                out, xp = conv.forward(x)
+                return float((out * r).sum()), conv.backward(xp, r)
 
             def wrt_w(w):
                 conv.w.value[...] = w
                 conv.w.zero_grad(), conv.b.zero_grad()
-                out = conv.forward(x0)
-                conv.backward(r)
+                out, xp = conv.forward(x0)
+                conv.backward(xp, r)
                 return float((out * r).sum()), conv.w.grad.copy()
 
             assert grad_check(wrt_x, x0) < 1e-6
@@ -363,8 +364,8 @@ class TestLayerGradients:
 def _conv_bias_loss(conv, x0, r, b):
     conv.b.value[...] = b
     conv.w.zero_grad(), conv.b.zero_grad()
-    out = conv.forward(x0)
-    conv.backward(r)
+    out, xp = conv.forward(x0)
+    conv.backward(xp, r)
     return float((out * r).sum()), conv.b.grad.copy()
 
 

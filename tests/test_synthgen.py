@@ -373,11 +373,20 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="bad magic"):
             read_corpus(tmp_path)
 
-    def test_invalid_segment_in_manifest(self, tmp_path):
-        corpus = generate_corpus(small_config(num_videos=1))
+    @pytest.mark.parametrize("corrupt, needle", [
+        (lambda m: m["videos"][0]["gt"][0].update(end=10_000), "invalid segment"),
+        (lambda m: m["videos"][0]["gt"].append(m["videos"][0]["gt"][0]), r"videos\[0\]\.gt\[\d\]: .* overlaps"),
+        (lambda m: m["videos"][1].update(id=m["videos"][0]["id"]), r"videos\[1\]\.id"),
+        (lambda m: m.update(videos=[]), "'videos' is an empty list"),
+        (lambda m: m["videos"][1].update(frames=20), r"videos\[1\]\.frames"),
+        (lambda m: m["videos"][1].update(dim=3), r"videos\[1\]\.dim"),
+    ], ids=["segment-out-of-bounds", "overlapping-segments", "duplicate-id", "no-videos",
+            "frames-off-config", "dim-off-config"])
+    def test_invalid_segment_in_manifest(self, tmp_path, corrupt, needle):
+        corpus = generate_corpus(small_config(num_videos=2))
         write_corpus(corpus, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["videos"][0]["gt"][0]["end"] = 10_000
+        corrupt(manifest)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="invalid segment"):
+        with pytest.raises(FormatError, match=needle):
             read_corpus(tmp_path)
