@@ -17,10 +17,16 @@ rates over each table's first rows (hallucination_rates), the mean gate per
 difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
 ambiguity probe (mconf / mlen / acc_at) reading each clip's first decoded
 row, without NMS.
+
+``validate_report`` checks a report against ``REPORT_SCHEMA`` before it is
+written (``eval``) or read back (``report``).  jsonschema is loaded there, on
+first use, so the commands that write no report (gen, train, ablate) never
+import it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -29,7 +35,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import jsonschema
 
 from .errors import ConfigError, FormatError
 from .model import (ModelState, Proposals, decode_proposals, forward_video,
@@ -385,12 +390,17 @@ class MetricsReport:
         return canonical_json(payload)
 
 
-# built once: jsonschema.validate would check the schema itself on every call
-_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+# built once: jsonschema.validate would check the schema itself on every call;
+# and on first use, so that the commands that validate no report never import jsonschema
+@functools.cache
+def _report_validator():
+    import jsonschema
+    return jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 def validate_report(payload: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(payload))
+    from jsonschema.exceptions import best_match
+    error = best_match(_report_validator().iter_errors(payload))
     if error is not None:
         raise FormatError(f"metrics report violates schema: {error.message}")
     return payload

@@ -371,8 +371,9 @@ def _get(obj, key: str, kind: type, where: str):
 
 def read_corpus(in_dir) -> Corpus:
     """Byte-exact inverse of write_corpus.  A manifest it cannot have written
-    (no videos, a repeated id, frames or dim off the config block, a segment
-    out of bounds or overlapping another) is a FormatError naming the key."""
+    (no videos, a video count, frames or dim off the config block, a repeated
+    id, a segment out of bounds or overlapping another) is a FormatError
+    naming the key."""
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
@@ -389,6 +390,9 @@ def read_corpus(in_dir) -> Corpus:
     entries = _get(manifest, "videos", list, where)
     if not entries:
         raise FormatError(f"{where}: key 'videos' is an empty list")
+    if len(entries) != cfg.num_videos:
+        raise FormatError(f"{where}: key 'videos' has length {len(entries)}, "
+                          f"but the config block's num_videos is {cfg.num_videos}")
     videos = []
     for i, entry in enumerate(entries):
         at = f"{where}, videos[{i}]"

@@ -293,6 +293,7 @@ def vision_only_epoch(corpus: Corpus, state: ModelState, opt: Adam,
         det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
         d_tmpl = np.zeros_like(outputs.tmpl_logits)
         backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl)
+        del cache  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
         present = _present_classes(labels, C)
         for c in present:
@@ -321,6 +322,7 @@ def vision_language_epoch(corpus: Corpus, state: ModelState, opt: Adam,
         adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
         total = det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv
         backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
+        del cache  # as in vision_only_epoch
         opt.step()
         steps.append(StepLog(video.id, _present_classes(labels, C), det.loss, tg, adv, total,
                              float(outputs.lam.mean())))

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -735,6 +737,12 @@ def _overlapping_segment(p):
     p.write_text(json.dumps(doc))
 
 
+def _drop_last_video(p):
+    doc = json.loads(p.read_text())
+    doc["videos"].pop()
+    p.write_text(json.dumps(doc))
+
+
 _EVAL = ["eval", "--ckpt", "{run}/model.ckpt", "--corpus", "{corpus}", "--out", "{tmp}/r.json"]
 _TRAIN = ["train", "--corpus", "{corpus}", "--config", "{run}/config.json", "--out", "{tmp}/out"]
 _RESUME = _TRAIN + ["--resume", "{run}/model.ckpt"]
@@ -788,6 +796,9 @@ CORRUPTIONS = [
       for argv in (_EVAL, _RESUME)
       for key, value in [("dim", 4.5), ("head_layers", 1.5), ("top_k_pre_nms", 2.5),
                          ("hidden", True)]],
+    # a manifest listing one video fewer than its config block's num_videos
+    *[("corpus/manifest.json", _drop_last_video, argv, "'videos' has length 5")
+      for argv in (_EVAL, _TRAIN)],
 ]
 
 
@@ -927,3 +938,57 @@ class TestPerfectOracleRun:
         assert payload["map_avg"] == 1.0
         assert all(v == 1.0 for v in payload["map_per_threshold"].values())
         assert payload["infinite_rate"] == 0.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs each command line given as a JSON argument through cli.main in this one
+# process and prints, per command, whether jsonschema was loaded after it.
+_SCHEMA_PROBE = """
+import json, sys
+from talgate.cli import main
+loaded = []
+for argv in map(json.loads, sys.argv[1:]):
+    assert main(argv) == 0, argv
+    loaded.append("jsonschema" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports talgate from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestFreshInterpreter:
+    """This test process has long imported jsonschema, so only a new
+    interpreter shows which commands load it."""
+
+    def _probe(self, *argvs):
+        proc = _fresh_python("-c", _SCHEMA_PROBE, *map(json.dumps, argvs))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_only_report_validation_loads_jsonschema(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", epochs=2)
+        corpus, run = str(tmp_path / "corpus"), str(tmp_path / "run")
+        loaded = self._probe(
+            ["gen", "--config", cfg, "--out", corpus],
+            ["train", "--corpus", corpus, "--config", cfg, "--out", run],
+            ["ablate", "--corpus", corpus, "--config", cfg, "--mode", "sweep",
+             "--out", str(tmp_path / "sweep")],
+            ["eval", "--ckpt", f"{run}/model.ckpt", "--corpus", corpus, "--out", f"{run}/report.json"])
+        assert loaded == [False, False, False, True]
+        assert self._probe(["report", "--run", run]) == [True]
+        # the report the fresh eval wrote is the one this process writes
+        assert main(["eval", "--ckpt", f"{run}/model.ckpt", "--corpus", corpus,
+                     "--out", str(tmp_path / "again.json")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "run" / "report.json").read_bytes()
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = _fresh_python("-m", "talgate", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: talgate")

@@ -18,7 +18,7 @@ from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
                              ProbeStats, ambiguity_probe, ap_by_class,
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, map_at,
-                             mla, validate_report)
+                             _report_validator, mla, validate_report)
 from talgate.model import (ModelConfig, ModelState, Proposals, decode_proposals,
                            forward_video, nms, predict_corpus)
 from talgate.nn import Rng
@@ -534,6 +534,10 @@ class TestMetricsReport:
 
     def test_schema_is_a_valid_schema(self):
         jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+
+    def test_validator_is_built_once(self):
+        assert _report_validator() is _report_validator()
+        assert _report_validator().schema is REPORT_SCHEMA
 
     def test_message_names_the_violation(self):
         with pytest.raises(FormatError) as exc:

@@ -380,8 +380,9 @@ class TestCorpusIO:
         (lambda m: m.update(videos=[]), "'videos' is an empty list"),
         (lambda m: m["videos"][1].update(frames=20), r"videos\[1\]\.frames"),
         (lambda m: m["videos"][1].update(dim=3), r"videos\[1\]\.dim"),
+        (lambda m: m["videos"].pop(), "'videos' has length 1, but the config block's num_videos is 2"),
     ], ids=["segment-out-of-bounds", "overlapping-segments", "duplicate-id", "no-videos",
-            "frames-off-config", "dim-off-config"])
+            "frames-off-config", "dim-off-config", "count-off-config"])
     def test_invalid_segment_in_manifest(self, tmp_path, corrupt, needle):
         corpus = generate_corpus(small_config(num_videos=2))
         write_corpus(corpus, tmp_path)

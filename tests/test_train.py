@@ -1,6 +1,7 @@
 """Training loop: losses, the class table, alternation, stop-gradients."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +428,22 @@ class TestFit:
         fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=4, seed=2))
         steps = 4 * len(corpus.videos)
         assert len(calls) == steps and len(reads) == steps
+
+    def test_each_step_frees_its_activations_before_the_next_forward(self, monkeypatch):
+        import talgate.train as train_module
+        caches, alive = [], []
+
+        def spy(state, vis, bundle):
+            alive.extend(i for i, ref in enumerate(caches) if ref() is not None)
+            outputs, cache = forward_video(state, vis, bundle)
+            caches.append(weakref.ref(cache))
+            return outputs, cache
+
+        monkeypatch.setattr(train_module, "forward_video", spy)
+        corpus = tiny_corpus()
+        fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=2, seed=2))
+        assert len(caches) == 2 * len(corpus.videos)
+        assert alive == [], f"caches of steps {sorted(set(alive))} outlived their step"
 
     def test_zero_epochs_passthrough(self):
         corpus = tiny_corpus()
