@@ -56,7 +56,16 @@ SEED_ENV = "ACTIONVLM_SEED"
 _CONFLICT_SALT = 0xC04F11C7ED
 
 SWEEP_LAMBDAS = (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)
-ABLATION_MODES = ("sweep", "vision-only", "language-only", "no-adv-loss", "no-tg-loss")
+# each ablation mode's rows: a label plus the run-config overrides of the model it trains
+ABLATION_ROWS = {
+    "sweep": [(f"fixed-{v:.1f}", {"lambda_mode": "fixed", "fixed_lambda": v}) for v in SWEEP_LAMBDAS]
+             + [("learned", {"lambda_mode": "learned"})],
+    "vision-only": [("vision-only", {"lambda_mode": "fixed", "fixed_lambda": 0.0})],
+    "language-only": [("language-only", {"lambda_mode": "language_only"})],
+    "no-adv-loss": [("no-adv-loss", {"lambda_adv": 0.0})],
+    "no-tg-loss": [("no-tg-loss", {"lambda_tg": 0.0})],
+}
+ABLATION_MODES = tuple(ABLATION_ROWS)
 
 
 def default_run_config() -> dict:
@@ -269,24 +278,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def ablation_rows(mode: str) -> list[tuple[str, dict]]:
-    """Row label plus run-config overrides for each model the mode trains."""
-    if mode == "sweep":
-        rows = [(f"fixed-{v:.1f}", {"lambda_mode": "fixed", "fixed_lambda": v})
-                for v in SWEEP_LAMBDAS]
-        rows.append(("learned", {"lambda_mode": "learned"}))
-        return rows
-    if mode == "vision-only":
-        return [("vision-only", {"lambda_mode": "fixed", "fixed_lambda": 0.0})]
-    if mode == "language-only":
-        return [("language-only", {"lambda_mode": "language_only"})]
-    if mode == "no-adv-loss":
-        return [("no-adv-loss", {"lambda_adv": 0.0})]
-    if mode == "no-tg-loss":
-        return [("no-tg-loss", {"lambda_tg": 0.0})]
-    raise ConfigError(f"unknown ablation mode {mode!r}; valid modes: {', '.join(ABLATION_MODES)}")
-
-
 def cmd_ablate(args) -> int:
     run = load_run_config(args.config)
     corpus = read_corpus(args.corpus)
@@ -296,9 +287,8 @@ def cmd_ablate(args) -> int:
     twin = list(_conflicted_twin(corpus))  # scored once per row
     gt = {v.id: v.gt for v in corpus.videos}
     rows = []
-    for label, overrides in ablation_rows(args.mode):
-        row_run = dict(run)
-        row_run.update(overrides)
+    for label, overrides in ABLATION_ROWS[args.mode]:
+        row_run = {**run, **overrides}
         model_cfg = build_config(ModelConfig, row_run)
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)

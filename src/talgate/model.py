@@ -321,8 +321,7 @@ class Proposals:
     video, 0..V-1 in the ``stack`` of V videos' tables.  Rows are in
     canonical order: video ascending, then score descending, then start,
     end and label ascending.  ``decode_proposals`` emits that order and
-    ``nms``, ``stack``, ``split`` and slicing keep it; ``from_rows`` sorts
-    the rows of one video into it.
+    ``nms``, ``stack``, ``split`` and slicing keep it.
     """
     start: np.ndarray  # float64
     end: np.ndarray    # float64
@@ -338,23 +337,6 @@ class Proposals:
         indices keep the canonical order."""
         return Proposals(self.start[rows], self.end[rows], self.label[rows], self.score[rows],
                          self.video[rows])
-
-    def rows(self) -> list[tuple[float, float, int, float]]:
-        """(start, end, label, score) tuples of Python numbers, in order."""
-        return list(zip(self.start.tolist(), self.end.tolist(), self.label.tolist(),
-                        self.score.tolist()))
-
-    @classmethod
-    def from_rows(cls, rows) -> "Proposals":
-        """The table of one video's (start, end, label, score) rows, sorted
-        into canonical order (rows with equal keys keep their given order)."""
-        rows = list(rows)
-        table = cls(np.array([r[0] for r in rows], dtype=np.float64),
-                    np.array([r[1] for r in rows], dtype=np.float64),
-                    np.array([r[2] for r in rows], dtype=np.int64),
-                    np.array([r[3] for r in rows], dtype=np.float64),
-                    np.zeros(len(rows), dtype=np.int64))
-        return table.take(np.lexsort((table.label, table.end, table.start, -table.score)))
 
     @classmethod
     def stack(cls, tables) -> "Proposals":

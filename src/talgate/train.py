@@ -1,9 +1,10 @@
 """Alternating-epoch training with class-wise advantage bookkeeping.
 
-Even epochs (0, 2, ...) train on vision features alone and record each
-video's detection loss into a per-class running-mean table.  Odd epochs
-train the gated vision+language model; the frozen table from the paired
-vision epoch supplies regression targets for the advantage head:
+``fit`` runs one loop, ``train_epoch``, in strict alternation.  Even epochs
+(0, 2, ...) train the vision view (no language, gate 0) on the detection
+loss and fill a per-class running-mean table of those losses.  Odd epochs
+train the gated model, adding the template loss and an advantage regression
+whose targets come from the frozen table of the preceding vision epoch:
 
     target[l] = mean vision-only loss of the frame's class - per-frame
                 vision+language loss at l,
@@ -73,16 +74,12 @@ class Adam:
     parameter at once.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, values: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
         self._values = values
         self._grads = grads
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps
         self.t = 0
 
     def step(self) -> None:
@@ -211,24 +208,26 @@ class StepLog:
 class EpochLog:
     epoch: int
     phase: str  # "vision" or "vision_language"
-    mean_dh: float
-    mean_tg: float
-    mean_adv: float
-    mean_total: float
-    mean_lambda: float
     wall_time: float
     steps: list[StepLog] = field(default_factory=list)
-    table_means: dict[int, float] | None = None
+    table_means: dict[int, float] | None = None  # the class table a vision epoch filled
+
+    def _mean(self, name: str) -> float:
+        return sum(getattr(s, name) for s in self.steps) / max(1, len(self.steps))
+
+    @property
+    def mean_total(self) -> float:
+        return self._mean("total")
 
     def record(self) -> dict:
         return {
             "epoch": self.epoch,
             "phase": self.phase,
-            "loss_dh": self.mean_dh,
-            "loss_tg": self.mean_tg,
-            "loss_adv": self.mean_adv,
+            "loss_dh": self._mean("dh"),
+            "loss_tg": self._mean("tg"),
+            "loss_adv": self._mean("adv"),
             "loss_total": self.mean_total,
-            "mean_lambda": self.mean_lambda,
+            "mean_lambda": self._mean("mean_lambda"),
             "wall_time": self.wall_time,
         }
 
@@ -254,79 +253,43 @@ def read_training_log(path) -> list[dict]:
     return records
 
 
-def _summarize(epoch: int, phase: str, steps: list[StepLog], wall: float,
-               table: ClasswiseLossTable | None = None) -> EpochLog:
-    n = max(1, len(steps))
-    log = EpochLog(
-        epoch=epoch,
-        phase=phase,
-        mean_dh=sum(s.dh for s in steps) / n,
-        mean_tg=sum(s.tg for s in steps) / n,
-        mean_adv=sum(s.adv for s in steps) / n,
-        mean_total=sum(s.total for s in steps) / n,
-        mean_lambda=sum(s.mean_lambda for s in steps) / n,
-        wall_time=wall,
-        steps=steps,
-    )
-    if table is not None:
-        log.table_means = table.means()
-    return log
-
-
-def vision_only_epoch(corpus: Corpus, state: ModelState, opt: Adam,
-                      cfg: TrainConfig) -> tuple[ClasswiseLossTable, list[StepLog]]:
-    """One pass over the corpus on vision features alone.
-
-    Every video's detection loss enters the class table once per distinct
-    class present in its ground truth.  Language parameters receive no
-    gradient in this phase.
-    """
+def train_epoch(corpus: Corpus, state: ModelState, opt: Adam, cfg: TrainConfig,
+                table: ClasswiseLossTable | None = None) -> tuple[ClasswiseLossTable, list[StepLog]]:
+    """One pass over the corpus, one Adam step per video.  Without a table
+    it trains the vision view on the detection loss and fills a new class
+    table (each video's loss once per class it shows); given the preceding
+    vision pass's table it trains the gated model, template and advantage
+    terms included.  Returns the table a gated pass reads, and the steps."""
     if not corpus.videos:
         raise ConfigError("cannot train on an empty corpus")
     C = state.cfg.num_classes
-    table = ClasswiseLossTable()
+    vision = table is None
+    if vision:
+        table = ClasswiseLossTable()
     steps = []
     for video in corpus.videos:
         state.zero_grads()
-        outputs, cache = forward_video(state, video.vis, None)
+        outputs, cache = forward_video(state, video.vis, None if vision else video.lang)
         labels, gstart, gend = frame_targets(video.gt, len(outputs.cls_scores), C)
         det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
-        d_tmpl = np.zeros_like(outputs.tmpl_logits)
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl)
+        present = _present_classes(labels, C)
+        if vision:
+            tg = adv = 0.0
+            d_tmpl, d_adv = np.zeros_like(outputs.tmpl_logits), None
+            for c in present:
+                table.add(c, det.loss)
+        else:
+            tg = template_loss(outputs.tmpl_logits, labels)
+            d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
+            adv, d_adv = advantage_loss(outputs.adv_pred, *target_advantage(table, det.per_frame, labels, C))
+            d_adv = cfg.lambda_adv * d_adv
+        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
         del cache  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
-        present = _present_classes(labels, C)
-        for c in present:
-            table.add(c, det.loss)
-        steps.append(StepLog(video.id, present, det.loss, 0.0, 0.0, det.loss, 0.0))
-    return table, steps
-
-
-def vision_language_epoch(corpus: Corpus, state: ModelState, opt: Adam,
-                          cfg: TrainConfig, table: ClasswiseLossTable) -> list[StepLog]:
-    """One gated vision+language pass using a frozen advantage table."""
-    if table is None:
-        raise ConfigError("vision-language epoch requires the loss table of the preceding vision-only epoch")
-    if not corpus.videos:
-        raise ConfigError("cannot train on an empty corpus")
-    C = state.cfg.num_classes
-    steps = []
-    for video in corpus.videos:
-        state.zero_grads()
-        outputs, cache = forward_video(state, video.vis, video.lang)
-        labels, gstart, gend = frame_targets(video.gt, len(outputs.cls_scores), C)
-        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, labels)
-        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
-        targets, mask = target_advantage(table, det.per_frame, labels, C)
-        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
-        total = det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
-        del cache  # as in vision_only_epoch
-        opt.step()
-        steps.append(StepLog(video.id, _present_classes(labels, C), det.loss, tg, adv, total,
+        steps.append(StepLog(video.id, present, det.loss, tg, adv,
+                             det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv,
                              float(outputs.lam.mean())))
-    return steps
+    return table, steps
 
 
 def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -335,16 +298,13 @@ def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     alternation, starting with a vision-only epoch."""
     train_cfg.validate()
     state = init_state if init_state is not None else ModelState(model_cfg.validate(), Rng(train_cfg.seed))
-    opt = Adam(state.values, state.grads, train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
-               train_cfg.adam_eps)
+    opt = Adam(state.values, state.grads, train_cfg)
     log = TrainLog()
     table: ClasswiseLossTable | None = None
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
-        if epoch % 2 == 0:
-            table, steps = vision_only_epoch(corpus, state, opt, train_cfg)
-            log.epochs.append(_summarize(epoch, "vision", steps, time.perf_counter() - t0, table))
-        else:
-            steps = vision_language_epoch(corpus, state, opt, train_cfg, table)
-            log.epochs.append(_summarize(epoch, "vision_language", steps, time.perf_counter() - t0))
+        vision = epoch % 2 == 0
+        table, steps = train_epoch(corpus, state, opt, train_cfg, None if vision else table)
+        log.epochs.append(EpochLog(epoch, "vision" if vision else "vision_language",
+                                   time.perf_counter() - t0, steps, table.means() if vision else None))
     return state, log

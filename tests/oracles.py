@@ -5,12 +5,15 @@ shared helpers from talgate, so a bug in the package cannot hide in the
 check that is supposed to catch it.  The per-tap convolution and the
 per-parameter Adam run the package's NumPy products and elementwise updates
 one tap or one parameter at a time, so the package's batched forms must
-match them bit for bit.
+match them bit for bit.  The last two helpers are no references: they
+convert between plain rows and the package's ``Proposals`` table.
 """
 
 import math
 
 import numpy as np
+
+from talgate.model import Proposals
 
 _MASK64 = (1 << 64) - 1
 
@@ -297,3 +300,21 @@ def grad_check(f, x, h=1e-5):
             worst = rel
         it.iternext()
     return worst
+
+
+def proposals_from_rows(rows) -> Proposals:
+    """The table of one video's (start, end, label, score) rows, sorted
+    into canonical order (rows with equal keys keep their given order)."""
+    rows = list(rows)
+    table = Proposals(np.array([r[0] for r in rows], dtype=np.float64),
+                      np.array([r[1] for r in rows], dtype=np.float64),
+                      np.array([r[2] for r in rows], dtype=np.int64),
+                      np.array([r[3] for r in rows], dtype=np.float64),
+                      np.zeros(len(rows), dtype=np.int64))
+    return table.take(np.lexsort((table.label, table.end, table.start, -table.score)))
+
+
+def proposal_rows(table: Proposals) -> list[tuple[float, float, int, float]]:
+    """A table's (start, end, label, score) tuples of Python numbers, in order."""
+    return list(zip(table.start.tolist(), table.end.tolist(), table.label.tolist(),
+                    table.score.tolist()))

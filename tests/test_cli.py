@@ -16,9 +16,9 @@ import pytest
 
 import talgate.cli as cli
 from conftest import aligned_lap
-from talgate.cli import (SEED_ENV, SWEEP_LAMBDAS, _align, _conflicted_twin,
-                         build_config, default_run_config, load_run_config,
-                         main, render_metrics, render_train_log)
+from talgate.cli import (ABLATION_MODES, ABLATION_ROWS, SEED_ENV, SWEEP_LAMBDAS, _align,
+                         _conflicted_twin, build_config, default_run_config,
+                         load_run_config, main, render_metrics, render_train_log)
 from talgate.errors import ConfigError, FormatError, read_json
 from talgate.metrics import validate_report
 from talgate.model import ModelConfig, ModelState, save_checkpoint
@@ -74,6 +74,13 @@ class TestParser:
             main(["ablate", "--corpus", str(tmp_path), "--mode", "bogus",
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_every_ablation_row_builds_valid_configs(self, mode):
+        for _, overrides in ABLATION_ROWS[mode]:
+            run = {**default_run_config(), **overrides}
+            build_config(ModelConfig, run)
+            build_config(TrainConfig, run)
 
 
 # The stock run config, written out: the benchmark's workloads run on these

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import aligned_lap
-from oracles import ap_reference, hallucination_reference
+from oracles import (ap_reference, hallucination_reference, proposal_rows,
+                     proposals_from_rows)
 from talgate.errors import ConfigError, FormatError
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
                              REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
@@ -19,8 +20,8 @@ from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, map_at,
                              _report_validator, mla, validate_report)
-from talgate.model import (ModelConfig, ModelState, Proposals, decode_proposals,
-                           forward_video, nms, predict_corpus)
+from talgate.model import (ModelConfig, ModelState, decode_proposals, forward_video,
+                           nms, predict_corpus)
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, Segment, generate_corpus,
                               generate_distractors, inject_conflict)
@@ -35,7 +36,7 @@ def P(start, end, label, score):
 
 def tables(props):
     """Per-video proposal rows as per-video tables."""
-    return {vid: Proposals.from_rows(rows) for vid, rows in props.items()}
+    return {vid: proposals_from_rows(rows) for vid, rows in props.items()}
 
 
 class TestAveragePrecision:
@@ -433,9 +434,9 @@ class TestAmbiguityProbe:
         for v in clips:
             decoded = decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg)
             kept = nms(decoded, state.cfg.nms_tiou)
-            assert decoded.rows()[:1] == kept.rows()[:1]
+            assert proposal_rows(decoded)[:1] == proposal_rows(kept)[:1]
             suppressed += len(kept) < len(decoded)
-            top = kept.rows()[0] if len(kept) else (0.0, 0.0, 0, 0.0)
+            top = proposal_rows(kept)[0] if len(kept) else (0.0, 0.0, 0, 0.0)
             confs.append(top[3])
             spans.append((top[1] - top[0]) / v.vis.shape[0])
         assert suppressed > 0 or top_k == 1

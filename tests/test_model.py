@@ -8,7 +8,7 @@ import pytest
 
 from conftest import gate_pinned
 from oracles import (cross_entropy_reference, decode_reference, grad_check,
-                     interval_iou, nms_reference)
+                     interval_iou, nms_reference, proposal_rows, proposals_from_rows)
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
@@ -223,7 +223,7 @@ class TestDecode:
 
     def test_below_threshold_empty(self):
         out = self.outputs(5, np.full((5, 2), 0.001), np.ones((5, 2)))
-        assert decode_proposals(out, self.cfg).rows() == []
+        assert proposal_rows(decode_proposals(out, self.cfg)) == []
 
     def test_direct_substitution(self):
         scores = np.zeros((20, 2))
@@ -231,7 +231,7 @@ class TestDecode:
         offsets = np.zeros((20, 2))
         offsets[10] = (2.0, 3.0)
         props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
-        assert props.rows() == [(8.0, 13.0, 1, 0.9)]
+        assert proposal_rows(props) == [(8.0, 13.0, 1, 0.9)]
 
     def test_clamps_to_video_bounds(self):
         scores = np.zeros((20, 2))
@@ -239,7 +239,7 @@ class TestDecode:
         offsets = np.zeros((20, 2))
         offsets[1] = (5.0, 30.0)
         props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
-        assert props.rows() == [(0.0, 20.0, 0, 0.5)]
+        assert proposal_rows(props) == [(0.0, 20.0, 0, 0.5)]
 
     def test_drops_empty_intervals(self):
         scores = np.zeros((20, 2))
@@ -256,7 +256,7 @@ class TestDecode:
         assert len(props) == 7
         assert np.all(props.score[:-1] >= props.score[1:])
         everything = decode_proposals(self.outputs(30, scores, offsets), self.cfg)
-        assert props.rows() == everything.rows()[:7]
+        assert proposal_rows(props) == proposal_rows(everything)[:7]
 
     def test_matches_reference_with_ties(self):
         rng = Rng(16)
@@ -272,7 +272,7 @@ class TestDecode:
             got = decode_proposals(FrameOutputs(scores, offsets, np.zeros((L, 1)),
                                                 np.zeros((L, 1)), np.zeros((L, C + 1))), cfg)
             want = decode_reference(scores.tolist(), offsets.tolist(), 0.2, L * C)
-            assert got.rows() == want[:top_k]
+            assert proposal_rows(got) == want[:top_k]
             cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
         assert cuts_through_ties >= 10
 
@@ -290,15 +290,15 @@ def random_rows(rng, n, labels=3, levels=4):
 class TestNms:
     def test_identical_duplicates_collapse(self):
         p = (2.0, 9.0, 0, 0.8)
-        assert nms(Proposals.from_rows([p, (2.0, 9.0, 0, 0.8)]), 0.5).rows() == [p]
+        assert proposal_rows(nms(proposals_from_rows([p, (2.0, 9.0, 0, 0.8)]), 0.5)) == [p]
 
     def test_disjoint_survive(self):
         props = [(0.0, 4.0, 0, 0.9), (10.0, 14.0, 0, 0.8), (0.0, 4.0, 1, 0.7)]
-        assert nms(Proposals.from_rows(props), 0.5).rows() == props
+        assert proposal_rows(nms(proposals_from_rows(props), 0.5)) == props
 
     def test_cross_class_never_suppresses(self):
         props = [(0.0, 10.0, 0, 0.9), (0.0, 10.0, 1, 0.5)]
-        assert len(nms(Proposals.from_rows(props), 0.5)) == 2
+        assert len(nms(proposals_from_rows(props), 0.5)) == 2
 
     def test_matches_reference_on_random_sets(self):
         rng = Rng(15)
@@ -308,38 +308,39 @@ class TestNms:
                 s = rng.uniform() * 40.0
                 e = s + 0.5 + rng.uniform() * 20.0
                 props.append((s, e, rng.randint(3), round(rng.uniform(), 2)))  # ties likely
-            got = nms(Proposals.from_rows(props), 0.4)
-            assert got.rows() == nms_reference(props, 0.4)
+            got = nms(proposals_from_rows(props), 0.4)
+            assert proposal_rows(got) == nms_reference(props, 0.4)
 
     def test_matches_reference_with_ties(self):
         rng = Rng(18)
         for _ in range(100):
             props = random_rows(rng, 1 + rng.randint(40))
             for threshold in (0.3, 0.5):
-                got = nms(Proposals.from_rows(props), threshold)
-                assert got.rows() == nms_reference(props, threshold)
+                got = nms(proposals_from_rows(props), threshold)
+                assert proposal_rows(got) == nms_reference(props, threshold)
 
     def test_zero_length_same_label_interval_rejected(self):
         with pytest.raises(ValueError):
-            nms(Proposals.from_rows([(0.0, 4.0, 0, 0.9), (3.0, 3.0, 0, 0.5)]), 0.5)
+            nms(proposals_from_rows([(0.0, 4.0, 0, 0.9), (3.0, 3.0, 0, 0.5)]), 0.5)
         # alone in its class it is never compared, so it stays
         props = [(0.0, 4.0, 0, 0.9), (3.0, 3.0, 1, 0.5)]
-        assert nms(Proposals.from_rows(props), 0.5).rows() == props
+        assert proposal_rows(nms(proposals_from_rows(props), 0.5)) == props
 
     def test_empty(self):
-        assert nms(Proposals.from_rows([]), 0.5).rows() == []
+        assert proposal_rows(nms(proposals_from_rows([]), 0.5)) == []
 
     def test_keeps_table_order(self):
         rng = Rng(24)
         for _ in range(30):
             rows = random_rows(rng, 1 + rng.randint(30))
-            table = Proposals.from_rows(rows)
-            assert table.rows() == sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
+            table = proposals_from_rows(rows)
+            assert proposal_rows(table) == sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
             kept = nms(table, 0.4)
             # the kept rows are a subsequence of the table, so in canonical order too
-            it = iter(table.rows())
-            assert all(row in it for row in kept.rows())
-            assert kept.rows() == sorted(kept.rows(), key=lambda p: (-p[3], p[0], p[1], p[2]))
+            it = iter(proposal_rows(table))
+            assert all(row in it for row in proposal_rows(kept))
+            kept_rows = proposal_rows(kept)
+            assert kept_rows == sorted(kept_rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
             assert [a.dtype for a in (kept.start, kept.end, kept.label, kept.score)] == \
                 [np.float64, np.float64, np.int64, np.float64]
 
@@ -576,7 +577,7 @@ class TestForwardBackwardGradients:
 
 
 def per_video_rows(stacked_rows, videos):
-    return [table.rows() for table in stacked_rows.split(videos)]
+    return [proposal_rows(table) for table in stacked_rows.split(videos)]
 
 
 class TestStackedNms:
@@ -584,7 +585,7 @@ class TestStackedNms:
     on each video alone."""
 
     def check(self, videos_rows, threshold):
-        stacked = Proposals.stack(Proposals.from_rows(rows) for rows in videos_rows)
+        stacked = Proposals.stack(proposals_from_rows(rows) for rows in videos_rows)
         got = nms(stacked, threshold)
         assert got.video.tolist() == sorted(got.video.tolist())
         assert per_video_rows(got, len(videos_rows)) == \
@@ -614,31 +615,31 @@ class TestStackedNms:
         for at in range(len(others) + 1):
             videos = others[:at] + [long] + others[at:]
             self.check(videos, 0.5)
-        assert len(nms(Proposals.stack([Proposals.from_rows(long)]), 0.5)) == 60
+        assert len(nms(Proposals.stack([proposals_from_rows(long)]), 0.5)) == 60
 
     def test_empty_stacks(self):
         assert len(nms(Proposals.stack([]), 0.5)) == 0
-        assert per_video_rows(nms(Proposals.stack([Proposals.from_rows([])] * 3), 0.5), 3) == \
+        assert per_video_rows(nms(Proposals.stack([proposals_from_rows([])] * 3), 0.5), 3) == \
             [[], [], []]
 
     def test_stack_split_round_trip(self):
         rng = Rng(34)
         videos = [random_rows(rng, n) for n in (0, 4, 1, 0, 7, 0)]
-        tables = [Proposals.from_rows(rows) for rows in videos]
+        tables = [proposals_from_rows(rows) for rows in videos]
         stacked = Proposals.stack(tables)
         assert stacked.video.tolist() == [i for i, rows in enumerate(videos) for _ in rows]
         back = stacked.split(len(videos))
-        assert [t.rows() for t in back] == [t.rows() for t in tables]
+        assert [proposal_rows(t) for t in back] == [proposal_rows(t) for t in tables]
         assert all(t.video.tolist() == [0] * len(t) for t in back)
 
     def test_zero_length_interval_names_its_video(self):
         ok = [(0.0, 4.0, 0, 0.9)]
         bad = [(0.0, 4.0, 0, 0.9), (3.0, 3.0, 0, 0.5)]
         with pytest.raises(ValueError, match="in video 2"):
-            nms(Proposals.stack(Proposals.from_rows(r) for r in (ok, ok, bad, ok)), 0.5)
+            nms(Proposals.stack(proposals_from_rows(r) for r in (ok, ok, bad, ok)), 0.5)
         # the same label in another video does not count
         alone = [(3.0, 3.0, 0, 0.5)]
-        got = nms(Proposals.stack(Proposals.from_rows(r) for r in (ok, alone, ok)), 0.5)
+        got = nms(Proposals.stack(proposals_from_rows(r) for r in (ok, alone, ok)), 0.5)
         assert per_video_rows(got, 3) == [ok, alone, ok]
 
 
@@ -651,7 +652,7 @@ class TestPrediction:
         v = corpus.videos[0]
         a = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
         b = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
-        assert a.rows() == b.rows()
+        assert proposal_rows(a) == proposal_rows(b)
         per_video, _ = predict_corpus(state, corpus.videos)
         assert set(per_video) == {v.id for v in corpus.videos}
 
@@ -674,8 +675,8 @@ class TestPrediction:
             decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
                                        cfg.score_threshold, cfg.top_k_pre_nms)
             want = nms_reference(decoded, cfg.nms_tiou)
-            assert got[v.id].rows() == want
-            assert got[v.id].rows() == nms(decode_proposals(out, cfg), cfg.nms_tiou).rows()
+            assert proposal_rows(got[v.id]) == want
+            assert proposal_rows(got[v.id]) == proposal_rows(nms(decode_proposals(out, cfg), cfg.nms_tiou))
             assert lam.shape == (v.vis.shape[0], 1) and lam.tobytes() == out.lam.tobytes()
             assert gate is None or not lam.any()
             kept += len(want) < len(decoded)

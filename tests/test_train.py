@@ -15,8 +15,7 @@ from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
                            TrainLog, advantage_loss, detection_loss, fit,
-                           read_training_log, target_advantage,
-                           vision_language_epoch, vision_only_epoch)
+                           read_training_log, target_advantage, train_epoch)
 
 
 def tiny_corpus(seed=3, num_videos=8, num_classes=3, frames=64, dim=8):
@@ -65,7 +64,7 @@ class TestTrainConfig:
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Param(np.array([[1.0]]))
-        opt = Adam(p.value, p.grad, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(p.value, p.grad, TrainConfig(lr=0.01))
         p.grad[...] = 2.0
         opt.step()
         assert p.value[0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
@@ -75,7 +74,7 @@ class TestAdam:
         state = ModelState(ModelConfig(dim=5, num_classes=3, hidden=4), rng)
         params = [p for _, p in state.named_params()]
         start = [p.value.copy() for p in params]
-        opt = Adam(state.values, state.grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(state.values, state.grads, TrainConfig(lr=0.01))
         grad_steps = []
         for step in range(6):
             grads = [rng.normal_matrix(*p.shape) for p in params]
@@ -91,7 +90,7 @@ class TestAdam:
 
     def test_zero_grad_leaves_value(self):
         p = Param(np.array([[1.0, -2.0]]))
-        opt = Adam(p.value, p.grad, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(p.value, p.grad, TrainConfig(lr=0.5))
         before = p.value.tobytes()
         opt.step()
         assert p.value.tobytes() == before
@@ -258,11 +257,11 @@ class TestVisionEpoch:
         corpus = tiny_corpus()
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg)
         adv_w = state.adv_fc.w.value.tobytes()
         adv_b = state.adv_fc.b.value.tobytes()
         tmpl_w = state.tmpl_out.w.value.tobytes()
-        vision_only_epoch(corpus, state, opt, cfg)
+        train_epoch(corpus, state, opt, cfg)
         assert state.adv_fc.w.value.tobytes() == adv_w
         assert state.adv_fc.b.value.tobytes() == adv_b
         assert state.tmpl_out.w.value.tobytes() == tmpl_w
@@ -274,8 +273,8 @@ class TestVisionEpoch:
         results = []
         for c in (corpus, twin):
             state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
-            opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            table, steps = vision_only_epoch(c, state, opt, cfg)
+            opt = Adam(state.values, state.grads, cfg)
+            table, steps = train_epoch(c, state, opt, cfg)
             results.append((state, table, steps))
         (sa, ta, stepsa), (sb, tb, stepsb) = results
         for (na, pa), (_, pb) in zip(sa.named_params(), sb.named_params()):
@@ -287,8 +286,8 @@ class TestVisionEpoch:
         corpus = tiny_corpus(seed=11)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(1))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        table, steps = vision_only_epoch(corpus, state, opt, cfg)
+        opt = Adam(state.values, state.grads, cfg)
+        table, steps = train_epoch(corpus, state, opt, cfg)
         replay = ClasswiseLossTable()
         for s in steps:
             assert s.classes == tuple(sorted(set(s.classes)))
@@ -303,18 +302,18 @@ class TestVisionLanguageEpoch:
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(seed))
         cfg = TrainConfig(epochs=2, lambda_tg=lambda_tg, lambda_adv=lambda_adv).validate()
-        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(state.values, state.grads, cfg)
         table = ClasswiseLossTable()
         for c in range(3):
             table.add(c, 0.8)
-        steps = vision_language_epoch(corpus, state, opt, cfg, table)
+        _, steps = train_epoch(corpus, state, opt, cfg, table)
         return corpus, state, steps
 
     def test_zero_weights_reduce_to_detection_step(self):
         corpus, trained, steps = self.run_one_video(0.0, 0.0)
         manual = ModelState(ModelConfig(dim=8, num_classes=3), Rng(40))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(manual.values, manual.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt = Adam(manual.values, manual.grads, cfg)
         video = corpus.videos[0]
         manual.zero_grads()
         outputs, cache = forward_video(manual, video.vis, video.lang)
@@ -351,13 +350,18 @@ class TestVisionLanguageEpoch:
         assert seen["per_frame"].tobytes() == seen["det"].per_frame.tobytes()
         assert seen["det"].loss == pytest.approx(seen["per_frame"].sum() / positives, rel=1e-12)
 
-    def test_requires_table(self):
+    def test_rejects_table_missing_a_present_class(self):
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=2).validate()
-        opt = Adam(state.values, state.grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        with pytest.raises(ConfigError, match="table"):
-            vision_language_epoch(corpus, state, opt, cfg, None)
+        opt = Adam(state.values, state.grads, cfg)
+        missing = corpus.videos[0].gt[0].label
+        table = ClasswiseLossTable()
+        for c in range(3):
+            if c != missing:
+                table.add(c, 0.8)
+        with pytest.raises(ConfigError, match=f"class {missing} missing from the vision-only loss table"):
+            train_epoch(corpus, state, opt, cfg, table)
 
 
 class TestStopGradient:
@@ -455,6 +459,11 @@ class TestFit:
         for name, p in state.named_params():
             assert p.value.tobytes() == snapshot[name].tobytes()
 
+    def test_empty_corpus_rejected(self):
+        corpus = tiny_corpus()
+        with pytest.raises(ConfigError, match="cannot train on an empty corpus"):
+            fit(Corpus(corpus.config, []), ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=2))
+
     def test_odd_epochs_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             fit(tiny_corpus(), ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=3))
@@ -489,6 +498,15 @@ class TestTrainingLogIO:
         assert records == [e.record() for e in log.epochs]
         assert {"epoch", "phase", "loss_dh", "loss_tg", "loss_adv", "loss_total",
                 "mean_lambda", "wall_time"} == set(records[0])
+
+    def test_record_means_are_step_means(self):
+        _, log = fit(tiny_corpus(), ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=2))
+        for epoch in log.epochs:
+            steps, record = epoch.steps, epoch.record()
+            for key, name in (("loss_dh", "dh"), ("loss_tg", "tg"), ("loss_adv", "adv"),
+                              ("loss_total", "total"), ("mean_lambda", "mean_lambda")):
+                assert record[key] == sum(getattr(s, name) for s in steps) / len(steps), key
+            assert epoch.mean_total == record["loss_total"]
 
     def test_empty_log(self, tmp_path):
         path = tmp_path / "empty.jsonl"
