@@ -16,6 +16,7 @@ byte-exact inverses of writes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -35,26 +36,41 @@ def _matrix_bytes(m: np.ndarray) -> bytes:
     return np.ascontiguousarray(m, dtype="<f8").tobytes()
 
 
-def _take(buf: bytes, offset: int, n: int, what: str, path: Path) -> tuple[bytes, int]:
+def _read_file(path: Path) -> bytearray:
+    """The file's bytes, read once into a writable buffer that the payload
+    arrays view: no payload is copied after the read."""
+    with open(path, "rb") as f:  # buffered: readinto stops short only at the end of the file
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+    return buf
+
+
+def _end(buf: bytearray, offset: int, n: int, what: str, path: Path) -> int:
+    """The offset past ``n`` bytes of ``what`` at ``offset``, which must lie in ``buf``."""
     if offset + n > len(buf):
         raise FormatError(f"truncated blob {path}: needed {n} bytes for {what} at offset {offset}, file has {len(buf)}")
-    return buf[offset:offset + n], offset + n
+    return offset + n
 
 
-def _read_payload(buf: bytes, offset: int, path: Path, what: str) -> tuple[np.ndarray, int]:
-    """Dimensions, then a finite row-major float64 payload."""
-    raw, offset = _take(buf, offset, _DIMS.size, f"dimensions of {what}", path)
-    rows, cols = _DIMS.unpack(raw)
-    payload, end = _take(buf, offset, rows * cols * 8, f"{rows}x{cols} payload of {what}", path)
-    m = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+def _u32(buf: bytearray, offset: int, what: str, path: Path) -> tuple[int, int]:
+    end = _end(buf, offset, _U32.size, what, path)
+    return _U32.unpack_from(buf, offset)[0], end
+
+
+def _read_payload(buf: bytearray, offset: int, path: Path, what: str) -> tuple[np.ndarray, int]:
+    """Dimensions, then a finite row-major float64 payload, a view of ``buf``."""
+    start = _end(buf, offset, _DIMS.size, f"dimensions of {what}", path)
+    rows, cols = _DIMS.unpack_from(buf, offset)
+    end = _end(buf, start, rows * cols * 8, f"{rows}x{cols} payload of {what}", path)
+    m = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=start).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
-        raise FormatError(f"non-finite entries in {what} at offset {offset} in {path}")
+        raise FormatError(f"non-finite entries in {what} at offset {start} in {path}")
     return m, end
 
 
-def _read_header(buf: bytes, path: Path) -> int:
-    raw, offset = _take(buf, 0, _HEADER.size, "header", path)
-    magic, version = _HEADER.unpack(raw)
+def _read_header(buf: bytearray, path: Path) -> int:
+    offset = _end(buf, 0, _HEADER.size, "header", path)
+    magic, version = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at offset 0 in {path}, expected {MAGIC!r}")
     if version != VERSION:
@@ -74,7 +90,7 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
-    buf = path.read_bytes()
+    buf = _read_file(path)
     m, offset = _read_payload(buf, _read_header(buf, path), path, "the matrix")
     if offset != len(buf):
         raise FormatError(f"trailing garbage at offset {offset} in {path}")
@@ -95,19 +111,17 @@ def write_named_matrices(path, items: list[tuple[str, np.ndarray]]) -> None:
 
 def read_named_matrices(path) -> list[tuple[str, np.ndarray]]:
     path = Path(path)
-    buf = path.read_bytes()
+    buf = _read_file(path)
     offset = _read_header(buf, path)
-    raw, offset = _take(buf, offset, _U32.size, "entry count", path)
-    (count,) = _U32.unpack(raw)
+    count, offset = _u32(buf, offset, "entry count", path)
     items: list[tuple[str, np.ndarray]] = []
     for i in range(count):
-        raw, offset = _take(buf, offset, _U32.size, f"name length of entry {i}", path)
-        (name_len,) = _U32.unpack(raw)
-        raw, offset = _take(buf, offset, name_len, f"name of entry {i}", path)
+        name_len, start = _u32(buf, offset, f"name length of entry {i}", path)
+        offset = _end(buf, start, name_len, f"name of entry {i}", path)
         try:
-            name = raw.decode("utf-8")
+            name = buf[start:offset].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"non-UTF-8 name of entry {i} at offset {offset - name_len} in {path}") from exc
+            raise FormatError(f"non-UTF-8 name of entry {i} at offset {start} in {path}") from exc
         m, offset = _read_payload(buf, offset, path, repr(name))
         items.append((name, m))
     if offset != len(buf):

@@ -38,8 +38,8 @@ from .model import (ModelConfig, ModelState, load_checkpoint, predict_corpus,
                     save_checkpoint)
 from .nn import Rng
 from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
-                       generate_distractors, inject_conflict, read_corpus,
-                       write_corpus)
+                       generate_distractors, inject_conflict, open_corpus,
+                       read_corpus, require_aligned, write_corpus)
 from .train import TrainConfig, fit, read_training_log
 
 log = logging.getLogger(__name__)
@@ -184,25 +184,39 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     gives the gates ``mla`` reads.  Difficulty buckets come from the same
     model's vision view, the corpus without its language (the vision-only
     path, which a gate of 0 reproduces bitwise), the closest in-run
-    stand-in for a vision-only baseline.  The conflicted twin (``conflict``)
-    and the distractor clips (``probe``) are generated and scored one video
-    at a time, so neither is ever held whole.
+    stand-in for a vision-only baseline.
+
+    ``corpus.videos`` is read once, by the aligned pass, so a stored corpus
+    (``synthgen.open_corpus``) reads each blob once.  That pass notes each
+    video's vision view (frames and ground truth, without its language),
+    which serves the vision-view pass, the ground truth of every metric and
+    the conflicted twin; a video's language is dropped once it is scored.
+    The conflicted twin (``conflict``) and the distractor clips (``probe``)
+    are generated and scored one video at a time, so neither is ever held
+    whole.
     """
-    gt = {v.id: v.gt for v in corpus.videos}
-    proposals, lams = predict_corpus(state, corpus.videos)
+    views = []  # each video's vision view, noted as the aligned pass reads the video
+
+    def note(video: VideoRecord) -> VideoRecord:
+        if conflict:
+            require_aligned(video)
+        views.append(VideoRecord(video.id, video.vis, None, video.gt))
+        return video
+
+    proposals, lams = predict_corpus(state, map(note, corpus.videos))
+    gt = {v.id: v.gt for v in views}
     per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals)
+    del proposals  # scored; the passes below add to the views and gates alone
 
-    vision_props, _ = predict_corpus(state, (VideoRecord(v.id, v.vis, None, v.gt)
-                                             for v in corpus.videos))
     vision_ap = {}
-    for c, aps in ap_by_class(vision_props, gt, range(corpus.config.num_classes),
-                              DEFAULT_TIOU_THRESHOLDS).items():
+    for c, aps in ap_by_class(predict_corpus(state, views)[0], gt,
+                              range(corpus.config.num_classes), DEFAULT_TIOU_THRESHOLDS).items():
         vals = [a for a in aps if a is not None]
         vision_ap[c] = float(np.mean(vals)) if vals else 0.0
     buckets = difficulty_buckets(vision_ap)
 
-    gts = [v.gt for v in corpus.videos]
+    gts = [v.gt for v in views]
     mla_per_bucket = {}
     for name, bucket in (("hard", buckets.hard), ("medium", buckets.medium), ("easy", buckets.easy)):
         if bucket:
@@ -210,7 +224,8 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     lap_value = None
     if conflict:
-        lap_value = lap(state, corpus, map_avg, _conflicted_twin(corpus))
+        vision = Corpus(corpus.config, views)
+        lap_value = lap(state, vision, map_avg, _conflicted_twin(vision))
 
     mconf = mlen = acc_at = None
     if probe:
@@ -267,7 +282,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
-    corpus = read_corpus(args.corpus)
+    corpus = open_corpus(args.corpus)
     _check_compatible(state, corpus)
     report = build_report(state, corpus, conflict=args.conflict, probe=args.probe)
     text = report.to_json()

@@ -86,8 +86,8 @@ class Rng:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError(f"randint needs a positive bound, got {n}")
+        if not 0 < n <= 1 << 64:  # past 2**64 no 64-bit word lies below the rejection limit
+            raise ValueError(f"randint needs a bound in [1, 2**64], got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             w = self.next_u64()

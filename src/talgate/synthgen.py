@@ -10,6 +10,12 @@ per-class knobs shape the bias structure:
 
 All randomness flows through one seeded Rng in a fixed draw order, so a
 config generates byte-identical corpora on every run.
+
+A corpus on disk is a manifest plus four blobs per video.  ``open_corpus``
+checks the manifest and reads the blobs one video at a time, as a reader
+iterates the videos; ``read_corpus`` holds them all in memory.  The
+conflicted twin and the distractor clips are likewise generated one video
+at a time.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ class VideoRecord:
 @dataclass(eq=False)
 class Corpus:
     config: GenConfig
-    videos: list[VideoRecord]
+    videos: list[VideoRecord] | StoredVideos  # a stored corpus's videos are read on demand
 
 
 def partner_class(c: int, num_classes: int) -> int:
@@ -228,6 +234,13 @@ def generate_corpus(cfg: GenConfig) -> Corpus:
     return Corpus(cfg, videos)
 
 
+def require_aligned(video: VideoRecord) -> None:
+    """A ConfigError naming ``video`` if its language is already conflicted;
+    a vision view (``lang=None``) has no language to conflict."""
+    if video.lang is not None and not video.lang.aligned:
+        raise ConfigError(f"video {video.id} is already conflicted")
+
+
 def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
     """Regenerate language under a seeded derangement of class identities.
 
@@ -235,19 +248,20 @@ def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
     every segment's language streams describe a different class than the
     one actually present, so language evidence actively contradicts vision.
     Fresh noise comes from ``rng``, so applying twice with equal seeds is
-    not an involution.
+    not an involution.  Only each video's frames and ground truth are read,
+    so a corpus of vision views (``lang=None``) gives the same twin as the
+    corpus they were taken from.
 
-    The corpus is checked and the derangement drawn at the call; the
-    returned iterator then builds the conflicted videos one at a time, in
-    corpus order, so a reader that drops each before asking for the next
-    holds one at a time.  ``list(...)`` it to read the twin twice.
+    The corpus is checked (``require_aligned``) and the derangement drawn at
+    the call; the returned iterator then builds the conflicted videos one at
+    a time, in corpus order, so a reader that drops each before asking for
+    the next holds one at a time.  ``list(...)`` it to read the twin twice.
     """
     cfg = corpus.config
     if cfg.num_classes < 2:
         raise ConfigError("conflict injection needs at least 2 classes")
     for video in corpus.videos:
-        if not video.lang.aligned:
-            raise ConfigError(f"video {video.id} is already conflicted")
+        require_aligned(video)
     pi = rng.derangement(cfg.num_classes)
     lat = _draw_latents(cfg, Rng(cfg.seed))
     return (VideoRecord(video.id, video.vis,
@@ -323,7 +337,7 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
 
     An old manifest is removed before the first blob is written, and the
     new one is written last and atomically: a write that stops part-way
-    leaves a directory without a manifest, which ``read_corpus`` rejects,
+    leaves a directory without a manifest, which ``open_corpus`` rejects,
     never a manifest beside another corpus's blobs.  Once the new manifest
     is written, the blobs the old one named and the new one does not are
     removed.
@@ -369,11 +383,58 @@ def _get(obj, key: str, kind: type, where: str):
     return value
 
 
-def read_corpus(in_dir) -> Corpus:
-    """Byte-exact inverse of write_corpus.  A manifest it cannot have written
-    (no videos, a video count, frames or dim off the config block, a repeated
-    id, a segment out of bounds or overlapping another) is a FormatError
-    naming the key."""
+@dataclass(eq=False)
+class _StoredVideo:
+    """What the manifest says of one stored video; its blobs are read on demand."""
+    id: str
+    shape: tuple[int, int]
+    blobs: list[Path]  # in _STREAM_KEYS order
+    gt: list[Segment]
+    aligned: bool
+
+
+def _read_video(entry: _StoredVideo) -> VideoRecord:
+    """One stored video: its four blobs, each read and checked against the manifest's shape."""
+    streams = []
+    for path in entry.blobs:
+        m = blobio.read_matrix(path)
+        if m.shape != entry.shape:
+            raise FormatError(f"video {entry.id}: blob {path} has shape {m.shape}, manifest says {entry.shape}")
+        streams.append(m)
+    vis, cls, loc, adv = streams
+    return VideoRecord(entry.id, vis, LanguageBundle(cls, loc, adv, aligned=entry.aligned), entry.gt)
+
+
+class StoredVideos:
+    """The videos of a stored corpus, read from its blobs on every iteration.
+
+    ``len`` comes from the manifest.  An iteration reads and checks one
+    video's four blobs at a time, in manifest order, yields the video and
+    keeps nothing of it, so a reader that drops each video before asking
+    for the next holds one at a time.
+    """
+
+    def __init__(self, entries: list[_StoredVideo]):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[VideoRecord]:
+        return map(_read_video, self._entries)
+
+
+def open_corpus(in_dir) -> Corpus:
+    """A stored corpus whose ``videos`` are read one at a time (``StoredVideos``).
+
+    Every manifest check runs here, before any blob is read: a missing
+    manifest or blob, and a manifest ``write_corpus`` cannot have written
+    (no videos, a video count, frames or dim off the config block, a
+    repeated id, a segment out of bounds or overlapping another), is a
+    FormatError naming the key.  Each blob is checked as its video is read:
+    its header, size and finite payload (``blobio.read_matrix``) and its
+    shape against the manifest's.
+    """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.exists():
@@ -404,15 +465,12 @@ def read_corpus(in_dir) -> Corpus:
             if have != want:
                 raise FormatError(f"{at}.{key} is {have}, but the config block says {want}")
         blobs = _get(entry, "blobs", dict, at)
-        streams = {}
+        paths = []
         for key in _STREAM_KEYS:
             blob_path = in_dir / _get(blobs, key, str, f"{at}.blobs")
             if not blob_path.is_file():
                 raise FormatError(f"video {vid}: missing {key} blob {blob_path}")
-            m = blobio.read_matrix(blob_path)
-            if m.shape != shape:
-                raise FormatError(f"video {vid}: blob {blob_path} has shape {m.shape}, manifest says {shape}")
-            streams[key] = m
+            paths.append(blob_path)
         gt = []
         for j, seg in enumerate(_get(entry, "gt", list, at)):
             s, e, lab = (_get(seg, k, int, f"{at}.gt[{j}]") for k in ("start", "end", "label"))
@@ -421,7 +479,13 @@ def read_corpus(in_dir) -> Corpus:
             if any(s < g.end and g.start < e for g in gt):
                 raise FormatError(f"{at}.gt[{j}]: segment ({s}, {e}) overlaps an earlier one")
             gt.append(Segment(s, e, lab))
-        lang = LanguageBundle(streams["cls"], streams["loc"], streams["adv"],
-                              aligned=_get(entry, "aligned", bool, at))
-        videos.append(VideoRecord(vid, streams["vis"], lang, gt))
-    return Corpus(cfg, videos)
+        videos.append(_StoredVideo(vid, shape, paths, gt, _get(entry, "aligned", bool, at)))
+    return Corpus(cfg, StoredVideos(videos))
+
+
+def read_corpus(in_dir) -> Corpus:
+    """Byte-exact inverse of write_corpus: ``open_corpus`` with every video
+    read into memory, for readers that pass over the videos more than once
+    (training reads all of them every epoch)."""
+    corpus = open_corpus(in_dir)
+    return Corpus(corpus.config, list(corpus.videos))

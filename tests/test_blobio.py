@@ -16,7 +16,7 @@ def test_matrix_round_trip(tmp_path):
     p = tmp_path / "m.bin"
     write_matrix(p, m)
     back = read_matrix(p)
-    assert back.dtype == np.float64
+    assert back.dtype == np.float64 and back.flags.writeable
     assert np.array_equal(back, m)
 
 
@@ -101,7 +101,7 @@ def test_named_round_trip_preserves_order(tmp_path):
     back = read_named_matrices(p)
     assert [name for name, _ in back] == [name for name, _ in items]
     for (_, got), (_, want) in zip(back, items):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want) and got.flags.writeable
 
 
 def test_named_trailing_garbage_rejected(tmp_path):

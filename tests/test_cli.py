@@ -16,15 +16,17 @@ import pytest
 
 import talgate.cli as cli
 from conftest import aligned_lap
+from talgate import blobio
 from talgate.cli import (ABLATION_MODES, ABLATION_ROWS, SEED_ENV, SWEEP_LAMBDAS, _align,
                          _conflicted_twin, build_config, default_run_config,
                          load_run_config, main, render_metrics, render_train_log)
 from talgate.errors import ConfigError, FormatError, read_json
 from talgate.metrics import validate_report
-from talgate.model import ModelConfig, ModelState, save_checkpoint
+from talgate.model import ModelConfig, ModelState, load_checkpoint, save_checkpoint
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, LanguageBundle, Segment,
-                              VideoRecord, generate_corpus, write_corpus)
+                              VideoRecord, generate_corpus, open_corpus, read_corpus,
+                              write_corpus)
 from talgate.train import TrainConfig
 
 TINY = {
@@ -535,16 +537,25 @@ class TestEval:
         assert all(set(t.video.tolist()) == set(range(len(corpus.videos))) for t in tables)
 
     def test_generated_videos_are_freed_one_at_a_time(self, workspace, monkeypatch):
-        from talgate.model import load_checkpoint
-        from talgate.synthgen import read_corpus
         state = load_checkpoint(workspace / "run" / "model.ckpt")
-        corpus = read_corpus(workspace / "corpus")
+        corpus = open_corpus(workspace / "corpus")
         want = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
-        shared = {id(v.vis) for v in corpus.videos}  # the twin reuses the corpus's frames
+        predict_corpus, inject_conflict = cli.predict_corpus, cli.inject_conflict
+        noted = []  # the vision views the aligned pass noted, which the vision pass scores
+        shared = set()  # their frames, which the twin reuses
         built, every = [], []
+
+        def vision_pass(state, videos):
+            if isinstance(videos, list):
+                noted.append(videos)
+            return predict_corpus(state, videos)
 
         def watched(make):
             def wrapper(*args, **kwargs):
+                if make is inject_conflict:
+                    source = args[0].videos
+                    assert source is noted[0]  # no stored video is read again
+                    shared.update(id(v.vis) for v in source)
                 stream = make(*args, **kwargs)
 
                 def one_at_a_time():
@@ -566,12 +577,14 @@ class TestEval:
                 return one_at_a_time()
             return wrapper
 
+        monkeypatch.setattr(cli, "predict_corpus", vision_pass)
         monkeypatch.setattr(cli, "inject_conflict", watched(cli.inject_conflict))
         monkeypatch.setattr(cli, "generate_distractors", watched(cli.generate_distractors))
         got = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
         # and once the report is built, nothing of any generated video is left
         assert [r for r in every if r() is not None] == []
         ids = [v.id for v in corpus.videos]
+        assert len(noted) == 1 and [v.id for v in noted[0]] == ids and len(shared) == len(ids)
         assert built == ids + [f"d{i:04d}" for i in range(len(ids))]
         assert got == want
 
@@ -597,6 +610,18 @@ class TestEval:
 
         clip = 4 * frames * dim * 8  # a distractor clip's four float64 streams
         assert peak(16) - peak(4) < clip
+
+    def test_conflict_on_a_stored_conflicted_video_is_data_error(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+        _set("videos", 2, "aligned", value=False)(tmp_path / "corpus" / "manifest.json")
+        argv = ["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
+                "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "r.json")]
+        assert main(argv + ["--conflict"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: video v0002 is already conflicted\n")
+        assert not (tmp_path / "r.json").exists()
+        # without --conflict the video is scored as stored
+        assert main(argv) == 0
 
     def test_eval_computes_no_gate_gradient(self, workspace, monkeypatch):
         import talgate.model as model
@@ -627,6 +652,77 @@ class TestEval:
         assert main(["eval", "--ckpt", str(ckpt), "--corpus", str(workspace / "corpus"),
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "num_classes" in capsys.readouterr().err
+
+
+class TestStoredCorpus:
+    """eval reads the stored corpus through ``open_corpus``, one video at a time."""
+
+    def test_same_report_as_the_corpus_in_memory(self, workspace):
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        for flags in ({}, {"conflict": True, "probe": True}):
+            stored = cli.build_report(state, open_corpus(workspace / "corpus"), **flags)
+            held = cli.build_report(state, read_corpus(workspace / "corpus"), **flags)
+            assert stored.to_json() == held.to_json()
+
+    def test_each_blob_is_read_once(self, workspace, monkeypatch):
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        reads, read_matrix = [], blobio.read_matrix
+
+        def counted(path):
+            reads.append(Path(path).name)
+            return read_matrix(path)
+
+        monkeypatch.setattr(blobio, "read_matrix", counted)
+        corpus = open_corpus(workspace / "corpus")
+        assert reads == []  # opening the manifest reads no blob
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        blobs = json.loads((workspace / "corpus" / "manifest.json").read_text())["videos"]
+        assert len(reads) == 4 * len(corpus.videos)
+        assert sorted(reads) == sorted(name for v in blobs for name in v["blobs"].values())
+
+    def test_language_is_freed_before_the_next_video_is_read(self, workspace, monkeypatch):
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        language, read_matrix = [], blobio.read_matrix  # (blob name, weakref to its array)
+
+        def watched(path):
+            if Path(path).name.endswith("_vis.bin"):  # the first blob of the next video
+                alive = [name for name, ref in language if ref() is not None]
+                assert alive == [], f"{alive} still alive when {Path(path).name} is read"
+            m = read_matrix(path)
+            if not Path(path).name.endswith("_vis.bin"):
+                language.append((Path(path).name, weakref.ref(m)))
+            return m
+
+        monkeypatch.setattr(blobio, "read_matrix", watched)
+        corpus = open_corpus(workspace / "corpus")
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        assert len(language) == 3 * len(corpus.videos)
+        assert [name for name, ref in language if ref() is not None] == []
+
+    def test_eval_memory_grows_by_the_frames_alone(self, tmp_path):
+        # the language is scored as it is read and only the frames are held:
+        # from 4 to 16 stored videos, build_report's peak grows by less than
+        # the 12 videos' frames plus one video's language (holding the corpus
+        # whole grows it by 12 videos' four streams)
+        frames, dim = 512, 32
+
+        def peak(num_videos):
+            gen = GenConfig(num_classes=4, num_videos=num_videos, frames=frames, dim=dim,
+                            ambiguity=(0.1, 0.1, 0.8, 0.8), helpfulness=(0.2, 0.2, 0.9, 0.9),
+                            seed=3)
+            write_corpus(generate_corpus(gen), tmp_path / f"c{num_videos}")
+            state = ModelState(ModelConfig(dim=dim, num_classes=4), Rng(1))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli.build_report(state, open_corpus(tmp_path / f"c{num_videos}"),
+                                 conflict=True, probe=True)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        stream = frames * dim * 8  # one float64 stream of one video
+        assert peak(16) - peak(4) < 12 * stream + 3 * stream
 
 
 @pytest.fixture(scope="module")
@@ -744,6 +840,10 @@ def _overlapping_segment(p):
     p.write_text(json.dumps(doc))
 
 
+def _nan_last(p):
+    p.write_bytes(p.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+
+
 def _drop_last_video(p):
     doc = json.loads(p.read_text())
     doc["videos"].pop()
@@ -806,6 +906,12 @@ CORRUPTIONS = [
     # a manifest listing one video fewer than its config block's num_videos
     *[("corpus/manifest.json", _drop_last_video, argv, "'videos' has length 5")
       for argv in (_EVAL, _TRAIN)],
+    # a payload eval finds bad only once it reaches a later video: a NaN in its
+    # frames, a truncated language stream
+    ("corpus/v0004_vis.bin", _nan_last, _EVAL + ["--conflict", "--probe"],
+     "non-finite entries in the matrix at offset 16"),
+    ("corpus/v0004_cls.bin", _truncate, _EVAL + ["--conflict", "--probe"],
+     "payload of the matrix at offset 16"),
 ]
 
 
@@ -819,8 +925,9 @@ def test_corrupted_input_is_data_error(workspace, sweep, tmp_path, capsys,
     corrupt(tmp_path / target)
     dirs = {k: str(tmp_path / k) for k in ("corpus", "run", "sweep")}
     assert main([a.format(tmp=tmp_path, **dirs) for a in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and (tmp_path / target).name in err and needle in err, err
+    assert out == "" and not (tmp_path / "r.json").exists()
 
 
 # IsADirectoryError, FileExistsError, FileExistsError, IsADirectoryError

@@ -50,6 +50,14 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(0).randint(0)
 
+    def test_randint_rejects_bounds_past_two_to_the_64(self):
+        # no 64-bit word lies below the rejection limit, so the draw would never return
+        with pytest.raises(ValueError, match=str(2**64 + 1)):
+            Rng(0).randint(2**64 + 1)
+
+    def test_randint_of_two_to_the_64_is_the_raw_word(self):
+        assert Rng(7).randint(2**64) == splitmix64_stream(7, 1)[0]
+
     def test_first_normal_matches_box_muller_by_hand(self):
         for seed in (0, 17, 9001):
             w = splitmix64_stream(seed, 2)

@@ -14,9 +14,9 @@ import pytest
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
 from talgate.nn import Rng
-from talgate.synthgen import (Corpus, GenConfig, generate_corpus, generate_distractors,
-                              inject_conflict, partner_class, read_corpus,
-                              write_corpus)
+from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
+                              generate_distractors, inject_conflict, open_corpus,
+                              partner_class, read_corpus, write_corpus)
 
 
 def small_config(**overrides):
@@ -194,6 +194,11 @@ class TestInjectConflict:
         acc = (nearest(conf_frames, centroids) == conf_labels).mean()
         assert acc <= 1.0 / 4 + 0.05
 
+    def test_vision_views_give_the_same_twin(self):
+        views = [VideoRecord(v.id, v.vis, None, v.gt) for v in self.corpus.videos]
+        twin = Corpus(self.cfg, list(inject_conflict(Corpus(self.cfg, views), Rng(99))))
+        assert corpus_bytes(twin) == corpus_bytes(self.twin)
+
     def test_double_injection_rejected(self):
         with pytest.raises(ConfigError, match="already conflicted"):
             inject_conflict(self.twin, Rng(1))
@@ -289,6 +294,35 @@ class TestCorpusIO:
         write_corpus(corpus, tmp_path / "b")
         for p in sorted((tmp_path / "a").iterdir()):
             assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
+
+    def test_open_reads_the_blobs_on_each_iteration(self, tmp_path, monkeypatch):
+        corpus = generate_corpus(small_config(num_videos=3))
+        write_corpus(corpus, tmp_path)
+        reads, read_matrix = [], blobio.read_matrix
+        monkeypatch.setattr(blobio, "read_matrix", lambda p: reads.append(p.name) or read_matrix(p))
+        stored = open_corpus(tmp_path)
+        assert reads == [] and len(stored.videos) == 3 and stored.config == corpus.config
+        for _ in range(2):  # re-iterable, each pass reading every blob once
+            assert corpus_bytes(stored) == corpus_bytes(corpus)
+        assert reads == 2 * [f"v{i:04d}_{k}.bin" for i in range(3) for k in ("vis", "cls", "loc", "adv")]
+        assert all(v.lang.aligned for v in stored.videos)
+
+    @pytest.mark.parametrize("corrupt, needle", [
+        (lambda m: m["videos"][2]["gt"].append(m["videos"][2]["gt"][0]), r"videos\[2\]\.gt\[\d\]: .* overlaps"),
+        (lambda m: m["videos"][2].update(aligned=None), r"videos\[2\]: key 'aligned'"),
+        (lambda m: m["videos"][2]["blobs"].update(adv="gone.bin"), "video v0002: missing adv blob"),
+    ], ids=["overlapping-segments", "aligned-not-bool", "missing-blob"])
+    def test_open_checks_the_whole_manifest_before_any_blob(self, tmp_path, monkeypatch,
+                                                          corrupt, needle):
+        write_corpus(generate_corpus(small_config(num_videos=3)), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        corrupt(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        reads, read_matrix = [], blobio.read_matrix
+        monkeypatch.setattr(blobio, "read_matrix", lambda p: reads.append(p.name) or read_matrix(p))
+        with pytest.raises(FormatError, match=needle):
+            open_corpus(tmp_path)
+        assert reads == []
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
