@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,41 +83,31 @@ def default_run_config() -> dict:
     return run
 
 
-def build_config(cls, run: dict, **given):
-    """A validated ``cls`` from the run-config keys named like its fields;
-    ``given`` supplies fields the run config does not decide (the model's
-    ``dim`` and ``num_classes`` come from the corpus)."""
-    names = [f.name for f in fields(cls) if f.name not in given]
-    return cls(**{n: run[n] for n in names}, **given).validate()
+def build_config(cls, run: dict):
+    """A validated ``cls`` from the run-config keys named like its fields."""
+    return cls(**{f.name: run[f.name] for f in fields(cls)}).validate()
 
 
-def read_config_file(path: str | None) -> dict:
-    """The keys a run config file sets (none without a file), each of the
-    JSON type of its default."""
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} does not exist")
-    data = read_json(p, "config file")
-    if not isinstance(data, dict):
-        raise FormatError(f"config file {p} must hold a single JSON object")
-    defaults = default_run_config()
-    unknown = sorted(set(data) - set(defaults))
-    if unknown:
-        raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
-                          f"valid keys: {', '.join(sorted(defaults))}")
-    for key, value in data.items():
-        check_type(f"config file {p}", key, value, defaults[key])
-    return data
-
-
-def complete_run_config(given: dict, path: str | None) -> dict:
-    """The defaults updated with the keys ``given`` by the config file at
-    ``path``, every value range-checked, then the seed environment variable."""
+def load_run_config(path: str | None) -> dict:
+    """The full run config: the defaults updated with the keys the config
+    file at ``path`` sets (none without a file), each of the JSON type of its
+    default and every value range-checked, then the seed environment
+    variable.  The file is read once, so a pipe serves as well as a file."""
     cfg = default_run_config()
-    cfg.update(given)
     if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file {p} does not exist")
+        data = read_json(p, "config file")
+        if not isinstance(data, dict):
+            raise FormatError(f"config file {p} must hold a single JSON object")
+        unknown = sorted(set(data) - set(cfg))
+        if unknown:
+            raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
+                              f"valid keys: {', '.join(sorted(cfg))}")
+        for key, value in data.items():
+            check_type(f"config file {p}", key, value, cfg[key])
+        cfg.update(data)
         try:  # every value in range, the model checked at the config's own dim
             for cls in (GenConfig, ModelConfig, TrainConfig):
                 build_config(cls, cfg)
@@ -125,7 +115,7 @@ def complete_run_config(given: dict, path: str | None) -> dict:
                 raise ConfigError("tiou_thresholds must be a non-empty list of values in (0, 1], "
                                   f"got {cfg['tiou_thresholds']}")
         except ConfigError as exc:
-            raise ConfigError(f"config file {Path(path)}: {exc}") from exc
+            raise ConfigError(f"config file {p}: {exc}") from exc
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -138,11 +128,6 @@ def complete_run_config(given: dict, path: str | None) -> dict:
     return cfg
 
 
-def load_run_config(path: str | None) -> dict:
-    """The full run config of the config file at ``path`` (or the defaults)."""
-    return complete_run_config(read_config_file(path), path)
-
-
 def _stamp(out_dir: Path, run: dict, command: str) -> None:
     """Config echo plus tool/version stamp; both byte-stable."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,18 +135,6 @@ def _stamp(out_dir: Path, run: dict, command: str) -> None:
     write_atomic(out_dir / "run.json", json.dumps(
         {"command": command, "seed": run["seed"], "tool": "talgate", "version": __version__},
         sort_keys=True, indent=2) + "\n")
-
-
-def _check_resume(config_path: str | None, given: dict, ckpt: str, cfg: ModelConfig) -> None:
-    """Each model key the config file sets (``given``) must match the
-    resumed checkpoint's; keys left to their defaults are not compared."""
-    for f in fields(ModelConfig):
-        if f.name in ("dim", "num_classes") or f.name not in given:
-            continue  # the corpus decides dim and num_classes
-        have = getattr(cfg, f.name)
-        if given[f.name] != have:
-            raise ConfigError(f"config file {Path(config_path)}: key {f.name!r} is {json.dumps(given[f.name])}, "
-                              f"but the resumed checkpoint {ckpt} has {json.dumps(have)}")
 
 
 def _conflicted_twin(corpus: Corpus) -> Iterator[VideoRecord]:
@@ -249,22 +222,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    given = read_config_file(args.config)
-    run = complete_run_config(given, args.config)
+    run = load_run_config(args.config)
     corpus = read_corpus(args.corpus)
+    # the model, and the config echo, take dim and num_classes from the corpus
+    run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
+    model_cfg = build_config(ModelConfig, run)
     train_cfg = build_config(TrainConfig, run)
-    init_state = None
-    if args.resume:
-        init_state = load_checkpoint(args.resume)
-        _check_compatible(init_state, corpus)
-        _check_resume(args.config, given, args.resume, init_state.cfg)
-        model_cfg = init_state.cfg
-    else:
-        model_cfg = build_config(ModelConfig, run, dim=corpus.config.dim,
-                                 num_classes=corpus.config.num_classes)
-    # echo the model keys used: the corpus's dim and num_classes, a resumed checkpoint's rest
-    run.update(asdict(model_cfg))
-    state, train_log = fit(corpus, model_cfg, train_cfg, init_state=init_state)
+    state, train_log = fit(corpus, model_cfg, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.ckpt"
@@ -401,8 +365,9 @@ def cmd_report(args) -> int:
     for p in sorted(run_dir.glob("*.json")):
         if p.name in consumed or p.name.endswith(".ckpt.json"):
             continue
+        payload = read_json(p)  # a file that does not parse is a data error, not a skip
         try:
-            payload = validate_report(read_json(p))
+            payload = validate_report(payload)
         except FormatError:
             log.info("skipping %s: not a metrics report", p.name)
             continue
@@ -445,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--corpus", required=True, help="corpus directory from gen")
     t.add_argument("--config", help="flat JSON run config")
     t.add_argument("--out", required=True, help="run output directory")
-    t.add_argument("--resume", help="checkpoint file to continue from")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="score a checkpoint and write a metrics report")

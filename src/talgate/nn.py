@@ -107,9 +107,6 @@ class Rng:
         out[1::2] = r * np.sin(theta)
         return sigma * out[:n]
 
-    def normal(self, sigma: float = 1.0) -> float:
-        return float(self._normal_block(1, sigma)[0])
-
     def normal_matrix(self, rows: int, cols: int, sigma: float = 1.0) -> np.ndarray:
         return self._normal_block(rows * cols, sigma).reshape(rows, cols)
 
@@ -142,9 +139,6 @@ class Param:
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape  # type: ignore[return-value]
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 class Linear:

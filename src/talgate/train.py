@@ -292,12 +292,13 @@ def train_epoch(corpus: Corpus, state: ModelState, opt: Adam, cfg: TrainConfig,
     return table, steps
 
 
-def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
-        init_state: ModelState | None = None) -> tuple[ModelState, TrainLog]:
+def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple[ModelState, TrainLog]:
     """Train for train_cfg.epochs epochs in strict vision/vision+language
-    alternation, starting with a vision-only epoch."""
+    alternation, starting with a vision-only epoch.  Every fit starts from
+    the seed, ``ModelState(model_cfg, Rng(train_cfg.seed))`` with fresh Adam
+    moments, so a longer fit is a rerun with more epochs."""
     train_cfg.validate()
-    state = init_state if init_state is not None else ModelState(model_cfg.validate(), Rng(train_cfg.seed))
+    state = ModelState(model_cfg.validate(), Rng(train_cfg.seed))
     opt = Adam(state.values, state.grads, train_cfg)
     log = TrainLog()
     table: ClasswiseLossTable | None = None

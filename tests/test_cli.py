@@ -2,6 +2,7 @@
 byte-level reproducibility, and a handcrafted perfect-detector run."""
 
 import json
+import logging
 import math
 import os
 import shutil
@@ -65,7 +66,8 @@ class TestParser:
         assert exc.value.code == 0
         assert "talgate" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["gen"]])
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["gen"],
+                                      ["train", "--resume", "x", "--corpus", "c", "--out", "o"]])
     def test_usage_errors_exit_one(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -106,7 +108,7 @@ class TestRunConfig:
     def test_defaults_cover_every_builder(self):
         run = default_run_config()
         assert build_config(GenConfig, run).num_videos == 64
-        assert build_config(ModelConfig, run, dim=5, num_classes=3).dim == 5
+        assert build_config(ModelConfig, run).dim == 32
         assert build_config(TrainConfig, run).epochs == 60
 
     def test_defaults_are_the_stock_config(self):
@@ -185,17 +187,22 @@ MISTYPED_CONFIGS = [
 ]
 
 
+def config_argv(command, cfg, workspace, tmp_path):
+    """The command line of ``command`` (one of the three that read a config)
+    run on the config file ``cfg``, writing to ``tmp_path / "out"``."""
+    out = str(tmp_path / "out")
+    corpus = str(workspace / "corpus")
+    return {"gen": ["gen", "--config", cfg, "--out", out],
+            "train": ["train", "--corpus", corpus, "--config", cfg, "--out", out],
+            "ablate": ["ablate", "--corpus", corpus, "--config", cfg, "--mode", "vision-only",
+                       "--out", out]}[command]
+
+
 def run_bad_config(command, key, value, workspace, tmp_path, capsys):
     """Run ``command`` on a config with ``key`` set to ``value``; it must exit
     2 without an output directory.  Returns stderr and the config path."""
     cfg = write_config(tmp_path / "c.json", **{key: value})
-    out = str(tmp_path / "out")
-    corpus = str(workspace / "corpus")
-    argv = {"gen": ["gen", "--config", cfg, "--out", out],
-            "train": ["train", "--corpus", corpus, "--config", cfg, "--out", out],
-            "ablate": ["ablate", "--corpus", corpus, "--config", cfg, "--mode", "vision-only",
-                       "--out", out]}[command]
-    assert main(argv) == 2
+    assert main(config_argv(command, cfg, workspace, tmp_path)) == 2
     assert not (tmp_path / "out").exists()
     return capsys.readouterr().err, cfg
 
@@ -229,6 +236,21 @@ BAD_VALUE_CONFIGS = [
 def test_bad_config_value_is_data_error(command, key, value, workspace, tmp_path, capsys):
     err, cfg = run_bad_config(command, key, value, workspace, tmp_path, capsys)
     assert cfg in err and key in err
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "ablate"])
+def test_config_read_once(command, workspace, tmp_path, monkeypatch):
+    # a config given as a pipe (`--config <(...)`) can be read only once
+    cfg = write_config(tmp_path / "c.json", epochs=0)
+    reads = []
+
+    def counted(path, what="JSON file"):
+        reads.append(str(path))
+        return read_json(path, what)
+
+    monkeypatch.setattr(cli, "read_json", counted)
+    assert main(config_argv(command, cfg, workspace, tmp_path)) == 0
+    assert reads.count(cfg) == 1
 
 
 class TestGen:
@@ -299,56 +321,6 @@ class TestTrain:
         assert [r["phase"] for r in records] == ["vision", "vision_language"] * 2
         assert json.loads((run / "run.json").read_text())["command"] == "train"
 
-    def test_resume_zero_epochs_is_identity(self, workspace, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", epochs=0)
-        out = tmp_path / "resumed"
-        assert main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
-                     "--resume", str(workspace / "run" / "model.ckpt"),
-                     "--out", str(out)]) == 0
-        assert "trained 0 epochs" in capsys.readouterr().out
-        assert (out / "model.ckpt").read_bytes() == \
-            (workspace / "run" / "model.ckpt").read_bytes()
-        assert (out / "model.ckpt.json").read_text() == \
-            (workspace / "run" / "model.ckpt.json").read_text()
-
-    @pytest.mark.parametrize("overrides, key, given, stored", [
-        ({"kernel": 5}, "kernel", "5", "3"),
-        ({"lambda_mode": "fixed", "fixed_lambda": 1.0}, "lambda_mode", '"fixed"', '"learned"'),
-        ({"kernel": 3, "lambda_mode": "learned"}, None, None, None),
-    ])
-    def test_resume_checks_explicit_model_keys(self, workspace, tmp_path, capsys,
-                                               overrides, key, given, stored):
-        cfg = write_config(tmp_path / "c.json", epochs=0, **overrides)
-        ckpt = workspace / "run" / "model.ckpt"
-        out = tmp_path / "resumed"
-        rc = main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
-                   "--resume", str(ckpt), "--out", str(out)])
-        if key is None:  # explicit keys that match the checkpoint resume byte-exactly
-            assert rc == 0
-            assert (out / "model.ckpt").read_bytes() == ckpt.read_bytes()
-            return
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert cfg in err and repr(key) in err
-        assert f"is {given}," in err and f"has {stored}" in err
-        assert not out.exists()
-
-    def test_resume_echoes_checkpoint_model_keys(self, workspace, tmp_path):
-        first = tmp_path / "k5"
-        assert main(["train", "--corpus", str(workspace / "corpus"), "--out", str(first),
-                     "--config", write_config(tmp_path / "k5.json", epochs=0, kernel=5,
-                                              lambda_mode="fixed", fixed_lambda=0.4)]) == 0
-        # the resume config leaves every model key to its default
-        out = tmp_path / "resumed"
-        assert main(["train", "--corpus", str(workspace / "corpus"), "--out", str(out),
-                     "--config", write_config(tmp_path / "c.json", epochs=0),
-                     "--resume", str(first / "model.ckpt")]) == 0
-        echo = json.loads((out / "config.json").read_text())
-        used = json.loads((out / "model.ckpt.json").read_text())["model_config"]
-        assert echo["kernel"] == used["kernel"] == 5
-        assert echo["lambda_mode"] == "fixed" and echo["fixed_lambda"] == 0.4
-        assert all(echo[k] == v for k, v in used.items())
-
     def test_echoes_corpus_model_shape(self, tmp_path):
         # a dim 8, 3-class corpus trained with a config that sets neither key
         assert main(["gen", "--config", write_config(tmp_path / "gen.json"),
@@ -398,34 +370,10 @@ class TestTrain:
         assert (out / name).read_bytes() == b"old"
         assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
-    def test_resume_reads_config_once(self, workspace, tmp_path, monkeypatch):
-        # a config given as a pipe (`--config <(...)`) can be read only once
-        cfg = write_config(tmp_path / "c.json", epochs=0)
-        reads = []
-
-        def counted(path, what="JSON file"):
-            reads.append(str(path))
-            return read_json(path, what)
-
-        monkeypatch.setattr(cli, "read_json", counted)
-        assert main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
-                     "--resume", str(workspace / "run" / "model.ckpt"),
-                     "--out", str(tmp_path / "resumed")]) == 0
-        assert reads.count(cfg) == 1
-
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_incompatible_resume_checkpoint(self, workspace, tmp_path, capsys):
-        other = ModelState(ModelConfig(dim=16, num_classes=3), Rng(0))
-        ckpt = tmp_path / "other.ckpt"
-        save_checkpoint(other, ckpt)
-        cfg = write_config(tmp_path / "c.json")
-        assert main(["train", "--corpus", str(workspace / "corpus"), "--config", cfg,
-                     "--resume", str(ckpt), "--out", str(tmp_path / "out")]) == 2
-        assert "dim" in capsys.readouterr().err
 
 
 class TestEval:
@@ -443,12 +391,12 @@ class TestEval:
         assert set(payload["mla_per_bucket"]) == {"hard", "medium", "easy"}
 
     def test_deterministic(self, workspace, tmp_path, capsys):
-        out = tmp_path / "again.json"
-        assert main(["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
-                     "--corpus", str(workspace / "corpus"),
-                     "--conflict", "--probe", "--out", str(out)]) == 0
+        for name in ("first.json", "again.json"):
+            assert main(["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
+                         "--corpus", str(workspace / "corpus"),
+                         "--conflict", "--probe", "--out", str(tmp_path / name)]) == 0
         capsys.readouterr()
-        assert out.read_text() == (workspace / "run" / "report.json").read_text()
+        assert (tmp_path / "again.json").read_text() == (tmp_path / "first.json").read_text()
 
     def test_report_written_whole(self, workspace, tmp_path, capsys, monkeypatch):
         argv = ["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
@@ -776,8 +724,8 @@ class TestAblate:
 
 
 class TestReportCommand:
-    def test_renders_run_artifacts(self, workspace, capsys):
-        assert main(["report", "--run", str(workspace / "run")]) == 0
+    def test_renders_run_artifacts(self, evaluated, capsys):
+        assert main(["report", "--run", str(evaluated / "run")]) == 0
         out = capsys.readouterr().out
         for section in ("== run.json ==", "== config.json ==",
                         "== train_log.jsonl ==", "== report.json =="):
@@ -852,7 +800,7 @@ def _drop_last_video(p):
 
 _EVAL = ["eval", "--ckpt", "{run}/model.ckpt", "--corpus", "{corpus}", "--out", "{tmp}/r.json"]
 _TRAIN = ["train", "--corpus", "{corpus}", "--config", "{run}/config.json", "--out", "{tmp}/out"]
-_RESUME = _TRAIN + ["--resume", "{run}/model.ckpt"]
+_REPORT = ["report", "--run", "{run}"]
 
 # (file to corrupt, corruption, command reading it, text the error must name)
 CORRUPTIONS = [
@@ -878,12 +826,12 @@ CORRUPTIONS = [
     ("run/model.ckpt.json", _flip(0), _EVAL, "JSON"),
     ("run/model.ckpt.json", _set("model_config"), _EVAL, "model_config"),
     ("run/model.ckpt.json", _set("model_config", "dim"), _EVAL, "dim"),
-    ("run/run.json", _truncate, ["report", "--run", "{run}"], "JSON"),
-    ("run/run.json", _flip(0), ["report", "--run", "{run}"], "JSON"),
-    ("run/config.json", _append, ["report", "--run", "{run}"], "JSON"),
-    ("run/config.json", lambda p: p.write_text("[3]"), ["report", "--run", "{run}"], "config.json"),
-    ("run/train_log.jsonl", _flip(0), ["report", "--run", "{run}"], "line 1"),
-    ("run/train_log.jsonl", _set("loss_dh"), ["report", "--run", "{run}"], "loss_dh"),
+    ("run/run.json", _truncate, _REPORT, "JSON"),
+    ("run/run.json", _flip(0), _REPORT, "JSON"),
+    ("run/config.json", _append, _REPORT, "JSON"),
+    ("run/config.json", lambda p: p.write_text("[3]"), _REPORT, "config.json"),
+    ("run/train_log.jsonl", _flip(0), _REPORT, "line 1"),
+    ("run/train_log.jsonl", _set("loss_dh"), _REPORT, "loss_dh"),
     ("sweep/ablation.json", _truncate, ["report", "--run", "{sweep}"], "JSON"),
     ("sweep/ablation.json", _set("rows"), ["report", "--run", "{sweep}"], "rows"),
     ("sweep/ablation.json", _set("rows", 0, "lap"), ["report", "--run", "{sweep}"], "lap"),
@@ -898,9 +846,8 @@ CORRUPTIONS = [
                               (_set("videos", 0, "frames", value=20), "videos[0].frames"),
                               (_set("videos", 0, "dim", value=3), "videos[0].dim"),
                               (_overlapping_segment, "videos[0].gt[")]],
-    # sidecar values of the wrong JSON type, read by eval and by train --resume
-    *[("run/model.ckpt.json", _set("model_config", key, value=value), argv, repr(key))
-      for argv in (_EVAL, _RESUME)
+    # sidecar values of the wrong JSON type
+    *[("run/model.ckpt.json", _set("model_config", key, value=value), _EVAL, repr(key))
       for key, value in [("dim", 4.5), ("head_layers", 1.5), ("top_k_pre_nms", 2.5),
                          ("hidden", True)]],
     # a manifest listing one video fewer than its config block's num_videos
@@ -915,8 +862,13 @@ CORRUPTIONS = [
 ]
 
 
+# a case keeps its number in its id; the numbers of removed cases are not reused
+_RETIRED = range(47, 51)
+_NUMBERS = [i for i in range(len(CORRUPTIONS) + len(_RETIRED)) if i not in _RETIRED]
+
+
 @pytest.mark.parametrize("target, corrupt, argv, needle", CORRUPTIONS,
-                         ids=[f"{i:02d}-{t.split('/')[-1]}" for i, (t, *_) in enumerate(CORRUPTIONS)])
+                         ids=[f"{i:02d}-{t.split('/')[-1]}" for i, (t, *_) in zip(_NUMBERS, CORRUPTIONS)])
 def test_corrupted_input_is_data_error(workspace, sweep, tmp_path, capsys,
                                        target, corrupt, argv, needle):
     shutil.copytree(workspace / "corpus", tmp_path / "corpus")
@@ -928,6 +880,86 @@ def test_corrupted_input_is_data_error(workspace, sweep, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert err.startswith("error:") and (tmp_path / target).name in err and needle in err, err
     assert out == "" and not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture
+def evaluated(workspace, tmp_path, capsys):
+    """Copies of the workspace corpus and run, the run holding eval's report.json."""
+    shutil.copytree(workspace / "corpus", tmp_path / "corpus")
+    shutil.copytree(workspace / "run", tmp_path / "run")
+    assert main(["eval", "--ckpt", str(tmp_path / "run" / "model.ckpt"), "--corpus",
+                 str(tmp_path / "corpus"), "--out", str(tmp_path / "run" / "report.json")]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+@pytest.mark.parametrize("corrupt, offset", [(_truncate, "(char "), (_flip(0), "position 0")],
+                         ids=["truncated", "bit-flipped"])
+def test_report_on_an_unparsable_json_is_data_error(evaluated, capsys, corrupt, offset):
+    report = evaluated / "run" / "report.json"
+    corrupt(report)
+    assert main(["report", "--run", str(evaluated / "run")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and str(report) in err and offset in err, err
+
+
+def test_report_skips_json_that_is_not_a_report(evaluated, capsys, caplog):
+    (evaluated / "run" / "notes.json").write_text('{"map_avg": "high"}\n')
+    with caplog.at_level(logging.INFO, logger="talgate.cli"):
+        assert main(["report", "--run", str(evaluated / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "== report.json ==" in out and "notes.json" not in out
+    assert "skipping notes.json: not a metrics report" in caplog.text
+
+
+def _sweep_targets(root):
+    """(files, command reading them) for each kind of corpus and run file."""
+    blobs = sorted(f"corpus/{p.name}" for p in (root / "corpus").glob("*.bin"))
+    return [(["corpus/manifest.json"], _EVAL), (["corpus/manifest.json"], _TRAIN),
+            (blobs, _EVAL), (blobs, _TRAIN),
+            (["run/model.ckpt", "run/model.ckpt.json"], _EVAL),
+            (["run/config.json"], _TRAIN),
+            (["run/run.json", "run/config.json", "run/train_log.jsonl", "run/report.json"], _REPORT)]
+
+
+def test_corruption_sweep_exits_zero_or_two(evaluated, capsys):
+    """200 seeded bit flips and truncations of corpus and run files, each fed
+    to a command that reads the file: none exits 3 (a bug), and an exit 2
+    prints nothing and writes nothing at --out."""
+    rng = Rng(20261019)
+    targets = _sweep_targets(evaluated)
+    dirs = {k: str(evaluated / k) for k in ("corpus", "run")}
+    outs = (evaluated / "r.json", evaluated / "out")  # eval's and train's --out
+    codes = []
+    for case in range(200):
+        names, argv = targets[rng.randint(len(targets))]
+        path = evaluated / names[rng.randint(len(names))]
+        raw = path.read_bytes()
+        offset = rng.randint(len(raw))
+        if rng.uniform() < 0.25:
+            how, bad = f"truncated to {offset} bytes", raw[:offset]
+        else:
+            bit = rng.randint(8)
+            how, bad = f"bit {bit} of byte {offset} flipped", bytearray(raw)
+            bad[offset] ^= 1 << bit
+        path.write_bytes(bytes(bad))
+        try:
+            rc = main([a.format(tmp=evaluated, **dirs) for a in argv])
+        finally:
+            path.write_bytes(raw)
+        out, err = capsys.readouterr()
+        where = f"case {case}: {path.name} {how}, fed to {argv[0]}"
+        assert rc in (0, 2), f"{where}: exit {rc}: {err}"
+        written = [o.name for o in outs if o.exists()]
+        if rc == 2:
+            assert out == "" and err.startswith("error:") and not written, f"{where}: {written} {err}"
+        for o in outs:
+            if o.is_dir():
+                shutil.rmtree(o)
+            elif o.exists():
+                o.unlink()
+        codes.append(rc)
+    assert 0 in codes and 2 in codes
 
 
 # IsADirectoryError, FileExistsError, FileExistsError, IsADirectoryError

@@ -266,6 +266,23 @@ class TestVisionEpoch:
         assert state.adv_fc.b.value.tobytes() == adv_b
         assert state.tmpl_out.w.value.tobytes() == tmpl_w
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "open defect (the CHANGES.md FOUND line on vision epochs, ROADMAP item 1): "
+        "Adam momentum from the preceding gated epoch moves adv_fc and tmpl_out"))
+    def test_language_parameters_untouched_after_a_gated_epoch(self):
+        corpus = tiny_corpus()
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
+        cfg = TrainConfig(epochs=4).validate()
+        opt = Adam(state.values, state.grads, cfg)
+        table, _ = train_epoch(corpus, state, opt, cfg)
+        train_epoch(corpus, state, opt, cfg, table)
+        language = [(n, p.value.tobytes()) for n, p in state.named_params()
+                    if n.startswith(("adv_fc.", "tmpl_out."))]
+        train_epoch(corpus, state, opt, cfg)
+        params = dict(state.named_params())
+        for name, before in language:
+            assert params[name].value.tobytes() == before, name
+
     def test_ignores_language_content(self):
         corpus = tiny_corpus(seed=9)
         twin = Corpus(corpus.config, list(inject_conflict(corpus, Rng(99))))
@@ -450,14 +467,14 @@ class TestFit:
         assert alive == [], f"caches of steps {sorted(set(alive))} outlived their step"
 
     def test_zero_epochs_passthrough(self):
-        corpus = tiny_corpus()
-        init = ModelState(ModelConfig(dim=8, num_classes=3), Rng(7))
-        snapshot = {n: p.value.copy() for n, p in init.named_params()}
-        state, log = fit(corpus, ModelConfig(dim=8, num_classes=3),
-                         TrainConfig(epochs=0), init_state=init)
+        # a fit starts from the seed: with no epochs it is the seeded initial model
+        cfg = ModelConfig(dim=8, num_classes=3)
+        seeded = dict(ModelState(cfg, Rng(7)).named_params())
+        state, log = fit(tiny_corpus(), cfg, TrainConfig(epochs=0, seed=7))
         assert log.epochs == []
+        assert [n for n, _ in state.named_params()] == list(seeded)
         for name, p in state.named_params():
-            assert p.value.tobytes() == snapshot[name].tobytes()
+            assert p.value.tobytes() == seeded[name].value.tobytes(), name
 
     def test_empty_corpus_rejected(self):
         corpus = tiny_corpus()
