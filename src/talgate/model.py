@@ -244,17 +244,20 @@ def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
                    d_tmpl, d_adv=None) -> None:
     """Accumulate parameter gradients for one video.
 
-    ``d_adv`` is the direct gradient on the advantage prediction (from the
-    advantage regression loss); the gate path contribution is added here
-    when the gate is learned.  Both reach ``adv_fc`` only if it ran.
+    ``d_tmpl=None`` stands for a zero template-logit gradient and skips the
+    template head's backward (a vision step).  ``d_adv`` is the direct
+    gradient on the advantage prediction (from the advantage regression
+    loss); the gate path contribution is added here when the gate is
+    learned.  Both reach ``adv_fc`` only if it ran.
     """
     bundle = cache.bundle
     # only dlambda/da reads the trunk-input gradients; without it the first
     # conv layer of each trunk skips its input gradient
     learned = bundle is not None and state.cfg.lambda_mode == "learned"
     d_logits = d_scores * cache.cls_scores * (1.0 - cache.cls_scores)
-    d_feat = state.cls_out.backward(cache.cls_feat, d_logits) \
-        + state.tmpl_out.backward(cache.cls_feat, d_tmpl)
+    d_feat = state.cls_out.backward(cache.cls_feat, d_logits)
+    if d_tmpl is not None:
+        d_feat += state.tmpl_out.backward(cache.cls_feat, d_tmpl)
     d_f_cls = _trunk_backward(state.cls_trunk, cache.cls_convs, d_feat, learned)
     d_feat = state.loc_out.backward(cache.loc_feat, d_offsets * relu_grad(cache.loc_raw))
     d_f_loc = _trunk_backward(state.loc_trunk, cache.loc_convs, d_feat, learned)

@@ -12,15 +12,17 @@ whose targets come from the frozen table of the preceding vision epoch:
 evaluated on positive frames only and treated as a constant (no gradient
 flows into the detection head through the targets).
 
-Each step reads its video's ground truth once, through
-``model.frame_targets``: the per-frame labels (background is label C) and
-covering segment bounds feed the detection loss, the template loss and the
-advantage targets, and the step's present classes are the labels' own.
+A fit reads each video's ground truth once, before the first epoch,
+through ``model.frame_targets`` (``corpus_targets``): the per-frame labels
+(background is label C) and covering segment bounds feed every step's
+detection loss, template loss and advantage targets, and a step's present
+classes are the labels' own.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,10 +33,12 @@ from .errors import ConfigError, FormatError, write_atomic
 from .model import (FrameOutputs, ModelConfig, ModelState, backward_video,
                     forward_video, frame_targets, template_loss,
                     template_loss_grad)
-from .nn import Rng, focal_loss, focal_loss_grad, diou_loss
+from .nn import Rng, focal_loss, diou_loss
 from .synthgen import Corpus
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,17 @@ class Adam:
 
     It updates ``values`` in place from ``grads``, two same-shape arrays,
     as whole vectors.  ``fit`` passes a ``ModelState``'s flat ``values`` and
-    ``grads`` stores, so one step is five elementwise operations over every
-    parameter at once.
+    ``grads`` stores, so one step is a few elementwise operations over every
+    parameter at once.  The step runs in place on the moments and on two
+    scratch vectors allocated once, so it makes no temporaries; it performs
+    the operations of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        values -= lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    in that order, with the bias corrections c1 = 1 - beta1**t and
+    c2 = 1 - beta2**t.
     """
 
     def __init__(self, values: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
@@ -79,6 +92,8 @@ class Adam:
         self._grads = grads
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
+        self._a = np.empty_like(values)
+        self._b = np.empty_like(values)
         self.lr, self.beta1, self.beta2, self.eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps
         self.t = 0
 
@@ -86,12 +101,15 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        g, m, v = self._grads, self._m, self._v
+        g, m, v, a, b = self._grads, self._m, self._v, self._a, self._b
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(1.0 - self.beta1, g, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self._values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        np.multiply(1.0 - self.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+        self._values -= np.divide(a, b, out=a)
 
 
 class ClasswiseLossTable:
@@ -139,8 +157,7 @@ def detection_loss(outputs: FrameOutputs, labels: np.ndarray, gstart: np.ndarray
     y = np.zeros((L, C))
     if pos.any():
         y[np.nonzero(pos)[0], labels[pos]] = 1.0
-    fl = focal_loss(scores, y)
-    dfl = focal_loss_grad(scores, y)
+    fl, dfl = focal_loss(scores, y)
     per_frame = fl.sum(axis=1)
     m = max(1, int(pos.sum()))
     d_scores = dfl / m
@@ -253,9 +270,23 @@ def read_training_log(path) -> list[dict]:
     return records
 
 
-def train_epoch(corpus: Corpus, state: ModelState, opt: Adam, cfg: TrainConfig,
-                table: ClasswiseLossTable | None = None) -> tuple[ClasswiseLossTable, list[StepLog]]:
-    """One pass over the corpus, one Adam step per video.  Without a table
+def corpus_targets(corpus: Corpus, num_classes: int) -> list[tuple]:
+    """Each video's per-frame targets, (labels, gstart, gend, present
+    classes), from one read of its ground truth: ``frame_targets`` at the
+    video's frame count, then the classes of its non-background frames.
+    A segment that ``frame_targets`` rejects is a ConfigError here."""
+    targets = []
+    for video in corpus.videos:
+        labels, gstart, gend = frame_targets(video.gt, len(video.vis), num_classes)
+        targets.append((labels, gstart, gend, _present_classes(labels, num_classes)))
+    return targets
+
+
+def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Adam,
+                cfg: TrainConfig, table: ClasswiseLossTable | None = None
+                ) -> tuple[ClasswiseLossTable, list[StepLog]]:
+    """One pass over the corpus, one Adam step per video, each reading its
+    video's entry of ``targets`` (``corpus_targets``).  Without a table
     it trains the vision view on the detection loss and fills a new class
     table (each video's loss once per class it shows); given the preceding
     vision pass's table it trains the gated model, template and advantage
@@ -267,15 +298,13 @@ def train_epoch(corpus: Corpus, state: ModelState, opt: Adam, cfg: TrainConfig,
     if vision:
         table = ClasswiseLossTable()
     steps = []
-    for video in corpus.videos:
+    for video, (labels, gstart, gend, present) in zip(corpus.videos, targets, strict=True):
         state.zero_grads()
         outputs, cache = forward_video(state, video.vis, None if vision else video.lang)
-        labels, gstart, gend = frame_targets(video.gt, len(outputs.cls_scores), C)
         det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
-        present = _present_classes(labels, C)
         if vision:
             tg = adv = 0.0
-            d_tmpl, d_adv = np.zeros_like(outputs.tmpl_logits), None
+            d_tmpl = d_adv = None  # the template head's gradient is zero: its backward is skipped
             for c in present:
                 table.add(c, det.loss)
         else:
@@ -296,16 +325,22 @@ def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple
     """Train for train_cfg.epochs epochs in strict vision/vision+language
     alternation, starting with a vision-only epoch.  Every fit starts from
     the seed, ``ModelState(model_cfg, Rng(train_cfg.seed))`` with fresh Adam
-    moments, so a longer fit is a rerun with more epochs."""
+    moments, so a longer fit is a rerun with more epochs.  The videos'
+    targets are derived once, before the first step; each epoch logs one
+    INFO line (epoch, phase, mean total loss, seconds)."""
     train_cfg.validate()
     state = ModelState(model_cfg.validate(), Rng(train_cfg.seed))
     opt = Adam(state.values, state.grads, train_cfg)
+    targets = corpus_targets(corpus, model_cfg.num_classes)
     log = TrainLog()
     table: ClasswiseLossTable | None = None
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
         vision = epoch % 2 == 0
-        table, steps = train_epoch(corpus, state, opt, train_cfg, None if vision else table)
-        log.epochs.append(EpochLog(epoch, "vision" if vision else "vision_language",
-                                   time.perf_counter() - t0, steps, table.means() if vision else None))
+        table, steps = train_epoch(corpus, targets, state, opt, train_cfg, None if vision else table)
+        record = EpochLog(epoch, "vision" if vision else "vision_language",
+                          time.perf_counter() - t0, steps, table.means() if vision else None)
+        log.epochs.append(record)
+        logger.info("epoch %d %s loss_total %.6f %.2fs", epoch, record.phase, record.mean_total,
+                    record.wall_time)
     return state, log

@@ -5,8 +5,16 @@ shared helpers from talgate, so a bug in the package cannot hide in the
 check that is supposed to catch it.  The per-tap convolution and the
 per-parameter Adam run the package's NumPy products and elementwise updates
 one tap or one parameter at a time, so the package's batched forms must
-match them bit for bit.  The last two helpers are no references: they
-convert between plain rows and the package's ``Proposals`` table.
+match them bit for bit.
+
+The ``*_prior`` kernels keep an earlier, plainer form of a package kernel
+(masked gathers, separate value and gradient passes, matmuls against
+transposed views, an Adam step with temporaries).  The package's faster
+forms perform the same floating-point operations in the same order, so
+they must match these bit for bit on every input.
+
+The last two helpers are no references: they convert between plain rows
+and the package's ``Proposals`` table.
 """
 
 import math
@@ -247,6 +255,18 @@ def conv1d_taps_reference(x, w, b, k, dout):
     return out, dw, dout.sum(axis=0, keepdims=True), dxp[pad:pad + L]
 
 
+def adam_step_prior(value, g, m, v, t, lr, beta1, beta2, eps):
+    """One Adam step on ``value``, ``m`` and ``v`` in place, each operation
+    making its own temporary."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def adam_reference(values, grad_steps, lr, beta1, beta2, eps):
     """Adam with bias correction, one parameter at a time.
 
@@ -257,15 +277,64 @@ def adam_reference(values, grad_steps, lr, beta1, beta2, eps):
     ms = [np.zeros_like(v) for v in values]
     vs = [np.zeros_like(v) for v in values]
     for t, grads in enumerate(grad_steps, start=1):
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
         for value, m, v, g in zip(values, ms, vs, grads):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            adam_step_prior(value, g, m, v, t, lr, beta1, beta2, eps)
     return values
+
+
+def sigmoid_prior(x):
+    """The logistic function by masked gathers and scatters: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def relu_grad_prior(x):
+    """The relu derivative as a float mask."""
+    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
+
+
+def focal_loss_prior(p, y, alpha=0.25, gamma=2.0, eps=1e-7):
+    """Focal loss value, in its own clip/log/pow pass."""
+    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+    y = np.asarray(y, dtype=np.float64)
+    pos = -alpha * (1.0 - p) ** gamma * np.log(p)
+    neg = -(1.0 - alpha) * p**gamma * np.log(1.0 - p)
+    return np.where(y > 0.5, pos, neg)
+
+
+def focal_loss_grad_prior(p, y, alpha=0.25, gamma=2.0, eps=1e-7):
+    """d focal / d p in a second clip/log/pow pass; zero where the clamp
+    is active."""
+    p_raw = np.asarray(p, dtype=np.float64)
+    inside = (p_raw > eps) & (p_raw < 1.0 - eps)
+    p = np.clip(p_raw, eps, 1.0 - eps)
+    y = np.asarray(y, dtype=np.float64)
+    dpos = alpha * (gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) - (1.0 - p) ** gamma / p)
+    dneg = -(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p))
+    return np.where(y > 0.5, dpos, dneg) * inside
+
+
+def linear_input_grad_prior(dout, w):
+    """d(x @ w) / dx applied to ``dout``: a matmul against the view w.T."""
+    return dout @ w.T
+
+
+def conv1d_input_grad_prior(dout, w, k, din):
+    """Same-padded Conv1d input gradient from one stacked matmul against
+    the per-tap transposed views of w."""
+    L = dout.shape[0]
+    pad = (k - 1) // 2
+    dtaps = np.matmul(dout, w.reshape(k, din, -1).transpose(0, 2, 1))
+    dxp = np.zeros((L + 2 * pad, din))
+    for t in range(k):
+        dxp[t:t + L] += dtaps[t]
+    return dxp[pad:pad + L]
 
 
 def grad_check(f, x, h=1e-5):

@@ -20,11 +20,13 @@ from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
 from talgate.model import (ModelConfig, ModelState, backward_video, forward_video,
                            frame_targets, lambda_from_advantage, nms, predict_corpus,
                            template_loss, template_loss_grad)
-from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss,
-                        focal_loss_grad, relu, relu_grad, sigmoid)
+from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss, relu,
+                        relu_grad, sigmoid)
 from talgate.synthgen import LanguageBundle, Segment
 from talgate.train import (ClasswiseLossTable, TrainConfig, advantage_loss,
                            detection_loss, target_advantage)
+
+pytestmark = pytest.mark.slow  # the three-seed fixture trains nine stock models
 
 PASS_BAR = 2  # of the three benchmark seeds
 
@@ -123,8 +125,10 @@ def test_gradient_suite():
 
     y = (rng.normal_matrix(10, 10) > 0).astype(float)
     p0 = 0.15 + 0.7 * np.abs(np.sin(rng.normal_matrix(10, 10)))
-    errs["focal"] = grad_check(
-        lambda p: (float(focal_loss(p, y).sum()), focal_loss_grad(p, y)), p0)
+    def focal_check(p):
+        loss, grad = focal_loss(p, y)
+        return float(loss.sum()), grad
+    errs["focal"] = grad_check(focal_check, p0)
 
     worst_diou = 0.0
     pairs = 0

@@ -1134,6 +1134,23 @@ class TestFreshInterpreter:
         capsys.readouterr()
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "run" / "report.json").read_bytes()
 
+    def test_verbose_train_logs_each_epoch_to_stderr(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        proc = _fresh_python("-m", "talgate", "-v", "train", "--corpus", str(workspace / "corpus"),
+                             "--config", str(workspace / "tiny.json"), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = [l.split() for l in proc.stderr.splitlines() if l.startswith("INFO talgate.train:")]
+        records = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+        assert [l[2:6] for l in lines] == [["epoch", str(r["epoch"]), r["phase"], "loss_total"]
+                                          for r in records]
+        assert [float(l[6]) for l in lines] == [round(r["loss_total"], 6) for r in records]
+        # the log is telemetry: every artifact has the bytes of a quiet run's
+        quiet = workspace / "run"
+        for name in ("model.ckpt", "model.ckpt.json", "config.json"):
+            assert (out / name).read_bytes() == (quiet / name).read_bytes(), name
+        wall = [json.loads(l) for l in (quiet / "train_log.jsonl").read_text().splitlines()]
+        assert [r | {"wall_time": 0} for r in records] == [r | {"wall_time": 0} for r in wall]
+
     def test_python_dash_m_runs_the_cli(self):
         proc = _fresh_python("-m", "talgate", "--help")
         assert proc.returncode == 0, proc.stderr

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (conv1d_reference, conv1d_taps_reference, diou_reference,
-                     grad_check, linear_reference, splitmix64_stream)
-from talgate.nn import (Conv1d, Linear, Rng, ShapeError, diou_loss,
-                        focal_loss, focal_loss_grad, log_softmax, relu,
-                        relu_grad, sigmoid)
+from oracles import (conv1d_input_grad_prior, conv1d_reference, conv1d_taps_reference,
+                     diou_reference, focal_loss_grad_prior, focal_loss_prior, grad_check,
+                     linear_input_grad_prior, linear_reference, relu_grad_prior,
+                     sigmoid_prior, splitmix64_stream)
+from talgate.nn import (PROB_EPS, Conv1d, Linear, Rng, ShapeError, diou_loss,
+                        focal_loss, log_softmax, relu, relu_grad, sigmoid)
 
 
 class TestRng:
@@ -200,12 +201,12 @@ def test_sigmoid_symmetry():
 
 class TestFocal:
     def test_perfect_prediction_is_tiny(self):
-        assert float(focal_loss(1.0 - 1e-7, 1.0)) <= 1e-6
-        assert float(focal_loss(1e-7, 0.0)) <= 1e-6
+        assert float(focal_loss(1.0 - 1e-7, 1.0)[0]) <= 1e-6
+        assert float(focal_loss(1e-7, 0.0)[0]) <= 1e-6
 
     def test_hand_evaluated_value(self):
         # alpha * (1 - p)^gamma * (-log p) at p = 0.5
-        v = float(focal_loss(0.5, 1.0, alpha=0.25, gamma=2.0))
+        v = float(focal_loss(0.5, 1.0, alpha=0.25, gamma=2.0)[0])
         assert v == pytest.approx(0.25 * 0.25 * math.log(2.0), abs=1e-12)
         assert v == pytest.approx(0.043322, abs=1e-6)
 
@@ -214,13 +215,13 @@ class TestFocal:
         for _ in range(1000):
             p = 0.01 + 0.98 * rng.uniform()
             y = float(rng.randint(2))
-            got = float(focal_loss(p, y, alpha=1.0, gamma=0.0))
+            got = float(focal_loss(p, y, alpha=1.0, gamma=0.0)[0])
             bce = -math.log(p) if y == 1.0 else -math.log(1.0 - p)
             # the alpha factor weighs the two branches: alpha on positives,
             # (1 - alpha) on negatives, so alpha = 1 zeroes the negative branch
             expected = bce if y == 1.0 else 0.0
             assert got == pytest.approx(expected, abs=1e-12)
-            weighted = float(focal_loss(p, y, alpha=0.25, gamma=0.0))
+            weighted = float(focal_loss(p, y, alpha=0.25, gamma=0.0)[0])
             factor = 0.25 if y == 1.0 else 0.75
             assert weighted == pytest.approx(factor * bce, abs=1e-12)
 
@@ -232,11 +233,96 @@ class TestFocal:
 
             def f(z, y=y):
                 p = sigmoid(z)
-                loss = float(focal_loss(p, y).sum())
-                dp = focal_loss_grad(p, y)
-                return loss, dp * (p * (1 - p))
+                loss, dp = focal_loss(p, y)
+                return float(loss.sum()), dp * (p * (1 - p))
 
             assert grad_check(f, z0) < 1e-5
+
+
+def _bits(a) -> bytes:
+    """Every bit of a value: NaN payloads and the sign of zero included."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# the edge values every kernel must carry through with the same bits as its prior form
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, 5e-324, -5e-324,
+                      709.0, -709.0, 709.8, -709.8, 710.0, -710.0, 745.2, -745.2, 1e3, -1e3])
+# probabilities at and beside the focal clamp, plus values outside [0, 1]
+_PROBS = np.array([PROB_EPS, 1.0 - PROB_EPS, np.nextafter(PROB_EPS, 0.0), np.nextafter(PROB_EPS, 1.0),
+                   np.nextafter(1.0 - PROB_EPS, 0.0), np.nextafter(1.0 - PROB_EPS, 1.0),
+                   0.0, -0.0, 1.0, 0.5, 1e-300, -0.25, 1.25, np.inf, -np.inf, np.nan])
+
+
+def _edge_matrices(seed: int):
+    """Random matrices at several scales and shapes, the stock 256 x 8 among
+    them, with the edge values scattered in."""
+    rng = Rng(seed)
+    for rows, cols in ((1, 1), (3, 5), (7, 3), (256, 8)):
+        for sigma in (1.0, 30.0, 800.0):
+            m = rng.normal_matrix(rows, cols, sigma)
+            flat = m.reshape(-1)
+            for v in _SPECIALS[:len(flat)]:
+                flat[rng.randint(len(flat))] = v
+            yield m
+    yield _SPECIALS.reshape(4, 5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBitwiseOracles:
+    """The kernels against their prior forms in ``oracles``, bit for bit."""
+
+    def test_sigmoid(self):
+        for x in _edge_matrices(50):
+            assert _bits(sigmoid(x)) == _bits(sigmoid_prior(x))
+            assert _bits(sigmoid(x.T)) == _bits(sigmoid_prior(x.T))  # a strided view
+        for v in _SPECIALS:
+            assert _bits(sigmoid(v)) == _bits(sigmoid_prior(v))  # 0-d
+
+    def test_relu_grad(self):
+        for x in _edge_matrices(51):
+            mask = relu_grad(x)
+            assert mask.dtype == bool
+            assert _bits(mask.astype(np.float64)) == _bits(relu_grad_prior(x))
+            # the bool mask scales a gradient to the float mask's bits, signed zeros included
+            g = np.where(np.arange(x.size).reshape(x.shape) % 2 == 0, 1.0, -1.0) * np.abs(x[::-1])
+            assert _bits(g * mask) == _bits(g * relu_grad_prior(x))
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.25, 2.0), (1.0, 0.0), (0.5, 3.0)])
+    def test_focal_loss(self, alpha, gamma):
+        rng = Rng(52)
+        probs = [np.abs(np.sin(x)) for x in _edge_matrices(53)]
+        probs.append(_PROBS.reshape(4, 4))
+        probs.append(np.tile(_PROBS, (3, 1)))
+        for p in probs:
+            labels = (rng.normal_matrix(*p.shape) > 0.0).astype(np.float64)
+            for y in (labels, np.zeros(p.shape)):  # all background, as a video without segments
+                loss, grad = focal_loss(p, y, alpha, gamma)
+                assert _bits(loss) == _bits(focal_loss_prior(p, y, alpha, gamma))
+                assert _bits(grad) == _bits(focal_loss_grad_prior(p, y, alpha, gamma))
+        for v in _PROBS:
+            for y in (0.0, 1.0):
+                loss, grad = focal_loss(v, y, alpha, gamma)
+                assert _bits(loss) == _bits(focal_loss_prior(v, y, alpha, gamma))
+                assert _bits(grad) == _bits(focal_loss_grad_prior(v, y, alpha, gamma))
+
+    @pytest.mark.parametrize("L, din, dout", [(1, 3, 2), (7, 5, 3), (256, 32, 8), (256, 32, 9), (256, 32, 2)])
+    def test_linear_input_grad(self, L, din, dout):
+        rng = Rng(54 + L + dout)
+        lin = Linear(din, dout, rng)
+        x, g = rng.normal_matrix(L, din), rng.normal_matrix(L, dout)
+        g[0, :] = 0.0
+        assert _bits(lin.backward(x, g)) == _bits(linear_input_grad_prior(g, lin.w.value))
+
+    @pytest.mark.parametrize("k, L, din, dout", [
+        (1, 7, 3, 5), (3, 7, 3, 5), (5, 7, 5, 3), (3, 1, 4, 2), (3, 256, 32, 32), (3, 256, 8, 32),
+    ])
+    def test_conv1d_input_grad(self, k, L, din, dout):
+        rng = Rng(55 + k + L)
+        conv = Conv1d(k, din, dout, rng)
+        x, g = rng.normal_matrix(L, din), rng.normal_matrix(L, dout)
+        g[0, :] = 0.0
+        xp = conv.forward(x)[1]
+        assert _bits(conv.backward(xp, g)) == _bits(conv1d_input_grad_prior(g, conv.w.value, k, din))
 
 
 def _normal(rng: Rng, sigma: float) -> float:

@@ -1,12 +1,13 @@
 """Training loop: losses, the class table, alternation, stop-gradients."""
 
+import logging
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from oracles import adam_reference, diou_reference, grad_check
+from oracles import adam_reference, adam_step_prior, diou_reference, grad_check
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (FrameOutputs, ModelConfig, ModelState,
                            backward_video, forward_video, frame_targets,
@@ -14,7 +15,7 @@ from talgate.model import (FrameOutputs, ModelConfig, ModelState,
 from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
-                           TrainLog, advantage_loss, detection_loss, fit,
+                           TrainLog, advantage_loss, corpus_targets, detection_loss, fit,
                            read_training_log, target_advantage, train_epoch)
 
 
@@ -28,6 +29,11 @@ def tiny_corpus(seed=3, num_videos=8, num_classes=3, frames=64, dim=8):
 def targets_of(gt, scores):
     """``frame_targets`` at the frame and class count of a score matrix."""
     return frame_targets(gt, *scores.shape)
+
+
+def run_epoch(corpus, state, opt, cfg, table=None):
+    """``train_epoch`` with the corpus's targets derived as ``fit`` derives them."""
+    return train_epoch(corpus, corpus_targets(corpus, state.cfg.num_classes), state, opt, cfg, table)
 
 
 def frame_outputs(scores, offsets):
@@ -88,6 +94,25 @@ class TestAdam:
         for (name, p), w in zip(state.named_params(), want):
             assert p.value.tobytes() == w.tobytes(), name
 
+    def test_matches_prior_step_bitwise_on_edge_gradients(self):
+        # signed zeros, subnormals, gradients whose square overflows, inf and NaN
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e155, -1e155, 1e200,
+                          -1e300, np.inf, -np.inf, np.nan])
+        rng = Rng(8)
+        values = rng.normal_matrix(1, 64)[0]
+        values[:len(edges)] = edges[::-1]
+        want, m, v = values.copy(), np.zeros(64), np.zeros(64)
+        grads = np.zeros(64)
+        cfg = TrainConfig(lr=0.01, beta1=0.8, beta2=0.99, adam_eps=1e-8)
+        opt = Adam(values, grads, cfg)
+        for t in range(1, 6):
+            grads[...] = rng.normal_matrix(1, 64, 10.0**t)[0]
+            grads[t:t + len(edges)] = edges
+            with np.errstate(over="ignore", invalid="ignore"):
+                opt.step()
+                adam_step_prior(want, grads, m, v, t, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            assert values.tobytes() == want.tobytes(), t
+
     def test_zero_grad_leaves_value(self):
         p = Param(np.array([[1.0, -2.0]]))
         opt = Adam(p.value, p.grad, TrainConfig(lr=0.5))
@@ -126,7 +151,7 @@ class TestDetectionLoss:
         rng = Rng(30)
         scores = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(10, 3)))
         det = detection_loss(frame_outputs(scores, np.ones((10, 2))), *targets_of([], scores))
-        expected = focal_loss(scores, np.zeros((10, 3))).sum()
+        expected = focal_loss(scores, np.zeros((10, 3)))[0].sum()
         assert det.loss == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(det.d_offsets, np.zeros((10, 2)))
 
@@ -145,7 +170,7 @@ class TestDetectionLoss:
             y = np.zeros((1, C))
             if labels[l] != C:
                 y[0, labels[l]] = 1.0
-            want = focal_loss(scores[l:l + 1], y).sum()
+            want = focal_loss(scores[l:l + 1], y)[0].sum()
             if labels[l] != C:
                 seg = next(s for s in gt if s.start <= l < s.end)
                 want += 0.7 * diou_reference(l - offsets[l, 0] - INTERVAL_PAD,
@@ -261,10 +286,30 @@ class TestVisionEpoch:
         adv_w = state.adv_fc.w.value.tobytes()
         adv_b = state.adv_fc.b.value.tobytes()
         tmpl_w = state.tmpl_out.w.value.tobytes()
-        train_epoch(corpus, state, opt, cfg)
+        run_epoch(corpus, state, opt, cfg)
         assert state.adv_fc.w.value.tobytes() == adv_w
         assert state.adv_fc.b.value.tobytes() == adv_b
         assert state.tmpl_out.w.value.tobytes() == tmpl_w
+
+    def test_language_gradients_are_positive_zeros(self, monkeypatch):
+        # the vision step skips the template head's backward; what Adam reads
+        # of adv_fc and tmpl_out is still +0.0 in every bit
+        corpus = tiny_corpus()
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
+        cfg = TrainConfig(epochs=2).validate()
+        opt = Adam(state.values, state.grads, cfg)
+        seen = []
+        step = Adam.step
+
+        def spy(self):
+            seen.extend(p.grad.tobytes() for n, p in state.named_params()
+                        if n.startswith(("adv_fc.", "tmpl_out.")))
+            step(self)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        run_epoch(corpus, state, opt, cfg)
+        assert len(seen) == 4 * len(corpus.videos)
+        assert all(g == bytes(len(g)) for g in seen)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "open defect (the CHANGES.md FOUND line on vision epochs, ROADMAP item 1): "
@@ -274,11 +319,11 @@ class TestVisionEpoch:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=4).validate()
         opt = Adam(state.values, state.grads, cfg)
-        table, _ = train_epoch(corpus, state, opt, cfg)
-        train_epoch(corpus, state, opt, cfg, table)
+        table, _ = run_epoch(corpus, state, opt, cfg)
+        run_epoch(corpus, state, opt, cfg, table)
         language = [(n, p.value.tobytes()) for n, p in state.named_params()
                     if n.startswith(("adv_fc.", "tmpl_out."))]
-        train_epoch(corpus, state, opt, cfg)
+        run_epoch(corpus, state, opt, cfg)
         params = dict(state.named_params())
         for name, before in language:
             assert params[name].value.tobytes() == before, name
@@ -291,7 +336,7 @@ class TestVisionEpoch:
         for c in (corpus, twin):
             state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
             opt = Adam(state.values, state.grads, cfg)
-            table, steps = train_epoch(c, state, opt, cfg)
+            table, steps = run_epoch(c, state, opt, cfg)
             results.append((state, table, steps))
         (sa, ta, stepsa), (sb, tb, stepsb) = results
         for (na, pa), (_, pb) in zip(sa.named_params(), sb.named_params()):
@@ -304,7 +349,7 @@ class TestVisionEpoch:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(1))
         cfg = TrainConfig(epochs=2).validate()
         opt = Adam(state.values, state.grads, cfg)
-        table, steps = train_epoch(corpus, state, opt, cfg)
+        table, steps = run_epoch(corpus, state, opt, cfg)
         replay = ClasswiseLossTable()
         for s in steps:
             assert s.classes == tuple(sorted(set(s.classes)))
@@ -323,7 +368,7 @@ class TestVisionLanguageEpoch:
         table = ClasswiseLossTable()
         for c in range(3):
             table.add(c, 0.8)
-        _, steps = train_epoch(corpus, state, opt, cfg, table)
+        _, steps = run_epoch(corpus, state, opt, cfg, table)
         return corpus, state, steps
 
     def test_zero_weights_reduce_to_detection_step(self):
@@ -378,7 +423,7 @@ class TestVisionLanguageEpoch:
             if c != missing:
                 table.add(c, 0.8)
         with pytest.raises(ConfigError, match=f"class {missing} missing from the vision-only loss table"):
-            train_epoch(corpus, state, opt, cfg, table)
+            run_epoch(corpus, state, opt, cfg, table)
 
 
 class TestStopGradient:
@@ -429,7 +474,7 @@ class TestFit:
         assert log.epochs[1].table_means is None
         assert all(s.mean_lambda == 0.0 for s in log.epochs[0].steps)
 
-    def test_reads_ground_truth_once_per_step(self, monkeypatch):
+    def test_reads_ground_truth_once_per_video_per_fit(self, monkeypatch):
         import talgate.train as train_module
         calls, reads = [], []
 
@@ -447,8 +492,32 @@ class TestFit:
         for video in corpus.videos:
             video.gt = CountingGt(video.gt)
         fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=4, seed=2))
-        steps = 4 * len(corpus.videos)
-        assert len(calls) == steps and len(reads) == steps
+        # 4 epochs, yet each of the 8 videos' ground truth is read once
+        assert len(calls) == len(corpus.videos) and len(reads) == len(corpus.videos)
+        assert calls == [video.gt for video in corpus.videos]
+
+    @pytest.mark.parametrize("bad, needle", [
+        (Segment(0, 10, 1), "overlapping ground-truth segments"),
+        (Segment(60, 70, 1), "out of bounds for 64 frames"),
+    ])
+    def test_bad_ground_truth_rejected_before_any_step(self, monkeypatch, bad, needle):
+        # the last video's segment is caught before the first video trains
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        corpus = tiny_corpus()
+        last = corpus.videos[-1]
+        last.gt = [Segment(2, 12, 0), bad]
+        with pytest.raises(ConfigError, match=needle):
+            fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=2, seed=2))
+        assert steps == []
+
+    def test_logs_one_info_line_per_epoch(self, caplog):
+        caplog.set_level(logging.INFO, logger="talgate.train")
+        _, log = fit(tiny_corpus(), ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=4, seed=2))
+        lines = [r.getMessage() for r in caplog.records if r.name == "talgate.train"]
+        assert lines == [f"epoch {e.epoch} {e.phase} loss_total {e.mean_total:.6f} {e.wall_time:.2f}s"
+                         for e in log.epochs]
+        assert all(r.levelno == logging.INFO for r in caplog.records)
 
     def test_each_step_frees_its_activations_before_the_next_forward(self, monkeypatch):
         import talgate.train as train_module
