@@ -1,14 +1,16 @@
 """Command-line front end: gen / train / eval / ablate / report.
 
-Every command is a pure function of its input bytes, config, and seed, so
+Every command is a function of its arguments and the files they name, so
 re-running one reproduces the corpus, checkpoint, and report byte for
-byte.  A run config is flat JSON whose keys are the fields of
+byte; the config's ``seed`` is the only seed, and no environment variable
+changes a result.  A run config is flat JSON whose keys are the fields of
 ``GenConfig``, ``ModelConfig`` and ``TrainConfig`` plus ``tiou_thresholds``;
 each default is the dataclass field's (``default_run_config``).  Every
 command checks the whole config at load, before it writes anything: an
 unknown key, a value of the wrong JSON type, a non-finite number or an
-out-of-range value exits 2 naming the config file.  The ``ACTIONVLM_SEED``
-environment variable overrides the config seed.
+out-of-range value exits 2 naming the config file.  ``eval --conflict``,
+``eval --probe`` and every ``ablate`` row score streams that ``metrics.lap``
+and ``metrics.ambiguity_probe`` generate from the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error (an OS error
 that names its path included: a missing corpus, say), 3 internal.
@@ -21,9 +23,7 @@ import contextlib
 import ctypes
 import json
 import logging
-import os
 import sys
-from collections.abc import Iterator
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -36,9 +36,7 @@ from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       hallucination_rates, lap, map_at, mla, validate_report)
 from .model import (ModelConfig, ModelState, load_checkpoint, predict_corpus,
                     save_checkpoint)
-from .nn import Rng
-from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
-                       generate_distractors, inject_conflict, open_corpus,
+from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus, open_corpus,
                        read_corpus, require_aligned, write_corpus)
 from .train import TrainConfig, fit, read_training_log
 
@@ -48,12 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-SEED_ENV = "ACTIONVLM_SEED"
-
-# Deterministic twist on the corpus seed so the conflicted twin used for
-# lap is reproducible without storing extra state.
-_CONFLICT_SALT = 0xC04F11C7ED
 
 SWEEP_LAMBDAS = (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)
 # each ablation mode's rows: a label plus the run-config overrides of the model it trains
@@ -91,8 +83,8 @@ def build_config(cls, run: dict):
 def load_run_config(path: str | None) -> dict:
     """The full run config: the defaults updated with the keys the config
     file at ``path`` sets (none without a file), each of the JSON type of its
-    default and every value range-checked, then the seed environment
-    variable.  The file is read once, so a pipe serves as well as a file."""
+    default and every value range-checked.  The file is read once, so a pipe
+    serves as well as a file."""
     cfg = default_run_config()
     if path is not None:
         p = Path(path)
@@ -116,15 +108,6 @@ def load_run_config(path: str | None) -> dict:
                                   f"got {cfg['tiou_thresholds']}")
         except ConfigError as exc:
             raise ConfigError(f"config file {p}: {exc}") from exc
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            seed = int(env, 0)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from exc
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"{SEED_ENV} must be an unsigned 64-bit integer, got {env}")
-        cfg["seed"] = seed
     return cfg
 
 
@@ -135,11 +118,6 @@ def _stamp(out_dir: Path, run: dict, command: str) -> None:
     write_atomic(out_dir / "run.json", json.dumps(
         {"command": command, "seed": run["seed"], "tool": "talgate", "version": __version__},
         sort_keys=True, indent=2) + "\n")
-
-
-def _conflicted_twin(corpus: Corpus) -> Iterator[VideoRecord]:
-    """The corpus's conflicted twin, built one video at a time."""
-    return inject_conflict(corpus, Rng((corpus.config.seed ^ _CONFLICT_SALT) % 2 ** 64))
 
 
 def _check_compatible(state: ModelState, corpus: Corpus) -> None:
@@ -164,9 +142,9 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     video's vision view (frames and ground truth, without its language),
     which serves the vision-view pass, the ground truth of every metric and
     the conflicted twin; a video's language is dropped once it is scored.
-    The conflicted twin (``conflict``) and the distractor clips (``probe``)
-    are generated and scored one video at a time, so neither is ever held
-    whole.
+    ``metrics.lap`` (``conflict``) and ``metrics.ambiguity_probe``
+    (``probe``) generate the conflicted twin and the distractor clips one
+    video at a time, so neither is ever held whole.
     """
     views = []  # each video's vision view, noted as the aligned pass reads the video
 
@@ -197,12 +175,11 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     lap_value = None
     if conflict:
-        vision = Corpus(corpus.config, views)
-        lap_value = lap(state, vision, map_avg, _conflicted_twin(vision))
+        lap_value = lap(state, Corpus(corpus.config, views), map_avg)
 
     mconf = mlen = acc_at = None
     if probe:
-        stats = ambiguity_probe(state, generate_distractors(corpus.config))
+        stats = ambiguity_probe(state, corpus.config)
         mconf, mlen, acc_at = stats.mconf, stats.mlen, stats.acc_at
 
     return MetricsReport(
@@ -263,7 +240,6 @@ def cmd_ablate(args) -> int:
     # every row's model, and the config echo, take dim and num_classes from the corpus
     run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
     thresholds = tuple(float(t) for t in run["tiou_thresholds"])
-    twin = list(_conflicted_twin(corpus))  # scored once per row
     gt = {v.id: v.gt for v in corpus.videos}
     rows = []
     for label, overrides in ABLATION_ROWS[args.mode]:
@@ -272,7 +248,7 @@ def cmd_ablate(args) -> int:
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
         _, map_avg = map_at(predict_corpus(state, corpus.videos)[0], gt, thresholds)
-        drop = lap(state, corpus, map_avg, twin, thresholds)
+        drop = lap(state, corpus, map_avg, thresholds)
         rows.append({"label": label, "map_avg": map_avg, "lap": drop})
         print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")
     table = {"mode": args.mode, "rows": rows}

@@ -16,7 +16,10 @@ conflicted twin's mAP against the given aligned mAP), output degeneracy
 rates over each table's first rows (hallucination_rates), the mean gate per
 difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
 ambiguity probe (mconf / mlen / acc_at) reading each clip's first decoded
-row, without NMS.
+row, without NMS.  ``lap`` and ``ambiguity_probe`` generate the stream they
+score from the corpus (``synthgen.inject_conflict``,
+``synthgen.generate_distractors``) and score it one video at a time; a
+caller passes the corpus or its config, never the stream.
 
 ``validate_report`` checks a report against ``REPORT_SCHEMA`` before it is
 written (``eval``) or read back (``report``).  jsonschema is loaded there, on
@@ -31,7 +34,6 @@ import json
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,8 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .model import (ModelState, Proposals, decode_proposals, forward_video,
                     predict_corpus, tiou_array)
-from .synthgen import Corpus, Segment, VideoRecord
+from .synthgen import (Corpus, GenConfig, Segment, VideoRecord, generate_distractors,
+                       inject_conflict)
 
 log = logging.getLogger(__name__)
 
@@ -143,15 +146,15 @@ def map_at(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
-def lap(state: ModelState, aligned: Corpus, map_aligned: float,
-        conflicted: Iterable[VideoRecord], thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+def lap(state: ModelState, corpus: Corpus, map_aligned: float,
+        thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
     """Performance drop under conflicting language, in mAP percentage points.
 
-    ``map_aligned`` is the aligned corpus's mAP averaged over the same
-    thresholds (``map_at`` of ``predict_corpus``); this scores only the
-    conflicted pass.  ``conflicted`` is read once, one video at a time (a
-    ``synthgen.inject_conflict`` stream, say); it must hold as many videos
-    as ``aligned``, which is checked once it has been read.
+    ``map_aligned`` is the corpus's mAP averaged over the same thresholds
+    (``map_at`` of ``predict_corpus``); this scores only the conflicted
+    pass, on the corpus's conflicted twin (``synthgen.inject_conflict``),
+    generated and scored one video at a time.  Only the corpus's frames and
+    ground truth are read, so a corpus of vision views serves as well.
     """
     seen = []  # (id, ground truth) of each conflicted video, in order
 
@@ -159,9 +162,7 @@ def lap(state: ModelState, aligned: Corpus, map_aligned: float,
         seen.append((video.id, video.gt))
         return video
 
-    kept, _ = predict_corpus(state, map(note, conflicted))
-    if len(aligned.videos) != len(seen):
-        raise ConfigError(f"corpus size mismatch: {len(aligned.videos)} aligned vs {len(seen)} conflicted videos")
+    kept, _ = predict_corpus(state, map(note, inject_conflict(corpus)))
     _, map_conflicted = map_at(kept, dict(seen), thresholds)
     return 100.0 * (map_aligned - map_conflicted)
 
@@ -262,19 +263,19 @@ class ProbeStats:
     acc_at: dict[float, float]
 
 
-def ambiguity_probe(state: ModelState, clips: Iterable[VideoRecord],
-                    span_thresholds=PROBE_SPAN_THRESHOLDS) -> ProbeStats:
-    """Overconfidence probe on no-action clips.
+def ambiguity_probe(state: ModelState, cfg: GenConfig) -> ProbeStats:
+    """Overconfidence probe on the no-action clips of corpus config ``cfg``
+    (``synthgen.generate_distractors``: ``cfg.num_videos`` clips).
 
     Keeps only the highest-confidence proposal per clip, row 0 of its
     decoded table (NMS would keep that row first, so it does not run); a
     clip with no proposals counts as confidence 0 and span 0.  acc_at[t]
-    is the fraction of clips whose kept (normalized) span stays below t.
-    ``clips`` is read once, each clip dropped before the next is read (a
-    ``synthgen.generate_distractors`` stream holds one at a time).
+    is the fraction of clips whose kept (normalized) span stays below t,
+    at each of ``PROBE_SPAN_THRESHOLDS``.  The clips are generated and
+    scored one at a time, each dropped before the next is built.
     """
     confs, spans = [], []
-    for clip in clips:
+    for clip in generate_distractors(cfg):
         props = decode_proposals(forward_video(state, clip.vis, clip.lang)[0], state.cfg)
         if len(props):
             confs.append(float(props.score[0]))
@@ -284,9 +285,7 @@ def ambiguity_probe(state: ModelState, clips: Iterable[VideoRecord],
             confs.append(0.0)
             spans.append(0.0)
         del clip  # freed before the stream builds the next
-    if not confs:
-        raise ConfigError("ambiguity probe needs at least one clip")
-    acc = {float(t): float(np.mean([s < t for s in spans])) for t in span_thresholds}
+    acc = {float(t): float(np.mean([s < t for s in spans])) for t in PROBE_SPAN_THRESHOLDS}
     return ProbeStats(float(np.mean(confs)), float(np.mean(spans)), acc)
 
 

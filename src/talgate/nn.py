@@ -268,7 +268,8 @@ def sigmoid(x) -> np.ndarray:
 
 def focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise focal loss on probabilities clamped to [eps, 1 - eps],
-    and its derivative with respect to p: (loss, dloss/dp).
+    and its derivative with respect to p: (loss, dloss/dp).  ``y`` holds the
+    targets, 0/1 or a boolean mask.
 
     y = 1: -alpha * (1 - p)**gamma * log(p)
     y = 0: -(1 - alpha) * p**gamma * log(1 - p)
@@ -280,7 +281,7 @@ def focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0) -> tuple[np.ndarra
     q = 1.0 - p
     log_p, log_q = np.log(p), np.log(q)
     q_gamma, p_gamma = q**gamma, p**gamma
-    pos = np.asarray(y, dtype=np.float64) > 0.5
+    pos = np.asarray(y) > 0.5
     loss = np.where(pos, -alpha * q_gamma * log_p, -(1.0 - alpha) * p_gamma * log_q)
     dpos = alpha * (gamma * q ** (gamma - 1.0) * log_p - q_gamma / p)
     dneg = -(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)

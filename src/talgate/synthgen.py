@@ -14,27 +14,30 @@ config generates byte-identical corpora on every run.
 A corpus on disk is a manifest plus four blobs per video.  ``open_corpus``
 checks the manifest and reads the blobs one video at a time, as a reader
 iterates the videos; ``read_corpus`` holds them all in memory.  The
-conflicted twin and the distractor clips are likewise generated one video
-at a time.
+conflicted twin and the distractor clips are functions of the corpus:
+each seeds its own Rng from the corpus seed and a salt, and is
+generated one video at a time.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
 from .nn import Rng
 
 MIN_SEGMENT = 8      # frames; shortest generated action
 MAX_SEGMENTS = 3     # per video
 RAMP_SCALE = 32.0    # frames; normalizer for the boundary-distance ramps
-_DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED  # decorrelates distractor clips from the corpus stream
+# decorrelate the conflicted twin's and the distractor clips' draws from the corpus stream
+_CONFLICT_SALT = 0xC04F11C7ED
+_DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED
 
 
 @dataclass(frozen=True)
@@ -241,16 +244,17 @@ def require_aligned(video: VideoRecord) -> None:
         raise ConfigError(f"video {video.id} is already conflicted")
 
 
-def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
-    """Regenerate language under a seeded derangement of class identities.
+def inject_conflict(corpus: Corpus) -> Iterator[VideoRecord]:
+    """The corpus's conflicted twin: its language regenerated under a
+    seeded derangement of class identities.
 
     Vision frames and ground truth are reused untouched (byte-identical);
     every segment's language streams describe a different class than the
     one actually present, so language evidence actively contradicts vision.
-    Fresh noise comes from ``rng``, so applying twice with equal seeds is
-    not an involution.  Only each video's frames and ground truth are read,
-    so a corpus of vision views (``lang=None``) gives the same twin as the
-    corpus they were taken from.
+    The derangement and the noise are drawn from the corpus seed salted
+    with ``_CONFLICT_SALT``, so a corpus has one twin.  Only each video's
+    frames and ground truth are read, so a corpus of vision views
+    (``lang=None``) gives the same twin as the corpus they were taken from.
 
     The corpus is checked (``require_aligned``) and the derangement drawn at
     the call; the returned iterator then builds the conflicted videos one at
@@ -262,6 +266,7 @@ def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
         raise ConfigError("conflict injection needs at least 2 classes")
     for video in corpus.videos:
         require_aligned(video)
+    rng = Rng(cfg.seed ^ _CONFLICT_SALT)
     pi = rng.derangement(cfg.num_classes)
     lat = _draw_latents(cfg, Rng(cfg.seed))
     return (VideoRecord(video.id, video.vis,
@@ -271,7 +276,7 @@ def inject_conflict(corpus: Corpus, rng: Rng) -> Iterator[VideoRecord]:
             for video in corpus.videos)
 
 
-def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Iterator[VideoRecord]:
+def generate_distractors(cfg: GenConfig) -> Iterator[VideoRecord]:
     """Maximum-ambiguity clips that contain no annotated action.
 
     Each clip shows pseudo-segments blended 50/50 between a class and its
@@ -282,19 +287,17 @@ def generate_distractors(cfg: GenConfig, num_clips: int | None = None) -> Iterat
     empty.  The advantage carrier keeps its usual in-segment pattern so a
     trained gate responds as it would on real footage.
 
-    The config and clip count (``cfg.num_videos`` by default) are checked
-    at the call; the returned iterator then builds the clips one at a time,
-    ids ``d0000``, ``d0001``, ...  ``list(...)`` it to read them twice.
+    There are ``cfg.num_videos`` clips, drawn from the corpus seed salted
+    with ``_DISTRACTOR_SALT``.  The config is checked at the call; the
+    returned iterator then builds the clips one at a time, ids ``d0000``,
+    ``d0001``, ...  ``list(...)`` it to read them twice.
     """
     cfg.validate()
-    n = cfg.num_videos if num_clips is None else int(num_clips)
-    if n < 1:
-        raise ConfigError(f"num_clips must be >= 1, got {n}")
     peak = max(cfg.ambiguity)
     eligible = [c for c in range(cfg.num_classes) if cfg.ambiguity[c] == peak]
     lat = _draw_latents(cfg, Rng(cfg.seed))
     rng = Rng(cfg.seed ^ _DISTRACTOR_SALT)
-    return (_distractor(cfg, lat, eligible, rng, f"d{i:04d}") for i in range(n))
+    return (_distractor(cfg, lat, eligible, rng, f"d{i:04d}") for i in range(cfg.num_videos))
 
 
 def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
@@ -318,6 +321,8 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
 
 
 _STREAM_KEYS = ("vis", "cls", "loc", "adv")
+# a value of the JSON type of each annotation of a GenConfig field, for check_type
+_JSON_TYPE = {"int": 0, "float": 0.0, "tuple[float, ...]": []}
 
 
 def _manifest_blobs(path: Path) -> set[str]:
@@ -429,11 +434,11 @@ def open_corpus(in_dir) -> Corpus:
 
     Every manifest check runs here, before any blob is read: a missing
     manifest or blob, and a manifest ``write_corpus`` cannot have written
-    (no videos, a video count, frames or dim off the config block, a
-    repeated id, a segment out of bounds or overlapping another), is a
-    FormatError naming the key.  Each blob is checked as its video is read:
-    its header, size and finite payload (``blobio.read_matrix``) and its
-    shape against the manifest's.
+    (a config value of the wrong JSON type, no videos, a video count,
+    frames or dim off the config block, a repeated id, a segment out of
+    bounds or overlapping another), is a FormatError naming the key.  Each
+    blob is checked as its video is read: its header, size and finite
+    payload (``blobio.read_matrix``) and its shape against the manifest's.
     """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
@@ -444,8 +449,12 @@ def open_corpus(in_dir) -> Corpus:
     version = _get(manifest, "version", int, where)
     if version != blobio.VERSION:
         raise FormatError(f"unsupported corpus version {version} in {where}")
+    block = _get(manifest, "config", dict, where)
     try:
-        cfg = GenConfig(**_get(manifest, "config", dict, where)).validate()
+        for f in fields(GenConfig):
+            if f.name in block:
+                check_type("config", f.name, block[f.name], _JSON_TYPE[f.type])
+        cfg = GenConfig(**block).validate()
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad config block in {where}: {exc}") from exc
     entries = _get(manifest, "videos", list, where)

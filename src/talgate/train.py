@@ -154,10 +154,7 @@ def detection_loss(outputs: FrameOutputs, labels: np.ndarray, gstart: np.ndarray
     off = outputs.offsets
     L, C = scores.shape
     pos = labels < C
-    y = np.zeros((L, C))
-    if pos.any():
-        y[np.nonzero(pos)[0], labels[pos]] = 1.0
-    fl, dfl = focal_loss(scores, y)
+    fl, dfl = focal_loss(scores, labels[:, None] == np.arange(C))  # background matches no class
     per_frame = fl.sum(axis=1)
     m = max(1, int(pos.sum()))
     d_scores = dfl / m

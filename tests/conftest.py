@@ -10,12 +10,9 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from talgate.cli import _CONFLICT_SALT
 from talgate.metrics import DEFAULT_TIOU_THRESHOLDS, lap, map_at
 from talgate.model import ModelConfig, ModelState, predict_corpus
-from talgate.nn import Rng
-from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
-                              generate_distractors, inject_conflict)
+from talgate.synthgen import Corpus, GenConfig, VideoRecord, generate_corpus, inject_conflict
 from talgate.train import TrainConfig, TrainLog, fit
 
 BIAS_SEEDS = (0, 1, 2)
@@ -28,12 +25,11 @@ def gate_pinned(state: ModelState, value: float = 0.0) -> ModelState:
     return pinned
 
 
-def aligned_lap(state: ModelState, aligned: Corpus, conflicted,
-                thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
-    """``metrics.lap``, the aligned corpus's mAP scored first."""
-    kept, _ = predict_corpus(state, aligned.videos)
-    _, map_aligned = map_at(kept, {v.id: v.gt for v in aligned.videos}, thresholds)
-    return lap(state, aligned, map_aligned, conflicted, thresholds)
+def aligned_lap(state: ModelState, corpus: Corpus, thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+    """``metrics.lap``, the corpus's aligned mAP scored first."""
+    kept, _ = predict_corpus(state, corpus.videos)
+    _, map_aligned = map_at(kept, {v.id: v.gt for v in corpus.videos}, thresholds)
+    return lap(state, corpus, map_aligned, thresholds)
 
 
 def bias_gen_config(seed: int, num_videos: int = 96) -> GenConfig:
@@ -53,7 +49,7 @@ class BiasRun:
     train_corpus: Corpus
     eval_corpus: Corpus
     conflicted_eval: list[VideoRecord]
-    distractors: list[VideoRecord]
+    probe_config: GenConfig  # the no-action probe's: 32 clips
     full: ModelState
     full_log: TrainLog
     vision: ModelState
@@ -67,16 +63,15 @@ def _build_run(seed: int) -> BiasRun:
     # prototypes, which is what makes cross-split evaluation meaningful
     train_corpus = Corpus(gen, whole.videos[:64])
     eval_corpus = Corpus(gen, whole.videos[64:])
-    # both are read by several tests, so the streams are materialised once
-    conflicted = list(inject_conflict(eval_corpus, Rng((seed ^ _CONFLICT_SALT) % 2**64)))
-    distractors = list(generate_distractors(replace(gen, num_videos=32)))
+    # the twin that metrics.lap scores, held for the tests that read its videos
+    conflicted = list(inject_conflict(eval_corpus))
 
     base = ModelConfig(dim=gen.dim, num_classes=gen.num_classes)
     tc = TrainConfig(seed=seed)
     full, full_log = fit(train_corpus, replace(base, lambda_mode="learned"), tc)
     vision, _ = fit(train_corpus, replace(base, lambda_mode="fixed", fixed_lambda=0.0), tc)
     fixed_one, _ = fit(train_corpus, replace(base, lambda_mode="fixed", fixed_lambda=1.0), tc)
-    return BiasRun(seed, train_corpus, eval_corpus, conflicted, distractors,
+    return BiasRun(seed, train_corpus, eval_corpus, conflicted, replace(gen, num_videos=32),
                    full, full_log, vision, fixed_one)
 
 

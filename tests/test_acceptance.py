@@ -280,7 +280,7 @@ def test_vision_only_invariance(bias_runs):
                 and out.offsets.tobytes() == pure.offsets.tobytes()
                 and out.tmpl_logits.tobytes() == pure.tmpl_logits.tobytes())
         videos_checked += 1
-    zero_lap = aligned_lap(run.vision, run.eval_corpus, run.conflicted_eval)
+    zero_lap = aligned_lap(run.vision, run.eval_corpus)
     ok = identical and zero_lap == 0.0
     assert announce(
         "vision-only-invariance", ok,
@@ -329,9 +329,9 @@ def test_conflict_robustness_ordering(bias_runs):
     runs, _ = bias_runs
     learned, fixed1, zero_exact = [], [], []
     for run in runs.values():
-        learned.append(aligned_lap(run.full, run.eval_corpus, run.conflicted_eval))
-        fixed1.append(aligned_lap(run.fixed_one, run.eval_corpus, run.conflicted_eval))
-        zero_exact.append(aligned_lap(run.vision, run.eval_corpus, run.conflicted_eval) == 0.0)
+        learned.append(aligned_lap(run.full, run.eval_corpus))
+        fixed1.append(aligned_lap(run.fixed_one, run.eval_corpus))
+        zero_exact.append(aligned_lap(run.vision, run.eval_corpus) == 0.0)
     ordered = sum(l < f for l, f in zip(learned, fixed1))
     ok = ordered >= PASS_BAR and all(zero_exact)
     assert announce(
@@ -408,8 +408,8 @@ def test_ambiguity_probe_direction(bias_runs):
     details = []
     passed = 0
     for run in runs.values():
-        full = ambiguity_probe(run.full, run.distractors)
-        vision = ambiguity_probe(run.vision, run.distractors)
+        full = ambiguity_probe(run.full, run.probe_config)
+        vision = ambiguity_probe(run.vision, run.probe_config)
         good = full.mconf < vision.mconf and full.mlen < vision.mlen
         passed += good
         details.append(f"mconf {full.mconf:.3f}{'<' if full.mconf < vision.mconf else '>='}"

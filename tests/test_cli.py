@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import talgate.cli as cli
+import talgate.metrics as metrics
 from conftest import aligned_lap
 from talgate import blobio
-from talgate.cli import (ABLATION_MODES, ABLATION_ROWS, SEED_ENV, SWEEP_LAMBDAS, _align,
-                         _conflicted_twin, build_config, default_run_config,
-                         load_run_config, main, render_metrics, render_train_log)
+from talgate.cli import (ABLATION_MODES, ABLATION_ROWS, SWEEP_LAMBDAS, _align, build_config,
+                         default_run_config, load_run_config, main, render_metrics,
+                         render_train_log)
 from talgate.errors import ConfigError, FormatError, read_json
 from talgate.metrics import validate_report
 from talgate.model import ModelConfig, ModelState, load_checkpoint, save_checkpoint
@@ -138,14 +139,6 @@ class TestRunConfig:
             load_run_config(str(p))
         assert "valid keys" in str(exc.value) and "lr" in str(exc.value)
 
-    def test_env_seed_overrides(self, tmp_path, monkeypatch):
-        p = tmp_path / "c.json"
-        p.write_text('{"seed": 5}')
-        monkeypatch.setenv(SEED_ENV, "123")
-        assert load_run_config(str(p))["seed"] == 123
-        monkeypatch.setenv(SEED_ENV, "0x10")
-        assert load_run_config(None)["seed"] == 16
-
     def test_values_of_each_json_type_accepted(self, tmp_path):
         p = tmp_path / "c.json"
         good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 4,
@@ -155,12 +148,6 @@ class TestRunConfig:
         assert {k: run[k] for k in good} == good
         p.write_text('{"hidden": null}')
         assert load_run_config(str(p))["hidden"] is None
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", str(2 ** 64)])
-    def test_env_seed_rejects(self, value, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, value)
-        with pytest.raises(ConfigError, match=SEED_ENV):
-            load_run_config(None)
 
 
 MISTYPED_CONFIGS = [
@@ -364,7 +351,7 @@ class TestTrain:
                 raise OSError("disk full")
             replace(src, dst)
 
-        monkeypatch.setattr(cli.os, "replace", fail_on_target)
+        monkeypatch.setattr(os, "replace", fail_on_target)
         (out / name).write_bytes(b"old")
         assert main(argv) == 3
         assert (out / name).read_bytes() == b"old"
@@ -408,14 +395,13 @@ class TestEval:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.os, "replace", fail)
+        monkeypatch.setattr(os, "replace", fail)
         (tmp_path / "report.json").write_text("old")
         assert main(argv) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert (tmp_path / "report.json").read_text() == "old"
 
     def test_one_forward_pass_per_aligned_video(self, workspace, monkeypatch):
-        import talgate.metrics as metrics
         import talgate.model as model
         from talgate.model import load_checkpoint
         from talgate.synthgen import generate_distractors, read_corpus
@@ -436,7 +422,7 @@ class TestEval:
         monkeypatch.undo()
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
         assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
-        assert report.lap == aligned_lap(state, corpus, _conflicted_twin(corpus))
+        assert report.lap == aligned_lap(state, corpus)
 
     def test_vision_view_reads_no_language(self, workspace, monkeypatch):
         import talgate.model as model
@@ -488,7 +474,7 @@ class TestEval:
         state = load_checkpoint(workspace / "run" / "model.ckpt")
         corpus = open_corpus(workspace / "corpus")
         want = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
-        predict_corpus, inject_conflict = cli.predict_corpus, cli.inject_conflict
+        predict_corpus, inject_conflict = cli.predict_corpus, metrics.inject_conflict
         noted = []  # the vision views the aligned pass noted, which the vision pass scores
         shared = set()  # their frames, which the twin reuses
         built, every = [], []
@@ -526,8 +512,9 @@ class TestEval:
             return wrapper
 
         monkeypatch.setattr(cli, "predict_corpus", vision_pass)
-        monkeypatch.setattr(cli, "inject_conflict", watched(cli.inject_conflict))
-        monkeypatch.setattr(cli, "generate_distractors", watched(cli.generate_distractors))
+        # lap and the probe generate what they score
+        monkeypatch.setattr(metrics, "inject_conflict", watched(metrics.inject_conflict))
+        monkeypatch.setattr(metrics, "generate_distractors", watched(metrics.generate_distractors))
         got = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
         # and once the report is built, nothing of any generated video is left
         assert [r for r in every if r() is not None] == []
@@ -859,6 +846,10 @@ CORRUPTIONS = [
      "non-finite entries in the matrix at offset 16"),
     ("corpus/v0004_cls.bin", _truncate, _EVAL + ["--conflict", "--probe"],
      "payload of the matrix at offset 16"),
+    # config block values of the wrong JSON type: an integer written as a float
+    *[("corpus/manifest.json", _set("config", key, value=float(value)), argv, repr(key))
+      for argv in (_EVAL + ["--conflict", "--probe"], _TRAIN)
+      for key, value in [("seed", 0), ("frames", 48), ("num_videos", 6), ("dim", 8)]],
 ]
 
 
@@ -1018,10 +1009,10 @@ class TestRendering:
 
 class TestConflictedTwin:
     def test_deterministic(self, workspace):
-        from talgate.synthgen import read_corpus
+        from talgate.synthgen import inject_conflict, read_corpus
         corpus = read_corpus(workspace / "corpus")
-        a = list(_conflicted_twin(corpus))
-        b = list(_conflicted_twin(corpus))
+        a = list(inject_conflict(corpus))
+        b = list(inject_conflict(read_corpus(workspace / "corpus")))
         assert len(a) == len(b) == len(corpus.videos)
         for va, vb in zip(a, b):
             assert va.lang.cls_stream.tobytes() == vb.lang.cls_stream.tobytes()
@@ -1101,9 +1092,11 @@ print(json.dumps(loaded))
 """
 
 
-def _fresh_python(*args):
-    """Run ``python *args`` in a new interpreter that imports talgate from src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+def _fresh_python(*args, env=()):
+    """Run ``python *args`` in a new interpreter that imports talgate from src/,
+    with the variables ``env`` adds to this process's environment."""
+    env = dict(os.environ, **dict(env),
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=300)
 
@@ -1150,6 +1143,21 @@ class TestFreshInterpreter:
             assert (out / name).read_bytes() == (quiet / name).read_bytes(), name
         wall = [json.loads(l) for l in (quiet / "train_log.jsonl").read_text().splitlines()]
         assert [r | {"wall_time": 0} for r in records] == [r | {"wall_time": 0} for r in wall]
+
+    def test_a_seed_in_the_environment_changes_nothing(self, workspace, tmp_path):
+        # the config's seed is the only seed: ACTIONVLM_SEED in the environment changes nothing
+        cfg, corpus, run = str(workspace / "tiny.json"), tmp_path / "corpus", tmp_path / "run"
+        for argv in (["gen", "--config", cfg, "--out", str(corpus)],
+                     ["train", "--corpus", str(corpus), "--config", cfg, "--out", str(run)]):
+            proc = _fresh_python("-m", "talgate", *argv, env={"ACTIONVLM_SEED": "5"})
+            assert proc.returncode == 0, proc.stderr
+        assert dir_bytes(corpus) == dir_bytes(workspace / "corpus")
+        clean = workspace / "run"
+        for name in ("model.ckpt", "model.ckpt.json", "config.json", "run.json"):
+            assert (run / name).read_bytes() == (clean / name).read_bytes(), name
+        logs = [[json.loads(l) | {"wall_time": 0} for l in (d / "train_log.jsonl").read_text().splitlines()]
+                for d in (run, clean)]
+        assert logs[0] == logs[1]
 
     def test_python_dash_m_runs_the_cli(self):
         proc = _fresh_python("-m", "talgate", "--help")

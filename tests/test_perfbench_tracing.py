@@ -59,6 +59,9 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert stats["model.nms.calls"] == 3
     assert 0 < stats["model.nms.kept_ratio"] <= 1
     assert stats["metrics.ambiguity_probe.calls"] == 1
+    # lap and the probe generate the streams they score, once per eval, under the traced names
+    assert stats["synthgen.inject_conflict.calls"] == 1
+    assert stats["synthgen.generate_distractors.calls"] == 1
     # the training losses keep their traced names and are called by fit
     for name in ("train.detection_loss", "model.template_loss", "model.template_loss_grad"):
         assert stats[f"{name}.calls"] > 0, name

@@ -13,7 +13,6 @@ import pytest
 
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
-from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
                               generate_distractors, inject_conflict, open_corpus,
                               partner_class, read_corpus, write_corpus)
@@ -163,7 +162,7 @@ class TestInjectConflict:
     def setup_method(self):
         self.cfg = small_config(num_videos=16, helpfulness=(1.0,) * 4)
         self.corpus = generate_corpus(self.cfg)
-        self.twin = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(99))))
+        self.twin = Corpus(self.cfg, list(inject_conflict(self.corpus)))
 
     def test_vision_and_gt_untouched(self):
         for a, b in zip(self.corpus.videos, self.twin.videos):
@@ -196,19 +195,23 @@ class TestInjectConflict:
 
     def test_vision_views_give_the_same_twin(self):
         views = [VideoRecord(v.id, v.vis, None, v.gt) for v in self.corpus.videos]
-        twin = Corpus(self.cfg, list(inject_conflict(Corpus(self.cfg, views), Rng(99))))
+        twin = Corpus(self.cfg, list(inject_conflict(Corpus(self.cfg, views))))
         assert corpus_bytes(twin) == corpus_bytes(self.twin)
 
     def test_double_injection_rejected(self):
         with pytest.raises(ConfigError, match="already conflicted"):
-            inject_conflict(self.twin, Rng(1))
+            inject_conflict(self.twin)
 
     def test_same_rng_seed_same_twin(self):
-        again = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(99))))
+        # the twin's draws are seeded from the corpus seed: a regenerated corpus has the same twin
+        again = Corpus(self.cfg, list(inject_conflict(generate_corpus(self.cfg))))
         assert corpus_bytes(again) == corpus_bytes(self.twin)
 
     def test_different_rng_seed_different_noise(self):
-        other = Corpus(self.cfg, list(inject_conflict(self.corpus, Rng(100))))
+        # the same videos under another corpus seed: another derangement and other noise
+        reseeded = Corpus(replace(self.cfg, seed=self.cfg.seed + 1), self.corpus.videos)
+        other = Corpus(self.cfg, list(inject_conflict(reseeded)))
+        assert all(a.vis is b.vis for a, b in zip(other.videos, self.twin.videos))
         assert corpus_bytes(other) != corpus_bytes(self.twin)
 
 
@@ -231,10 +234,12 @@ class TestDistractors:
         corpus = generate_corpus(self.cfg)
         assert corpus_bytes(corpus) != corpus_bytes(self.clips)
 
-    def test_num_clips_override(self):
-        assert len(list(generate_distractors(self.cfg, num_clips=3))) == 3
-        with pytest.raises(ConfigError):
-            generate_distractors(self.cfg, num_clips=0)
+    def test_one_clip_per_num_videos(self):
+        # the clip set is prefix-stable, like the corpus
+        few = Corpus(self.cfg, list(generate_distractors(replace(self.cfg, num_videos=3))))
+        assert corpus_bytes(few) == corpus_bytes(Corpus(self.cfg, self.clips.videos[:3]))
+        with pytest.raises(ConfigError, match="num_videos"):
+            generate_distractors(replace(self.cfg, num_videos=0))
 
     def test_vision_sits_between_the_most_ambiguous_pair(self):
         # companion corpus with ambiguity 0 shares the same latents, so its

@@ -330,7 +330,7 @@ class TestVisionEpoch:
 
     def test_ignores_language_content(self):
         corpus = tiny_corpus(seed=9)
-        twin = Corpus(corpus.config, list(inject_conflict(corpus, Rng(99))))
+        twin = Corpus(corpus.config, list(inject_conflict(corpus)))
         cfg = TrainConfig(epochs=2).validate()
         results = []
         for c in (corpus, twin):
