@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
 from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
                       ap_by_class, canonical_json, difficulty_buckets,
                       hallucination_rates, lap, map_at, mla, validate_report)
@@ -97,8 +97,8 @@ def load_run_config(path: str | None) -> dict:
         if unknown:
             raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
                               f"valid keys: {', '.join(sorted(cfg))}")
-        for key, value in data.items():
-            check_type(f"config file {p}", key, value, cfg[key])
+        check_types(f"config file {p}", data, GenConfig, ModelConfig, TrainConfig,
+                    tiou_thresholds="tuple[float, ...]")
         cfg.update(data)
         try:  # every value in range, the model checked at the config's own dim
             for cls in (GenConfig, ModelConfig, TrainConfig):
@@ -131,11 +131,12 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
                  probe: bool = False) -> MetricsReport:
     """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
 
-    Every corpus pass is one ``predict_corpus`` call; the aligned one also
-    gives the gates ``mla`` reads.  Difficulty buckets come from the same
-    model's vision view, the corpus without its language (the vision-only
-    path, which a gate of 0 reproduces bitwise), the closest in-run
-    stand-in for a vision-only baseline.
+    Every corpus pass is one ``predict_corpus`` call, one proposals table;
+    the aligned one also gives the gates ``mla`` reads.  Difficulty buckets
+    come from the same model's vision view, the corpus without its language
+    (the vision-only path, which a gate of 0 reproduces bitwise), the
+    closest in-run stand-in for a vision-only baseline; they split the
+    classes with ground truth, the classes ``map_at`` scores.
 
     ``corpus.videos`` is read once, by the aligned pass, so a stored corpus
     (``synthgen.open_corpus``) reads each blob once.  That pass notes each
@@ -157,15 +158,14 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     proposals, lams = predict_corpus(state, map(note, corpus.videos))
     gt = {v.id: v.gt for v in views}
     per_threshold, map_avg = map_at(proposals, gt)
-    fixed_rate, infinite_rate = hallucination_rates(proposals)
+    fixed_rate, infinite_rate = hallucination_rates(proposals, len(views))
     del proposals  # scored; the passes below add to the views and gates alone
 
-    vision_ap = {}
-    for c, aps in ap_by_class(predict_corpus(state, views)[0], gt,
-                              range(corpus.config.num_classes), DEFAULT_TIOU_THRESHOLDS).items():
-        vals = [a for a in aps if a is not None]
-        vision_ap[c] = float(np.mean(vals)) if vals else 0.0
-    buckets = difficulty_buckets(vision_ap)
+    vision_aps = ap_by_class(predict_corpus(state, views)[0], gt,
+                             range(corpus.config.num_classes), DEFAULT_TIOU_THRESHOLDS)
+    # a class without ground truth has no AP (None at every threshold) and no bucket
+    buckets = difficulty_buckets({c: float(np.mean(aps)) for c, aps in vision_aps.items()
+                                  if aps[0] is not None})
 
     gts = [v.gt for v in views]
     mla_per_bucket = {}

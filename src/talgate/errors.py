@@ -8,6 +8,7 @@ Anything else escaping a command is treated as an internal error (exit 3).
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 
@@ -35,21 +36,29 @@ def _is_finite(v) -> bool:  # JSON admits NaN and Infinity
     return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
-def check_type(where: str, key: str, value, default) -> None:
-    """A config value must have the JSON type of the key's default; a null
-    default (``hidden``: use the feature dim) also admits an integer."""
-    if default is None:
-        ok, want = value is None or _is_int(value), "an integer or null"
-    elif isinstance(default, int):
-        ok, want = _is_int(value), "an integer"
-    elif isinstance(default, float):
-        ok, want = _is_finite(value), "a finite number"
-    elif isinstance(default, list):
-        ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of finite numbers"
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
-        raise ConfigError(f"{where}: key {key!r} must be {want}, got {json.dumps(value)}")
+# a config field's annotation: the test of its JSON value and how a message names that type
+JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                          "a list of finite numbers"),
+}
+
+
+def check_types(where: str, block, *classes, **annotations: str) -> None:
+    """Each key of the JSON object ``block`` that names a field of one of the
+    config dataclasses ``classes``, or a keyword of ``annotations``, must
+    hold a value of the JSON type of its annotation (``JSON_TYPES``); other
+    keys are the caller's to check.  A wrong type is a ConfigError naming
+    ``where`` and the key."""
+    types = {f.name: f.type for cls in classes for f in fields(cls)} | annotations
+    for key, annotation in types.items():
+        if key in block:
+            ok, want = JSON_TYPES[annotation]
+            if not ok(block[key]):
+                raise ConfigError(f"{where}: key {key!r} must be {want}, got {json.dumps(block[key])}")
 
 
 def write_atomic(path, data: str | bytes) -> None:

@@ -1,19 +1,19 @@
 """Localization quality and language-bias diagnostics.
 
-Proposals arrive as one ``model.Proposals`` table per video, its rows in
-canonical order (score desc, then start, end, label asc); NMS has already
-run, once over the stack of a corpus's tables (``model.predict_corpus``).
-``ap_by_class`` stacks the tables again, in video id order.  Average
-precision uses greedy one-to-one matching in descending score order (ties
-broken by video id, start, end) at a fixed temporal IoU threshold, and
-all-points interpolation (the precision envelope).  Each class's entries
-are ordered and their tIoU against the ground truth computed once; only
-the matching runs per threshold.  Classes with no ground truth are
-excluded from means and logged.
+A corpus pass arrives as one ``model.Proposals`` table
+(``model.predict_corpus``: NMS has run, row video i is the i-th video read,
+rows in canonical order) with its ground truth as a mapping from video id to
+segments in the same order, entry i for video i.  Average precision uses
+greedy one-to-one matching in descending score order (ties broken by video
+id, start, end) at a fixed temporal IoU threshold, and all-points
+interpolation (the precision envelope).  Each class's entries are ordered
+and their tIoU against the ground truth computed once; only the matching
+runs per threshold.  Classes with no ground truth are excluded from means
+and logged.
 
 Bias diagnostics: the language-attribution performance drop (lap: the
 conflicted twin's mAP against the given aligned mAP), output degeneracy
-rates over each table's first rows (hallucination_rates), the mean gate per
+rates over each video's first rows (hallucination_rates), the mean gate per
 difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
 ambiguity probe (mconf / mlen / acc_at) reading each clip's first decoded
 row, without NMS.  ``lap`` and ``ambiguity_probe`` generate the stream they
@@ -52,36 +52,39 @@ HALLUCINATION_TOP_K = 10
 _NEAR_DUPLICATE_TIOU = 0.95
 
 
-def ap_by_class(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
+def ap_by_class(proposals: Proposals, gt: dict[str, list[Segment]],
                 classes, thresholds) -> dict[int, list[float | None]]:
     """All-points interpolated AP of each class at each tIoU threshold, in
     threshold order; None for a class without ground-truth segments.
 
-    Each class's entries are ordered and their tIoU against the ground
-    truth computed once; only the greedy matching runs per threshold.
+    ``gt`` holds every video of the corpus table ``proposals``, entry i
+    for video i.  Each class's entries are ordered and their tIoU against
+    the ground truth computed once; only the greedy matching runs per
+    threshold.
     """
-    vids = sorted(proposals)
-    table = Proposals.stack(proposals[vid] for vid in vids)
-    video, start, end, label, score = table.video, table.start, table.end, table.label, table.score
+    rank = np.argsort(np.argsort(list(gt)))  # each video's place in id order
+    video, start, end, label = proposals.video, proposals.start, proposals.end, proposals.label
     # one stable sort for all classes: a class's entries keep their relative order
-    order = np.lexsort((end, start, video, -score))  # ties by video id, start, end
+    order = np.lexsort((end, start, rank[video], -proposals.score))  # ties by video id, start, end
     video, start, end, label = video[order], start[order], end[order], label[order]
+    segs = list(gt.values())
     aps = {}
     for c in classes:
         mine = label == c
-        aps[c] = _class_ap(vids, video[mine], start[mine], end[mine], gt, c, thresholds)
+        aps[c] = _class_ap(segs, video[mine], start[mine], end[mine], c, thresholds)
     return aps
 
 
-def _class_ap(vids, video, ps, pe, gt, label, thresholds) -> list[float | None]:
-    """``ap_by_class`` for one class, given its entries in AP order."""
-    npos = sum(s.label == label for segs in gt.values() for s in segs)
+def _class_ap(gt, video, ps, pe, label, thresholds) -> list[float | None]:
+    """``ap_by_class`` for one class, given each video's ground truth and
+    the class's entries in AP order."""
+    # every entry against its video's ground truth, in rows padded with (0, 1)
+    own = [[s for s in segs if s.label == label] for segs in gt]
+    count = np.array([len(segs) for segs in own], dtype=np.int64)
+    npos = int(count.sum())
     if npos == 0:
         return [None] * len(thresholds)
-    # every entry against its video's ground truth, in rows padded with (0, 1)
-    own = [[s for s in gt.get(vid, ()) if s.label == label] for vid in vids]
-    count = np.array([len(segs) for segs in own], dtype=np.int64)
-    gs = np.zeros((len(vids), int(count.max(initial=0))))
+    gs = np.zeros((len(own), int(count.max(initial=0))))
     ge = np.ones_like(gs)
     real = np.arange(gs.shape[1]) < count[:, None]
     gs[real] = [g.start for segs in own for g in segs]
@@ -118,7 +121,7 @@ def _class_ap(vids, video, ps, pe, gt, label, thresholds) -> list[float | None]:
     return aps
 
 
-def average_precision(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
+def average_precision(proposals: Proposals, gt: dict[str, list[Segment]],
                       label: int, threshold: float) -> float | None:
     """All-points interpolated AP for one class at one tIoU threshold.
 
@@ -127,18 +130,16 @@ def average_precision(proposals: dict[str, Proposals], gt: dict[str, list[Segmen
     return ap_by_class(proposals, gt, (label,), (threshold,))[label][0]
 
 
-def map_at(proposals: dict[str, Proposals], gt: dict[str, list[Segment]],
+def map_at(proposals: Proposals, gt: dict[str, list[Segment]],
            thresholds=DEFAULT_TIOU_THRESHOLDS) -> tuple[dict[float, float], float]:
-    """Mean AP per threshold plus the average over thresholds."""
+    """Mean AP per threshold plus the average over thresholds, over the
+    classes with ground truth (``ap_by_class``'s arguments)."""
     if not thresholds:
         raise ConfigError("map_at needs at least one tIoU threshold")
     classes = sorted({s.label for segs in gt.values() for s in segs})
     if not classes:
         raise ConfigError("map_at needs ground truth for at least one class")
-    seen = set()
-    for table in proposals.values():
-        seen.update(table.label.tolist())
-    for c in sorted(seen - set(classes)):
+    for c in sorted(set(proposals.label.tolist()) - set(classes)):
         log.info("class %d has proposals but no ground truth; excluded from mAP", c)
     aps = ap_by_class(proposals, gt, classes, thresholds)
     per_threshold = {float(t): float(np.mean([aps[c][i] for c in classes]))
@@ -167,10 +168,10 @@ def lap(state: ModelState, corpus: Corpus, map_aligned: float,
     return 100.0 * (map_aligned - map_conflicted)
 
 
-def hallucination_rates(per_video_proposals: dict[str, Proposals],
+def hallucination_rates(proposals: Proposals, videos: int,
                         top_k: int = HALLUCINATION_TOP_K) -> tuple[float, float]:
     """Degenerate-output rates over per-video top-k proposals (the first
-    ``top_k`` rows of each table), keyed by video id.
+    ``top_k`` rows of each video) of a corpus table of ``videos`` videos.
 
     fixed_rate: fraction of videos whose rounded top-k boundary multiset is
     shared by at least half the corpus (group of identical outputs of size
@@ -181,27 +182,29 @@ def hallucination_rates(per_video_proposals: dict[str, Proposals],
     three or more top-k proposals of its class is a ValueError, as in
     ``tiou``.
     """
-    tops = [table.take(slice(0, top_k)) for table in per_video_proposals.values()]
-    n = len(tops)
-    if n == 0:
+    if videos == 0:
         return 0.0, 0.0
-    keys = [tuple(sorted(zip(map(round, top.start.tolist()), map(round, top.end.tolist()))))
-            for top in tops]
-    counts = Counter(keys)
-    need = max(2, math.ceil(n / 2))
-    fixed = sum(1 for k in keys if counts[k] >= need) / n
-    return float(fixed), float(np.count_nonzero(_near_duplicate_trio(tops)) / n)
+    rank = np.arange(len(proposals)) - np.searchsorted(proposals.video, proposals.video)  # in its video
+    top, rank = proposals.take(rank < top_k), rank[rank < top_k]
+    keys = [[] for _ in range(videos)]
+    for v, s, e in sorted(zip(top.video.tolist(), map(round, top.start.tolist()),
+                              map(round, top.end.tolist()))):
+        keys[v].append((s, e))
+    counts = Counter(map(tuple, keys))
+    need = max(2, math.ceil(videos / 2))
+    fixed = sum(1 for k in keys if counts[tuple(k)] >= need) / videos
+    trio = _near_duplicate_trio(top, rank, videos)
+    return float(fixed), float(np.count_nonzero(trio) / videos)
 
 
-def _near_duplicate_trio(tops: list[Proposals]) -> np.ndarray:
-    """Per table, whether three of its rows share a label and pairwise
-    overlap with tIoU > 0.95.  The tables are stacked into rows padded
-    with label -1, which matches no row."""
-    k = max(len(top) for top in tops)
-    s, e = np.zeros((len(tops), k)), np.ones((len(tops), k))
-    label = np.full((len(tops), k), -1, dtype=np.int64)
-    for i, top in enumerate(tops):
-        s[i, :len(top)], e[i, :len(top)], label[i, :len(top)] = top.start, top.end, top.label
+def _near_duplicate_trio(top: Proposals, rank: np.ndarray, videos: int) -> np.ndarray:
+    """Per video, whether three of its rows in ``top`` share a label and
+    pairwise overlap with tIoU > 0.95.  Row r of video v goes to [v, r]
+    (``rank``) of V x k arrays padded with label -1, which matches no row."""
+    k = int(rank.max(initial=-1)) + 1
+    s, e = np.zeros((videos, k)), np.ones((videos, k))
+    label = np.full((videos, k), -1, dtype=np.int64)
+    s[top.video, rank], e[top.video, rank], label[top.video, rank] = top.start, top.end, top.label
     same = (label[:, :, None] == label[:, None, :]) & (label[:, :, None] >= 0) & ~np.eye(k, dtype=bool)
     if np.any(~(s < e) & (same.sum(axis=2) >= 2)):
         raise ValueError("tiou of a zero-length interval among three or more proposals of its class")
@@ -276,7 +279,10 @@ def ambiguity_probe(state: ModelState, cfg: GenConfig) -> ProbeStats:
     """
     confs, spans = [], []
     for clip in generate_distractors(cfg):
-        props = decode_proposals(forward_video(state, clip.vis, clip.lang)[0], state.cfg)
+        fwd = forward_video(state, clip.vis, clip.lang)
+        scores, offsets = fwd.cls_scores, fwd.offsets
+        del fwd  # the activations, freed before decode
+        props = decode_proposals(scores, offsets, state.cfg)
         if len(props):
             confs.append(float(props.score[0]))
             spans.append(float(props.end[0] - props.start[0]) / clip.vis.shape[0])

@@ -7,21 +7,25 @@ aggregation: vision plus lambda times the matching language stream, so
 lambda = 0 reduces the model to vision-only bit for bit.
 
 Two small convolutional trunks (classification and localization) read the
-aggregated features; per-frame heads emit class probabilities, boundary
-offsets, and template-token logits used by the auxiliary captioning loss.
+aggregated features; per-frame heads emit class probabilities and boundary
+offsets, which a forward pass returns in one ``Forward`` record with the
+gate and what ``backward_video`` reads.  The template head (token logits for
+the auxiliary captioning loss) reads the record's classification features,
+in a gated training step only.  A corpus pass (``predict_corpus``) returns
+one NMS-kept proposals table plus each video's gate.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
 from .synthgen import LanguageBundle, Segment, VideoRecord
@@ -124,28 +128,21 @@ class ModelState:
 
 
 @dataclass(eq=False)
-class FrameOutputs:
-    cls_scores: np.ndarray   # L x C probabilities
-    offsets: np.ndarray      # L x 2 non-negative boundary offsets
-    lam: np.ndarray          # L x 1 effective gate
-    adv_pred: np.ndarray     # L x 1 predicted language advantage
-    tmpl_logits: np.ndarray  # L x (C + 1) template-token logits
-
-
-@dataclass(eq=False)
-class _VideoCache:
-    """What ``backward_video`` reads of one forward pass: per trunk, each conv
-    layer's (padded input, pre-activation) and its output layers' input."""
+class Forward:
+    """One forward pass of one video: its outputs and what ``backward_video``
+    reads, per trunk each conv layer's (padded input, pre-activation) and
+    its output layers' input.  A scoring pass keeps the outputs it reads."""
+    cls_scores: np.ndarray  # L x C probabilities
+    offsets: np.ndarray     # L x 2 non-negative boundary offsets
+    lam: np.ndarray         # L x 1 effective gate
+    adv_pred: np.ndarray    # L x 1 predicted language advantage; 0 if the advantage head did not run
     cls_convs: list
-    cls_feat: np.ndarray  # read by cls_out and tmpl_out alike
-    cls_scores: np.ndarray
+    cls_feat: np.ndarray    # read by cls_out and the template head (tmpl_out) alike
     loc_convs: list
     loc_feat: np.ndarray
     loc_raw: np.ndarray
-    bundle: LanguageBundle | None = None  # bundle, adv_in, adv_pred, lam: set when the advantage head ran
+    bundle: LanguageBundle | None = None  # bundle and adv_in: set when the advantage head ran
     adv_in: np.ndarray | None = None
-    adv_pred: np.ndarray | None = None
-    lam: np.ndarray | None = None
 
 
 def lambda_from_advantage(adv_pred) -> np.ndarray:
@@ -187,18 +184,16 @@ def _trunk_forward(trunk: list, x) -> tuple[np.ndarray, list]:
     return x, convs
 
 
-def head_forward(f_cls, f_loc, state: ModelState) -> tuple[FrameOutputs, _VideoCache]:
-    """Run both trunks; lambda/advantage fields are zero placeholders."""
+def head_forward(f_cls, f_loc, state: ModelState) -> Forward:
+    """Run both trunks and their output layers; the gate and the advantage
+    read 0."""
     feat, cls_convs = _trunk_forward(state.cls_trunk, f_cls)
     logits, cls_feat = state.cls_out.forward(feat)
-    cls_scores = sigmoid(logits)
-    tmpl_logits = state.tmpl_out.forward(cls_feat)[0]
     feat, loc_convs = _trunk_forward(state.loc_trunk, f_loc)
     loc_raw, loc_feat = state.loc_out.forward(feat)
-    offsets = relu(loc_raw)
-    L = cls_scores.shape[0]
-    outputs = FrameOutputs(cls_scores, offsets, np.zeros((L, 1)), np.zeros((L, 1)), tmpl_logits)
-    return outputs, _VideoCache(cls_convs, cls_feat, cls_scores, loc_convs, loc_feat, loc_raw)
+    L = logits.shape[0]
+    return Forward(sigmoid(logits), relu(loc_raw), np.zeros((L, 1)), np.zeros((L, 1)),
+                   cls_convs, cls_feat, loc_convs, loc_feat, loc_raw)
 
 
 def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
@@ -208,8 +203,7 @@ def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
     return d_feat
 
 
-def forward_video(state: ModelState, vis,
-                  bundle: LanguageBundle | None) -> tuple[FrameOutputs, _VideoCache]:
+def forward_video(state: ModelState, vis, bundle: LanguageBundle | None) -> Forward:
     """Full forward pass for one video.
 
     ``bundle=None`` runs the vision-only path: both trunks read raw vision
@@ -227,49 +221,48 @@ def forward_video(state: ModelState, vis,
     L = vis.shape[0]
     mode = state.cfg.lambda_mode
     if mode == "language_only":
-        outputs, cache = head_forward(bundle.cls_stream, bundle.loc_stream, state)
-        outputs.lam = np.ones((L, 1))
-        return outputs, cache
+        fwd = head_forward(bundle.cls_stream, bundle.loc_stream, state)
+        fwd.lam = np.ones((L, 1))
+        return fwd
     adv_pred, adv_in = state.adv_fc.forward(bundle.adv_stream)
     learned = mode == "learned"
     lam = lambda_from_advantage(adv_pred) if learned else np.full((L, 1), float(state.cfg.fixed_lambda))
-    outputs, cache = head_forward(*aggregate(vis, bundle, lam), state)
-    outputs.lam = lam
-    outputs.adv_pred = adv_pred
-    cache.bundle, cache.adv_in, cache.adv_pred, cache.lam = bundle, adv_in, adv_pred, lam
-    return outputs, cache
+    fwd = head_forward(*aggregate(vis, bundle, lam), state)
+    fwd.lam, fwd.adv_pred, fwd.bundle, fwd.adv_in = lam, adv_pred, bundle, adv_in
+    return fwd
 
 
-def backward_video(state: ModelState, cache: _VideoCache, d_scores, d_offsets,
+def backward_video(state: ModelState, fwd: Forward, d_scores, d_offsets,
                    d_tmpl, d_adv=None) -> None:
     """Accumulate parameter gradients for one video.
 
-    ``d_tmpl=None`` stands for a zero template-logit gradient and skips the
+    ``d_tmpl`` is the gradient on the template head's logits of
+    ``fwd.cls_feat``; ``None`` stands for a zero gradient and skips the
     template head's backward (a vision step).  ``d_adv`` is the direct
     gradient on the advantage prediction (from the advantage regression
     loss); the gate path contribution is added here when the gate is
     learned.  Both reach ``adv_fc`` only if it ran.
     """
-    bundle = cache.bundle
+    bundle = fwd.bundle
     # only dlambda/da reads the trunk-input gradients; without it the first
     # conv layer of each trunk skips its input gradient
     learned = bundle is not None and state.cfg.lambda_mode == "learned"
-    d_logits = d_scores * cache.cls_scores * (1.0 - cache.cls_scores)
-    d_feat = state.cls_out.backward(cache.cls_feat, d_logits)
+    d_logits = d_scores * fwd.cls_scores * (1.0 - fwd.cls_scores)
+    d_feat = state.cls_out.backward(fwd.cls_feat, d_logits)
     if d_tmpl is not None:
-        d_feat += state.tmpl_out.backward(cache.cls_feat, d_tmpl)
-    d_f_cls = _trunk_backward(state.cls_trunk, cache.cls_convs, d_feat, learned)
-    d_feat = state.loc_out.backward(cache.loc_feat, d_offsets * relu_grad(cache.loc_raw))
-    d_f_loc = _trunk_backward(state.loc_trunk, cache.loc_convs, d_feat, learned)
+        d_feat += state.tmpl_out.backward(fwd.cls_feat, d_tmpl)
+    d_f_cls = _trunk_backward(state.cls_trunk, fwd.cls_convs, d_feat, learned)
+    d_feat = state.loc_out.backward(fwd.loc_feat, d_offsets * relu_grad(fwd.loc_raw))
+    d_f_loc = _trunk_backward(state.loc_trunk, fwd.loc_convs, d_feat, learned)
     if bundle is None:
         return
     if learned:
         d_lam = (d_f_cls * bundle.cls_stream).sum(axis=1, keepdims=True) \
             + (d_f_loc * bundle.loc_stream).sum(axis=1, keepdims=True)
-        d_gate = d_lam * _lambda_grad(cache.adv_pred, cache.lam)
+        d_gate = d_lam * _lambda_grad(fwd.adv_pred, fwd.lam)
         d_adv = d_gate if d_adv is None else d_gate + d_adv
     if d_adv is not None:
-        state.adv_fc.backward(cache.adv_in, d_adv, input_grad=False)  # its input, the advantage stream, is data
+        state.adv_fc.backward(fwd.adv_in, d_adv, input_grad=False)  # its input, the advantage stream, is data
 
 
 def frame_targets(gt: list[Segment], frames: int, num_classes: int):
@@ -321,10 +314,11 @@ class Proposals:
     """Proposals as a table of five parallel arrays, one row per proposal.
 
     ``video`` numbers the video of each row: 0 throughout the table of one
-    video, 0..V-1 in the ``stack`` of V videos' tables.  Rows are in
-    canonical order: video ascending, then score descending, then start,
-    end and label ascending.  ``decode_proposals`` emits that order and
-    ``nms``, ``stack``, ``split`` and slicing keep it.
+    video, 0..V-1 in the ``stack`` of V videos' tables (a corpus table,
+    video i the i-th video read).  Rows are in canonical order: video
+    ascending, then score descending, then start, end and label ascending.
+    ``decode_proposals`` emits that order and ``nms``, ``stack`` and
+    ascending ``take`` keep it.
     """
     start: np.ndarray  # float64
     end: np.ndarray    # float64
@@ -336,8 +330,8 @@ class Proposals:
         return len(self.start)
 
     def take(self, rows) -> "Proposals":
-        """The table of the given rows, a slice or an index array; ascending
-        indices keep the canonical order."""
+        """The table of the given rows, a slice, a mask or an index array;
+        ascending indices keep the canonical order."""
         return Proposals(self.start[rows], self.end[rows], self.label[rows], self.score[rows],
                          self.video[rows])
 
@@ -351,13 +345,6 @@ class Proposals:
                    np.concatenate([t.label for t in tables] + [np.zeros(0, dtype=np.int64)]),
                    np.concatenate([t.score for t in tables] + [np.zeros(0)]),
                    np.repeat(np.arange(len(tables)), [len(t) for t in tables]))
-
-    def split(self, videos: int) -> list["Proposals"]:
-        """The one-video tables of a stack of ``videos`` videos, the inverse
-        of ``stack``."""
-        bounds = np.searchsorted(self.video, np.arange(videos + 1)).tolist()
-        return [Proposals(self.start[a:b], self.end[a:b], self.label[a:b], self.score[a:b],
-                          np.zeros(b - a, dtype=np.int64)) for a, b in zip(bounds, bounds[1:])]
 
 
 def tiou(a, b) -> float:
@@ -379,21 +366,20 @@ def tiou_array(sa, ea, sb, eb) -> np.ndarray:
         return inter / ((ea - sa) + (eb - sb) - inter)
 
 
-def decode_proposals(outputs: FrameOutputs, cfg: ModelConfig) -> Proposals:
-    """Frame-wise decoding: (l - off0, l + off1, c, score) above threshold.
+def decode_proposals(scores: np.ndarray, offsets: np.ndarray, cfg: ModelConfig) -> Proposals:
+    """Frame-wise decoding of one video's L x C scores and L x 2 offsets:
+    (l - off0, l + off1, c, score) above threshold.
 
     Boundaries are clamped to [0, L] (``max(0, l - off0)``,
     ``min(L, l + off1)``); empty intervals are dropped, so every row is a
     non-empty interval.  The table is in canonical order, ties kept in
     frame-major order, and cut to cfg.top_k_pre_nms rows.
     """
-    scores = outputs.cls_scores
-    off = outputs.offsets
     L = scores.shape[0]
     frames, labels = np.nonzero(scores >= cfg.score_threshold)
-    start = frames - off[frames, 0]
+    start = frames - offsets[frames, 0]
     start = np.where(start > 0.0, start, 0.0)  # Python's max(0, x), NaN included
-    end = frames + off[frames, 1]
+    end = frames + offsets[frames, 1]
     end = np.where(end < L, end, float(L))      # Python's min(L, x)
     live = start < end
     start, end, labels = start[live], end[live], labels[live]
@@ -438,26 +424,26 @@ def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
 
 
 def predict_corpus(state: ModelState, videos: Iterable[VideoRecord]
-                   ) -> tuple[dict[str, Proposals], list[np.ndarray]]:
-    """Score a corpus: (kept proposals of every video keyed by id, each
-    video's L x 1 gate), both in the order read.
+                   ) -> tuple[Proposals, list[np.ndarray]]:
+    """Score a corpus: (the kept proposals of every video as one table, row
+    video i the i-th video read; each video's L x 1 gate, in that order).
 
     ``videos`` is read once: each video runs one forward pass, and only
-    its decoded table and its gate are kept; then one ``nms`` pass
-    suppresses the stack of tables.  A video is dropped before the next is
-    read, so a generated stream (``synthgen.inject_conflict``) holds one
-    video at a time.  Records without language (``lang=None``) take the
+    its scores, offsets and gate are kept; its ``Forward`` record and the
+    video are dropped before the scores are decoded and before the next
+    video is read, so a generated stream (``synthgen.inject_conflict``)
+    holds one video at a time.  One ``nms`` pass then suppresses the stack
+    of decoded tables.  Records without language (``lang=None``) take the
     vision-only path.
     """
-    ids, decoded, gates = [], [], []
+    decoded, gates = [], []
     for video in videos:
-        outputs = forward_video(state, video.vis, video.lang)[0]
-        ids.append(video.id)
-        decoded.append(decode_proposals(outputs, state.cfg))
-        gates.append(outputs.lam)
-        del video, outputs  # freed before the stream builds the next
-    kept = nms(Proposals.stack(decoded), state.cfg.nms_tiou).split(len(ids))
-    return dict(zip(ids, kept)), gates
+        fwd = forward_video(state, video.vis, video.lang)
+        scores, offsets = fwd.cls_scores, fwd.offsets
+        gates.append(fwd.lam)
+        del video, fwd  # the activations, freed before decode and before the stream builds the next
+        decoded.append(decode_proposals(scores, offsets, state.cfg))
+    return nms(Proposals.stack(decoded), state.cfg.nms_tiou), gates
 
 
 def save_checkpoint(state: ModelState, path) -> None:
@@ -477,9 +463,7 @@ def load_checkpoint(path) -> ModelState:
     blob = read_json(sidecar, "checkpoint sidecar")
     try:
         given = blob["model_config"]
-        for f in fields(ModelConfig):  # dim and num_classes, without a default, are integers
-            if f.name in given:
-                check_type("model_config", f.name, given[f.name], 0 if f.default is MISSING else f.default)
+        check_types("model_config", given, ModelConfig)
         cfg = ModelConfig(**given).validate()
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint sidecar {sidecar}: {exc}") from exc

@@ -2,10 +2,10 @@
 
 Every tensor in this module is a 2-D float64 numpy array ("matrix",
 row-major).  A layer holds only its parameters; the activations its
-backward reads live with the caller (``model._VideoCache``).
-``forward(x)`` returns ``(y, saved)``: the output and that read (the
-checked input, zero-padded for ``Conv1d``), kept while a backward may
-follow and then dropped.  ``backward(saved, dout)`` accumulates the
+backward reads live with the caller (``model.Forward``, the record of a
+forward pass).  ``forward(x)`` returns ``(y, saved)``: the output and that
+read (the checked input, zero-padded for ``Conv1d``), kept while a
+backward may follow and then dropped.  ``backward(saved, dout)`` accumulates the
 parameter gradients in place and returns the gradient with respect to the
 layer input (``input_grad=False`` skips that one).
 

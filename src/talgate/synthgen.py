@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, check_type, read_json, write_atomic
+from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
 from .nn import Rng
 
 MIN_SEGMENT = 8      # frames; shortest generated action
@@ -237,11 +237,12 @@ def generate_corpus(cfg: GenConfig) -> Corpus:
     return Corpus(cfg, videos)
 
 
-def require_aligned(video: VideoRecord) -> None:
-    """A ConfigError naming ``video`` if its language is already conflicted;
-    a vision view (``lang=None``) has no language to conflict."""
+def require_aligned(video: VideoRecord) -> VideoRecord:
+    """``video``, or a ConfigError naming it if its language is already
+    conflicted; a vision view (``lang=None``) has no language to conflict."""
     if video.lang is not None and not video.lang.aligned:
         raise ConfigError(f"video {video.id} is already conflicted")
+    return video
 
 
 def inject_conflict(corpus: Corpus) -> Iterator[VideoRecord]:
@@ -256,16 +257,16 @@ def inject_conflict(corpus: Corpus) -> Iterator[VideoRecord]:
     frames and ground truth are read, so a corpus of vision views
     (``lang=None``) gives the same twin as the corpus they were taken from.
 
-    The corpus is checked (``require_aligned``) and the derangement drawn at
-    the call; the returned iterator then builds the conflicted videos one at
-    a time, in corpus order, so a reader that drops each before asking for
-    the next holds one at a time.  ``list(...)`` it to read the twin twice.
+    The derangement is drawn at the call; the returned iterator then reads
+    ``corpus.videos`` once, in corpus order, and builds the conflicted
+    videos one at a time, so a reader that drops each before asking for
+    the next holds one at a time, and a stored corpus reads each blob once.
+    Each video is checked (``require_aligned``) as its twin is built.
+    ``list(...)`` it to read the twin twice.
     """
     cfg = corpus.config
     if cfg.num_classes < 2:
         raise ConfigError("conflict injection needs at least 2 classes")
-    for video in corpus.videos:
-        require_aligned(video)
     rng = Rng(cfg.seed ^ _CONFLICT_SALT)
     pi = rng.derangement(cfg.num_classes)
     lat = _draw_latents(cfg, Rng(cfg.seed))
@@ -273,7 +274,7 @@ def inject_conflict(corpus: Corpus) -> Iterator[VideoRecord]:
                         _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt],
                                          rng, aligned=False),
                         video.gt)
-            for video in corpus.videos)
+            for video in map(require_aligned, corpus.videos))
 
 
 def generate_distractors(cfg: GenConfig) -> Iterator[VideoRecord]:
@@ -321,8 +322,6 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
 
 
 _STREAM_KEYS = ("vis", "cls", "loc", "adv")
-# a value of the JSON type of each annotation of a GenConfig field, for check_type
-_JSON_TYPE = {"int": 0, "float": 0.0, "tuple[float, ...]": []}
 
 
 def _manifest_blobs(path: Path) -> set[str]:
@@ -451,9 +450,7 @@ def open_corpus(in_dir) -> Corpus:
         raise FormatError(f"unsupported corpus version {version} in {where}")
     block = _get(manifest, "config", dict, where)
     try:
-        for f in fields(GenConfig):
-            if f.name in block:
-                check_type("config", f.name, block[f.name], _JSON_TYPE[f.type])
+        check_types("config", block, GenConfig)
         cfg = GenConfig(**block).validate()
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad config block in {where}: {exc}") from exc

@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, write_atomic
-from .model import (FrameOutputs, ModelConfig, ModelState, backward_video,
-                    forward_video, frame_targets, template_loss,
-                    template_loss_grad)
+from .model import (ModelConfig, ModelState, backward_video, forward_video,
+                    frame_targets, template_loss, template_loss_grad)
 from .nn import Rng, focal_loss, diou_loss
 from .synthgen import Corpus
 
@@ -140,18 +139,17 @@ class DetectionLossResult:
     d_offsets: np.ndarray        # L x 2
 
 
-def detection_loss(outputs: FrameOutputs, labels: np.ndarray, gstart: np.ndarray,
+def detection_loss(scores: np.ndarray, offsets: np.ndarray, labels: np.ndarray, gstart: np.ndarray,
                    gend: np.ndarray, lambda_loc: float = 1.0) -> DetectionLossResult:
-    """Focal classification over every frame plus DIoU regression on
-    positive frames, summed per frame and normalized by the positive count
-    (floored at 1).  ``labels``, ``gstart`` and ``gend`` are the per-frame
-    targets of ``frame_targets``; label C marks background.
+    """Focal classification of the L x C scores over every frame plus DIoU
+    regression of the L x 2 offsets on positive frames, summed per frame
+    and normalized by the positive count (floored at 1).  ``labels``,
+    ``gstart`` and ``gend`` are the per-frame targets of ``frame_targets``;
+    label C marks background.
 
     Predicted intervals are padded by a fixed 1e-6 on both sides so frames
     whose offsets collapse to zero still yield a valid interval.
     """
-    scores = outputs.cls_scores
-    off = outputs.offsets
     L, C = scores.shape
     pos = labels < C
     fl, dfl = focal_loss(scores, labels[:, None] == np.arange(C))  # background matches no class
@@ -161,8 +159,8 @@ def detection_loss(outputs: FrameOutputs, labels: np.ndarray, gstart: np.ndarray
     d_off = np.zeros((L, 2))
     if pos.any():
         li = np.nonzero(pos)[0]
-        ps = li - off[li, 0] - INTERVAL_PAD
-        pe = li + off[li, 1] + INTERVAL_PAD
+        ps = li - offsets[li, 0] - INTERVAL_PAD
+        pe = li + offsets[li, 1] + INTERVAL_PAD
         dl, dps, dpe = diou_loss(ps, pe, gstart[li], gend[li])
         per_frame[li] += lambda_loc * dl
         d_off[li, 0] = -lambda_loc * dps / m
@@ -287,7 +285,9 @@ def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Ad
     it trains the vision view on the detection loss and fills a new class
     table (each video's loss once per class it shows); given the preceding
     vision pass's table it trains the gated model, template and advantage
-    terms included.  Returns the table a gated pass reads, and the steps."""
+    terms included; only a gated step runs the template head, on the forward
+    record's classification features.  Returns the table a gated pass
+    reads, and the steps."""
     if not corpus.videos:
         raise ConfigError("cannot train on an empty corpus")
     C = state.cfg.num_classes
@@ -297,24 +297,25 @@ def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Ad
     steps = []
     for video, (labels, gstart, gend, present) in zip(corpus.videos, targets, strict=True):
         state.zero_grads()
-        outputs, cache = forward_video(state, video.vis, None if vision else video.lang)
-        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
+        fwd = forward_video(state, video.vis, None if vision else video.lang)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, cfg.lambda_loc)
         if vision:
             tg = adv = 0.0
-            d_tmpl = d_adv = None  # the template head's gradient is zero: its backward is skipped
+            d_tmpl = d_adv = None  # the template head does not run: its gradient is zero
             for c in present:
                 table.add(c, det.loss)
         else:
-            tg = template_loss(outputs.tmpl_logits, labels)
-            d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
-            adv, d_adv = advantage_loss(outputs.adv_pred, *target_advantage(table, det.per_frame, labels, C))
+            tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
+            tg = template_loss(tmpl_logits, labels)
+            d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
+            adv, d_adv = advantage_loss(fwd.adv_pred, *target_advantage(table, det.per_frame, labels, C))
             d_adv = cfg.lambda_adv * d_adv
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
-        del cache  # this step's activations, freed before the next forward pass allocates its own
+        backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
+        mean_lambda = float(fwd.lam.mean())
+        del fwd  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
         steps.append(StepLog(video.id, present, det.loss, tg, adv,
-                             det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv,
-                             float(outputs.lam.mean())))
+                             det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv, mean_lambda))
     return table, steps
 
 

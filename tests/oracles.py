@@ -13,8 +13,8 @@ transposed views, an Adam step with temporaries).  The package's faster
 forms perform the same floating-point operations in the same order, so
 they must match these bit for bit on every input.
 
-The last two helpers are no references: they convert between plain rows
-and the package's ``Proposals`` table.
+The last four helpers are no references: they convert between plain rows
+and the package's ``Proposals`` tables, one video's or a corpus's.
 """
 
 import math
@@ -387,3 +387,15 @@ def proposal_rows(table: Proposals) -> list[tuple[float, float, int, float]]:
     """A table's (start, end, label, score) tuples of Python numbers, in order."""
     return list(zip(table.start.tolist(), table.end.tolist(), table.label.tolist(),
                     table.score.tolist()))
+
+
+def corpus_table(rows_by_video: dict) -> Proposals:
+    """The corpus table of per-video rows ({vid: [(start, end, label,
+    score), ...]}), video i the i-th entry, each video's rows sorted as in
+    ``proposals_from_rows``."""
+    return Proposals.stack(proposals_from_rows(rows) for rows in rows_by_video.values())
+
+
+def video_rows(table: Proposals, videos: int) -> list[list[tuple[float, float, int, float]]]:
+    """Each video's rows of a corpus table of ``videos`` videos, in order."""
+    return [proposal_rows(table.take(np.flatnonzero(table.video == i))) for i in range(videos)]

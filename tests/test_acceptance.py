@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import aligned_lap, gate_pinned
-from oracles import (ap_reference, grad_check, nms_reference, proposal_rows,
+from oracles import (ap_reference, corpus_table, grad_check, nms_reference, proposal_rows,
                      proposals_from_rows)
 from talgate.cli import main
 from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
@@ -78,18 +78,19 @@ def full_model_loss_error():
         table.add(c, 0.7 + 0.1 * c)
     tc = TrainConfig()
     labels, gstart, gend = frame_targets(gt, L, C)
-    outputs0, _ = forward_video(state, vis, bundle)
-    det0 = detection_loss(outputs0, labels, gstart, gend, tc.lambda_loc)
+    fwd0 = forward_video(state, vis, bundle)
+    det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, labels, gstart, gend, tc.lambda_loc)
     targets, mask = target_advantage(table, det0.per_frame, labels, C)
 
     def total_loss():
         state.zero_grads()
-        outputs, cache = forward_video(state, vis, bundle)
-        det = detection_loss(outputs, labels, gstart, gend, tc.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, labels)
-        d_tmpl = tc.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
-        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, tc.lambda_adv * d_adv)
+        fwd = forward_video(state, vis, bundle)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, tc.lambda_loc)
+        tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
+        tg = template_loss(tmpl_logits, labels)
+        d_tmpl = tc.lambda_tg * template_loss_grad(tmpl_logits, labels)
+        adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
+        backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, tc.lambda_adv * d_adv)
         return det.loss + tc.lambda_tg * tg + tc.lambda_adv * adv
 
     worst, points = 0.0, 0
@@ -165,17 +166,12 @@ def test_gradient_suite():
     det_off = 0.5 + 2.5 * np.abs(np.sin(rng.normal_matrix(50, 2)))
     det_scores = 0.15 + 0.7 * np.abs(np.sin(rng.normal_matrix(50, 2)))
 
-    def det_outputs(scores, offsets):
-        from talgate.model import FrameOutputs
-        return FrameOutputs(scores, offsets, np.zeros((50, 1)),
-                            np.zeros((50, 1)), np.zeros((50, 3)))
-
     def f_scores(scores):
-        det = detection_loss(det_outputs(scores, det_off), *det_targets)
+        det = detection_loss(scores, det_off, *det_targets)
         return det.loss, det.d_cls_scores
 
     def f_offsets(offsets):
-        det = detection_loss(det_outputs(det_scores, offsets), *det_targets)
+        det = detection_loss(det_scores, offsets, *det_targets)
         return det.loss, det.d_offsets
 
     errs["detection_scores"] = grad_check(f_scores, det_scores.copy())
@@ -214,7 +210,7 @@ def test_ap_and_nms_match_oracles():
                 s = rng.uniform() * 50.0
                 props[vid].append((s, s + 1.0 + rng.uniform() * 15.0,
                                    rng.randint(4), round(rng.uniform(), 3)))
-        tables = {v: proposals_from_rows(rows) for v, rows in props.items()}
+        tables = corpus_table(props)
         tuple_gt = {v: [(g.start, g.end, g.label) for g in gs] for v, gs in gt.items()}
         for label in range(4):
             for t in DEFAULT_TIOU_THRESHOLDS:
@@ -272,13 +268,15 @@ def test_vision_only_invariance(bias_runs):
         zeroed = LanguageBundle(np.zeros_like(va.lang.cls_stream),
                                 np.zeros_like(va.lang.loc_stream),
                                 np.zeros_like(va.lang.adv_stream))
-        pure, _ = forward_video(run.full, va.vis, None)
+        pure = forward_video(run.full, va.vis, None)
+        pure_tmpl = run.full.tmpl_out.forward(pure.cls_feat)[0]
         for bundle in (va.lang, vc.lang, zeroed):
-            out, _ = forward_video(pinned, va.vis, bundle)
+            out = forward_video(pinned, va.vis, bundle)
             identical = identical and (
                 out.cls_scores.tobytes() == pure.cls_scores.tobytes()
                 and out.offsets.tobytes() == pure.offsets.tobytes()
-                and out.tmpl_logits.tobytes() == pure.tmpl_logits.tobytes())
+                # the template head, run on each pass's classification features
+                and pinned.tmpl_out.forward(out.cls_feat)[0].tobytes() == pure_tmpl.tobytes())
         videos_checked += 1
     zero_lap = aligned_lap(run.vision, run.eval_corpus)
     ok = identical and zero_lap == 0.0
@@ -289,11 +287,13 @@ def test_vision_only_invariance(bias_runs):
 
 
 def eval_class_ap(props, gt, num_classes):
+    """Each class's mean AP over the thresholds, for the classes with ground
+    truth (those ``cli.build_report`` buckets)."""
     out = {}
     for c in range(num_classes):
         vals = [average_precision(props, gt, c, t) for t in DEFAULT_TIOU_THRESHOLDS]
-        vals = [v for v in vals if v is not None]
-        out[c] = float(np.mean(vals)) if vals else 0.0
+        if vals[0] is not None:
+            out[c] = float(np.mean(vals))
     return out
 
 
@@ -309,7 +309,7 @@ def test_hard_bucket_gains_and_gate_ordering(bias_runs):
         buckets = difficulty_buckets(vis_ap)
         gain = 100.0 * (np.mean([full_ap[c] for c in buckets.hard])
                         - np.mean([vis_ap[c] for c in buckets.hard]))
-        lams = [forward_video(run.full, v.vis, v.lang)[0].lam
+        lams = [forward_video(run.full, v.vis, v.lang).lam
                 for v in run.eval_corpus.videos]
         gts = [v.gt for v in run.eval_corpus.videos]
         mla_hard = mla(lams, buckets.hard, gts)

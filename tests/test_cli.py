@@ -424,6 +424,64 @@ class TestEval:
         assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
         assert report.lap == aligned_lap(state, corpus)
 
+    def test_template_head_does_not_run(self, workspace, monkeypatch):
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        corpus = read_corpus(workspace / "corpus")
+        calls, forward = [], state.tmpl_out.forward
+
+        def counted(x):
+            calls.append(len(x))
+            return forward(x)
+
+        monkeypatch.setattr(state.tmpl_out, "forward", counted)
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        assert calls == []
+
+    def test_no_forward_record_alive_at_decode_or_next_pass(self, workspace, monkeypatch):
+        import talgate.model as model
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        corpus = read_corpus(workspace / "corpus")
+        records, alive = [], []
+
+        def check_dropped():
+            alive.extend(i for i, ref in enumerate(records) if ref() is not None)
+
+        def spied(fn, keep):
+            def wrapper(*args):
+                check_dropped()
+                out = fn(*args)
+                if keep:
+                    records.append(weakref.ref(out))
+                return out
+            return wrapper
+
+        # predict_corpus's passes and the probe's
+        for module in (model, metrics):
+            monkeypatch.setattr(module, "forward_video", spied(module.forward_video, True))
+            monkeypatch.setattr(module, "decode_proposals", spied(module.decode_proposals, False))
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        assert len(records) == 4 * len(corpus.videos) and alive == []
+
+    def test_buckets_hold_only_classes_with_ground_truth(self, monkeypatch):
+        corpus = generate_corpus(GenConfig(num_classes=8, num_videos=3, frames=64, dim=8,
+                                           ambiguity=(0.3,) * 8, helpfulness=(0.7,) * 8, seed=4))
+        present = sorted({s.label for v in corpus.videos for s in v.gt})
+        assert 3 <= len(present) <= 6  # some classes have no ground truth
+        state = ModelState(ModelConfig(dim=8, num_classes=8), Rng(4))
+        seen, buckets = [], cli.difficulty_buckets
+
+        def noted(vision_ap):
+            seen.append(vision_ap)
+            return buckets(vision_ap)
+
+        monkeypatch.setattr(cli, "difficulty_buckets", noted)
+        report = cli.build_report(state, corpus)
+        # the classes map_at scores; before, a class without ground truth ranked
+        # hardest at AP 0, and its bucket's mean gate read 0 over no frames
+        assert [sorted(a) for a in seen] == [present]
+        assert set(report.mla_per_bucket) == {"hard", "medium", "easy"}
+        assert all(v > 0.0 for v in report.mla_per_bucket.values())
+
     def test_vision_view_reads_no_language(self, workspace, monkeypatch):
         import talgate.model as model
         from talgate.model import load_checkpoint

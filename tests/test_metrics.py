@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import aligned_lap
-from oracles import (ap_reference, hallucination_reference, proposal_rows,
-                     proposals_from_rows)
+from oracles import ap_reference, corpus_table, hallucination_reference, proposal_rows
 from talgate.errors import ConfigError, FormatError
-from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, PROBE_SPAN_THRESHOLDS,
-                             REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
+from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, HALLUCINATION_TOP_K,
+                             PROBE_SPAN_THRESHOLDS, REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
                              ProbeStats, ambiguity_probe, ap_by_class,
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, lap, map_at,
@@ -23,7 +22,7 @@ from talgate.model import (ModelConfig, ModelState, decode_proposals, forward_vi
                            nms, predict_corpus)
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, Segment, VideoRecord, generate_corpus,
-                              generate_distractors, inject_conflict)
+                              generate_distractors, inject_conflict, open_corpus, write_corpus)
 
 S = Segment
 
@@ -33,33 +32,28 @@ def P(start, end, label, score):
     return (start, end, label, score)
 
 
-def tables(props):
-    """Per-video proposal rows as per-video tables."""
-    return {vid: proposals_from_rows(rows) for vid, rows in props.items()}
-
-
 class TestAveragePrecision:
     def test_perfect_detector(self):
         gt = {"v0": [S(0, 10, 0), S(20, 30, 1)], "v1": [S(5, 15, 0)]}
         props = {vid: [P(float(s.start), float(s.end), s.label, 0.9) for s in segs]
                  for vid, segs in gt.items()}
         for label in (0, 1):
-            assert average_precision(tables(props), gt, label, 0.7) == 1.0
-        per_t, avg = map_at(tables(props), gt)
+            assert average_precision(corpus_table(props), gt, label, 0.7) == 1.0
+        per_t, avg = map_at(corpus_table(props), gt)
         assert avg == 1.0 and all(v == 1.0 for v in per_t.values())
 
     def test_disjoint_proposals_score_zero(self):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(50.0, 60.0, 0, 0.9)]}
-        assert average_precision(tables(props), gt, 0, 0.5) == 0.0
+        assert average_precision(corpus_table(props), gt, 0, 0.5) == 0.0
 
     def test_no_ground_truth_returns_none(self):
-        assert average_precision(tables({"v0": [P(0.0, 5.0, 2, 0.9)]}), {"v0": []}, 2, 0.5) is None
+        assert average_precision(corpus_table({"v0": [P(0.0, 5.0, 2, 0.9)]}), {"v0": []}, 2, 0.5) is None
 
     def test_half_recall_single_step(self):
         gt = {"v0": [S(0, 10, 0), S(100, 110, 0)]}
         props = {"v0": [P(0.0, 10.0, 0, 0.9)]}
-        assert average_precision(tables(props), gt, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert average_precision(corpus_table(props), gt, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_brute_force_reference(self):
         rng = Rng(50)
@@ -82,7 +76,7 @@ class TestAveragePrecision:
                         for vid, gs in gt.items()}
             for label in range(3):
                 for t in DEFAULT_TIOU_THRESHOLDS:
-                    got = average_precision(tables(props), gt, label, t)
+                    got = average_precision(corpus_table(props), gt, label, t)
                     want = ap_reference(props, tuple_gt, label, t)
                     if want is None:
                         assert got is None
@@ -109,7 +103,7 @@ class TestAveragePrecision:
             tuple_gt = {vid: [(g.start, g.end, g.label) for g in gs] for vid, gs in gt.items()}
             for label in range(2):
                 for t in (0.2, 0.25, 0.5, 0.75):
-                    got = average_precision(tables(props), gt, label, t)
+                    got = average_precision(corpus_table(props), gt, label, t)
                     want = ap_reference(props, tuple_gt, label, t)
                     assert (got is None) == (want is None)
                     if want is not None:
@@ -120,14 +114,14 @@ class TestAveragePrecision:
         # (0, 4) finds its segment taken and is a false positive
         gt = {"v0": [S(0, 4, 0), S(4, 8, 0)]}
         props = {"v0": [P(2.0, 6.0, 0, 0.9), P(0.0, 4.0, 0, 0.8)]}
-        assert average_precision(tables(props), gt, 0, 0.3) == 0.5
+        assert average_precision(corpus_table(props), gt, 0, 0.3) == 0.5
 
     def test_monotone_in_threshold(self):
         rng = Rng(51)
         gt = {"v0": [S(i * 20, i * 20 + 10, 0) for i in range(5)]}
         props = {"v0": [P(i * 20 + rng.uniform() * 6.0, i * 20 + 10 + rng.uniform() * 6.0,
                           0, rng.uniform()) for i in range(5)]}
-        aps = [average_precision(tables(props), gt, 0, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        aps = [average_precision(corpus_table(props), gt, 0, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))
 
     def test_invariant_under_monotone_rescoring(self):
@@ -141,8 +135,8 @@ class TestAveragePrecision:
         rescored = {"v0": [P(start, end, label, 0.05 + 0.5 * score ** 2)
                            for start, end, label, score in props["v0"]]}
         for t in (0.3, 0.5):
-            assert average_precision(tables(props), gt, 0, t) == \
-                pytest.approx(average_precision(tables(rescored), gt, 0, t), abs=1e-12)
+            assert average_precision(corpus_table(props), gt, 0, t) == \
+                pytest.approx(average_precision(corpus_table(rescored), gt, 0, t), abs=1e-12)
 
 
 def random_case(rng):
@@ -163,13 +157,38 @@ def random_case(rng):
     return gt, props
 
 
+def test_ties_go_by_video_id_not_read_order():
+    # the videos are read v2, v0, v3, v1: tied scores across videos rank by
+    # id, as in ap_reference, whatever the table's video numbers
+    rng = Rng(55)
+    thresholds = (0.2, 0.25, 0.5, 0.75)
+    order_decided = 0
+    for _ in range(60):
+        gt, props = random_case(rng)
+        read = ("v2", "v0", "v3", "v1")
+        gt, props = {v: gt[v] for v in read}, {v: props[v] for v in read}
+        tuple_gt = {v: [(g.start, g.end, g.label) for g in gs] for v, gs in gt.items()}
+        got = ap_by_class(corpus_table(props), gt, range(3), thresholds)
+        for c in range(3):
+            want = [ap_reference(props, tuple_gt, c, t) for t in thresholds]
+            assert [a is None for a in got[c]] == [a is None for a in want]
+            if want[0] is not None:
+                assert got[c] == pytest.approx(want, abs=1e-12)
+                # the same videos renamed so that id order is read order
+                renamed = [ap_reference({f"r{i}": props[v] for i, v in enumerate(read)},
+                                        {f"r{i}": tuple_gt[v] for i, v in enumerate(read)}, c, t)
+                           for t in thresholds]
+                order_decided += renamed != pytest.approx(want, abs=1e-12)
+    assert order_decided >= 20
+
+
 class TestMapAt:
     def test_equals_per_class_threshold_loop(self):
         rng = Rng(54)
         thresholds = (0.2, 0.25, 0.5, 0.75)
         for _ in range(40):
             gt, props = random_case(rng)
-            t = tables(props)
+            t = corpus_table(props)
             classes = sorted({s.label for segs in gt.values() for s in segs})
             if not classes:
                 continue
@@ -184,22 +203,22 @@ class TestMapAt:
 
     def test_requires_ground_truth_and_thresholds(self):
         with pytest.raises(ConfigError, match="ground truth"):
-            map_at(tables({"v0": []}), {"v0": []})
+            map_at(corpus_table({"v0": []}), {"v0": []})
         with pytest.raises(ConfigError, match="threshold"):
-            map_at(tables({"v0": []}), {"v0": [S(0, 5, 0)]}, thresholds=())
+            map_at(corpus_table({"v0": []}), {"v0": [S(0, 5, 0)]}, thresholds=())
 
     def test_orphaned_class_logged_and_excluded(self, caplog):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(0.0, 10.0, 0, 0.9), P(0.0, 10.0, 5, 0.9)]}
         with caplog.at_level(logging.INFO, logger="talgate.metrics"):
-            per_t, avg = map_at(tables(props), gt, thresholds=(0.5,))
+            per_t, avg = map_at(corpus_table(props), gt, thresholds=(0.5,))
         assert avg == 1.0
         assert any("class 5" in r.message for r in caplog.records)
 
     def test_average_over_thresholds(self):
         gt = {"v0": [S(0, 10, 0)]}
         props = {"v0": [P(0.0, 8.0, 0, 0.9)]}  # tIoU 0.8
-        per_t, avg = map_at(tables(props), gt, thresholds=(0.5, 0.9))
+        per_t, avg = map_at(corpus_table(props), gt, thresholds=(0.5, 0.9))
         assert per_t == {0.5: 1.0, 0.9: 0.0}
         assert avg == 0.5
 
@@ -228,6 +247,23 @@ class TestLap:
         views = Corpus(corpus.config, [VideoRecord(v.id, v.vis, None, v.gt) for v in corpus.videos])
         assert lap(state, views, ma) == lap(state, corpus, ma)
 
+    def test_stored_corpus_reads_each_blob_once(self, tmp_path, monkeypatch):
+        import talgate.blobio as blobio
+        corpus = small_eval_corpus(seed=63)
+        write_corpus(corpus, tmp_path)
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(3))
+        reads, read_matrix = [], blobio.read_matrix
+
+        def counted(path):
+            reads.append(path.name)
+            return read_matrix(path)
+
+        monkeypatch.setattr(blobio, "read_matrix", counted)
+        drop = lap(state, open_corpus(tmp_path), 0.5)
+        monkeypatch.undo()
+        assert len(reads) == 4 * 6 and len(set(reads)) == len(reads)
+        assert drop == lap(state, corpus, 0.5)
+
 
 def disjoint_props(rng, n, label=0):
     props = []
@@ -239,18 +275,18 @@ def disjoint_props(rng, n, label=0):
 
 class TestHallucinationRates:
     def test_empty(self):
-        assert hallucination_rates(tables({})) == (0.0, 0.0)
+        assert hallucination_rates(corpus_table({}), 0) == (0.0, 0.0)
 
     def test_identical_outputs_everywhere(self):
         shared = [P(0.0, 10.0, 0, 0.9), P(20.0, 30.0, 1, 0.8)]
-        fixed, infinite = hallucination_rates(tables({f"v{i}": list(shared) for i in range(5)}))
+        fixed, infinite = hallucination_rates(corpus_table({f"v{i}": list(shared) for i in range(5)}), 5)
         assert fixed == 1.0 and infinite == 0.0
 
     def test_unique_outputs(self):
         rng = Rng(70)
         per_video = {f"v{i}": [P(i * 100.0 + rng.uniform(), i * 100.0 + 10.0, 0, 0.9)]
                      for i in range(6)}
-        assert hallucination_rates(tables(per_video)) == (0.0, 0.0)
+        assert hallucination_rates(corpus_table(per_video), len(per_video)) == (0.0, 0.0)
 
     def test_half_corpus_shares_one_output(self):
         rng = Rng(71)
@@ -258,30 +294,41 @@ class TestHallucinationRates:
         per_video = {f"s{i}": list(shared) for i in range(4)}
         for i in range(4):
             per_video[f"u{i}"] = [P(200.0 + 17.0 * i, 215.0 + 17.0 * i, 0, 0.9)]
-        fixed, _ = hallucination_rates(tables(per_video))
+        fixed, _ = hallucination_rates(corpus_table(per_video), len(per_video))
         assert fixed == 0.5
 
     def test_triple_near_duplicates_flagged(self):
         trio = [P(0.0, 100.0, 2, 0.9), P(0.0, 99.0, 2, 0.8), P(1.0, 100.0, 2, 0.7)]
-        _, infinite = hallucination_rates(tables({"v0": trio, "v1": disjoint_props(Rng(72), 3)}))
+        _, infinite = hallucination_rates(corpus_table({"v0": trio, "v1": disjoint_props(Rng(72), 3)}), 2)
         assert infinite == 0.5
 
     def test_pairs_and_cross_class_do_not_count(self):
         pair = [P(0.0, 100.0, 2, 0.9), P(0.0, 99.0, 2, 0.8)]
         mixed = [P(0.0, 100.0, 0, 0.9), P(0.0, 99.0, 1, 0.8), P(1.0, 100.0, 2, 0.7)]
-        assert hallucination_rates(tables({"v0": pair, "v1": mixed}))[1] == 0.0
+        assert hallucination_rates(corpus_table({"v0": pair, "v1": mixed}), 2)[1] == 0.0
 
     def test_borderline_overlap_not_near_duplicate(self):
         trio = [P(0.0, 100.0, 0, 0.9), P(0.0, 95.0, 0, 0.8), P(5.0, 100.0, 0, 0.7)]
-        assert hallucination_rates(tables({"v0": trio, "v1": trio}))[1] == 0.0
+        assert hallucination_rates(corpus_table({"v0": trio, "v1": trio}), 2)[1] == 0.0
 
     def test_top_k_cutoff_hides_low_ranked_triples(self):
         rng = Rng(73)
         filler = disjoint_props(rng, 10, label=1)
         trio = [P(1000.0, 1100.0, 0, 0.01), P(1000.0, 1099.0, 0, 0.01),
                 P(1001.0, 1100.0, 0, 0.01)]
-        _, infinite = hallucination_rates(tables({"v0": filler + trio, "v1": disjoint_props(rng, 2)}))
+        per_video = {"v0": filler + trio, "v1": disjoint_props(rng, 2)}
+        _, infinite = hallucination_rates(corpus_table(per_video), 2)
         assert infinite == 0.0
+
+    def test_empty_video_and_one_past_top_k(self):
+        # v1 shows a near-duplicate trio only below its top 10 rows, v2 one
+        # within them; the empty videos v0 and v3 share their (empty) output
+        filler = disjoint_props(Rng(76), 10, label=1)
+        low = [P(1000.0, 1100.0, 0, 0.01), P(1000.0, 1099.0, 0, 0.01), P(1001.0, 1100.0, 0, 0.01)]
+        high = [P(0.0, 100.0, 2, 0.9), P(0.0, 99.0, 2, 0.8), P(1.0, 100.0, 2, 0.7)]
+        props = {"v0": [], "v1": filler + low, "v2": high, "v3": []}
+        got = hallucination_rates(corpus_table(props), 4)
+        assert got == hallucination_reference(props, HALLUCINATION_TOP_K) == (0.5, 0.25)
 
     def test_matches_loop_oracle(self):
         rng = Rng(74)
@@ -303,7 +350,7 @@ class TestHallucinationRates:
                                             base + 100.0 - rng.randint(12) / 2.0,
                                             rng.randint(2), (1 + rng.randint(4)) / 4.0))
             for top_k in (3, 10):
-                got = hallucination_rates(tables(props), top_k)
+                got = hallucination_rates(corpus_table(props), len(props), top_k)
                 assert got == hallucination_reference(props, top_k)
                 seen_fixed += 0.0 < got[0] < 1.0
                 seen_infinite += 0.0 < got[1] < 1.0
@@ -405,7 +452,8 @@ class TestAmbiguityProbe:
         state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k), Rng(seed))
         confs, spans, suppressed = [], [], 0
         for v in clips:
-            decoded = decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg)
+            fwd = forward_video(state, v.vis, v.lang)
+            decoded = decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg)
             kept = nms(decoded, state.cfg.nms_tiou)
             assert proposal_rows(decoded)[:1] == proposal_rows(kept)[:1]
             suppressed += len(kept) < len(decoded)

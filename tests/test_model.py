@@ -1,6 +1,7 @@
 """Detector model: gate mapping, aggregation, decode/NMS, checkpoints."""
 
 import math
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from conftest import gate_pinned
 from oracles import (cross_entropy_reference, decode_reference, grad_check,
-                     interval_iou, nms_reference, proposal_rows, proposals_from_rows)
+                     interval_iou, nms_reference, proposal_rows, proposals_from_rows,
+                     video_rows)
 from talgate.errors import ConfigError, FormatError
-from talgate.model import (FrameOutputs, ModelConfig, ModelState, Proposals,
+from talgate.model import (ModelConfig, ModelState, Proposals,
                            aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
@@ -147,19 +149,20 @@ class TestHeadForward:
         rng = Rng(8)
         state = ModelState(tiny_model_config(), rng)
         x = rng.normal_matrix(16, 5, 3.0)
-        outputs, _ = head_forward(x, x, state)
+        outputs = head_forward(x, x, state)
         assert np.all(outputs.offsets >= 0.0)
         assert np.all((outputs.cls_scores > 0.0) & (outputs.cls_scores < 1.0))
-        assert outputs.tmpl_logits.shape == (16, 4)
+        assert not outputs.lam.any() and not outputs.adv_pred.any()
+        assert state.tmpl_out.forward(outputs.cls_feat)[0].shape == (16, 4)
 
     def test_no_dead_parameterization(self):
         rng = Rng(9)
         state = ModelState(tiny_model_config(), rng)
         x = rng.normal_matrix(16, 5)
-        before, _ = head_forward(x, x, state)
+        before = head_forward(x, x, state)
         for conv in state.cls_trunk + state.loc_trunk:
             conv.w.value *= 2.0
-        after, _ = head_forward(x, x, state)
+        after = head_forward(x, x, state)
         assert np.abs(after.cls_scores - before.cls_scores).max() > 0.0
         assert np.abs(after.offsets - before.offsets).max() > 0.0
 
@@ -173,20 +176,22 @@ class TestForwardModes:
         conflicted = random_bundle(rng, 20, 5)
         zeroed = LanguageBundle(np.zeros((20, 5)), np.zeros((20, 5)), np.zeros((20, 5)))
         pinned = gate_pinned(state)  # its parameters, the gate fixed at 0
-        outs = [forward_video(pinned, vis, b)[0] for b in (aligned, conflicted, zeroed)]
-        pure, _ = forward_video(state, vis, None)
+        outs = [forward_video(pinned, vis, b) for b in (aligned, conflicted, zeroed)]
+        pure = forward_video(state, vis, None)
         for o in outs:
             assert o.cls_scores.tobytes() == pure.cls_scores.tobytes()
             assert o.offsets.tobytes() == pure.offsets.tobytes()
-            assert o.tmpl_logits.tobytes() == pure.tmpl_logits.tobytes()
+            # the template head, run on each pass's classification features
+            assert pinned.tmpl_out.forward(o.cls_feat)[0].tobytes() == \
+                state.tmpl_out.forward(pure.cls_feat)[0].tobytes()
 
     def test_fixed_zero_mode_equals_vision_path(self):
         rng = Rng(11)
         state = ModelState(tiny_model_config(lambda_mode="fixed", fixed_lambda=0.0), rng)
         vis = rng.normal_matrix(12, 5)
         bundle = random_bundle(rng, 12, 5)
-        gated, _ = forward_video(state, vis, bundle)
-        pure, _ = forward_video(state, vis, None)
+        gated = forward_video(state, vis, bundle)
+        pure = forward_video(state, vis, None)
         assert gated.cls_scores.tobytes() == pure.cls_scores.tobytes()
 
     def test_learned_gate_matches_manual_composition(self):
@@ -194,12 +199,12 @@ class TestForwardModes:
         state = ModelState(tiny_model_config(lambda_mode="learned"), rng)
         vis = rng.normal_matrix(12, 5)
         bundle = random_bundle(rng, 12, 5)
-        outputs, _ = forward_video(state, vis, bundle)
+        outputs = forward_video(state, vis, bundle)
         adv, _ = state.adv_fc.forward(bundle.adv_stream)
         lam = lambda_from_advantage(adv)
         np.testing.assert_array_equal(outputs.adv_pred, adv)
         np.testing.assert_array_equal(outputs.lam, lam)
-        manual, _ = head_forward(*aggregate(vis, bundle, lam), state)
+        manual = head_forward(*aggregate(vis, bundle, lam), state)
         assert outputs.cls_scores.tobytes() == manual.cls_scores.tobytes()
 
     def test_language_only_reads_pure_streams(self):
@@ -207,9 +212,9 @@ class TestForwardModes:
         state = ModelState(tiny_model_config(lambda_mode="language_only"), rng)
         vis = rng.normal_matrix(12, 5)
         bundle = random_bundle(rng, 12, 5)
-        outputs, _ = forward_video(state, vis, bundle)
+        outputs = forward_video(state, vis, bundle)
         assert np.all(outputs.lam == 1.0)
-        manual, _ = head_forward(bundle.cls_stream, bundle.loc_stream, state)
+        manual = head_forward(bundle.cls_stream, bundle.loc_stream, state)
         assert outputs.cls_scores.tobytes() == manual.cls_scores.tobytes()
 
 
@@ -217,20 +222,15 @@ class TestDecode:
     def setup_method(self):
         self.cfg = tiny_model_config(num_classes=2, score_threshold=0.01)
 
-    def outputs(self, L, scores, offsets):
-        return FrameOutputs(scores, offsets, np.zeros((L, 1)), np.zeros((L, 1)),
-                            np.zeros((L, 3)))
-
     def test_below_threshold_empty(self):
-        out = self.outputs(5, np.full((5, 2), 0.001), np.ones((5, 2)))
-        assert proposal_rows(decode_proposals(out, self.cfg)) == []
+        assert proposal_rows(decode_proposals(np.full((5, 2), 0.001), np.ones((5, 2)), self.cfg)) == []
 
     def test_direct_substitution(self):
         scores = np.zeros((20, 2))
         scores[10, 1] = 0.9
         offsets = np.zeros((20, 2))
         offsets[10] = (2.0, 3.0)
-        props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
+        props = decode_proposals(scores, offsets, self.cfg)
         assert proposal_rows(props) == [(8.0, 13.0, 1, 0.9)]
 
     def test_clamps_to_video_bounds(self):
@@ -238,13 +238,13 @@ class TestDecode:
         scores[1, 0] = 0.5
         offsets = np.zeros((20, 2))
         offsets[1] = (5.0, 30.0)
-        props = decode_proposals(self.outputs(20, scores, offsets), self.cfg)
+        props = decode_proposals(scores, offsets, self.cfg)
         assert proposal_rows(props) == [(0.0, 20.0, 0, 0.5)]
 
     def test_drops_empty_intervals(self):
         scores = np.zeros((20, 2))
         scores[4, 0] = 0.5
-        props = decode_proposals(self.outputs(20, scores, np.zeros((20, 2))), self.cfg)
+        props = decode_proposals(scores, np.zeros((20, 2)), self.cfg)
         assert len(props) == 0
 
     def test_sorted_and_truncated(self):
@@ -252,10 +252,10 @@ class TestDecode:
         scores = np.abs(rng.normal_matrix(30, 2, 0.3))
         offsets = np.abs(rng.normal_matrix(30, 2, 4.0)) + 0.5
         cfg = tiny_model_config(num_classes=2, top_k_pre_nms=7)
-        props = decode_proposals(self.outputs(30, scores, offsets), cfg)
+        props = decode_proposals(scores, offsets, cfg)
         assert len(props) == 7
         assert np.all(props.score[:-1] >= props.score[1:])
-        everything = decode_proposals(self.outputs(30, scores, offsets), self.cfg)
+        everything = decode_proposals(scores, offsets, self.cfg)
         assert proposal_rows(props) == proposal_rows(everything)[:7]
 
     def test_matches_reference_with_ties(self):
@@ -269,8 +269,7 @@ class TestDecode:
             offsets = np.array([[rng.randint(7) / 2.0 for _ in range(2)] for _ in range(L)])
             top_k = 1 + rng.randint(L * C)
             cfg = tiny_model_config(num_classes=C, score_threshold=0.2, top_k_pre_nms=top_k)
-            got = decode_proposals(FrameOutputs(scores, offsets, np.zeros((L, 1)),
-                                                np.zeros((L, 1)), np.zeros((L, C + 1))), cfg)
+            got = decode_proposals(scores, offsets, cfg)
             want = decode_reference(scores.tolist(), offsets.tolist(), 0.2, L * C)
             assert proposal_rows(got) == want[:top_k]
             cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
@@ -441,11 +440,11 @@ class TestForwardBackwardGradients:
 
     def composite_loss(self, state, vis, bundle, r1, r2, r3):
         state.zero_grads()
-        outputs, cache = forward_video(state, vis, bundle)
-        loss = float((outputs.cls_scores * r1).sum()
-                     + (outputs.offsets * r2).sum()
-                     + (outputs.tmpl_logits * r3).sum())
-        backward_video(state, cache, r1.copy(), r2.copy(), r3.copy())
+        fwd = forward_video(state, vis, bundle)
+        loss = float((fwd.cls_scores * r1).sum()
+                     + (fwd.offsets * r2).sum()
+                     + (state.tmpl_out.forward(fwd.cls_feat)[0] * r3).sum())
+        backward_video(state, fwd, r1.copy(), r2.copy(), r3.copy())
         return loss
 
     @pytest.mark.parametrize("mode", ["learned", "fixed", "language_only"])
@@ -490,8 +489,8 @@ class TestForwardBackwardGradients:
 
         def adv_grads(d):
             state.zero_grads()
-            _, cache = forward_video(state, vis, bundle)
-            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d)
+            fwd = forward_video(state, vis, bundle)
+            backward_video(state, fwd, r1.copy(), r2.copy(), r3.copy(), d)
             return state.adv_fc.w.grad.copy(), state.adv_fc.b.grad.copy()
 
         w0, b0 = adv_grads(None)
@@ -533,8 +532,8 @@ class TestForwardBackwardGradients:
 
                 monkeypatch.setattr(layer, "backward", spy)
             state.zero_grads()
-            _, cache = forward_video(state, vis, bundle)
-            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
+            fwd = forward_video(state, vis, bundle)
+            backward_video(state, fwd, r1.copy(), r2.copy(), r3.copy(), d_adv)
             monkeypatch.undo()
             return state.grads.copy()
 
@@ -553,15 +552,15 @@ class TestForwardBackwardGradients:
 
         def grads(between):
             state.zero_grads()
-            _, cache = forward_video(state, *first)
+            fwd = forward_video(state, *first)
             for vis, bundle in between:
                 forward_video(state, vis, bundle)
-            backward_video(state, cache, r1.copy(), r2.copy(), r3.copy(), d_adv)
+            backward_video(state, fwd, r1.copy(), r2.copy(), r3.copy(), d_adv)
             return state.grads.copy()
 
         own = grads([])
         assert own.any()
-        # the cache holds all its pass's reads: other passes in between change no bit
+        # the record holds all its pass's reads: other passes in between change no bit
         assert grads([second, (second[0], None)]).tobytes() == own.tobytes()
 
     def test_vision_mode_skips_language_params(self):
@@ -569,15 +568,11 @@ class TestForwardBackwardGradients:
         state = ModelState(tiny_model_config(), rng)
         vis = rng.normal_matrix(8, 5)
         state.zero_grads()
-        outputs, cache = forward_video(state, vis, None)
-        backward_video(state, cache, np.ones_like(outputs.cls_scores),
-                       np.ones_like(outputs.offsets), np.zeros_like(outputs.tmpl_logits))
+        fwd = forward_video(state, vis, None)
+        backward_video(state, fwd, np.ones_like(fwd.cls_scores), np.ones_like(fwd.offsets),
+                       np.zeros((8, 4)))
         assert np.array_equal(state.adv_fc.w.grad, np.zeros((5, 1)))
         assert np.array_equal(state.adv_fc.b.grad, np.zeros((1, 1)))
-
-
-def per_video_rows(stacked_rows, videos):
-    return [proposal_rows(table) for table in stacked_rows.split(videos)]
 
 
 class TestStackedNms:
@@ -585,10 +580,9 @@ class TestStackedNms:
     on each video alone."""
 
     def check(self, videos_rows, threshold):
-        stacked = Proposals.stack(proposals_from_rows(rows) for rows in videos_rows)
-        got = nms(stacked, threshold)
+        got = nms(Proposals.stack(proposals_from_rows(rows) for rows in videos_rows), threshold)
         assert got.video.tolist() == sorted(got.video.tolist())
-        assert per_video_rows(got, len(videos_rows)) == \
+        assert video_rows(got, len(videos_rows)) == \
             [nms_reference(rows, threshold) for rows in videos_rows]
 
     @pytest.mark.parametrize("threshold", [0.3, 0.4, 0.5, 0.6, 0.7])
@@ -619,18 +613,16 @@ class TestStackedNms:
 
     def test_empty_stacks(self):
         assert len(nms(Proposals.stack([]), 0.5)) == 0
-        assert per_video_rows(nms(Proposals.stack([proposals_from_rows([])] * 3), 0.5), 3) == \
+        assert video_rows(nms(Proposals.stack([proposals_from_rows([])] * 3), 0.5), 3) == \
             [[], [], []]
 
-    def test_stack_split_round_trip(self):
+    def test_stack_numbers_videos_in_order(self):
         rng = Rng(34)
         videos = [random_rows(rng, n) for n in (0, 4, 1, 0, 7, 0)]
         tables = [proposals_from_rows(rows) for rows in videos]
         stacked = Proposals.stack(tables)
         assert stacked.video.tolist() == [i for i, rows in enumerate(videos) for _ in rows]
-        back = stacked.split(len(videos))
-        assert [proposal_rows(t) for t in back] == [proposal_rows(t) for t in tables]
-        assert all(t.video.tolist() == [0] * len(t) for t in back)
+        assert video_rows(stacked, len(videos)) == [proposal_rows(t) for t in tables]
 
     def test_zero_length_interval_names_its_video(self):
         ok = [(0.0, 4.0, 0, 0.9)]
@@ -640,7 +632,7 @@ class TestStackedNms:
         # the same label in another video does not count
         alone = [(3.0, 3.0, 0, 0.5)]
         got = nms(Proposals.stack(proposals_from_rows(r) for r in (ok, alone, ok)), 0.5)
-        assert per_video_rows(got, 3) == [ok, alone, ok]
+        assert video_rows(got, 3) == [ok, alone, ok]
 
 
 class TestPrediction:
@@ -650,11 +642,14 @@ class TestPrediction:
         corpus = generate_corpus(gen)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
         v = corpus.videos[0]
-        a = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
-        b = nms(decode_proposals(forward_video(state, v.vis, v.lang)[0], state.cfg), state.cfg.nms_tiou)
-        assert proposal_rows(a) == proposal_rows(b)
-        per_video, _ = predict_corpus(state, corpus.videos)
-        assert set(per_video) == {v.id for v in corpus.videos}
+        kept = []
+        for _ in range(2):
+            fwd = forward_video(state, v.vis, v.lang)
+            kept.append(proposal_rows(nms(decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg),
+                                          state.cfg.nms_tiou)))
+        assert kept[0] == kept[1]
+        table, gates = predict_corpus(state, corpus.videos)
+        assert len(gates) == 2 and set(table.video.tolist()) <= {0, 1}
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("gate", [None, 0.0])
@@ -667,20 +662,48 @@ class TestPrediction:
                                                      for v in corpus.videos]
         cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
         state = ModelState(cfg, Rng(seed))
-        got, gates = predict_corpus(state, videos)
-        assert list(got) == [v.id for v in videos] and len(gates) == len(videos)
+        table, gates = predict_corpus(state, videos)
+        assert len(gates) == len(videos)
         kept = 0
-        for v, lam in zip(videos, gates):
-            out, _ = forward_video(state, v.vis, v.lang)
+        for v, got, lam in zip(videos, video_rows(table, len(videos)), gates, strict=True):
+            out = forward_video(state, v.vis, v.lang)
             decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
                                        cfg.score_threshold, cfg.top_k_pre_nms)
             want = nms_reference(decoded, cfg.nms_tiou)
-            assert proposal_rows(got[v.id]) == want
-            assert proposal_rows(got[v.id]) == proposal_rows(nms(decode_proposals(out, cfg), cfg.nms_tiou))
+            assert got == want
+            assert got == proposal_rows(nms(decode_proposals(out.cls_scores, out.offsets, cfg), cfg.nms_tiou))
             assert lam.shape == (v.vis.shape[0], 1) and lam.tobytes() == out.lam.tobytes()
             assert gate is None or not lam.any()
             kept += len(want) < len(decoded)
         assert kept >= 3  # NMS dropped rows in most videos
+
+    def test_no_forward_record_outlives_its_video(self, monkeypatch):
+        import talgate.model as model
+        gen = GenConfig(num_classes=3, num_videos=4, frames=32, dim=8,
+                        ambiguity=(0.2,) * 3, helpfulness=(0.5,) * 3, seed=5)
+        corpus = generate_corpus(gen)
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
+        forward_video, decode = model.forward_video, model.decode_proposals
+        records, alive = [], []
+
+        def check_dropped():
+            alive.extend(i for i, ref in enumerate(records) if ref() is not None)
+
+        def spy_forward(*args):
+            check_dropped()
+            fwd = forward_video(*args)
+            records.append(weakref.ref(fwd))
+            return fwd
+
+        def spy_decode(*args):
+            check_dropped()
+            return decode(*args)
+
+        monkeypatch.setattr(model, "forward_video", spy_forward)
+        monkeypatch.setattr(model, "decode_proposals", spy_decode)
+        model.predict_corpus(state, corpus.videos)
+        # each record is gone before its scores are decoded and before the next pass runs
+        assert len(records) == 4 and alive == []
 
 
 class TestCheckpoint:

@@ -199,8 +199,12 @@ class TestInjectConflict:
         assert corpus_bytes(twin) == corpus_bytes(self.twin)
 
     def test_double_injection_rejected(self):
-        with pytest.raises(ConfigError, match="already conflicted"):
-            inject_conflict(self.twin)
+        # each video is checked as its twin is built: the error names the first conflicted one
+        with pytest.raises(ConfigError, match="video v0000 is already conflicted"):
+            list(inject_conflict(self.twin))
+        mixed = Corpus(self.cfg, self.corpus.videos[:3] + self.twin.videos[3:])
+        with pytest.raises(ConfigError, match="video v0003 is already conflicted"):
+            list(inject_conflict(mixed))
 
     def test_same_rng_seed_same_twin(self):
         # the twin's draws are seeded from the corpus seed: a regenerated corpus has the same twin

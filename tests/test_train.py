@@ -9,9 +9,8 @@ import pytest
 
 from oracles import adam_reference, adam_step_prior, diou_reference, grad_check
 from talgate.errors import ConfigError, FormatError
-from talgate.model import (FrameOutputs, ModelConfig, ModelState,
-                           backward_video, forward_video, frame_targets,
-                           template_loss, template_loss_grad)
+from talgate.model import (ModelConfig, ModelState, backward_video, forward_video,
+                           frame_targets, template_loss, template_loss_grad)
 from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
 from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
@@ -34,12 +33,6 @@ def targets_of(gt, scores):
 def run_epoch(corpus, state, opt, cfg, table=None):
     """``train_epoch`` with the corpus's targets derived as ``fit`` derives them."""
     return train_epoch(corpus, corpus_targets(corpus, state.cfg.num_classes), state, opt, cfg, table)
-
-
-def frame_outputs(scores, offsets):
-    L = scores.shape[0]
-    return FrameOutputs(scores, offsets, np.zeros((L, 1)), np.zeros((L, 1)),
-                        np.zeros((L, scores.shape[1] + 1)))
 
 
 class TestTrainConfig:
@@ -144,13 +137,13 @@ class TestDetectionLoss:
         offsets = np.zeros((L, 2))
         for l in range(4, 12):
             offsets[l] = (l - 4.0, 12.0 - l)
-        det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
+        det = detection_loss(scores, offsets, *targets_of(gt, scores))
         assert det.loss <= 1e-5
 
     def test_no_ground_truth_is_pure_focal(self):
         rng = Rng(30)
         scores = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(10, 3)))
-        det = detection_loss(frame_outputs(scores, np.ones((10, 2))), *targets_of([], scores))
+        det = detection_loss(scores, np.ones((10, 2)), *targets_of([], scores))
         expected = focal_loss(scores, np.zeros((10, 3)))[0].sum()
         assert det.loss == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(det.d_offsets, np.zeros((10, 2)))
@@ -161,7 +154,7 @@ class TestDetectionLoss:
         gt = [Segment(2, 7, 0), Segment(10, 14, 2)]
         scores = 1.0 / (1.0 + np.exp(-rng.normal_matrix(L, C)))
         offsets = np.abs(rng.normal_matrix(L, 2)) + 0.3
-        det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores), lambda_loc=0.7)
+        det = detection_loss(scores, offsets, *targets_of(gt, scores), lambda_loc=0.7)
         assert det.loss == pytest.approx(det.per_frame.sum() / 9, rel=1e-12)  # 9 positive frames
         labels = np.full(L, C)
         for seg in gt:
@@ -184,7 +177,7 @@ class TestDetectionLoss:
         offsets = np.abs(rng.normal_matrix(12, 2)) + 0.5
 
         def f(scores):
-            det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
+            det = detection_loss(scores, offsets, *targets_of(gt, scores))
             return det.loss, det.d_cls_scores
 
         scores0 = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(12, 2)))
@@ -196,7 +189,7 @@ class TestDetectionLoss:
         scores = np.full((12, 2), 0.4)
 
         def f(offsets):
-            det = detection_loss(frame_outputs(scores, offsets), *targets_of(gt, scores))
+            det = detection_loss(scores, offsets, *targets_of(gt, scores))
             return det.loss, det.d_offsets
 
         offsets0 = np.abs(rng.normal_matrix(12, 2)) + 0.5
@@ -344,6 +337,23 @@ class TestVisionEpoch:
         assert ta.means() == tb.means()
         assert [s.dh for s in stepsa] == [s.dh for s in stepsb]
 
+    def test_template_head_runs_only_in_gated_steps(self, monkeypatch):
+        corpus = tiny_corpus()
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
+        cfg = TrainConfig(epochs=2).validate()
+        opt = Adam(state.values, state.grads, cfg)
+        calls, forward = [], state.tmpl_out.forward
+
+        def counted(x):
+            calls.append(len(x))
+            return forward(x)
+
+        monkeypatch.setattr(state.tmpl_out, "forward", counted)
+        table, _ = run_epoch(corpus, state, opt, cfg)
+        assert calls == []  # a vision step reads no template logits
+        run_epoch(corpus, state, opt, cfg, table)
+        assert calls == [len(v.vis) for v in corpus.videos]  # once per gated step
+
     def test_table_counts_each_class_once_per_video(self):
         corpus = tiny_corpus(seed=11)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(1))
@@ -378,10 +388,11 @@ class TestVisionLanguageEpoch:
         opt = Adam(manual.values, manual.grads, cfg)
         video = corpus.videos[0]
         manual.zero_grads()
-        outputs, cache = forward_video(manual, video.vis, video.lang)
-        det = detection_loss(outputs, *targets_of(video.gt, outputs.cls_scores), cfg.lambda_loc)
-        backward_video(manual, cache, det.d_cls_scores, det.d_offsets,
-                       np.zeros_like(outputs.tmpl_logits), np.zeros_like(outputs.adv_pred))
+        fwd = forward_video(manual, video.vis, video.lang)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, *targets_of(video.gt, fwd.cls_scores),
+                             cfg.lambda_loc)
+        backward_video(manual, fwd, det.d_cls_scores, det.d_offsets,
+                       np.zeros((len(video.vis), 4)), np.zeros_like(fwd.adv_pred))
         opt.step()
         assert steps[0].total == det.loss
         for (name, pa), (_, pb) in zip(trained.named_params(), manual.named_params()):
@@ -433,14 +444,15 @@ class TestStopGradient:
     def grads_for_table(self, table, corpus, state, cfg):
         video = corpus.videos[0]
         state.zero_grads()
-        outputs, cache = forward_video(state, video.vis, video.lang)
-        labels, gstart, gend = targets_of(video.gt, outputs.cls_scores)
-        det = detection_loss(outputs, labels, gstart, gend, cfg.lambda_loc)
-        tg = template_loss(outputs.tmpl_logits, labels)
-        d_tmpl = cfg.lambda_tg * template_loss_grad(outputs.tmpl_logits, labels)
+        fwd = forward_video(state, video.vis, video.lang)
+        labels, gstart, gend = targets_of(video.gt, fwd.cls_scores)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, cfg.lambda_loc)
+        tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
+        tg = template_loss(tmpl_logits, labels)
+        d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
         targets, mask = target_advantage(table, det.per_frame, labels, state.cfg.num_classes)
-        adv, d_adv = advantage_loss(outputs.adv_pred, targets, mask)
-        backward_video(state, cache, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
+        adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
+        backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         grads = {name: p.grad.copy() for name, p in state.named_params()}
         return det.loss, tg, adv, grads
 
@@ -521,19 +533,19 @@ class TestFit:
 
     def test_each_step_frees_its_activations_before_the_next_forward(self, monkeypatch):
         import talgate.train as train_module
-        caches, alive = [], []
+        records, alive = [], []
 
         def spy(state, vis, bundle):
-            alive.extend(i for i, ref in enumerate(caches) if ref() is not None)
-            outputs, cache = forward_video(state, vis, bundle)
-            caches.append(weakref.ref(cache))
-            return outputs, cache
+            alive.extend(i for i, ref in enumerate(records) if ref() is not None)
+            fwd = forward_video(state, vis, bundle)
+            records.append(weakref.ref(fwd))
+            return fwd
 
         monkeypatch.setattr(train_module, "forward_video", spy)
         corpus = tiny_corpus()
         fit(corpus, ModelConfig(dim=8, num_classes=3), TrainConfig(epochs=2, seed=2))
-        assert len(caches) == 2 * len(corpus.videos)
-        assert alive == [], f"caches of steps {sorted(set(alive))} outlived their step"
+        assert len(records) == 2 * len(corpus.videos)
+        assert alive == [], f"forward records of steps {sorted(set(alive))} outlived their step"
 
     def test_zero_epochs_passthrough(self):
         # a fit starts from the seed: with no epochs it is the seeded initial model
