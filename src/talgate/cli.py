@@ -8,9 +8,11 @@ changes a result.  A run config is flat JSON whose keys are the fields of
 each default is the dataclass field's (``default_run_config``).  Every
 command checks the whole config at load, before it writes anything: an
 unknown key, a value of the wrong JSON type, a non-finite number or an
-out-of-range value exits 2 naming the config file.  ``eval --conflict``,
-``eval --probe`` and every ``ablate`` row score streams that ``metrics.lap``
-and ``metrics.ambiguity_probe`` generate from the corpus.
+out-of-range value (a repeated tIoU threshold included) exits 2 naming the
+config file.  Every corpus pass is one ``model.predict_corpus`` call, which
+returns the ground truth it read; ``eval --conflict``, ``eval --probe`` and
+every ``ablate`` row score streams that ``metrics.lap`` and
+``metrics.ambiguity_probe`` generate from the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error (an OS error
 that names its path included: a missing corpus, say), 3 internal.
@@ -103,9 +105,11 @@ def load_run_config(path: str | None) -> dict:
         try:  # every value in range, the model checked at the config's own dim
             for cls in (GenConfig, ModelConfig, TrainConfig):
                 build_config(cls, cfg)
-            if not cfg["tiou_thresholds"] or not all(0.0 < t <= 1.0 for t in cfg["tiou_thresholds"]):
-                raise ConfigError("tiou_thresholds must be a non-empty list of values in (0, 1], "
-                                  f"got {cfg['tiou_thresholds']}")
+            thresholds = cfg["tiou_thresholds"]  # distinct, as map_at keys its result by threshold
+            if not thresholds or len(set(thresholds)) < len(thresholds) \
+                    or not all(0.0 < t <= 1.0 for t in thresholds):
+                raise ConfigError("tiou_thresholds must be a non-empty list of distinct values in "
+                                  f"(0, 1], got {thresholds}")
         except ConfigError as exc:
             raise ConfigError(f"config file {p}: {exc}") from exc
     return cfg
@@ -131,18 +135,19 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
                  probe: bool = False) -> MetricsReport:
     """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
 
-    Every corpus pass is one ``predict_corpus`` call, one proposals table;
-    the aligned one also gives the gates ``mla`` reads.  Difficulty buckets
-    come from the same model's vision view, the corpus without its language
-    (the vision-only path, which a gate of 0 reproduces bitwise), the
-    closest in-run stand-in for a vision-only baseline; they split the
-    classes with ground truth, the classes ``map_at`` scores.
+    Every corpus pass, the probe's included, is one ``predict_corpus`` call,
+    one proposals table with the ground truth it read; the aligned one also
+    gives the gates ``mla`` reads.  Difficulty buckets come from the same
+    model's vision view, the corpus without its language (the vision-only
+    path, which a gate of 0 reproduces bitwise), the closest in-run
+    stand-in for a vision-only baseline; they split the classes with ground
+    truth, the classes ``map_at`` scores.
 
     ``corpus.videos`` is read once, by the aligned pass, so a stored corpus
     (``synthgen.open_corpus``) reads each blob once.  That pass notes each
     video's vision view (frames and ground truth, without its language),
-    which serves the vision-view pass, the ground truth of every metric and
-    the conflicted twin; a video's language is dropped once it is scored.
+    which serves the vision-view pass and the conflicted twin; a video's
+    language is dropped once it is scored.
     ``metrics.lap`` (``conflict``) and ``metrics.ambiguity_probe``
     (``probe``) generate the conflicted twin and the distractor clips one
     video at a time, so neither is ever held whole.
@@ -155,10 +160,9 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
         views.append(VideoRecord(video.id, video.vis, None, video.gt))
         return video
 
-    proposals, lams = predict_corpus(state, map(note, corpus.videos))
-    gt = {v.id: v.gt for v in views}
+    proposals, lams, gt = predict_corpus(state, map(note, corpus.videos))
     per_threshold, map_avg = map_at(proposals, gt)
-    fixed_rate, infinite_rate = hallucination_rates(proposals, len(views))
+    fixed_rate, infinite_rate = hallucination_rates(proposals, len(gt))
     del proposals  # scored; the passes below add to the views and gates alone
 
     vision_aps = ap_by_class(predict_corpus(state, views)[0], gt,
@@ -167,11 +171,10 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     buckets = difficulty_buckets({c: float(np.mean(aps)) for c, aps in vision_aps.items()
                                   if aps[0] is not None})
 
-    gts = [v.gt for v in views]
     mla_per_bucket = {}
     for name, bucket in (("hard", buckets.hard), ("medium", buckets.medium), ("easy", buckets.easy)):
         if bucket:
-            mla_per_bucket[name] = mla(lams, bucket, gts)
+            mla_per_bucket[name] = mla(lams, bucket, list(gt.values()))
 
     lap_value = None
     if conflict:
@@ -240,14 +243,14 @@ def cmd_ablate(args) -> int:
     # every row's model, and the config echo, take dim and num_classes from the corpus
     run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
     thresholds = tuple(float(t) for t in run["tiou_thresholds"])
-    gt = {v.id: v.gt for v in corpus.videos}
     rows = []
     for label, overrides in ABLATION_ROWS[args.mode]:
         row_run = {**run, **overrides}
         model_cfg = build_config(ModelConfig, row_run)
         train_cfg = build_config(TrainConfig, row_run)
         state, _ = fit(corpus, model_cfg, train_cfg)
-        _, map_avg = map_at(predict_corpus(state, corpus.videos)[0], gt, thresholds)
+        kept, _, gt = predict_corpus(state, corpus.videos)
+        _, map_avg = map_at(kept, gt, thresholds)
         drop = lap(state, corpus, map_avg, thresholds)
         rows.append({"label": label, "map_avg": map_avg, "lap": drop})
         print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")

@@ -1,8 +1,8 @@
 """Localization quality and language-bias diagnostics.
 
-A corpus pass arrives as one ``model.Proposals`` table
-(``model.predict_corpus``: NMS has run, row video i is the i-th video read,
-rows in canonical order) with its ground truth as a mapping from video id to
+A corpus pass arrives as ``model.predict_corpus`` returns it: one
+``model.Proposals`` table (NMS has run, row video i is the i-th video read,
+rows in canonical order) and its ground truth as a mapping from video id to
 segments in the same order, entry i for video i.  Average precision uses
 greedy one-to-one matching in descending score order (ties broken by video
 id, start, end) at a fixed temporal IoU threshold, and all-points
@@ -15,11 +15,11 @@ Bias diagnostics: the language-attribution performance drop (lap: the
 conflicted twin's mAP against the given aligned mAP), output degeneracy
 rates over each video's first rows (hallucination_rates), the mean gate per
 difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
-ambiguity probe (mconf / mlen / acc_at) reading each clip's first decoded
-row, without NMS.  ``lap`` and ``ambiguity_probe`` generate the stream they
-score from the corpus (``synthgen.inject_conflict``,
-``synthgen.generate_distractors``) and score it one video at a time; a
-caller passes the corpus or its config, never the stream.
+ambiguity probe (mconf / mlen / acc_at) reading each clip's first kept row.
+``lap`` and ``ambiguity_probe`` generate the stream they score from the
+corpus (``synthgen.inject_conflict``, ``synthgen.generate_distractors``) and
+score it as one ``predict_corpus`` pass, one video at a time; a caller
+passes the corpus or its config, never the stream.
 
 ``validate_report`` checks a report against ``REPORT_SCHEMA`` before it is
 written (``eval``) or read back (``report``).  jsonschema is loaded there, on
@@ -39,10 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import (ModelState, Proposals, decode_proposals, forward_video,
-                    predict_corpus, tiou_array)
-from .synthgen import (Corpus, GenConfig, Segment, VideoRecord, generate_distractors,
-                       inject_conflict)
+from .model import ModelState, Proposals, predict_corpus, tiou_array
+from .synthgen import Corpus, GenConfig, Segment, generate_distractors, inject_conflict
 
 log = logging.getLogger(__name__)
 
@@ -157,14 +155,8 @@ def lap(state: ModelState, corpus: Corpus, map_aligned: float,
     generated and scored one video at a time.  Only the corpus's frames and
     ground truth are read, so a corpus of vision views serves as well.
     """
-    seen = []  # (id, ground truth) of each conflicted video, in order
-
-    def note(video: VideoRecord) -> VideoRecord:
-        seen.append((video.id, video.gt))
-        return video
-
-    kept, _ = predict_corpus(state, map(note, inject_conflict(corpus)))
-    _, map_conflicted = map_at(kept, dict(seen), thresholds)
+    kept, _, gt = predict_corpus(state, inject_conflict(corpus))
+    _, map_conflicted = map_at(kept, gt, thresholds)
     return 100.0 * (map_aligned - map_conflicted)
 
 
@@ -270,28 +262,24 @@ def ambiguity_probe(state: ModelState, cfg: GenConfig) -> ProbeStats:
     """Overconfidence probe on the no-action clips of corpus config ``cfg``
     (``synthgen.generate_distractors``: ``cfg.num_videos`` clips).
 
-    Keeps only the highest-confidence proposal per clip, row 0 of its
-    decoded table (NMS would keep that row first, so it does not run); a
-    clip with no proposals counts as confidence 0 and span 0.  acc_at[t]
-    is the fraction of clips whose kept (normalized) span stays below t,
-    at each of ``PROBE_SPAN_THRESHOLDS``.  The clips are generated and
-    scored one at a time, each dropped before the next is built.
+    Keeps only the highest-confidence proposal per clip, its first row in
+    the ``predict_corpus`` table (NMS keeps each video's first decoded row);
+    a clip with no proposals counts as confidence 0 and span 0.  acc_at[t]
+    is the fraction of clips whose kept (normalized) span stays below t, at
+    each of ``PROBE_SPAN_THRESHOLDS``.  The clips are generated and scored
+    one at a time, each dropped before the next is built.
     """
-    confs, spans = [], []
-    for clip in generate_distractors(cfg):
-        fwd = forward_video(state, clip.vis, clip.lang)
-        scores, offsets = fwd.cls_scores, fwd.offsets
-        del fwd  # the activations, freed before decode
-        props = decode_proposals(scores, offsets, state.cfg)
-        if len(props):
-            confs.append(float(props.score[0]))
-            spans.append(float(props.end[0] - props.start[0]) / clip.vis.shape[0])
-        else:
-            log.info("probe clip %s produced no proposals; counted as confidence 0, span 0", clip.id)
-            confs.append(0.0)
-            spans.append(0.0)
-        del clip  # freed before the stream builds the next
-    acc = {float(t): float(np.mean([s < t for s in spans])) for t in PROBE_SPAN_THRESHOLDS}
+    kept, _, gt = predict_corpus(state, generate_distractors(cfg))
+    first = np.searchsorted(kept.video, np.arange(len(gt) + 1))  # clip i's rows: first[i]:first[i + 1]
+    found = first[:-1] < first[1:]
+    for clip_id, has_rows in zip(gt, found):
+        if not has_rows:
+            log.info("probe clip %s produced no proposals; counted as confidence 0, span 0", clip_id)
+    top = kept.take(first[:-1][found])
+    confs, spans = np.zeros(len(gt)), np.zeros(len(gt))
+    confs[found] = top.score
+    spans[found] = (top.end - top.start) / cfg.frames
+    acc = {float(t): float(np.mean(spans < t)) for t in PROBE_SPAN_THRESHOLDS}
     return ProbeStats(float(np.mean(confs)), float(np.mean(spans)), acc)
 
 

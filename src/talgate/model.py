@@ -12,7 +12,7 @@ offsets, which a forward pass returns in one ``Forward`` record with the
 gate and what ``backward_video`` reads.  The template head (token logits for
 the auxiliary captioning loss) reads the record's classification features,
 in a gated training step only.  A corpus pass (``predict_corpus``) returns
-one NMS-kept proposals table plus each video's gate.
+one NMS-kept proposals table plus each video's gate and ground truth.
 """
 
 from __future__ import annotations
@@ -424,26 +424,28 @@ def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
 
 
 def predict_corpus(state: ModelState, videos: Iterable[VideoRecord]
-                   ) -> tuple[Proposals, list[np.ndarray]]:
+                   ) -> tuple[Proposals, list[np.ndarray], dict[str, list[Segment]]]:
     """Score a corpus: (the kept proposals of every video as one table, row
-    video i the i-th video read; each video's L x 1 gate, in that order).
+    video i the i-th video read; each video's L x 1 gate; each video's
+    ground truth by id), each in the order read.
 
-    ``videos`` is read once: each video runs one forward pass, and only
-    its scores, offsets and gate are kept; its ``Forward`` record and the
-    video are dropped before the scores are decoded and before the next
-    video is read, so a generated stream (``synthgen.inject_conflict``)
+    ``videos`` is read once: each video runs one forward pass, and only its
+    scores, offsets, gate and ground truth are kept; its ``Forward`` record
+    and the video are dropped before the scores are decoded and before the
+    next video is read, so a generated stream (``synthgen.inject_conflict``)
     holds one video at a time.  One ``nms`` pass then suppresses the stack
     of decoded tables.  Records without language (``lang=None``) take the
     vision-only path.
     """
-    decoded, gates = [], []
+    decoded, gates, gt = [], [], {}
     for video in videos:
         fwd = forward_video(state, video.vis, video.lang)
         scores, offsets = fwd.cls_scores, fwd.offsets
         gates.append(fwd.lam)
+        gt[video.id] = video.gt
         del video, fwd  # the activations, freed before decode and before the stream builds the next
         decoded.append(decode_proposals(scores, offsets, state.cfg))
-    return nms(Proposals.stack(decoded), state.cfg.nms_tiou), gates
+    return nms(Proposals.stack(decoded), state.cfg.nms_tiou), gates, gt
 
 
 def save_checkpoint(state: ModelState, path) -> None:

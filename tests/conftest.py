@@ -27,8 +27,8 @@ def gate_pinned(state: ModelState, value: float = 0.0) -> ModelState:
 
 def aligned_lap(state: ModelState, corpus: Corpus, thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
     """``metrics.lap``, the corpus's aligned mAP scored first."""
-    kept, _ = predict_corpus(state, corpus.videos)
-    _, map_aligned = map_at(kept, {v.id: v.gt for v in corpus.videos}, thresholds)
+    kept, _, gt = predict_corpus(state, corpus.videos)
+    _, map_aligned = map_at(kept, gt, thresholds)
     return lap(state, corpus, map_aligned, thresholds)
 
 

@@ -302,9 +302,9 @@ def test_hard_bucket_gains_and_gate_ordering(bias_runs):
     runs, build_seconds = bias_runs
     gains, orderings = [], []
     for run in runs.values():
-        gt = {v.id: v.gt for v in run.eval_corpus.videos}
         C = run.eval_corpus.config.num_classes
-        vis_ap = eval_class_ap(predict_corpus(run.vision, run.eval_corpus.videos)[0], gt, C)
+        vis_kept, _, gt = predict_corpus(run.vision, run.eval_corpus.videos)
+        vis_ap = eval_class_ap(vis_kept, gt, C)
         full_ap = eval_class_ap(predict_corpus(run.full, run.eval_corpus.videos)[0], gt, C)
         buckets = difficulty_buckets(vis_ap)
         gain = 100.0 * (np.mean([full_ap[c] for c in buckets.hard])

@@ -213,6 +213,7 @@ BAD_VALUE_CONFIGS = [
     ("ablate", "tiou_thresholds", []),
     ("ablate", "tiou_thresholds", [1.5]),
     ("ablate", "tiou_thresholds", [0.0, 0.5]),
+    ("ablate", "tiou_thresholds", [0.5, 0.5, 0.7]),  # map_at would score 2 thresholds, not 3
     ("ablate", "adam_eps", -1.0),
     ("ablate", "nms_tiou", 1.0),
 ]
@@ -415,9 +416,7 @@ class TestEval:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # every module that calls it: predict_corpus's and the probe's
-        monkeypatch.setattr(model, "forward_video", counted(model.forward_video))
-        monkeypatch.setattr(metrics, "forward_video", counted(metrics.forward_video))
+        monkeypatch.setattr(model, "forward_video", counted(model.forward_video))  # every pass's
         report = cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
@@ -455,10 +454,9 @@ class TestEval:
                 return out
             return wrapper
 
-        # predict_corpus's passes and the probe's
-        for module in (model, metrics):
-            monkeypatch.setattr(module, "forward_video", spied(module.forward_video, True))
-            monkeypatch.setattr(module, "decode_proposals", spied(module.decode_proposals, False))
+        # every pass's, the probe's included
+        monkeypatch.setattr(model, "forward_video", spied(model.forward_video, True))
+        monkeypatch.setattr(model, "decode_proposals", spied(model.decode_proposals, False))
         cli.build_report(state, corpus, conflict=True, probe=True)
         assert len(records) == 4 * len(corpus.videos) and alive == []
 
@@ -524,8 +522,8 @@ class TestEval:
         monkeypatch.setattr(model, "nms", counted)
         cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
-        # aligned, vision view, conflicted; the probe runs no NMS
-        assert len(tables) == 3
+        # aligned, vision view, conflicted, distractors
+        assert len(tables) == 4
         assert all(set(t.video.tolist()) == set(range(len(corpus.videos))) for t in tables)
 
     def test_generated_videos_are_freed_one_at_a_time(self, workspace, monkeypatch):

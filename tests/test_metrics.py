@@ -240,8 +240,10 @@ class TestLap:
         corpus = small_eval_corpus(seed=62)
         twin = list(inject_conflict(corpus))
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
-        _, ma = map_at(predict_corpus(state, corpus.videos)[0], {v.id: v.gt for v in corpus.videos})
-        _, mc = map_at(predict_corpus(state, twin)[0], {v.id: v.gt for v in twin})
+        kept, _, gt = predict_corpus(state, corpus.videos)
+        _, ma = map_at(kept, gt)
+        kept, _, gt = predict_corpus(state, twin)
+        _, mc = map_at(kept, gt)
         assert aligned_lap(state, corpus) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
         # the corpus's vision views, without language, give the same twin and so the same drop
         views = Corpus(corpus.config, [VideoRecord(v.id, v.vis, None, v.gt) for v in corpus.videos])
@@ -445,25 +447,34 @@ class TestAmbiguityProbe:
         with pytest.raises(ConfigError, match="num_videos must be >= 1"):
             ambiguity_probe(constant_output_state(48, 0.8), probe_config(num=0))
 
-    @pytest.mark.parametrize("seed, top_k", [(5, 200), (6, 200), (5, 1)])
-    def test_top_row_is_first_row_kept_by_nms(self, seed, top_k):
+    # at score threshold 0.75, clips 4 and 7 of the eight decode no rows and the others do
+    @pytest.mark.parametrize("seed, top_k, threshold",
+                             [(5, 200, 0.01), (6, 200, 0.01), (5, 1, 0.01), (5, 200, 0.75)],
+                             ids=["5-200", "6-200", "5-1", "5-200-mixed"])
+    def test_top_row_is_first_row_kept_by_nms(self, seed, top_k, threshold, caplog):
         cfg = probe_config(num=8)
         clips = list(generate_distractors(cfg))
-        state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k), Rng(seed))
-        confs, spans, suppressed = [], [], 0
+        state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k,
+                                       score_threshold=threshold), Rng(seed))
+        confs, spans, suppressed, silent = [], [], 0, []
         for v in clips:
             fwd = forward_video(state, v.vis, v.lang)
             decoded = decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg)
             kept = nms(decoded, state.cfg.nms_tiou)
             assert proposal_rows(decoded)[:1] == proposal_rows(kept)[:1]
             suppressed += len(kept) < len(decoded)
+            if not len(kept):
+                silent.append(v.id)
             top = proposal_rows(kept)[0] if len(kept) else (0.0, 0.0, 0, 0.0)
             confs.append(top[3])
             spans.append((top[1] - top[0]) / v.vis.shape[0])
         assert suppressed > 0 or top_k == 1
+        assert len(silent) == (2 if threshold > 0.5 else 0)  # a mixed probe at 0.75
         want = ProbeStats(float(np.mean(confs)), float(np.mean(spans)),
                           {t: float(np.mean([s < t for s in spans])) for t in PROBE_SPAN_THRESHOLDS})
-        assert ambiguity_probe(state, cfg) == want
+        with caplog.at_level(logging.INFO, logger="talgate.metrics"):
+            assert ambiguity_probe(state, cfg) == want
+        assert [r.args[0] for r in caplog.records if "no proposals" in r.message] == silent
 
 
 class TestCanonicalJson:

@@ -648,8 +648,9 @@ class TestPrediction:
             kept.append(proposal_rows(nms(decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg),
                                           state.cfg.nms_tiou)))
         assert kept[0] == kept[1]
-        table, gates = predict_corpus(state, corpus.videos)
+        table, gates, gt = predict_corpus(state, corpus.videos)
         assert len(gates) == 2 and set(table.video.tolist()) <= {0, 1}
+        assert list(gt.items()) == [(v.id, v.gt) for v in corpus.videos]
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("gate", [None, 0.0])
@@ -662,8 +663,9 @@ class TestPrediction:
                                                      for v in corpus.videos]
         cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
         state = ModelState(cfg, Rng(seed))
-        table, gates = predict_corpus(state, videos)
+        table, gates, gt = predict_corpus(state, videos)
         assert len(gates) == len(videos)
+        assert list(gt.items()) == [(v.id, v.gt) for v in videos]  # in the order read
         kept = 0
         for v, got, lam in zip(videos, video_rows(table, len(videos)), gates, strict=True):
             out = forward_video(state, v.vis, v.lang)

@@ -43,6 +43,7 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
         assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
         assert cli.main(["train", "--corpus", str(tmp_path / "corpus"), "--config", str(cfg),
                          "--out", str(tmp_path / "run")]) == 0
+        trained = tracer.layer_stats()
         assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "model.ckpt"),
                          "--corpus", str(tmp_path / "corpus"), "--conflict", "--probe",
                          "--out", str(tmp_path / "report.json")]) == 0
@@ -54,9 +55,12 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert set(stats) <= tracing.metric_names()
     assert stats["train.fit.calls"] == 1 and stats["cli.build_report.calls"] == 1
     assert stats["model.forward_video.calls"] > 0
-    # one NMS pass per corpus pass of the eval (aligned, vision view, conflicted),
-    # and kept_ratio reads len() of nms's argument and result
-    assert stats["model.nms.calls"] == 3
+    # one NMS pass per corpus pass of the eval (aligned, vision view, conflicted, distractors),
+    # every forward pass of the eval decoded in that one loop, and kept_ratio reads len() of
+    # nms's argument and result
+    assert stats["model.nms.calls"] == 4 and stats["model.predict_corpus.calls"] == 4
+    eval_passes = stats["model.forward_video.calls"] - trained["model.forward_video.calls"]
+    assert eval_passes == stats["model.decode_proposals.calls"] == 4 * 3
     assert 0 < stats["model.nms.kept_ratio"] <= 1
     assert stats["metrics.ambiguity_probe.calls"] == 1
     # lap and the probe generate the streams they score, once per eval, under the traced names
