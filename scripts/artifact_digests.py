@@ -4,7 +4,8 @@
 
 Runs, in-process through ``talgate.cli.main`` and into the empty or new
 directory OUT, the stock ``gen``, ``train`` and ``eval --conflict --probe``
-and a 6-video ``gen`` plus ``ablate --mode sweep``, then prints
+and a 6-video ``gen`` plus ``ablate`` in every mode of
+``cli.ABLATION_MODES``, then prints
 ``sha256 path`` for every file under OUT and for each command's stdout, in
 path order.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
 and stdout with OUT stripped from it, so two checkouts that compute the
@@ -40,9 +41,9 @@ def commands(out: Path) -> list[tuple[str, list]]:
         ("eval", ["eval", "--ckpt", stock / "run" / "model.ckpt", "--corpus", stock / "corpus",
                   "--conflict", "--probe", "--out", stock / "report.json"]),
         ("small-gen", ["gen", "--config", small / "config.json", "--out", small / "corpus"]),
-        ("small-ablate", ["ablate", "--corpus", small / "corpus", "--config", small / "config.json",
-                          "--mode", "sweep", "--out", small / "sweep"]),
-    ]
+    ] + [(f"small-ablate-{mode}", ["ablate", "--corpus", small / "corpus", "--config",
+                                   small / "config.json", "--mode", mode, "--out", small / mode])
+         for mode in cli.ABLATION_MODES]
 
 
 def digest(path: Path) -> str:

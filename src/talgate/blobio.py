@@ -10,8 +10,8 @@ Single-matrix blob layout:
 
 The named-matrix container (checkpoints) shares the header and follows it
 with a u32 entry count, then per entry: u32 name length, UTF-8 name,
-u32 rows, u32 cols, payload.  All integers little-endian.  Reads are
-byte-exact inverses of writes.
+u32 rows, u32 cols, payload; a reader rejects a repeated name.  All
+integers little-endian.  Reads are byte-exact inverses of writes.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ def read_named_matrices(path) -> list[tuple[str, np.ndarray]]:
             name = buf[start:offset].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"non-UTF-8 name of entry {i} at offset {start} in {path}") from exc
+        if any(name == seen for seen, _ in items):
+            raise FormatError(f"repeated name {name!r} of entry {i} at offset {start} in {path}")
         m, offset = _read_payload(buf, offset, path, repr(name))
         items.append((name, m))
     if offset != len(buf):

@@ -4,14 +4,17 @@ Every command is a function of its arguments and the files they name, so
 re-running one reproduces the corpus, checkpoint, and report byte for
 byte; the config's ``seed`` is the only seed, and no environment variable
 changes a result.  A run config is flat JSON whose keys are the fields of
-``GenConfig``, ``ModelConfig`` and ``TrainConfig`` plus ``tiou_thresholds``;
-each default is the dataclass field's (``default_run_config``).  Every
-command checks the whole config at load, before it writes anything: an
-unknown key, a value of the wrong JSON type, a non-finite number or an
-out-of-range value (a repeated tIoU threshold included) exits 2 naming the
-config file.  Every corpus pass is one ``model.predict_corpus`` call, which
-returns the ground truth it read; ``eval --conflict``, ``eval --probe`` and
-every ``ablate`` row score streams that ``metrics.lap`` and
+``GenConfig``, ``ModelConfig`` and ``TrainConfig``; each default is the
+dataclass field's (``default_run_config``).  Every command checks the whole
+config at load, before it writes anything: an unknown key, a value of the
+wrong JSON type, a non-finite number or an out-of-range value exits 2
+naming the config file.
+
+There is one scorer, ``build_report``: ``eval`` writes its report, and each
+``ablate`` row is the ``map_avg`` and ``lap`` of the report that
+``eval --conflict`` writes for the row's model.  Every corpus pass is one
+``model.predict_corpus`` call, which returns the ground truth it read; the
+conflicted twin and the probe clips are streams that ``metrics.lap`` and
 ``metrics.ambiguity_probe`` generate from the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error (an OS error
@@ -33,9 +36,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
-from .metrics import (DEFAULT_TIOU_THRESHOLDS, MetricsReport, ambiguity_probe,
-                      ap_by_class, canonical_json, difficulty_buckets,
-                      hallucination_rates, lap, map_at, mla, validate_report)
+from .metrics import (TIOU_THRESHOLDS, MetricsReport, ambiguity_probe, ap_by_class,
+                      canonical_json, difficulty_buckets, hallucination_rates, lap,
+                      map_at, mla, validate_report)
 from .model import (ModelConfig, ModelState, load_checkpoint, predict_corpus,
                     save_checkpoint)
 from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus, open_corpus,
@@ -64,16 +67,15 @@ ABLATION_MODES = tuple(ABLATION_ROWS)
 
 def default_run_config() -> dict:
     """Every config key with its default: the six stock-corpus values
-    ``GenConfig`` has no default for, every defaulted field of the three
-    configs, and ablate's tIoU thresholds.  The stock corpus is the bias
-    benchmark: classes 0-3 are visually easy with unhelpful language,
-    classes 4-7 visually ambiguous with highly informative language."""
+    ``GenConfig`` has no default for and every defaulted field of the three
+    configs.  The stock corpus is the bias benchmark: classes 0-3 are
+    visually easy with unhelpful language, classes 4-7 visually ambiguous
+    with highly informative language."""
     run = {"num_classes": 8, "num_videos": 64, "frames": 256, "dim": 32,
            "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
            "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9]}
     for cls in (GenConfig, ModelConfig, TrainConfig):
         run.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
-    run["tiou_thresholds"] = list(DEFAULT_TIOU_THRESHOLDS)
     return run
 
 
@@ -99,17 +101,11 @@ def load_run_config(path: str | None) -> dict:
         if unknown:
             raise ConfigError(f"config file {p}: unknown config key(s) {', '.join(unknown)}; "
                               f"valid keys: {', '.join(sorted(cfg))}")
-        check_types(f"config file {p}", data, GenConfig, ModelConfig, TrainConfig,
-                    tiou_thresholds="tuple[float, ...]")
+        check_types(f"config file {p}", data, GenConfig, ModelConfig, TrainConfig)
         cfg.update(data)
         try:  # every value in range, the model checked at the config's own dim
             for cls in (GenConfig, ModelConfig, TrainConfig):
                 build_config(cls, cfg)
-            thresholds = cfg["tiou_thresholds"]  # distinct, as map_at keys its result by threshold
-            if not thresholds or len(set(thresholds)) < len(thresholds) \
-                    or not all(0.0 < t <= 1.0 for t in thresholds):
-                raise ConfigError("tiou_thresholds must be a non-empty list of distinct values in "
-                                  f"(0, 1], got {thresholds}")
         except ConfigError as exc:
             raise ConfigError(f"config file {p}: {exc}") from exc
     return cfg
@@ -133,7 +129,8 @@ def _check_compatible(state: ModelState, corpus: Corpus) -> None:
 
 def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
                  probe: bool = False) -> MetricsReport:
-    """Score one checkpoint on one corpus at ``DEFAULT_TIOU_THRESHOLDS``.
+    """Score one checkpoint on one corpus at ``TIOU_THRESHOLDS``: the one
+    scorer of ``eval`` and of every ``ablate`` row.
 
     Every corpus pass, the probe's included, is one ``predict_corpus`` call,
     one proposals table with the ground truth it read; the aligned one also
@@ -166,7 +163,7 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     del proposals  # scored; the passes below add to the views and gates alone
 
     vision_aps = ap_by_class(predict_corpus(state, views)[0], gt,
-                             range(corpus.config.num_classes), DEFAULT_TIOU_THRESHOLDS)
+                             range(corpus.config.num_classes), TIOU_THRESHOLDS)
     # a class without ground truth has no AP (None at every threshold) and no bucket
     buckets = difficulty_buckets({c: float(np.mean(aps)) for c, aps in vision_aps.items()
                                   if aps[0] is not None})
@@ -242,18 +239,13 @@ def cmd_ablate(args) -> int:
     corpus = read_corpus(args.corpus)
     # every row's model, and the config echo, take dim and num_classes from the corpus
     run.update(dim=corpus.config.dim, num_classes=corpus.config.num_classes)
-    thresholds = tuple(float(t) for t in run["tiou_thresholds"])
     rows = []
     for label, overrides in ABLATION_ROWS[args.mode]:
         row_run = {**run, **overrides}
-        model_cfg = build_config(ModelConfig, row_run)
-        train_cfg = build_config(TrainConfig, row_run)
-        state, _ = fit(corpus, model_cfg, train_cfg)
-        kept, _, gt = predict_corpus(state, corpus.videos)
-        _, map_avg = map_at(kept, gt, thresholds)
-        drop = lap(state, corpus, map_avg, thresholds)
-        rows.append({"label": label, "map_avg": map_avg, "lap": drop})
-        print(f"{label}: map_avg={map_avg:.4f} lap={drop:+.2f}pp")
+        state, _ = fit(corpus, build_config(ModelConfig, row_run), build_config(TrainConfig, row_run))
+        report = build_report(state, corpus, conflict=True)  # the row model's eval --conflict report
+        rows.append({"label": label, "map_avg": report.map_avg, "lap": report.lap})
+        print(f"{label}: map_avg={report.map_avg:.4f} lap={report.lap:+.2f}pp")
     table = {"mode": args.mode, "rows": rows}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,13 @@
-"""Shared error types, the config value type rule, the JSON reader and the atomic writer.
+"""Shared error types, the config value type rule, the stored-config reader,
+the JSON reader and the atomic writer.
 
 ConfigError and FormatError mark problems with user-supplied inputs
 (configs, corpora, checkpoints); the CLI maps them to exit code 2.
 Anything else escaping a command is treated as an internal error (exit 3).
+A run config file may leave any key at its default; a config block that a
+writer stored beside its data (the manifest's, the checkpoint sidecar's)
+holds every field, so a reader takes none from a default
+(``read_config_block``).
 """
 
 import json
@@ -47,18 +52,33 @@ JSON_TYPES = {
 }
 
 
-def check_types(where: str, block, *classes, **annotations: str) -> None:
+def check_types(where: str, block, *classes) -> None:
     """Each key of the JSON object ``block`` that names a field of one of the
-    config dataclasses ``classes``, or a keyword of ``annotations``, must
-    hold a value of the JSON type of its annotation (``JSON_TYPES``); other
-    keys are the caller's to check.  A wrong type is a ConfigError naming
-    ``where`` and the key."""
-    types = {f.name: f.type for cls in classes for f in fields(cls)} | annotations
-    for key, annotation in types.items():
-        if key in block:
-            ok, want = JSON_TYPES[annotation]
-            if not ok(block[key]):
-                raise ConfigError(f"{where}: key {key!r} must be {want}, got {json.dumps(block[key])}")
+    config dataclasses ``classes`` must hold a value of the JSON type of its
+    annotation (``JSON_TYPES``); other keys are the caller's to check.  A
+    wrong type is a ConfigError naming ``where`` and the key."""
+    for f in (f for cls in classes for f in fields(cls)):
+        if f.name in block:
+            ok, want = JSON_TYPES[f.type]
+            if not ok(block[f.name]):
+                raise ConfigError(f"{where}: key {f.name!r} must be {want}, got {json.dumps(block[f.name])}")
+
+
+def read_config_block(cls, block, where: str):
+    """The validated ``cls`` that the stored config block ``block`` holds:
+    a JSON object with every field of ``cls`` and no other key, each value
+    of its JSON type (``check_types``) and in range.  Anything else is a
+    FormatError naming ``where`` and the key."""
+    try:
+        if not isinstance(block, dict):
+            raise ConfigError(f"config block must be a JSON object, got {json.dumps(block)}")
+        missing = [f.name for f in fields(cls) if f.name not in block]
+        if missing:
+            raise ConfigError(f"config block lacks key(s) {', '.join(map(repr, missing))}")
+        check_types("config block", block, cls)
+        return cls(**block).validate()
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def write_atomic(path, data: str | bytes) -> None:

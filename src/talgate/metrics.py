@@ -9,7 +9,9 @@ id, start, end) at a fixed temporal IoU threshold, and all-points
 interpolation (the precision envelope).  Each class's entries are ordered
 and their tIoU against the ground truth computed once; only the matching
 runs per threshold.  Classes with no ground truth are excluded from means
-and logged.
+and logged.  Every mAP the tool reports, ``eval``'s and each ``ablate``
+row's, averages ``TIOU_THRESHOLDS`` (0.3:0.1:0.7, the THUMOS14 protocol);
+no config changes them.
 
 Bias diagnostics: the language-attribution performance drop (lap: the
 conflicted twin's mAP against the given aligned mAP), output degeneracy
@@ -44,7 +46,7 @@ from .synthgen import Corpus, GenConfig, Segment, generate_distractors, inject_c
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TIOU_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7)
+TIOU_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7)
 PROBE_SPAN_THRESHOLDS = (0.3, 0.5, 0.7)
 HALLUCINATION_TOP_K = 10
 _NEAR_DUPLICATE_TIOU = 0.95
@@ -129,7 +131,7 @@ def average_precision(proposals: Proposals, gt: dict[str, list[Segment]],
 
 
 def map_at(proposals: Proposals, gt: dict[str, list[Segment]],
-           thresholds=DEFAULT_TIOU_THRESHOLDS) -> tuple[dict[float, float], float]:
+           thresholds=TIOU_THRESHOLDS) -> tuple[dict[float, float], float]:
     """Mean AP per threshold plus the average over thresholds, over the
     classes with ground truth (``ap_by_class``'s arguments)."""
     if not thresholds:
@@ -145,18 +147,17 @@ def map_at(proposals: Proposals, gt: dict[str, list[Segment]],
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
-def lap(state: ModelState, corpus: Corpus, map_aligned: float,
-        thresholds=DEFAULT_TIOU_THRESHOLDS) -> float:
+def lap(state: ModelState, corpus: Corpus, map_aligned: float) -> float:
     """Performance drop under conflicting language, in mAP percentage points.
 
-    ``map_aligned`` is the corpus's mAP averaged over the same thresholds
-    (``map_at`` of ``predict_corpus``); this scores only the conflicted
-    pass, on the corpus's conflicted twin (``synthgen.inject_conflict``),
-    generated and scored one video at a time.  Only the corpus's frames and
-    ground truth are read, so a corpus of vision views serves as well.
+    ``map_aligned`` is the corpus's mAP at ``TIOU_THRESHOLDS`` (``map_at``
+    of ``predict_corpus``); this scores only the conflicted pass, on the
+    corpus's conflicted twin (``synthgen.inject_conflict``), generated and
+    scored one video at a time.  Only the corpus's frames and ground truth
+    are read, so a corpus of vision views serves as well.
     """
     kept, _, gt = predict_corpus(state, inject_conflict(corpus))
-    _, map_conflicted = map_at(kept, gt, thresholds)
+    _, map_conflicted = map_at(kept, gt)
     return 100.0 * (map_aligned - map_conflicted)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
+from .errors import ConfigError, FormatError, read_config_block, read_json, write_atomic
 from .nn import (Conv1d, Linear, Rng, ShapeError, as_matrix, log_softmax, relu,
                  relu_grad, sigmoid)
 from .synthgen import LanguageBundle, Segment, VideoRecord
@@ -463,12 +463,8 @@ def load_checkpoint(path) -> ModelState:
     if not sidecar.exists():
         raise FormatError(f"missing checkpoint sidecar {sidecar}")
     blob = read_json(sidecar, "checkpoint sidecar")
-    try:
-        given = blob["model_config"]
-        check_types("model_config", given, ModelConfig)
-        cfg = ModelConfig(**given).validate()
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise FormatError(f"bad checkpoint sidecar {sidecar}: {exc}") from exc
+    cfg = read_config_block(ModelConfig, blob.get("model_config") if isinstance(blob, dict) else None,
+                            f"checkpoint sidecar {sidecar}, key 'model_config'")
     state = ModelState(cfg, rng=None)
     stored = dict(blobio.read_named_matrices(path))
     for name, p in state.named_params():

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .errors import ConfigError, FormatError, check_types, read_json, write_atomic
+from .errors import ConfigError, FormatError, read_config_block, read_json, write_atomic
 from .nn import Rng
 
 MIN_SEGMENT = 8      # frames; shortest generated action
@@ -448,12 +448,7 @@ def open_corpus(in_dir) -> Corpus:
     version = _get(manifest, "version", int, where)
     if version != blobio.VERSION:
         raise FormatError(f"unsupported corpus version {version} in {where}")
-    block = _get(manifest, "config", dict, where)
-    try:
-        check_types("config", block, GenConfig)
-        cfg = GenConfig(**block).validate()
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad config block in {where}: {exc}") from exc
+    cfg = read_config_block(GenConfig, _get(manifest, "config", dict, where), where)
     entries = _get(manifest, "videos", list, where)
     if not entries:
         raise FormatError(f"{where}: key 'videos' is an empty list")

@@ -2,9 +2,10 @@
 
 ``fit`` runs one loop, ``train_epoch``, in strict alternation.  Even epochs
 (0, 2, ...) train the vision view (no language, gate 0) on the detection
-loss and fill a per-class running-mean table of those losses.  Odd epochs
-train the gated model, adding the template loss and an advantage regression
-whose targets come from the frozen table of the preceding vision epoch:
+loss.  Their record is the class table: each class's mean vision-only loss
+over the steps whose video shows the class (``EpochLog.table_means``).  Odd
+epochs train the gated model, adding the template loss and an advantage
+regression whose targets come from the preceding vision epoch's table:
 
     target[l] = mean vision-only loss of the frame's class - per-frame
                 vision+language loss at l,
@@ -111,26 +112,6 @@ class Adam:
         self._values -= np.divide(a, b, out=a)
 
 
-class ClasswiseLossTable:
-    """Running mean of vision-only video losses, keyed by class."""
-
-    def __init__(self):
-        self._sums: dict[int, float] = {}
-        self._counts: dict[int, int] = {}
-
-    def add(self, label: int, loss: float) -> None:
-        self._sums[label] = self._sums.get(label, 0.0) + float(loss)
-        self._counts[label] = self._counts.get(label, 0) + 1
-
-    def mean(self, label: int) -> float:
-        if label not in self._sums:
-            raise ConfigError(f"class {label} missing from the vision-only loss table")
-        return self._sums[label] / self._counts[label]
-
-    def means(self) -> dict[int, float]:
-        return {c: self.mean(c) for c in sorted(self._sums)}
-
-
 @dataclass(eq=False)
 class DetectionLossResult:
     loss: float
@@ -169,25 +150,24 @@ def detection_loss(scores: np.ndarray, offsets: np.ndarray, labels: np.ndarray, 
     return DetectionLossResult(loss, per_frame.reshape(L, 1), d_scores, d_off)
 
 
-def _present_classes(labels: np.ndarray, num_classes: int) -> tuple[int, ...]:
-    """The classes of the non-background frames, ascending."""
-    return tuple(sorted(set(labels[labels < num_classes].tolist())))
-
-
-def target_advantage(table: ClasswiseLossTable, per_frame_vl: np.ndarray, labels: np.ndarray,
-                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+def target_advantage(table_means: dict[int, float], per_frame_vl: np.ndarray, labels: np.ndarray,
+                     present: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Frozen regression targets for the advantage head from the per-frame
-    labels of ``frame_targets`` (label ``num_classes`` is background).
+    labels of ``frame_targets`` and ``present``, the classes of their
+    non-background frames (``corpus_targets``).
 
     Returns (targets, mask), both L x 1; background frames are masked out.
-    A class present in ``labels`` but missing from the table is a ConfigError.
+    A present class missing from the class table ``table_means`` is a
+    ConfigError.
     """
     pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
     targets = np.zeros_like(pf)
-    for c in _present_classes(labels, num_classes):
+    for c in present:
+        if c not in table_means:
+            raise ConfigError(f"class {c} missing from the vision-only loss table")
         frames = labels == c
-        targets[frames, 0] = table.mean(c) - pf[frames, 0]
-    return targets, (labels < num_classes).reshape(-1, 1)
+        targets[frames, 0] = table_means[c] - pf[frames, 0]
+    return targets, np.isin(labels, present).reshape(-1, 1)
 
 
 def advantage_loss(adv_pred, targets, mask) -> tuple[float, np.ndarray]:
@@ -207,8 +187,7 @@ def advantage_loss(adv_pred, targets, mask) -> tuple[float, np.ndarray]:
 
 @dataclass(eq=False)
 class StepLog:
-    video_id: str
-    classes: tuple[int, ...]
+    classes: tuple[int, ...]  # the classes the step's video shows, ascending
     dh: float
     tg: float
     adv: float
@@ -222,7 +201,20 @@ class EpochLog:
     phase: str  # "vision" or "vision_language"
     wall_time: float
     steps: list[StepLog] = field(default_factory=list)
-    table_means: dict[int, float] | None = None  # the class table a vision epoch filled
+
+    @property
+    def table_means(self) -> dict[int, float] | None:
+        """A vision epoch's class table: each class's mean detection loss
+        over the steps whose video shows it, added up in video order, by
+        class; None for a gated epoch."""
+        if self.phase != "vision":
+            return None
+        sums, counts = {}, {}
+        for s in self.steps:
+            for c in s.classes:
+                sums[c] = sums.get(c, 0.0) + s.dh
+                counts[c] = counts.get(c, 0) + 1
+        return {c: sums[c] / counts[c] for c in sorted(sums)}
 
     def _mean(self, name: str) -> float:
         return sum(getattr(s, name) for s in self.steps) / max(1, len(self.steps))
@@ -273,27 +265,21 @@ def corpus_targets(corpus: Corpus, num_classes: int) -> list[tuple]:
     targets = []
     for video in corpus.videos:
         labels, gstart, gend = frame_targets(video.gt, len(video.vis), num_classes)
-        targets.append((labels, gstart, gend, _present_classes(labels, num_classes)))
+        targets.append((labels, gstart, gend, tuple(sorted(set(labels[labels < num_classes].tolist())))))
     return targets
 
 
 def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Adam,
-                cfg: TrainConfig, table: ClasswiseLossTable | None = None
-                ) -> tuple[ClasswiseLossTable, list[StepLog]]:
+                cfg: TrainConfig, table_means: dict[int, float] | None = None) -> list[StepLog]:
     """One pass over the corpus, one Adam step per video, each reading its
-    video's entry of ``targets`` (``corpus_targets``).  Without a table
-    it trains the vision view on the detection loss and fills a new class
-    table (each video's loss once per class it shows); given the preceding
-    vision pass's table it trains the gated model, template and advantage
-    terms included; only a gated step runs the template head, on the forward
-    record's classification features.  Returns the table a gated pass
-    reads, and the steps."""
+    video's entry of ``targets`` (``corpus_targets``), and its steps.
+    Without a class table it trains the vision view on the detection loss;
+    given the preceding vision epoch's ``table_means`` it trains the gated
+    model, template and advantage terms included; only a gated step runs the
+    template head, on the forward record's classification features."""
     if not corpus.videos:
         raise ConfigError("cannot train on an empty corpus")
-    C = state.cfg.num_classes
-    vision = table is None
-    if vision:
-        table = ClasswiseLossTable()
+    vision = table_means is None
     steps = []
     for video, (labels, gstart, gend, present) in zip(corpus.videos, targets, strict=True):
         state.zero_grads()
@@ -302,21 +288,20 @@ def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Ad
         if vision:
             tg = adv = 0.0
             d_tmpl = d_adv = None  # the template head does not run: its gradient is zero
-            for c in present:
-                table.add(c, det.loss)
         else:
             tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
             tg = template_loss(tmpl_logits, labels)
             d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
-            adv, d_adv = advantage_loss(fwd.adv_pred, *target_advantage(table, det.per_frame, labels, C))
+            adv, d_adv = advantage_loss(fwd.adv_pred,
+                                        *target_advantage(table_means, det.per_frame, labels, present))
             d_adv = cfg.lambda_adv * d_adv
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
         mean_lambda = float(fwd.lam.mean())
         del fwd  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
-        steps.append(StepLog(video.id, present, det.loss, tg, adv,
+        steps.append(StepLog(present, det.loss, tg, adv,
                              det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv, mean_lambda))
-    return table, steps
+    return steps
 
 
 def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple[ModelState, TrainLog]:
@@ -336,13 +321,13 @@ def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple
     opt = Adam(state.values, state.grads, train_cfg)
     targets = corpus_targets(corpus, model_cfg.num_classes)
     log = TrainLog()
-    table: ClasswiseLossTable | None = None
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
         vision = epoch % 2 == 0
-        table, steps = train_epoch(corpus, targets, state, opt, train_cfg, None if vision else table)
+        steps = train_epoch(corpus, targets, state, opt, train_cfg,
+                            None if vision else log.epochs[-1].table_means)
         record = EpochLog(epoch, "vision" if vision else "vision_language",
-                          time.perf_counter() - t0, steps, table.means() if vision else None)
+                          time.perf_counter() - t0, steps)
         log.epochs.append(record)
         logger.info("epoch %d %s loss_total %.6f %.2fs", epoch, record.phase, record.mean_total,
                     record.wall_time)

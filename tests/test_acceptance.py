@@ -15,16 +15,15 @@ from conftest import aligned_lap, gate_pinned
 from oracles import (ap_reference, corpus_table, grad_check, nms_reference, proposal_rows,
                      proposals_from_rows)
 from talgate.cli import main
-from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, ambiguity_probe,
-                             average_precision, difficulty_buckets, mla)
+from talgate.metrics import (TIOU_THRESHOLDS, ambiguity_probe, average_precision,
+                             difficulty_buckets, mla)
 from talgate.model import (ModelConfig, ModelState, backward_video, forward_video,
                            frame_targets, lambda_from_advantage, nms, predict_corpus,
                            template_loss, template_loss_grad)
 from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss, relu,
                         relu_grad, sigmoid)
 from talgate.synthgen import LanguageBundle, Segment
-from talgate.train import (ClasswiseLossTable, TrainConfig, advantage_loss,
-                           detection_loss, target_advantage)
+from talgate.train import TrainConfig, advantage_loss, detection_loss, target_advantage
 
 pytestmark = pytest.mark.slow  # the three-seed fixture trains nine stock models
 
@@ -73,14 +72,12 @@ def full_model_loss_error():
     bundle = LanguageBundle(rng.normal_matrix(L, D), rng.normal_matrix(L, D),
                             rng.normal_matrix(L, D))
     gt = [Segment(2, 6, 1), Segment(8, 11, 0)]
-    table = ClasswiseLossTable()
-    for c in range(C):
-        table.add(c, 0.7 + 0.1 * c)
+    table = {c: 0.7 + 0.1 * c for c in range(C)}
     tc = TrainConfig()
     labels, gstart, gend = frame_targets(gt, L, C)
     fwd0 = forward_video(state, vis, bundle)
     det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, labels, gstart, gend, tc.lambda_loc)
-    targets, mask = target_advantage(table, det0.per_frame, labels, C)
+    targets, mask = target_advantage(table, det0.per_frame, labels, (0, 1))
 
     def total_loss():
         state.zero_grads()
@@ -213,7 +210,7 @@ def test_ap_and_nms_match_oracles():
         tables = corpus_table(props)
         tuple_gt = {v: [(g.start, g.end, g.label) for g in gs] for v, gs in gt.items()}
         for label in range(4):
-            for t in DEFAULT_TIOU_THRESHOLDS:
+            for t in TIOU_THRESHOLDS:
                 got = average_precision(tables, gt, label, t)
                 want = ap_reference(props, tuple_gt, label, t)
                 assert (got is None) == (want is None)
@@ -291,7 +288,7 @@ def eval_class_ap(props, gt, num_classes):
     truth (those ``cli.build_report`` buckets)."""
     out = {}
     for c in range(num_classes):
-        vals = [average_precision(props, gt, c, t) for t in DEFAULT_TIOU_THRESHOLDS]
+        vals = [average_precision(props, gt, c, t) for t in TIOU_THRESHOLDS]
         if vals[0] is not None:
             out[c] = float(np.mean(vals))
     return out
@@ -350,12 +347,11 @@ def test_loss_table_and_decomposition_replay(bias_runs):
     steps_checked = 0
     for epoch in log.epochs:
         if epoch.phase == "vision":
-            replay = ClasswiseLossTable()
-            for s in epoch.steps:
-                for c in s.classes:
-                    replay.add(c, s.dh)
-            for c, mean in epoch.table_means.items():
-                worst_table = max(worst_table, abs(replay.mean(c) - mean))
+            classes = sorted({c for s in epoch.steps for c in s.classes})
+            assert list(epoch.table_means) == classes
+            for c in classes:  # each class's losses, summed in video order
+                losses = [s.dh for s in epoch.steps if c in s.classes]
+                worst_table = max(worst_table, abs(sum(losses) / len(losses) - epoch.table_means[c]))
         for s in epoch.steps:
             if epoch.phase == "vision":
                 worst_step = max(worst_step, abs(s.total - s.dh))

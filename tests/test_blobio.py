@@ -112,6 +112,16 @@ def test_named_trailing_garbage_rejected(tmp_path):
         read_named_matrices(p)
 
 
+def test_named_repeated_name_rejected(tmp_path):
+    p = tmp_path / "c.bin"
+    write_named_matrices(p, [("a", np.zeros((1, 1)))])
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<I", raw, 8, 2)  # a second entry, a copy of the first
+    p.write_bytes(bytes(raw + raw[12:]))
+    with pytest.raises(FormatError, match="repeated name 'a' of entry 1 at offset 37"):
+        read_named_matrices(p)
+
+
 def test_named_truncated_entry_names_entry(tmp_path):
     p = tmp_path / "c.bin"
     write_named_matrices(p, [("weights", np.ones((2, 3)))])

@@ -6,10 +6,12 @@ import logging
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +102,6 @@ STOCK_RUN_CONFIG = {
     "fixed_lambda": 0.0,
     "epochs": 60, "lr": 2e-3, "lambda_loc": 1.0, "lambda_tg": 0.1, "lambda_adv": 0.1,
     "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
-    "tiou_thresholds": [0.3, 0.4, 0.5, 0.6, 0.7],
     "seed": 0,
 }
 
@@ -108,6 +109,7 @@ STOCK_RUN_CONFIG = {
 class TestRunConfig:
     def test_defaults_cover_every_builder(self):
         run = default_run_config()
+        assert set(run) == {f.name for cls in (GenConfig, ModelConfig, TrainConfig) for f in fields(cls)}
         assert build_config(GenConfig, run).num_videos == 64
         assert build_config(ModelConfig, run).dim == 32
         assert build_config(TrainConfig, run).epochs == 60
@@ -162,10 +164,8 @@ MISTYPED_CONFIGS = [
     ("train", "lr", "0.1"),
     ("train", "lr", False),
     ("train", "lambda_mode", 1),
-    ("gen", "tiou_thresholds", None),
     # JSON's NaN and Infinity are not finite numbers
     ("gen", "lr", math.nan),
-    ("gen", "tiou_thresholds", [0.5, math.nan]),
     ("train", "lambda_loc", math.nan),
     ("train", "lambda_adv", math.inf),
     ("train", "lr", math.inf),
@@ -210,10 +210,8 @@ BAD_VALUE_CONFIGS = [
     ("train", "adam_eps", -1.0),
     ("train", "beta1", 1.0),
     ("train", "noise_sigma", -0.5),
-    ("ablate", "tiou_thresholds", []),
-    ("ablate", "tiou_thresholds", [1.5]),
-    ("ablate", "tiou_thresholds", [0.0, 0.5]),
-    ("ablate", "tiou_thresholds", [0.5, 0.5, 0.7]),  # map_at would score 2 thresholds, not 3
+    # tIoU is fixed at metrics.TIOU_THRESHOLDS: the key is unknown, even at its old default
+    ("ablate", "tiou_thresholds", [0.3, 0.4, 0.5, 0.6, 0.7]),
     ("ablate", "adam_eps", -1.0),
     ("ablate", "nms_tiou", 1.0),
 ]
@@ -752,6 +750,22 @@ class TestAblate:
         assert abs(table["rows"][0]["map_avg"] - fixed0["map_avg"]) < 1e-9
         assert abs(table["rows"][0]["lap"] - fixed0["lap"]) < 1e-9
 
+    def test_a_row_is_the_eval_report_of_its_model(self, sweep, capsys):
+        root, cfg = sweep
+        corpus = str(root / "corpus")
+        assert main(["ablate", "--corpus", corpus, "--config", cfg, "--mode", "no-tg-loss",
+                     "--out", str(root / "no-tg")]) == 0
+        # the row's model, trained by hand: the sweep's config with the row's override
+        row_cfg = write_config(root / "no-tg.json", epochs=2, lambda_tg=0.0)
+        assert main(["train", "--corpus", corpus, "--config", row_cfg,
+                     "--out", str(root / "no-tg-run")]) == 0
+        assert main(["eval", "--ckpt", str(root / "no-tg-run" / "model.ckpt"), "--corpus", corpus,
+                     "--conflict", "--out", str(root / "no-tg-run" / "report.json")]) == 0
+        capsys.readouterr()
+        row, = json.loads((root / "no-tg" / "ablation.json").read_text())["rows"]
+        report = json.loads((root / "no-tg-run" / "report.json").read_text())
+        assert (row["map_avg"], row["lap"]) == (report["map_avg"], report["lap"])
+
     def test_no_temp_files_left(self, sweep):
         root, _ = sweep
         assert sorted(p.name for p in (root / "sweep").iterdir()) == \
@@ -841,6 +855,15 @@ def _drop_last_video(p):
     p.write_text(json.dumps(doc))
 
 
+def _repeat_first_entry(p):
+    """A second, counted copy of a checkpoint's first entry (adv_fc.w), every value 123.0."""
+    (name, m), *_ = blobio.read_named_matrices(p)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<I", raw, 8, struct.unpack_from("<I", raw, 8)[0] + 1)
+    raw += struct.pack("<I", len(name)) + name.encode() + struct.pack("<II", *m.shape)
+    p.write_bytes(bytes(raw) + np.full(m.shape, 123.0).astype("<f8").tobytes())
+
+
 _EVAL = ["eval", "--ckpt", "{run}/model.ckpt", "--corpus", "{corpus}", "--out", "{tmp}/r.json"]
 _TRAIN = ["train", "--corpus", "{corpus}", "--config", "{run}/config.json", "--out", "{tmp}/out"]
 _REPORT = ["report", "--run", "{run}"]
@@ -906,6 +929,10 @@ CORRUPTIONS = [
     *[("corpus/manifest.json", _set("config", key, value=float(value)), argv, repr(key))
       for argv in (_EVAL + ["--conflict", "--probe"], _TRAIN)
       for key, value in [("seed", 0), ("frames", 48), ("num_videos", 6), ("dim", 8)]],
+    # a repeated checkpoint entry, and stored config blocks that lack a defaulted field
+    ("run/model.ckpt", _repeat_first_entry, _EVAL, "repeated name 'adv_fc.w' of entry"),
+    ("run/model.ckpt.json", _set("model_config", "lambda_mode"), _EVAL, "lacks key(s) 'lambda_mode'"),
+    ("corpus/manifest.json", _set("config", "noise_sigma"), _EVAL, "lacks key(s) 'noise_sigma'"),
 ]
 
 

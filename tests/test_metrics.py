@@ -12,8 +12,8 @@ import pytest
 from conftest import aligned_lap
 from oracles import ap_reference, corpus_table, hallucination_reference, proposal_rows
 from talgate.errors import ConfigError, FormatError
-from talgate.metrics import (DEFAULT_TIOU_THRESHOLDS, HALLUCINATION_TOP_K,
-                             PROBE_SPAN_THRESHOLDS, REPORT_SCHEMA, DifficultyBuckets, MetricsReport,
+from talgate.metrics import (HALLUCINATION_TOP_K, PROBE_SPAN_THRESHOLDS, REPORT_SCHEMA,
+                             TIOU_THRESHOLDS, DifficultyBuckets, MetricsReport,
                              ProbeStats, ambiguity_probe, ap_by_class,
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, lap, map_at,
@@ -75,7 +75,7 @@ class TestAveragePrecision:
             tuple_gt = {vid: [(g.start, g.end, g.label) for g in gs]
                         for vid, gs in gt.items()}
             for label in range(3):
-                for t in DEFAULT_TIOU_THRESHOLDS:
+                for t in TIOU_THRESHOLDS:
                     got = average_precision(corpus_table(props), gt, label, t)
                     want = ap_reference(props, tuple_gt, label, t)
                     if want is None:
@@ -521,7 +521,7 @@ class TestCanonicalJson:
 
 def full_report(**overrides):
     base = dict(
-        map_per_threshold={t: 0.5 for t in DEFAULT_TIOU_THRESHOLDS},
+        map_per_threshold={t: 0.5 for t in TIOU_THRESHOLDS},
         map_avg=0.5, fixed_rate=0.0, infinite_rate=0.0, lap=1.25,
         mla_per_bucket={"hard": 0.4, "medium": 0.3, "easy": 0.2},
         mconf=0.6, mlen=0.3, acc_at={0.3: 0.1, 0.5: 0.4, 0.7: 0.9},

@@ -13,7 +13,7 @@ from talgate.model import (ModelConfig, ModelState, backward_video, forward_vide
                            frame_targets, template_loss, template_loss_grad)
 from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
-from talgate.train import (Adam, ClasswiseLossTable, INTERVAL_PAD, TrainConfig,
+from talgate.train import (Adam, EpochLog, INTERVAL_PAD, StepLog, TrainConfig,
                            TrainLog, advantage_loss, corpus_targets, detection_loss, fit,
                            read_training_log, target_advantage, train_epoch)
 
@@ -30,9 +30,18 @@ def targets_of(gt, scores):
     return frame_targets(gt, *scores.shape)
 
 
-def run_epoch(corpus, state, opt, cfg, table=None):
-    """``train_epoch`` with the corpus's targets derived as ``fit`` derives them."""
-    return train_epoch(corpus, corpus_targets(corpus, state.cfg.num_classes), state, opt, cfg, table)
+def run_epoch(corpus, state, opt, cfg, table_means=None):
+    """``train_epoch`` with the corpus's targets derived as ``fit`` derives
+    them, and its record as ``fit`` keeps it: a vision epoch without a class
+    table, a gated one given ``table_means``."""
+    steps = train_epoch(corpus, corpus_targets(corpus, state.cfg.num_classes), state, opt, cfg,
+                        table_means)
+    return EpochLog(0, "vision" if table_means is None else "vision_language", 0.0, steps)
+
+
+def vision_record(*steps):
+    """A vision epoch's record of steps given as (classes, detection loss)."""
+    return EpochLog(0, "vision", 0.0, [StepLog(classes, dh, 0.0, 0.0, dh, 0.0) for classes, dh in steps])
 
 
 class TestTrainConfig:
@@ -115,17 +124,20 @@ class TestAdam:
 
 
 class TestClasswiseLossTable:
+    """The class table is a vision epoch's record: ``EpochLog.table_means``."""
+
     def test_running_means(self):
-        table = ClasswiseLossTable()
-        table.add(2, 1.0)
-        table.add(2, 3.0)
-        table.add(0, 0.5)
-        assert table.mean(2) == 2.0
-        assert table.means() == {0: 0.5, 2: 2.0}
+        record = vision_record(((2,), 1.0), ((2,), 3.0), ((0,), 0.5))
+        assert record.table_means == {0: 0.5, 2: 2.0}
+        assert list(record.table_means) == [0, 2]
+        gated = EpochLog(1, "vision_language", 0.0, record.steps)
+        assert gated.table_means is None
 
     def test_missing_class(self):
+        table = vision_record(((2,), 1.0)).table_means
+        labels = np.array([8, 7, 7, 8])  # 8 classes, label 8 is background
         with pytest.raises(ConfigError, match="class 7"):
-            ClasswiseLossTable().mean(7)
+            target_advantage(table, np.zeros((4, 1)), labels, (7,))
 
 
 class TestDetectionLoss:
@@ -198,13 +210,11 @@ class TestDetectionLoss:
 
 class TestAdvantageTargets:
     def table_with(self, label, mean):
-        t = ClasswiseLossTable()
-        t.add(label, mean)
-        return t
+        return {label: mean}
 
     def targets(self, table, per_frame, gt, num_classes=4):
         labels, _, _ = frame_targets(gt, len(per_frame), num_classes)
-        return target_advantage(table, per_frame, labels, num_classes)
+        return target_advantage(table, per_frame, labels, tuple(sorted({s.label for s in gt})))
 
     def test_direct_difference(self):
         table = self.table_with(1, 0.5)
@@ -225,8 +235,7 @@ class TestAdvantageTargets:
 
     def test_only_classes_the_video_has_are_looked_up(self):
         # the table lacks classes 1 and 3: only the video's class 3 is an error
-        table = self.table_with(0, 0.5)
-        table.add(2, 0.9)
+        table = {0: 0.5, 2: 0.9}
         pf = np.arange(12, dtype=float).reshape(12, 1) / 10.0
         targets, mask = self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 0)])
         want = np.zeros((12, 1))
@@ -312,7 +321,7 @@ class TestVisionEpoch:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(0))
         cfg = TrainConfig(epochs=4).validate()
         opt = Adam(state.values, state.grads, cfg)
-        table, _ = run_epoch(corpus, state, opt, cfg)
+        table = run_epoch(corpus, state, opt, cfg).table_means
         run_epoch(corpus, state, opt, cfg, table)
         language = [(n, p.value.tobytes()) for n, p in state.named_params()
                     if n.startswith(("adv_fc.", "tmpl_out."))]
@@ -329,12 +338,12 @@ class TestVisionEpoch:
         for c in (corpus, twin):
             state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
             opt = Adam(state.values, state.grads, cfg)
-            table, steps = run_epoch(c, state, opt, cfg)
-            results.append((state, table, steps))
+            record = run_epoch(c, state, opt, cfg)
+            results.append((state, record.table_means, record.steps))
         (sa, ta, stepsa), (sb, tb, stepsb) = results
         for (na, pa), (_, pb) in zip(sa.named_params(), sb.named_params()):
             assert pa.value.tobytes() == pb.value.tobytes(), na
-        assert ta.means() == tb.means()
+        assert ta == tb
         assert [s.dh for s in stepsa] == [s.dh for s in stepsb]
 
     def test_template_head_runs_only_in_gated_steps(self, monkeypatch):
@@ -349,7 +358,7 @@ class TestVisionEpoch:
             return forward(x)
 
         monkeypatch.setattr(state.tmpl_out, "forward", counted)
-        table, _ = run_epoch(corpus, state, opt, cfg)
+        table = run_epoch(corpus, state, opt, cfg).table_means
         assert calls == []  # a vision step reads no template logits
         run_epoch(corpus, state, opt, cfg, table)
         assert calls == [len(v.vis) for v in corpus.videos]  # once per gated step
@@ -359,14 +368,14 @@ class TestVisionEpoch:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(1))
         cfg = TrainConfig(epochs=2).validate()
         opt = Adam(state.values, state.grads, cfg)
-        table, steps = run_epoch(corpus, state, opt, cfg)
-        replay = ClasswiseLossTable()
-        for s in steps:
-            assert s.classes == tuple(sorted(set(s.classes)))
-            for c in s.classes:
-                replay.add(c, s.dh)
-        for c, mean in table.means().items():
-            assert replay.mean(c) == pytest.approx(mean, abs=1e-15)
+        record = run_epoch(corpus, state, opt, cfg)
+        assert [s.classes for s in record.steps] == \
+            [tuple(sorted({g.label for g in v.gt})) for v in corpus.videos]
+        classes = sorted({c for s in record.steps for c in s.classes})
+        assert list(record.table_means) == classes
+        for c in classes:  # each class's losses, summed in video order
+            losses = [s.dh for s in record.steps if c in s.classes]
+            assert record.table_means[c] == sum(losses) / len(losses)
 
 
 class TestVisionLanguageEpoch:
@@ -375,10 +384,7 @@ class TestVisionLanguageEpoch:
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(seed))
         cfg = TrainConfig(epochs=2, lambda_tg=lambda_tg, lambda_adv=lambda_adv).validate()
         opt = Adam(state.values, state.grads, cfg)
-        table = ClasswiseLossTable()
-        for c in range(3):
-            table.add(c, 0.8)
-        _, steps = run_epoch(corpus, state, opt, cfg, table)
+        steps = run_epoch(corpus, state, opt, cfg, {c: 0.8 for c in range(3)}).steps
         return corpus, state, steps
 
     def test_zero_weights_reduce_to_detection_step(self):
@@ -411,9 +417,9 @@ class TestVisionLanguageEpoch:
             seen["det"] = detection_loss(*args, **kwargs)
             return seen["det"]
 
-        def adv_spy(table, per_frame_vl, labels, num_classes):
+        def adv_spy(table_means, per_frame_vl, labels, present):
             seen["per_frame"] = np.array(per_frame_vl, copy=True)
-            return target_advantage(table, per_frame_vl, labels, num_classes)
+            return target_advantage(table_means, per_frame_vl, labels, present)
 
         monkeypatch.setattr(train_module, "detection_loss", det_spy)
         monkeypatch.setattr(train_module, "target_advantage", adv_spy)
@@ -429,10 +435,7 @@ class TestVisionLanguageEpoch:
         cfg = TrainConfig(epochs=2).validate()
         opt = Adam(state.values, state.grads, cfg)
         missing = corpus.videos[0].gt[0].label
-        table = ClasswiseLossTable()
-        for c in range(3):
-            if c != missing:
-                table.add(c, 0.8)
+        table = {c: 0.8 for c in range(3) if c != missing}
         with pytest.raises(ConfigError, match=f"class {missing} missing from the vision-only loss table"):
             run_epoch(corpus, state, opt, cfg, table)
 
@@ -445,12 +448,12 @@ class TestStopGradient:
         video = corpus.videos[0]
         state.zero_grads()
         fwd = forward_video(state, video.vis, video.lang)
-        labels, gstart, gend = targets_of(video.gt, fwd.cls_scores)
+        labels, gstart, gend, present = corpus_targets(corpus, state.cfg.num_classes)[0]
         det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, cfg.lambda_loc)
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
         tg = template_loss(tmpl_logits, labels)
         d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
-        targets, mask = target_advantage(table, det.per_frame, labels, state.cfg.num_classes)
+        targets, mask = target_advantage(table, det.per_frame, labels, present)
         adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         grads = {name: p.grad.copy() for name, p in state.named_params()}
@@ -460,11 +463,8 @@ class TestStopGradient:
         corpus = tiny_corpus(seed=8, num_videos=1)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(41))
         cfg = TrainConfig(epochs=2).validate()
-        base = ClasswiseLossTable()
-        bumped = ClasswiseLossTable()
-        for c in range(3):
-            base.add(c, 0.8)
-            bumped.add(c, 0.9)
+        base = {c: 0.8 for c in range(3)}
+        bumped = {c: 0.9 for c in range(3)}
         dh_a, tg_a, adv_a, grads_a = self.grads_for_table(base, corpus, state, cfg)
         dh_b, tg_b, adv_b, grads_b = self.grads_for_table(bumped, corpus, state, cfg)
         assert dh_a == dh_b and tg_a == tg_b
