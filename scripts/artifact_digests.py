@@ -3,7 +3,8 @@
     python3 scripts/artifact_digests.py OUT
 
 Runs, in-process through ``talgate.cli.main`` and into the empty or new
-directory OUT, the stock ``gen``, ``train`` and ``eval --conflict --probe``
+directory OUT, the stock ``gen`` and ``train``, ``eval`` of that checkpoint
+with ``--conflict --probe``, with no flag and with ``--conflict`` alone,
 and a 6-video ``gen`` plus ``ablate`` in every mode of
 ``cli.ABLATION_MODES``, then prints
 ``sha256 path`` for every file under OUT and for each command's stdout, in
@@ -31,6 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from talgate import cli
 
 SMALL = {"num_videos": 6}
+# each eval of the stock checkpoint: (name suffix, flags)
+EVAL_FLAGS = (("", ["--conflict", "--probe"]), ("-plain", []), ("-conflict", ["--conflict"]))
 
 
 def commands(out: Path) -> list[tuple[str, list]]:
@@ -38,8 +41,9 @@ def commands(out: Path) -> list[tuple[str, list]]:
     return [
         ("gen", ["gen", "--out", stock / "corpus"]),
         ("train", ["train", "--corpus", stock / "corpus", "--out", stock / "run"]),
-        ("eval", ["eval", "--ckpt", stock / "run" / "model.ckpt", "--corpus", stock / "corpus",
-                  "--conflict", "--probe", "--out", stock / "report.json"]),
+    ] + [(f"eval{suffix}", ["eval", "--ckpt", stock / "run" / "model.ckpt", "--corpus",
+                             stock / "corpus", *flags, "--out", stock / f"report{suffix}.json"])
+         for suffix, flags in EVAL_FLAGS] + [
         ("small-gen", ["gen", "--config", small / "config.json", "--out", small / "corpus"]),
     ] + [(f"small-ablate-{mode}", ["ablate", "--corpus", small / "corpus", "--config",
                                    small / "config.json", "--mode", mode, "--out", small / mode])

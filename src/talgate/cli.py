@@ -12,10 +12,11 @@ naming the config file.
 
 There is one scorer, ``build_report``: ``eval`` writes its report, and each
 ``ablate`` row is the ``map_avg`` and ``lap`` of the report that
-``eval --conflict`` writes for the row's model.  Every corpus pass is one
-``model.predict_corpus`` call, which returns the ground truth it read; the
-conflicted twin and the probe clips are streams that ``metrics.lap`` and
-``metrics.ambiguity_probe`` generate from the corpus.
+``eval --conflict`` writes for the row's model.  It reads the corpus once,
+in one ``model.predict_corpus`` call that scores each video as stored, as
+its vision view and as its conflicted twin (``synthgen.inject_conflict``)
+before the next is read; the probe clips are a stream that
+``metrics.ambiguity_probe`` generates from the corpus config.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error (an OS error
 that names its path included: a missing corpus, say), 3 internal.
@@ -41,8 +42,8 @@ from .metrics import (TIOU_THRESHOLDS, MetricsReport, ambiguity_probe, ap_by_cla
                       map_at, mla, validate_report)
 from .model import (ModelConfig, ModelState, load_checkpoint, predict_corpus,
                     save_checkpoint)
-from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus, open_corpus,
-                       read_corpus, require_aligned, write_corpus)
+from .synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus, inject_conflict,
+                       open_corpus, read_corpus, write_corpus)
 from .train import TrainConfig, fit, read_training_log
 
 log = logging.getLogger(__name__)
@@ -132,50 +133,34 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
     """Score one checkpoint on one corpus at ``TIOU_THRESHOLDS``: the one
     scorer of ``eval`` and of every ``ablate`` row.
 
-    Every corpus pass, the probe's included, is one ``predict_corpus`` call,
-    one proposals table with the ground truth it read; the aligned one also
-    gives the gates ``mla`` reads.  Difficulty buckets come from the same
-    model's vision view, the corpus without its language (the vision-only
-    path, which a gate of 0 reproduces bitwise), the closest in-run
-    stand-in for a vision-only baseline; they split the classes with ground
-    truth, the classes ``map_at`` scores.
-
-    ``corpus.videos`` is read once, by the aligned pass, so a stored corpus
-    (``synthgen.open_corpus``) reads each blob once.  That pass notes each
-    video's vision view (frames and ground truth, without its language),
-    which serves the vision-view pass and the conflicted twin; a video's
-    language is dropped once it is scored.
-    ``metrics.lap`` (``conflict``) and ``metrics.ambiguity_probe``
-    (``probe``) generate the conflicted twin and the distractor clips one
-    video at a time, so neither is ever held whole.
+    ``corpus.videos`` is read once, by one ``predict_corpus`` call, so a
+    stored corpus (``synthgen.open_corpus``) reads each blob once and holds
+    one video at a time.  Each video is scored three ways as it is read:
+    as stored, which gives the mAP, the hallucination rates and the gates
+    ``mla`` reads; as its vision view, the video without its language (the
+    vision-only path, which a gate of 0 reproduces bitwise), the closest
+    in-run stand-in for a vision-only baseline, whose per-class APs make
+    the difficulty buckets of the classes with ground truth, the classes
+    ``map_at`` scores; and, with ``conflict``, as its conflicted twin
+    (``synthgen.inject_conflict``), whose table gives ``lap``.  Each table
+    is dropped once scored.  With ``probe``, ``metrics.ambiguity_probe``
+    then generates and scores the distractor clips one at a time.
     """
-    views = []  # each video's vision view, noted as the aligned pass reads the video
-
-    def note(video: VideoRecord) -> VideoRecord:
-        if conflict:
-            require_aligned(video)
-        views.append(VideoRecord(video.id, video.vis, None, video.gt))
-        return video
-
-    proposals, lams, gt = predict_corpus(state, map(note, corpus.videos))
+    views = [VideoRecord.vision_view] + ([inject_conflict(corpus.config)] if conflict else [])
+    proposals, lams, gt, vision, *twin = predict_corpus(state, corpus.videos, *views)
     per_threshold, map_avg = map_at(proposals, gt)
     fixed_rate, infinite_rate = hallucination_rates(proposals, len(gt))
-    del proposals  # scored; the passes below add to the views and gates alone
+    lap_value = lap(map_avg, *twin, gt) if conflict else None
+    vision_aps = ap_by_class(vision, gt, range(corpus.config.num_classes), TIOU_THRESHOLDS)
+    del proposals, vision, twin  # scored; the probe below runs without them
 
-    vision_aps = ap_by_class(predict_corpus(state, views)[0], gt,
-                             range(corpus.config.num_classes), TIOU_THRESHOLDS)
     # a class without ground truth has no AP (None at every threshold) and no bucket
     buckets = difficulty_buckets({c: float(np.mean(aps)) for c, aps in vision_aps.items()
                                   if aps[0] is not None})
-
     mla_per_bucket = {}
     for name, bucket in (("hard", buckets.hard), ("medium", buckets.medium), ("easy", buckets.easy)):
         if bucket:
             mla_per_bucket[name] = mla(lams, bucket, list(gt.values()))
-
-    lap_value = None
-    if conflict:
-        lap_value = lap(state, Corpus(corpus.config, views), map_avg)
 
     mconf = mlen = acc_at = None
     if probe:

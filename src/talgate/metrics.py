@@ -14,14 +14,14 @@ row's, averages ``TIOU_THRESHOLDS`` (0.3:0.1:0.7, the THUMOS14 protocol);
 no config changes them.
 
 Bias diagnostics: the language-attribution performance drop (lap: the
-conflicted twin's mAP against the given aligned mAP), output degeneracy
+conflicted twin's mAP against the given aligned mAP, from the twin's table,
+which ``predict_corpus`` scores in the corpus's own read), output degeneracy
 rates over each video's first rows (hallucination_rates), the mean gate per
 difficulty bucket (mla, over ``predict_corpus``'s gates), and a no-action
 ambiguity probe (mconf / mlen / acc_at) reading each clip's first kept row.
-``lap`` and ``ambiguity_probe`` generate the stream they score from the
-corpus (``synthgen.inject_conflict``, ``synthgen.generate_distractors``) and
-score it as one ``predict_corpus`` pass, one video at a time; a caller
-passes the corpus or its config, never the stream.
+``ambiguity_probe`` generates the clips it scores from the corpus config
+(``synthgen.generate_distractors``) and scores them as one
+``predict_corpus`` pass, one clip at a time.
 
 ``validate_report`` checks a report against ``REPORT_SCHEMA`` before it is
 written (``eval``) or read back (``report``).  jsonschema is loaded there, on
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .model import ModelState, Proposals, predict_corpus, tiou_array
-from .synthgen import Corpus, GenConfig, Segment, generate_distractors, inject_conflict
+from .synthgen import GenConfig, Segment, generate_distractors
 
 log = logging.getLogger(__name__)
 
@@ -147,17 +147,14 @@ def map_at(proposals: Proposals, gt: dict[str, list[Segment]],
     return per_threshold, float(np.mean(list(per_threshold.values())))
 
 
-def lap(state: ModelState, corpus: Corpus, map_aligned: float) -> float:
-    """Performance drop under conflicting language, in mAP percentage points.
-
-    ``map_aligned`` is the corpus's mAP at ``TIOU_THRESHOLDS`` (``map_at``
-    of ``predict_corpus``); this scores only the conflicted pass, on the
-    corpus's conflicted twin (``synthgen.inject_conflict``), generated and
-    scored one video at a time.  Only the corpus's frames and ground truth
-    are read, so a corpus of vision views serves as well.
-    """
-    kept, _, gt = predict_corpus(state, inject_conflict(corpus))
-    _, map_conflicted = map_at(kept, gt)
+def lap(map_aligned: float, conflicted: Proposals, gt: dict[str, list[Segment]]) -> float:
+    """Performance drop under conflicting language, in mAP percentage points:
+    ``map_aligned``, the corpus's mAP at ``TIOU_THRESHOLDS``, less that of
+    ``conflicted``, the corpus table of its conflicted twin (the
+    ``predict_corpus`` table of the view ``synthgen.inject_conflict``
+    gives), against the corpus's ground truth ``gt``, which the twin
+    shares."""
+    _, map_conflicted = map_at(conflicted, gt)
     return 100.0 * (map_aligned - map_conflicted)
 
 

@@ -12,13 +12,14 @@ offsets, which a forward pass returns in one ``Forward`` record with the
 gate and what ``backward_video`` reads.  The template head (token logits for
 the auxiliary captioning loss) reads the record's classification features,
 in a gated training step only.  A corpus pass (``predict_corpus``) returns
-one NMS-kept proposals table plus each video's gate and ground truth.
+one NMS-kept proposals table plus each video's gate and ground truth, and
+one more table per view of the corpus scored in the same read.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -423,29 +424,42 @@ def nms(proposals: Proposals, tiou_threshold: float) -> Proposals:
     return proposals.take(np.sort(np.concatenate(kept)))
 
 
-def predict_corpus(state: ModelState, videos: Iterable[VideoRecord]
-                   ) -> tuple[Proposals, list[np.ndarray], dict[str, list[Segment]]]:
-    """Score a corpus: (the kept proposals of every video as one table, row
-    video i the i-th video read; each video's L x 1 gate; each video's
-    ground truth by id), each in the order read.
+def predict_corpus(state: ModelState, videos: Iterable[VideoRecord],
+                   *views: Callable[[VideoRecord], VideoRecord]) -> tuple:
+    """Score a corpus and, in the same read, views of it: (the kept
+    proposals of every video as one table, row video i the i-th video read;
+    each video's L x 1 gate; each video's ground truth by id), each in the
+    order read, then one such table per view.
 
-    ``videos`` is read once: each video runs one forward pass, and only its
-    scores, offsets, gate and ground truth are kept; its ``Forward`` record
-    and the video are dropped before the scores are decoded and before the
-    next video is read, so a generated stream (``synthgen.inject_conflict``)
-    holds one video at a time.  One ``nms`` pass then suppresses the stack
-    of decoded tables.  Records without language (``lang=None``) take the
-    vision-only path.
+    ``videos`` is read once.  Each video runs one forward pass, then each
+    view builds its record from the video (``VideoRecord.vision_view``, the
+    twin of ``synthgen.inject_conflict``) and runs one; a view keeps the
+    video's id and ground truth, against which all the tables are scored.
+    Of a pass only its scores and offsets are kept, and the video's gate
+    and ground truth: its ``Forward`` record and the view are dropped
+    before the scores are decoded, and the video once its views are
+    scored, before the next is read, so a stream (``synthgen.open_corpus``,
+    ``synthgen.generate_distractors``) holds one video at a time.  One
+    ``nms`` pass per table then suppresses the stack of its decoded
+    tables.  Records without language (``lang=None``) take the vision-only
+    path.
     """
-    decoded, gates, gt = [], [], {}
+    decoded, gates, gt = [[] for _ in range(1 + len(views))], [], {}
     for video in videos:
-        fwd = forward_video(state, video.vis, video.lang)
-        scores, offsets = fwd.cls_scores, fwd.offsets
-        gates.append(fwd.lam)
         gt[video.id] = video.gt
-        del video, fwd  # the activations, freed before decode and before the stream builds the next
-        decoded.append(decode_proposals(scores, offsets, state.cfg))
-    return nms(Proposals.stack(decoded), state.cfg.nms_tiou), gates, gt
+        for view, tables in zip((None, *views), decoded):
+            record = video if view is None else view(video)
+            fwd = forward_video(state, record.vis, record.lang)
+            scores, offsets = fwd.cls_scores, fwd.offsets
+            if view is None:
+                gates.append(fwd.lam)
+            del record, fwd  # the activations and the view, freed before decode and the next pass
+            tables.append(decode_proposals(scores, offsets, state.cfg))
+        del video  # before the stream builds the next
+    kept = []
+    while decoded:  # each stream's decoded tables, freed once stacked
+        kept.append(nms(Proposals.stack(decoded.pop(0)), state.cfg.nms_tiou))
+    return kept[0], gates, gt, *kept[1:]
 
 
 def save_checkpoint(state: ModelState, path) -> None:

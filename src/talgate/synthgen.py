@@ -16,13 +16,13 @@ checks the manifest and reads the blobs one video at a time, as a reader
 iterates the videos; ``read_corpus`` holds them all in memory.  The
 conflicted twin and the distractor clips are functions of the corpus:
 each seeds its own Rng from the corpus seed and a salt, and is
-generated one video at a time.
+generated one video at a time, the twin from each video as it is read.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -100,6 +100,10 @@ class VideoRecord:
     vis: np.ndarray
     lang: LanguageBundle | None  # None: the vision-only view of a video
     gt: list[Segment] = field(default_factory=list)
+
+    def vision_view(self) -> "VideoRecord":
+        """The video without its language: its frames and ground truth."""
+        return VideoRecord(self.id, self.vis, None, self.gt)
 
 
 @dataclass(eq=False)
@@ -237,44 +241,35 @@ def generate_corpus(cfg: GenConfig) -> Corpus:
     return Corpus(cfg, videos)
 
 
-def require_aligned(video: VideoRecord) -> VideoRecord:
-    """``video``, or a ConfigError naming it if its language is already
-    conflicted; a vision view (``lang=None``) has no language to conflict."""
-    if video.lang is not None and not video.lang.aligned:
-        raise ConfigError(f"video {video.id} is already conflicted")
-    return video
+def inject_conflict(cfg: GenConfig) -> Callable[[VideoRecord], VideoRecord]:
+    """The twin of the corpus of config ``cfg``, drawn one video at a time:
+    a function that gives a video's conflicted twin, its language
+    regenerated under a seeded derangement of class identities.
 
-
-def inject_conflict(corpus: Corpus) -> Iterator[VideoRecord]:
-    """The corpus's conflicted twin: its language regenerated under a
-    seeded derangement of class identities.
-
-    Vision frames and ground truth are reused untouched (byte-identical);
+    Vision frames and ground truth are reused untouched (the same arrays);
     every segment's language streams describe a different class than the
     one actually present, so language evidence actively contradicts vision.
-    The derangement and the noise are drawn from the corpus seed salted
-    with ``_CONFLICT_SALT``, so a corpus has one twin.  Only each video's
-    frames and ground truth are read, so a corpus of vision views
-    (``lang=None``) gives the same twin as the corpus they were taken from.
-
-    The derangement is drawn at the call; the returned iterator then reads
-    ``corpus.videos`` once, in corpus order, and builds the conflicted
-    videos one at a time, so a reader that drops each before asking for
-    the next holds one at a time, and a stored corpus reads each blob once.
-    Each video is checked (``require_aligned``) as its twin is built.
-    ``list(...)`` it to read the twin twice.
+    The derangement is drawn at the call, from the corpus seed salted with
+    ``_CONFLICT_SALT``; each twin's noise is drawn from the same Rng as its
+    video is given, so applied to the corpus's videos in corpus order it
+    builds the corpus's one twin.  Only a video's frames and ground truth
+    are read, so a vision view (``lang=None``) has the same twin as the
+    video it was taken from.  A video whose language is already conflicted
+    is a ConfigError naming it, raised as its twin is asked for.
     """
-    cfg = corpus.config
     if cfg.num_classes < 2:
         raise ConfigError("conflict injection needs at least 2 classes")
     rng = Rng(cfg.seed ^ _CONFLICT_SALT)
     pi = rng.derangement(cfg.num_classes)
     lat = _draw_latents(cfg, Rng(cfg.seed))
-    return (VideoRecord(video.id, video.vis,
-                        _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt],
-                                         rng, aligned=False),
-                        video.gt)
-            for video in map(require_aligned, corpus.videos))
+
+    def twin(video: VideoRecord) -> VideoRecord:
+        if video.lang is not None and not video.lang.aligned:
+            raise ConfigError(f"video {video.id} is already conflicted")
+        lang = _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt], rng,
+                                aligned=False)
+        return VideoRecord(video.id, video.vis, lang, video.gt)
+    return twin
 
 
 def generate_distractors(cfg: GenConfig) -> Iterator[VideoRecord]:

@@ -15,9 +15,9 @@ flows into the detection head through the targets).
 
 A fit reads each video's ground truth once, before the first epoch,
 through ``model.frame_targets`` (``corpus_targets``): the per-frame labels
-(background is label C) and covering segment bounds feed every step's
-detection loss, template loss and advantage targets, and a step's present
-classes are the labels' own.
+(background is label C), covering segment bounds and positive frames
+(``FrameTargets``) feed every step's detection loss, template loss and
+advantage targets, and a step's present classes are the labels' own.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ConfigError, FormatError, write_atomic
 from .model import (ModelConfig, ModelState, backward_video, forward_video,
                     frame_targets, template_loss, template_loss_grad)
 from .nn import Rng, focal_loss, diou_loss
-from .synthgen import Corpus
+from .synthgen import Corpus, Segment
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
 
@@ -120,29 +120,46 @@ class DetectionLossResult:
     d_offsets: np.ndarray        # L x 2
 
 
-def detection_loss(scores: np.ndarray, offsets: np.ndarray, labels: np.ndarray, gstart: np.ndarray,
-                   gend: np.ndarray, lambda_loc: float = 1.0) -> DetectionLossResult:
+@dataclass(frozen=True, eq=False)
+class FrameTargets:
+    """One video's per-frame targets, derived once per fit (``corpus_targets``)."""
+    labels: np.ndarray           # L, int64: the class of each frame, C on background
+    gstart: np.ndarray           # L, the covering segment's bounds; 0 on background
+    gend: np.ndarray
+    mask: np.ndarray             # L x 1 bool: the positive (non-background) frames
+    positive: np.ndarray         # their indices, ascending
+    present: tuple[int, ...]     # their classes, ascending
+
+    @classmethod
+    def of(cls, gt: list[Segment], frames: int, num_classes: int) -> "FrameTargets":
+        """``frame_targets`` of ``gt`` and the positive frames of its labels."""
+        labels, gstart, gend = frame_targets(gt, frames, num_classes)
+        mask = labels < num_classes
+        positive = np.flatnonzero(mask)
+        return cls(labels, gstart, gend, mask.reshape(-1, 1), positive,
+                   tuple(sorted(set(labels[positive].tolist()))))
+
+
+def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTargets,
+                   lambda_loc: float = 1.0) -> DetectionLossResult:
     """Focal classification of the L x C scores over every frame plus DIoU
-    regression of the L x 2 offsets on positive frames, summed per frame
-    and normalized by the positive count (floored at 1).  ``labels``,
-    ``gstart`` and ``gend`` are the per-frame targets of ``frame_targets``;
-    label C marks background.
+    regression of the L x 2 offsets on the positive frames of ``targets``,
+    summed per frame and normalized by the positive count (floored at 1).
 
     Predicted intervals are padded by a fixed 1e-6 on both sides so frames
     whose offsets collapse to zero still yield a valid interval.
     """
     L, C = scores.shape
-    pos = labels < C
-    fl, dfl = focal_loss(scores, labels[:, None] == np.arange(C))  # background matches no class
+    li = targets.positive
+    fl, dfl = focal_loss(scores, targets.labels[:, None] == np.arange(C))  # background matches no class
     per_frame = fl.sum(axis=1)
-    m = max(1, int(pos.sum()))
+    m = max(1, len(li))
     d_scores = dfl / m
     d_off = np.zeros((L, 2))
-    if pos.any():
-        li = np.nonzero(pos)[0]
+    if len(li):
         ps = li - offsets[li, 0] - INTERVAL_PAD
         pe = li + offsets[li, 1] + INTERVAL_PAD
-        dl, dps, dpe = diou_loss(ps, pe, gstart[li], gend[li])
+        dl, dps, dpe = diou_loss(ps, pe, targets.gstart[li], targets.gend[li])
         per_frame[li] += lambda_loc * dl
         d_off[li, 0] = -lambda_loc * dps / m
         d_off[li, 1] = lambda_loc * dpe / m
@@ -150,24 +167,25 @@ def detection_loss(scores: np.ndarray, offsets: np.ndarray, labels: np.ndarray, 
     return DetectionLossResult(loss, per_frame.reshape(L, 1), d_scores, d_off)
 
 
-def target_advantage(table_means: dict[int, float], per_frame_vl: np.ndarray, labels: np.ndarray,
-                     present: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen regression targets for the advantage head from the per-frame
-    labels of ``frame_targets`` and ``present``, the classes of their
-    non-background frames (``corpus_targets``).
+def target_advantage(table_means: dict[int, float], per_frame_vl: np.ndarray,
+                     targets: FrameTargets) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen regression targets for the advantage head: on each positive
+    frame of ``targets``, the class table's mean for the frame's class less
+    the frame's vision+language loss.
 
     Returns (targets, mask), both L x 1; background frames are masked out.
     A present class missing from the class table ``table_means`` is a
     ConfigError.
     """
-    pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
-    targets = np.zeros_like(pf)
-    for c in present:
+    for c in targets.present:
         if c not in table_means:
             raise ConfigError(f"class {c} missing from the vision-only loss table")
-        frames = labels == c
-        targets[frames, 0] = table_means[c] - pf[frames, 0]
-    return targets, np.isin(labels, present).reshape(-1, 1)
+    means = np.array([table_means[c] for c in targets.present])
+    li = targets.positive
+    pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
+    out = np.zeros_like(pf)
+    out[li, 0] = means[np.searchsorted(targets.present, targets.labels[li])] - pf[li, 0]
+    return out, targets.mask
 
 
 def advantage_loss(adv_pred, targets, mask) -> tuple[float, np.ndarray]:
@@ -257,19 +275,14 @@ def read_training_log(path) -> list[dict]:
     return records
 
 
-def corpus_targets(corpus: Corpus, num_classes: int) -> list[tuple]:
-    """Each video's per-frame targets, (labels, gstart, gend, present
-    classes), from one read of its ground truth: ``frame_targets`` at the
-    video's frame count, then the classes of its non-background frames.
-    A segment that ``frame_targets`` rejects is a ConfigError here."""
-    targets = []
-    for video in corpus.videos:
-        labels, gstart, gend = frame_targets(video.gt, len(video.vis), num_classes)
-        targets.append((labels, gstart, gend, tuple(sorted(set(labels[labels < num_classes].tolist())))))
-    return targets
+def corpus_targets(corpus: Corpus, num_classes: int) -> list[FrameTargets]:
+    """Each video's ``FrameTargets``, from one read of its ground truth at
+    the video's frame count.  A segment that ``frame_targets`` rejects is a
+    ConfigError here."""
+    return [FrameTargets.of(video.gt, len(video.vis), num_classes) for video in corpus.videos]
 
 
-def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Adam,
+def train_epoch(corpus: Corpus, targets: list[FrameTargets], state: ModelState, opt: Adam,
                 cfg: TrainConfig, table_means: dict[int, float] | None = None) -> list[StepLog]:
     """One pass over the corpus, one Adam step per video, each reading its
     video's entry of ``targets`` (``corpus_targets``), and its steps.
@@ -281,25 +294,25 @@ def train_epoch(corpus: Corpus, targets: list[tuple], state: ModelState, opt: Ad
         raise ConfigError("cannot train on an empty corpus")
     vision = table_means is None
     steps = []
-    for video, (labels, gstart, gend, present) in zip(corpus.videos, targets, strict=True):
+    for video, truth in zip(corpus.videos, targets, strict=True):
         state.zero_grads()
         fwd = forward_video(state, video.vis, None if vision else video.lang)
-        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, cfg.lambda_loc)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, truth, cfg.lambda_loc)
         if vision:
             tg = adv = 0.0
             d_tmpl = d_adv = None  # the template head does not run: its gradient is zero
         else:
             tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
-            tg = template_loss(tmpl_logits, labels)
-            d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
+            tg = template_loss(tmpl_logits, truth.labels)
+            d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)
             adv, d_adv = advantage_loss(fwd.adv_pred,
-                                        *target_advantage(table_means, det.per_frame, labels, present))
+                                        *target_advantage(table_means, det.per_frame, truth))
             d_adv = cfg.lambda_adv * d_adv
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
         mean_lambda = float(fwd.lam.mean())
         del fwd  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
-        steps.append(StepLog(present, det.loss, tg, adv,
+        steps.append(StepLog(truth.present, det.loss, tg, adv,
                              det.loss + cfg.lambda_tg * tg + cfg.lambda_adv * adv, mean_lambda))
     return steps
 

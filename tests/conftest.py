@@ -26,11 +26,12 @@ def gate_pinned(state: ModelState, value: float = 0.0) -> ModelState:
 
 
 def aligned_lap(state: ModelState, corpus: Corpus) -> float:
-    """``metrics.lap``, the corpus's aligned mAP scored first: a chain of
-    calls apart from ``cli.build_report``, which tests compare against it."""
-    kept, _, gt = predict_corpus(state, corpus.videos)
+    """``metrics.lap`` of the corpus and its conflicted twin, both scored in
+    one read: a chain of calls apart from ``cli.build_report``, which tests
+    compare against it."""
+    kept, _, gt, twin = predict_corpus(state, corpus.videos, inject_conflict(corpus.config))
     _, map_aligned = map_at(kept, gt)
-    return lap(state, corpus, map_aligned)
+    return lap(map_aligned, twin, gt)
 
 
 def bias_gen_config(seed: int, num_videos: int = 96) -> GenConfig:
@@ -65,7 +66,7 @@ def _build_run(seed: int) -> BiasRun:
     train_corpus = Corpus(gen, whole.videos[:64])
     eval_corpus = Corpus(gen, whole.videos[64:])
     # the twin that metrics.lap scores, held for the tests that read its videos
-    conflicted = list(inject_conflict(eval_corpus))
+    conflicted = list(map(inject_conflict(gen), eval_corpus.videos))
 
     base = ModelConfig(dim=gen.dim, num_classes=gen.num_classes)
     tc = TrainConfig(seed=seed)

@@ -23,7 +23,8 @@ from talgate.model import (ModelConfig, ModelState, backward_video, forward_vide
 from talgate.nn import (Conv1d, Linear, Rng, diou_loss, focal_loss, relu,
                         relu_grad, sigmoid)
 from talgate.synthgen import LanguageBundle, Segment
-from talgate.train import TrainConfig, advantage_loss, detection_loss, target_advantage
+from talgate.train import (FrameTargets, TrainConfig, advantage_loss, detection_loss,
+                           target_advantage)
 
 pytestmark = pytest.mark.slow  # the three-seed fixture trains nine stock models
 
@@ -74,18 +75,18 @@ def full_model_loss_error():
     gt = [Segment(2, 6, 1), Segment(8, 11, 0)]
     table = {c: 0.7 + 0.1 * c for c in range(C)}
     tc = TrainConfig()
-    labels, gstart, gend = frame_targets(gt, L, C)
+    truth = FrameTargets.of(gt, L, C)
     fwd0 = forward_video(state, vis, bundle)
-    det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, labels, gstart, gend, tc.lambda_loc)
-    targets, mask = target_advantage(table, det0.per_frame, labels, (0, 1))
+    det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, truth, tc.lambda_loc)
+    targets, mask = target_advantage(table, det0.per_frame, truth)
 
     def total_loss():
         state.zero_grads()
         fwd = forward_video(state, vis, bundle)
-        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, tc.lambda_loc)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, truth, tc.lambda_loc)
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
-        tg = template_loss(tmpl_logits, labels)
-        d_tmpl = tc.lambda_tg * template_loss_grad(tmpl_logits, labels)
+        tg = template_loss(tmpl_logits, truth.labels)
+        d_tmpl = tc.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)
         adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, tc.lambda_adv * d_adv)
         return det.loss + tc.lambda_tg * tg + tc.lambda_adv * adv
@@ -159,16 +160,16 @@ def test_gradient_suite():
     errs["advantage"] = grad_check(lambda a: advantage_loss(a, targets, mask),
                                    rng.normal_matrix(100, 1))
 
-    det_targets = frame_targets([Segment(5, 45, 0)], 50, 2)
+    det_targets = FrameTargets.of([Segment(5, 45, 0)], 50, 2)
     det_off = 0.5 + 2.5 * np.abs(np.sin(rng.normal_matrix(50, 2)))
     det_scores = 0.15 + 0.7 * np.abs(np.sin(rng.normal_matrix(50, 2)))
 
     def f_scores(scores):
-        det = detection_loss(scores, det_off, *det_targets)
+        det = detection_loss(scores, det_off, det_targets)
         return det.loss, det.d_cls_scores
 
     def f_offsets(offsets):
-        det = detection_loss(det_scores, offsets, *det_targets)
+        det = detection_loss(det_scores, offsets, det_targets)
         return det.loss, det.d_offsets
 
     errs["detection_scores"] = grad_check(f_scores, det_scores.copy())

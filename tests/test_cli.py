@@ -503,7 +503,8 @@ class TestEval:
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
         # aligned, conflicted, distractors; the vision view runs no advantage head
         assert len(advantage_passes) == n + n + d
-        assert [b is None for b in bundles[:n + n]] == [False] * n + [True] * n
+        # each video's three passes in turn: aligned, vision view, conflicted
+        assert [b is None for b in bundles[:3 * n]] == [False, True, False] * n
 
     def test_one_nms_pass_per_corpus_pass(self, workspace, monkeypatch):
         import talgate.model as model
@@ -528,52 +529,48 @@ class TestEval:
         state = load_checkpoint(workspace / "run" / "model.ckpt")
         corpus = open_corpus(workspace / "corpus")
         want = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
-        predict_corpus, inject_conflict = cli.predict_corpus, metrics.inject_conflict
-        noted = []  # the vision views the aligned pass noted, which the vision pass scores
-        shared = set()  # their frames, which the twin reuses
-        built, every = [], []
+        inject_conflict, generate_distractors = cli.inject_conflict, metrics.generate_distractors
+        built, every, last = [], [], []  # ids; refs to all that was built; to the last one's
 
-        def vision_pass(state, videos):
-            if isinstance(videos, list):
-                noted.append(videos)
-            return predict_corpus(state, videos)
+        def check():
+            # what was built for the last video, and the frames it was built from, are gone
+            alive = [x for x in (r() for r in last) if x is not None]
+            assert not alive, f"{built[-1]} still alive"
 
-        def watched(make):
-            def wrapper(*args, **kwargs):
-                if make is inject_conflict:
-                    source = args[0].videos
-                    assert source is noted[0]  # no stored video is read again
-                    shared.update(id(v.vis) for v in source)
-                stream = make(*args, **kwargs)
+        def note(video):
+            built.append(video.id)
+            last[:] = [weakref.ref(x) for x in (video, video.lang, video.vis, video.lang.cls_stream,
+                                                video.lang.loc_stream, video.lang.adv_stream)]
+            every.extend(last)
+            return video
 
-                def one_at_a_time():
-                    refs = []
-                    while True:
-                        # what was built for the last video is gone before the next is built
-                        alive = [x for x in (r() for r in refs) if x is not None]
-                        assert not alive, f"{built[-1]} still alive"
-                        video = next(stream, None)
-                        if video is None:
-                            return
-                        built.append(video.id)
-                        own = [m for m in (video.vis, video.lang.cls_stream, video.lang.loc_stream,
-                                           video.lang.adv_stream) if id(m) not in shared]
-                        refs = [weakref.ref(x) for x in (video, video.lang, *own)]
-                        every.extend(refs)
-                        yield video
-                        del video, own
-                return one_at_a_time()
-            return wrapper
+        def twins(cfg):  # build_report's view: each stored video's twin, built as it is read
+            twin = inject_conflict(cfg)
 
-        monkeypatch.setattr(cli, "predict_corpus", vision_pass)
-        # lap and the probe generate what they score
-        monkeypatch.setattr(metrics, "inject_conflict", watched(metrics.inject_conflict))
-        monkeypatch.setattr(metrics, "generate_distractors", watched(metrics.generate_distractors))
+            def one_at_a_time(video):
+                check()
+                return note(twin(video))
+            return one_at_a_time
+
+        def clips(cfg):  # the probe's stream
+            stream = generate_distractors(cfg)
+
+            def one_at_a_time():
+                while True:
+                    check()
+                    video = next(stream, None)
+                    if video is None:
+                        return
+                    yield note(video)
+                    del video
+            return one_at_a_time()
+
+        monkeypatch.setattr(cli, "inject_conflict", twins)
+        monkeypatch.setattr(metrics, "generate_distractors", clips)
         got = cli.build_report(state, corpus, conflict=True, probe=True).to_json()
         # and once the report is built, nothing of any generated video is left
         assert [r for r in every if r() is not None] == []
         ids = [v.id for v in corpus.videos]
-        assert len(noted) == 1 and [v.id for v in noted[0]] == ids and len(shared) == len(ids)
         assert built == ids + [f"d{i:04d}" for i in range(len(ids))]
         assert got == want
 
@@ -688,19 +685,39 @@ class TestStoredCorpus:
         assert len(language) == 3 * len(corpus.videos)
         assert [name for name, ref in language if ref() is not None] == []
 
-    def test_eval_memory_grows_by_the_frames_alone(self, tmp_path):
-        # the language is scored as it is read and only the frames are held:
-        # from 4 to 16 stored videos, build_report's peak grows by less than
-        # the 12 videos' frames plus one video's language (holding the corpus
-        # whole grows it by 12 videos' four streams)
+    def test_frames_are_freed_before_the_next_video_is_read(self, workspace, monkeypatch):
+        # each video is scored three ways while it is read, so no frames are held for later
+        state = load_checkpoint(workspace / "run" / "model.ckpt")
+        frames, read_matrix = [], blobio.read_matrix  # (blob name, weakref to its array)
+
+        def watched(path):
+            m = read_matrix(path)
+            if Path(path).name.endswith("_vis.bin"):  # the first blob of the next video
+                alive = [name for name, ref in frames if ref() is not None]
+                assert alive == [], f"{alive} still alive when {Path(path).name} is read"
+                frames.append((Path(path).name, weakref.ref(m)))
+            return m
+
+        monkeypatch.setattr(blobio, "read_matrix", watched)
+        corpus = open_corpus(workspace / "corpus")
+        cli.build_report(state, corpus, conflict=True, probe=True)
+        assert len(frames) == len(corpus.videos)
+        assert [name for name, ref in frames if ref() is not None] == []
+
+    def test_eval_memory_grows_by_the_tables_and_gates_alone(self, tmp_path):
+        # each video is scored as it is read and only its decoded tables and
+        # gate are held: from 4 to 16 stored videos, build_report's peak grows
+        # by less than the 12 videos' three decoded tables and gate plus one
+        # video's four streams (holding the 12 videos' frames grows it by more)
         frames, dim = 512, 32
+        model_cfg = ModelConfig(dim=dim, num_classes=4)
 
         def peak(num_videos):
             gen = GenConfig(num_classes=4, num_videos=num_videos, frames=frames, dim=dim,
                             ambiguity=(0.1, 0.1, 0.8, 0.8), helpfulness=(0.2, 0.2, 0.9, 0.9),
                             seed=3)
             write_corpus(generate_corpus(gen), tmp_path / f"c{num_videos}")
-            state = ModelState(ModelConfig(dim=dim, num_classes=4), Rng(1))
+            state = ModelState(model_cfg, Rng(1))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -711,7 +728,10 @@ class TestStoredCorpus:
                 tracemalloc.stop()
 
         stream = frames * dim * 8  # one float64 stream of one video
-        assert peak(16) - peak(4) < 12 * stream + 3 * stream
+        table = model_cfg.top_k_pre_nms * 5 * 8  # a full decoded table: five 8-byte columns
+        gate = frames * 8
+        assert 12 * (3 * table + gate) + 4 * stream < 12 * stream
+        assert peak(16) - peak(4) < 12 * (3 * table + gate) + 4 * stream
 
 
 @pytest.fixture(scope="module")
@@ -1094,8 +1114,8 @@ class TestConflictedTwin:
     def test_deterministic(self, workspace):
         from talgate.synthgen import inject_conflict, read_corpus
         corpus = read_corpus(workspace / "corpus")
-        a = list(inject_conflict(corpus))
-        b = list(inject_conflict(read_corpus(workspace / "corpus")))
+        a = list(map(inject_conflict(corpus.config), corpus.videos))
+        b = list(map(inject_conflict(corpus.config), read_corpus(workspace / "corpus").videos))
         assert len(a) == len(b) == len(corpus.videos)
         for va, vb in zip(a, b):
             assert va.lang.cls_stream.tobytes() == vb.lang.cls_stream.tobytes()

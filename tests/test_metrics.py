@@ -21,8 +21,8 @@ from talgate.metrics import (HALLUCINATION_TOP_K, PROBE_SPAN_THRESHOLDS, REPORT_
 from talgate.model import (ModelConfig, ModelState, decode_proposals, forward_video,
                            nms, predict_corpus)
 from talgate.nn import Rng
-from talgate.synthgen import (Corpus, GenConfig, Segment, VideoRecord, generate_corpus,
-                              generate_distractors, inject_conflict, open_corpus, write_corpus)
+from talgate.synthgen import (GenConfig, Segment, generate_corpus, generate_distractors,
+                              inject_conflict, open_corpus, write_corpus)
 
 S = Segment
 
@@ -238,16 +238,19 @@ class TestLap:
 
     def test_matches_direct_map_difference(self):
         corpus = small_eval_corpus(seed=62)
-        twin = list(inject_conflict(corpus))
+        twin = list(map(inject_conflict(corpus.config), corpus.videos))
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(2))
         kept, _, gt = predict_corpus(state, corpus.videos)
         _, ma = map_at(kept, gt)
         kept, _, gt = predict_corpus(state, twin)
         _, mc = map_at(kept, gt)
         assert aligned_lap(state, corpus) == pytest.approx(100.0 * (ma - mc), abs=1e-12)
+        # the twin scored on its own and in the corpus's read give the same drop
+        assert lap(ma, kept, gt) == aligned_lap(state, corpus)
         # the corpus's vision views, without language, give the same twin and so the same drop
-        views = Corpus(corpus.config, [VideoRecord(v.id, v.vis, None, v.gt) for v in corpus.videos])
-        assert lap(state, views, ma) == lap(state, corpus, ma)
+        views = [v.vision_view() for v in corpus.videos]
+        assert lap(ma, predict_corpus(state, views, inject_conflict(corpus.config))[3], gt) \
+            == lap(ma, kept, gt)
 
     def test_stored_corpus_reads_each_blob_once(self, tmp_path, monkeypatch):
         import talgate.blobio as blobio
@@ -261,10 +264,14 @@ class TestLap:
             return read_matrix(path)
 
         monkeypatch.setattr(blobio, "read_matrix", counted)
-        drop = lap(state, open_corpus(tmp_path), 0.5)
+        # the twin is scored in the corpus's own read
+        _, _, gt, twin = predict_corpus(state, open_corpus(tmp_path).videos,
+                                        inject_conflict(corpus.config))
+        drop = lap(0.5, twin, gt)
         monkeypatch.undo()
         assert len(reads) == 4 * 6 and len(set(reads)) == len(reads)
-        assert drop == lap(state, corpus, 0.5)
+        held = predict_corpus(state, map(inject_conflict(corpus.config), corpus.videos))[0]
+        assert drop == lap(0.5, held, gt)
 
 
 def disjoint_props(rng, n, label=0):

@@ -55,10 +55,10 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert set(stats) <= tracing.metric_names()
     assert stats["train.fit.calls"] == 1 and stats["cli.build_report.calls"] == 1
     assert stats["model.forward_video.calls"] > 0
-    # one NMS pass per corpus pass of the eval (aligned, vision view, conflicted, distractors),
-    # every forward pass of the eval decoded in that one loop, and kept_ratio reads len() of
-    # nms's argument and result
-    assert stats["model.nms.calls"] == 4 and stats["model.predict_corpus.calls"] == 4
+    # one NMS pass per table of the eval (aligned, vision view, conflicted, distractors), from
+    # two corpus reads (the corpus, scored three ways, and the distractors), every forward pass
+    # of the eval decoded in that one loop, and kept_ratio reads len() of nms's argument and result
+    assert stats["model.nms.calls"] == 4 and stats["model.predict_corpus.calls"] == 2
     eval_passes = stats["model.forward_video.calls"] - trained["model.forward_video.calls"]
     assert eval_passes == stats["model.decode_proposals.calls"] == 4 * 3
     assert 0 < stats["model.nms.kept_ratio"] <= 1

@@ -13,7 +13,7 @@ import pytest
 
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
-from talgate.synthgen import (Corpus, GenConfig, VideoRecord, generate_corpus,
+from talgate.synthgen import (Corpus, GenConfig, generate_corpus,
                               generate_distractors, inject_conflict, open_corpus,
                               partner_class, read_corpus, write_corpus)
 
@@ -162,7 +162,7 @@ class TestInjectConflict:
     def setup_method(self):
         self.cfg = small_config(num_videos=16, helpfulness=(1.0,) * 4)
         self.corpus = generate_corpus(self.cfg)
-        self.twin = Corpus(self.cfg, list(inject_conflict(self.corpus)))
+        self.twin = Corpus(self.cfg, list(map(inject_conflict(self.cfg), self.corpus.videos)))
 
     def test_vision_and_gt_untouched(self):
         for a, b in zip(self.corpus.videos, self.twin.videos):
@@ -194,27 +194,29 @@ class TestInjectConflict:
         assert acc <= 1.0 / 4 + 0.05
 
     def test_vision_views_give_the_same_twin(self):
-        views = [VideoRecord(v.id, v.vis, None, v.gt) for v in self.corpus.videos]
-        twin = Corpus(self.cfg, list(inject_conflict(Corpus(self.cfg, views))))
+        views = [v.vision_view() for v in self.corpus.videos]
+        assert all(v.lang is None and v.vis is w.vis and v.gt is w.gt
+                   for v, w in zip(views, self.corpus.videos))
+        twin = Corpus(self.cfg, list(map(inject_conflict(self.cfg), views)))
         assert corpus_bytes(twin) == corpus_bytes(self.twin)
 
     def test_double_injection_rejected(self):
         # each video is checked as its twin is built: the error names the first conflicted one
         with pytest.raises(ConfigError, match="video v0000 is already conflicted"):
-            list(inject_conflict(self.twin))
-        mixed = Corpus(self.cfg, self.corpus.videos[:3] + self.twin.videos[3:])
+            list(map(inject_conflict(self.cfg), self.twin.videos))
+        mixed = self.corpus.videos[:3] + self.twin.videos[3:]
         with pytest.raises(ConfigError, match="video v0003 is already conflicted"):
-            list(inject_conflict(mixed))
+            list(map(inject_conflict(self.cfg), mixed))
 
     def test_same_rng_seed_same_twin(self):
         # the twin's draws are seeded from the corpus seed: a regenerated corpus has the same twin
-        again = Corpus(self.cfg, list(inject_conflict(generate_corpus(self.cfg))))
+        again = Corpus(self.cfg, list(map(inject_conflict(self.cfg), generate_corpus(self.cfg).videos)))
         assert corpus_bytes(again) == corpus_bytes(self.twin)
 
     def test_different_rng_seed_different_noise(self):
         # the same videos under another corpus seed: another derangement and other noise
-        reseeded = Corpus(replace(self.cfg, seed=self.cfg.seed + 1), self.corpus.videos)
-        other = Corpus(self.cfg, list(inject_conflict(reseeded)))
+        reseeded = inject_conflict(replace(self.cfg, seed=self.cfg.seed + 1))
+        other = Corpus(self.cfg, list(map(reseeded, self.corpus.videos)))
         assert all(a.vis is b.vis for a, b in zip(other.videos, self.twin.videos))
         assert corpus_bytes(other) != corpus_bytes(self.twin)
 

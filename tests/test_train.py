@@ -13,7 +13,7 @@ from talgate.model import (ModelConfig, ModelState, backward_video, forward_vide
                            frame_targets, template_loss, template_loss_grad)
 from talgate.nn import Param, Rng, focal_loss
 from talgate.synthgen import Corpus, GenConfig, Segment, generate_corpus, inject_conflict
-from talgate.train import (Adam, EpochLog, INTERVAL_PAD, StepLog, TrainConfig,
+from talgate.train import (Adam, EpochLog, FrameTargets, INTERVAL_PAD, StepLog, TrainConfig,
                            TrainLog, advantage_loss, corpus_targets, detection_loss, fit,
                            read_training_log, target_advantage, train_epoch)
 
@@ -26,8 +26,8 @@ def tiny_corpus(seed=3, num_videos=8, num_classes=3, frames=64, dim=8):
 
 
 def targets_of(gt, scores):
-    """``frame_targets`` at the frame and class count of a score matrix."""
-    return frame_targets(gt, *scores.shape)
+    """``FrameTargets`` at the frame and class count of a score matrix."""
+    return FrameTargets.of(gt, *scores.shape)
 
 
 def run_epoch(corpus, state, opt, cfg, table_means=None):
@@ -135,9 +135,9 @@ class TestClasswiseLossTable:
 
     def test_missing_class(self):
         table = vision_record(((2,), 1.0)).table_means
-        labels = np.array([8, 7, 7, 8])  # 8 classes, label 8 is background
+        targets = FrameTargets.of([Segment(1, 3, 7)], 4, 8)  # 8 classes, label 8 is background
         with pytest.raises(ConfigError, match="class 7"):
-            target_advantage(table, np.zeros((4, 1)), labels, (7,))
+            target_advantage(table, np.zeros((4, 1)), targets)
 
 
 class TestDetectionLoss:
@@ -149,13 +149,13 @@ class TestDetectionLoss:
         offsets = np.zeros((L, 2))
         for l in range(4, 12):
             offsets[l] = (l - 4.0, 12.0 - l)
-        det = detection_loss(scores, offsets, *targets_of(gt, scores))
+        det = detection_loss(scores, offsets, targets_of(gt, scores))
         assert det.loss <= 1e-5
 
     def test_no_ground_truth_is_pure_focal(self):
         rng = Rng(30)
         scores = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(10, 3)))
-        det = detection_loss(scores, np.ones((10, 2)), *targets_of([], scores))
+        det = detection_loss(scores, np.ones((10, 2)), targets_of([], scores))
         expected = focal_loss(scores, np.zeros((10, 3)))[0].sum()
         assert det.loss == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(det.d_offsets, np.zeros((10, 2)))
@@ -166,7 +166,7 @@ class TestDetectionLoss:
         gt = [Segment(2, 7, 0), Segment(10, 14, 2)]
         scores = 1.0 / (1.0 + np.exp(-rng.normal_matrix(L, C)))
         offsets = np.abs(rng.normal_matrix(L, 2)) + 0.3
-        det = detection_loss(scores, offsets, *targets_of(gt, scores), lambda_loc=0.7)
+        det = detection_loss(scores, offsets, targets_of(gt, scores), lambda_loc=0.7)
         assert det.loss == pytest.approx(det.per_frame.sum() / 9, rel=1e-12)  # 9 positive frames
         labels = np.full(L, C)
         for seg in gt:
@@ -189,7 +189,7 @@ class TestDetectionLoss:
         offsets = np.abs(rng.normal_matrix(12, 2)) + 0.5
 
         def f(scores):
-            det = detection_loss(scores, offsets, *targets_of(gt, scores))
+            det = detection_loss(scores, offsets, targets_of(gt, scores))
             return det.loss, det.d_cls_scores
 
         scores0 = 0.2 + 0.6 * np.abs(np.sin(rng.normal_matrix(12, 2)))
@@ -201,7 +201,7 @@ class TestDetectionLoss:
         scores = np.full((12, 2), 0.4)
 
         def f(offsets):
-            det = detection_loss(scores, offsets, *targets_of(gt, scores))
+            det = detection_loss(scores, offsets, targets_of(gt, scores))
             return det.loss, det.d_offsets
 
         offsets0 = np.abs(rng.normal_matrix(12, 2)) + 0.5
@@ -213,8 +213,7 @@ class TestAdvantageTargets:
         return {label: mean}
 
     def targets(self, table, per_frame, gt, num_classes=4):
-        labels, _, _ = frame_targets(gt, len(per_frame), num_classes)
-        return target_advantage(table, per_frame, labels, tuple(sorted({s.label for s in gt})))
+        return target_advantage(table, per_frame, FrameTargets.of(gt, len(per_frame), num_classes))
 
     def test_direct_difference(self):
         table = self.table_with(1, 0.5)
@@ -332,7 +331,7 @@ class TestVisionEpoch:
 
     def test_ignores_language_content(self):
         corpus = tiny_corpus(seed=9)
-        twin = Corpus(corpus.config, list(inject_conflict(corpus)))
+        twin = Corpus(corpus.config, list(map(inject_conflict(corpus.config), corpus.videos)))
         cfg = TrainConfig(epochs=2).validate()
         results = []
         for c in (corpus, twin):
@@ -395,7 +394,7 @@ class TestVisionLanguageEpoch:
         video = corpus.videos[0]
         manual.zero_grads()
         fwd = forward_video(manual, video.vis, video.lang)
-        det = detection_loss(fwd.cls_scores, fwd.offsets, *targets_of(video.gt, fwd.cls_scores),
+        det = detection_loss(fwd.cls_scores, fwd.offsets, targets_of(video.gt, fwd.cls_scores),
                              cfg.lambda_loc)
         backward_video(manual, fwd, det.d_cls_scores, det.d_offsets,
                        np.zeros((len(video.vis), 4)), np.zeros_like(fwd.adv_pred))
@@ -417,9 +416,9 @@ class TestVisionLanguageEpoch:
             seen["det"] = detection_loss(*args, **kwargs)
             return seen["det"]
 
-        def adv_spy(table_means, per_frame_vl, labels, present):
+        def adv_spy(table_means, per_frame_vl, targets):
             seen["per_frame"] = np.array(per_frame_vl, copy=True)
-            return target_advantage(table_means, per_frame_vl, labels, present)
+            return target_advantage(table_means, per_frame_vl, targets)
 
         monkeypatch.setattr(train_module, "detection_loss", det_spy)
         monkeypatch.setattr(train_module, "target_advantage", adv_spy)
@@ -448,12 +447,12 @@ class TestStopGradient:
         video = corpus.videos[0]
         state.zero_grads()
         fwd = forward_video(state, video.vis, video.lang)
-        labels, gstart, gend, present = corpus_targets(corpus, state.cfg.num_classes)[0]
-        det = detection_loss(fwd.cls_scores, fwd.offsets, labels, gstart, gend, cfg.lambda_loc)
+        truth = corpus_targets(corpus, state.cfg.num_classes)[0]
+        det = detection_loss(fwd.cls_scores, fwd.offsets, truth, cfg.lambda_loc)
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
-        tg = template_loss(tmpl_logits, labels)
-        d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, labels)
-        targets, mask = target_advantage(table, det.per_frame, labels, present)
+        tg = template_loss(tmpl_logits, truth.labels)
+        d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)
+        targets, mask = target_advantage(table, det.per_frame, truth)
         adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         grads = {name: p.grad.copy() for name, p in state.named_params()}
