@@ -67,16 +67,11 @@ ABLATION_MODES = tuple(ABLATION_ROWS)
 
 
 def default_run_config() -> dict:
-    """Every config key with its default: the six stock-corpus values
-    ``GenConfig`` has no default for and every defaulted field of the three
-    configs.  The stock corpus is the bias benchmark: classes 0-3 are
-    visually easy with unhelpful language, classes 4-7 visually ambiguous
-    with highly informative language."""
-    run = {"num_classes": 8, "num_videos": 64, "frames": 256, "dim": 32,
-           "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
-           "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9]}
+    """Every config key with its default, the dataclass field's (a tuple as a JSON list)."""
+    run = {}
     for cls in (GenConfig, ModelConfig, TrainConfig):
-        run.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+        run.update((f.name, list(f.default) if isinstance(f.default, tuple) else f.default)
+                   for f in fields(cls) if f.default is not MISSING)
     return run
 
 
@@ -197,12 +192,8 @@ def cmd_train(args) -> int:
     save_checkpoint(state, ckpt)
     train_log.write_jsonl(out / "train_log.jsonl")
     _stamp(out, run, "train")
-    if train_log.epochs:
-        last = train_log.epochs[-1]
-        print(f"trained {train_cfg.epochs} epochs (final total loss {last.mean_total:.4f}); "
-              f"checkpoint at {ckpt}")
-    else:
-        print(f"trained 0 epochs; checkpoint at {ckpt}")
+    loss = f" (final total loss {train_log.epochs[-1].mean_total:.4f})" if train_log.epochs else ""
+    print(f"trained {train_cfg.epochs} epochs{loss}; checkpoint at {ckpt}")
     return EXIT_OK
 
 
@@ -277,10 +268,9 @@ def render_metrics(payload: dict) -> str:
         for name in ("hard", "medium", "easy"):
             if name in payload["mla_per_bucket"]:
                 rows.append([f"mLA {name}", f"{payload['mla_per_bucket'][name]:.4f}"])
-    if payload["mconf"] is not None:
-        rows.append(["probe mconf", f"{payload['mconf']:.4f}"])
-    if payload["mlen"] is not None:
-        rows.append(["probe mlen", f"{payload['mlen']:.4f}"])
+    for key in ("mconf", "mlen"):
+        if payload[key] is not None:
+            rows.append([f"probe {key}", f"{payload[key]:.4f}"])
     if payload["acc_at"] is not None:
         for k in sorted(payload["acc_at"]):
             rows.append([f"probe acc@{k}", _pct(payload["acc_at"][k])])
@@ -391,11 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    # have glibc keep 4 MB free atop the heap when it trims (mallopt M_TOP_PAD, -2): scoring
-    # frees about a megabyte per video, which the next video would otherwise fault back in
+def pad_heap() -> None:
+    """Keep 4 MB free atop glibc's heap when it trims (mallopt M_TOP_PAD, -2), so what a scored
+    video frees the next reuses, not faults back in; call it once numpy is imported."""
     with contextlib.suppress(AttributeError, OSError, TypeError):  # a libc without mallopt
         ctypes.CDLL(None).mallopt(-2, 4 << 20)
+
+
+def main(argv=None) -> int:
+    pad_heap()
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -1,5 +1,5 @@
 """Shared error types, the config value type rule, the stored-config reader,
-the JSON reader and the atomic writer.
+the JSON reader, which rejects a repeated object key, and the atomic writer.
 
 ConfigError and FormatError mark problems with user-supplied inputs
 (configs, corpora, checkpoints); the CLI maps them to exit code 2.
@@ -12,6 +12,7 @@ holds every field, so a reader takes none from a default
 
 import json
 import os
+from collections import Counter
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,11 +26,25 @@ class FormatError(ValueError):
     """An on-disk artifact (blob, manifest, checkpoint, log) is malformed."""
 
 
+def _object(pairs: list) -> dict:
+    """The dict of a JSON object's pairs; a repeated key is a ValueError."""
+    keys = Counter(k for k, _ in pairs)
+    if len(keys) < len(pairs):
+        raise ValueError(f"repeated key {keys.most_common(1)[0][0]!r}")
+    return dict(pairs)
+
+
+def parse_json(text: str | bytes):
+    """``json.loads`` of ``text``, where a repeated object key is a ValueError."""
+    return json.loads(text, object_pairs_hook=_object)
+
+
 def read_json(path, what: str = "JSON file"):
-    """Parse a JSON file; non-UTF-8 or non-JSON text is a FormatError naming it."""
+    """Parse a JSON file (``parse_json``); non-UTF-8 or non-JSON text, or an
+    object that repeats a key, is a FormatError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a repeated key
         raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

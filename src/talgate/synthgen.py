@@ -42,12 +42,15 @@ _DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED
 
 @dataclass(frozen=True)
 class GenConfig:
-    num_classes: int
-    num_videos: int
-    frames: int
-    dim: int
-    ambiguity: tuple[float, ...]
-    helpfulness: tuple[float, ...]
+    """A corpus's settings.  The defaults are the stock corpus, the bias
+    benchmark: classes 0-3 visually easy with unhelpful language, classes
+    4-7 visually ambiguous with highly informative language."""
+    num_classes: int = 8
+    num_videos: int = 64
+    frames: int = 256
+    dim: int = 32
+    ambiguity: tuple[float, ...] = (0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8)
+    helpfulness: tuple[float, ...] = (0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9)
     noise_sigma: float = 1.0
     background_fraction: float = 0.4
     seed: int = 0
@@ -348,17 +351,10 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     path.unlink(missing_ok=True)
     entries = []
     for video in corpus.videos:
-        streams = {
-            "vis": video.vis,
-            "cls": video.lang.cls_stream,
-            "loc": video.lang.loc_stream,
-            "adv": video.lang.adv_stream,
-        }
-        blob_names = {}
-        for key in _STREAM_KEYS:
-            name = f"{video.id}_{key}.bin"
-            blobio.write_matrix(out_dir / name, streams[key])
-            blob_names[key] = name
+        blob_names = {key: f"{video.id}_{key}.bin" for key in _STREAM_KEYS}
+        streams = (video.vis, video.lang.cls_stream, video.lang.loc_stream, video.lang.adv_stream)
+        for name, m in zip(blob_names.values(), streams, strict=True):
+            blobio.write_matrix(out_dir / name, m)
         entries.append({
             "id": video.id,
             "frames": int(video.vis.shape[0]),

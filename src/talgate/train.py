@@ -18,6 +18,8 @@ through ``model.frame_targets`` (``corpus_targets``): the per-frame labels
 (background is label C), covering segment bounds and positive frames
 (``FrameTargets``) feed every step's detection loss, template loss and
 advantage targets, and a step's present classes are the labels' own.
+Every fit runs Adam at the module's ``ADAM_*`` constants and weighs the
+detection loss's DIoU term by 1.
 """
 
 from __future__ import annotations
@@ -30,47 +32,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, write_atomic
+from .errors import ConfigError, FormatError, parse_json, write_atomic
 from .model import (ModelConfig, ModelState, backward_video, forward_video,
                     frame_targets, template_loss, template_loss_grad)
 from .nn import Rng, focal_loss, diou_loss
 from .synthgen import Corpus, Segment
 
 INTERVAL_PAD = 1e-6  # keeps decoded training intervals non-degenerate
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 2e-3, 0.9, 0.999, 1e-8  # the same for every fit
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """An even epoch count, the template and advantage loss weights, and the parameters' seed."""
     epochs: int = 60
-    lr: float = 2e-3
-    lambda_loc: float = 1.0
     lambda_tg: float = 0.1
     lambda_adv: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 0 or self.epochs % 2 != 0:
             raise ConfigError(f"epochs must be even and non-negative (strict epoch alternation), got {self.epochs}")
-        for name in ("lr", "adam_eps"):
-            if not (0.0 < getattr(self, name) < np.inf):
-                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        for name in ("lambda_loc", "lambda_tg", "lambda_adv"):
+        for name in ("lambda_tg", "lambda_adv"):
             if not (0.0 <= getattr(self, name) < np.inf):
                 raise ConfigError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"Adam betas must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         return self
 
 
 class Adam:
-    """Standard Adam with bias correction; no weight decay.
+    """Standard Adam with bias correction; no weight decay; lr, betas and
+    eps are the module's ``ADAM_*`` constants.
 
     It updates ``values`` in place from ``grads``, two same-shape arrays,
     as whole vectors.  ``fit`` passes a ``ModelState``'s flat ``values`` and
@@ -87,28 +82,27 @@ class Adam:
     c2 = 1 - beta2**t.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
+    def __init__(self, values: np.ndarray, grads: np.ndarray):
         self._values = values
         self._grads = grads
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
         self._a = np.empty_like(values)
         self._b = np.empty_like(values)
-        self.lr, self.beta1, self.beta2, self.eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         g, m, v, a, b = self._grads, self._m, self._v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
-        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+        np.multiply(ADAM_LR, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
         self._values -= np.divide(a, b, out=a)
 
 
@@ -269,8 +263,8 @@ def read_training_log(path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            records.append(parse_json(line))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a repeated key
             raise FormatError(f"bad training log line {i + 1} in {path}: {exc}") from exc
     return records
 
@@ -297,7 +291,7 @@ def train_epoch(corpus: Corpus, targets: list[FrameTargets], state: ModelState, 
     for video, truth in zip(corpus.videos, targets, strict=True):
         state.zero_grads()
         fwd = forward_video(state, video.vis, None if vision else video.lang)
-        det = detection_loss(fwd.cls_scores, fwd.offsets, truth, cfg.lambda_loc)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, truth)
         if vision:
             tg = adv = 0.0
             d_tmpl = d_adv = None  # the template head does not run: its gradient is zero
@@ -325,13 +319,13 @@ def fit(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple
     targets are derived once, before the first step; each epoch logs one
     INFO line (epoch, phase, mean total loss, seconds).
 
-    Only ``cli.main`` sets glibc's heap pad (``M_TOP_PAD``).  A direct
-    caller, a test fixture or a script, fits without it unless it sets the
-    pad itself: a 10-epoch stock fit ran 35% slower without it (2-vCPU
-    x86-64 host, OpenBLAS on one thread)."""
+    ``cli.main`` sets glibc's heap pad (``cli.pad_heap``).  A direct
+    caller, a script say, fits without it unless it calls ``pad_heap``
+    itself: a 10-epoch stock fit ran 35% slower without it (2-vCPU x86-64
+    host, OpenBLAS on one thread)."""
     train_cfg.validate()
     state = ModelState(model_cfg.validate(), Rng(train_cfg.seed))
-    opt = Adam(state.values, state.grads, train_cfg)
+    opt = Adam(state.values, state.grads)
     targets = corpus_targets(corpus, model_cfg.num_classes)
     log = TrainLog()
     for epoch in range(train_cfg.epochs):

@@ -2,7 +2,8 @@
 
 The expensive piece is ``bias_runs``: fully trained models on the default
 bias benchmark for three seeds.  It is session-scoped and lazy, so unit
-test files that never request it pay nothing.
+test files that never request it pay nothing.  The suite fits with the
+CLI's heap settings (``cli.pad_heap``, set once numpy is imported).
 """
 
 import time
@@ -10,10 +11,13 @@ from dataclasses import dataclass, replace
 
 import pytest
 
+from talgate.cli import pad_heap
 from talgate.metrics import lap, map_at
 from talgate.model import ModelConfig, ModelState, predict_corpus
 from talgate.synthgen import Corpus, GenConfig, VideoRecord, generate_corpus, inject_conflict
 from talgate.train import TrainConfig, TrainLog, fit
+
+pad_heap()
 
 BIAS_SEEDS = (0, 1, 2)
 
@@ -34,17 +38,6 @@ def aligned_lap(state: ModelState, corpus: Corpus) -> float:
     return lap(map_aligned, twin, gt)
 
 
-def bias_gen_config(seed: int, num_videos: int = 96) -> GenConfig:
-    """The stock bias benchmark: classes 0-3 visually easy with unhelpful
-    language, classes 4-7 visually ambiguous with informative language."""
-    return GenConfig(
-        num_classes=8, num_videos=num_videos, frames=256, dim=32,
-        ambiguity=(0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8),
-        helpfulness=(0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9),
-        seed=seed,
-    )
-
-
 @dataclass(eq=False)
 class BiasRun:
     seed: int
@@ -59,7 +52,7 @@ class BiasRun:
 
 
 def _build_run(seed: int) -> BiasRun:
-    gen = bias_gen_config(seed)
+    gen = GenConfig(num_videos=96, seed=seed)  # the stock bias benchmark, 64 + 32 videos
     whole = generate_corpus(gen)
     # one corpus, split by prefix: train and eval share the latent
     # prototypes, which is what makes cross-split evaluation meaningful

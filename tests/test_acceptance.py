@@ -77,13 +77,13 @@ def full_model_loss_error():
     tc = TrainConfig()
     truth = FrameTargets.of(gt, L, C)
     fwd0 = forward_video(state, vis, bundle)
-    det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, truth, tc.lambda_loc)
+    det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, truth)
     targets, mask = target_advantage(table, det0.per_frame, truth)
 
     def total_loss():
         state.zero_grads()
         fwd = forward_video(state, vis, bundle)
-        det = detection_loss(fwd.cls_scores, fwd.offsets, truth, tc.lambda_loc)
+        det = detection_loss(fwd.cls_scores, fwd.offsets, truth)
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
         tg = template_loss(tmpl_logits, truth.labels)
         d_tmpl = tc.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)

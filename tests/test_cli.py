@@ -100,8 +100,7 @@ STOCK_RUN_CONFIG = {
     "head_layers": 2, "kernel": 3, "hidden": None, "nms_tiou": 0.5,
     "top_k_pre_nms": 200, "score_threshold": 0.01, "lambda_mode": "learned",
     "fixed_lambda": 0.0,
-    "epochs": 60, "lr": 2e-3, "lambda_loc": 1.0, "lambda_tg": 0.1, "lambda_adv": 0.1,
-    "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+    "epochs": 60, "lambda_tg": 0.1, "lambda_adv": 0.1,
     "seed": 0,
 }
 
@@ -113,6 +112,7 @@ class TestRunConfig:
         assert build_config(GenConfig, run).num_videos == 64
         assert build_config(ModelConfig, run).dim == 32
         assert build_config(TrainConfig, run).epochs == 60
+        assert build_config(GenConfig, run) == GenConfig()
 
     def test_defaults_are_the_stock_config(self):
         assert (json.dumps(default_run_config(), sort_keys=True)
@@ -139,11 +139,11 @@ class TestRunConfig:
         p.write_text('{"learning_rate": 0.1}')
         with pytest.raises(ConfigError, match="learning_rate") as exc:
             load_run_config(str(p))
-        assert "valid keys" in str(exc.value) and "lr" in str(exc.value)
+        assert "valid keys" in str(exc.value) and "lambda_tg" in str(exc.value)
 
     def test_values_of_each_json_type_accepted(self, tmp_path):
         p = tmp_path / "c.json"
-        good = {"hidden": 8, "lr": 1, "fixed_lambda": 0.5, "epochs": 4,
+        good = {"hidden": 8, "lambda_tg": 1, "fixed_lambda": 0.5, "epochs": 4,
                 "ambiguity": [0.1] * 7 + [1], "lambda_mode": "fixed"}
         p.write_text(json.dumps(good))
         run = load_run_config(str(p))
@@ -161,14 +161,14 @@ MISTYPED_CONFIGS = [
     ("gen", "ambiguity", ["0.1", "0.1", "0.1"]),
     ("gen", "seed", 1.5),
     ("gen", "num_videos", True),
-    ("train", "lr", "0.1"),
-    ("train", "lr", False),
+    ("train", "lambda_tg", "0.1"),
+    ("train", "lambda_tg", False),
     ("train", "lambda_mode", 1),
     # JSON's NaN and Infinity are not finite numbers
-    ("gen", "lr", math.nan),
-    ("train", "lambda_loc", math.nan),
+    ("gen", "lambda_tg", math.nan),
+    ("train", "fixed_lambda", math.nan),
     ("train", "lambda_adv", math.inf),
-    ("train", "lr", math.inf),
+    ("train", "lambda_tg", math.inf),
     ("train", "noise_sigma", -math.inf),
     ("ablate", "nms_tiou", math.nan),
 ]
@@ -205,15 +205,19 @@ def test_mistyped_config_value_is_data_error(command, key, value, workspace, tmp
 # load, whichever part of it the command uses.
 BAD_VALUE_CONFIGS = [
     ("gen", "epochs", 3),
+    ("train", "noise_sigma", -0.5),
+    ("ablate", "nms_tiou", 1.0),
+    # former keys are unknown at any value, their old defaults included: tIoU is fixed at
+    # metrics.TIOU_THRESHOLDS, and Adam's settings and the localization weight at train's
+    ("ablate", "tiou_thresholds", [0.3, 0.4, 0.5, 0.6, 0.7]),
+    ("train", "lr", 2e-3),
+    ("train", "lambda_loc", 1.0),
+    ("train", "beta1", 1.0),
+    ("gen", "beta2", 0.999),
     ("gen", "adam_eps", 0.0),
     ("train", "adam_eps", 0.0),
     ("train", "adam_eps", -1.0),
-    ("train", "beta1", 1.0),
-    ("train", "noise_sigma", -0.5),
-    # tIoU is fixed at metrics.TIOU_THRESHOLDS: the key is unknown, even at its old default
-    ("ablate", "tiou_thresholds", [0.3, 0.4, 0.5, 0.6, 0.7]),
     ("ablate", "adam_eps", -1.0),
-    ("ablate", "nms_tiou", 1.0),
 ]
 
 
@@ -222,6 +226,16 @@ BAD_VALUE_CONFIGS = [
 def test_bad_config_value_is_data_error(command, key, value, workspace, tmp_path, capsys):
     err, cfg = run_bad_config(command, key, value, workspace, tmp_path, capsys)
     assert cfg in err and key in err
+
+
+def test_repeated_config_key_is_data_error(workspace, tmp_path, capsys):
+    # json.loads would let the last copy win
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"num_videos": 2, "epochs": 3, "epochs": 2}')
+    assert main(config_argv("gen", str(cfg), workspace, tmp_path)) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "repeated key 'epochs'" in err
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "ablate"])
@@ -841,21 +855,40 @@ def _unlink(p):
     p.unlink()
 
 
-def _set(*path, value=None):
-    """Replace (or, with value None, drop) the key at ``path`` of a JSON file;
-    a .jsonl file is edited on its first line."""
+def _edit_json(edit):
+    """A corruption that rewrites a JSON file as ``edit`` returns it, given
+    the parsed document; a .jsonl file is edited on its first line."""
     def corrupt(p):
         lines = p.read_text().splitlines() if p.suffix == ".jsonl" else [p.read_text()]
-        doc = json.loads(lines[0])
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if value is None:
-            del target[path[-1]]
-        else:
-            target[path[-1]] = value
-        p.write_text("\n".join([json.dumps(doc)] + lines[1:]))
+        p.write_text("\n".join([edit(json.loads(lines[0]))] + lines[1:]))
     return corrupt
+
+
+def _parent(doc, path):
+    """The object of ``doc`` that holds the key at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(*path, value=None):
+    """Replace (or, with value None, drop) the key at ``path`` of a JSON file."""
+    def edit(doc):
+        if value is None:
+            del _parent(doc, path)[path[-1]]
+        else:
+            _parent(doc, path)[path[-1]] = value
+        return json.dumps(doc)
+    return _edit_json(edit)
+
+
+def _repeat(*path):
+    """A second copy of the key at ``path`` of a JSON file, holding its value."""
+    def edit(doc):
+        obj = _parent(doc, path)
+        obj["\0copy"] = obj[path[-1]]
+        return json.dumps(doc).replace(json.dumps("\0copy"), json.dumps(path[-1]))
+    return _edit_json(edit)
 
 
 def _overlapping_segment(p):
@@ -953,6 +986,10 @@ CORRUPTIONS = [
     ("run/model.ckpt", _repeat_first_entry, _EVAL, "repeated name 'adv_fc.w' of entry"),
     ("run/model.ckpt.json", _set("model_config", "lambda_mode"), _EVAL, "lacks key(s) 'lambda_mode'"),
     ("corpus/manifest.json", _set("config", "noise_sigma"), _EVAL, "lacks key(s) 'noise_sigma'"),
+    # a key repeated in a JSON object, which json.loads would let the last copy win
+    ("corpus/manifest.json", _repeat("config", "seed"), _TRAIN, "repeated key 'seed'"),
+    ("run/model.ckpt.json", _repeat("model_config", "dim"), _EVAL, "repeated key 'dim'"),
+    ("run/train_log.jsonl", _repeat("loss_dh"), _REPORT, "repeated key 'loss_dh'"),
 ]
 
 
