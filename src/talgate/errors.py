@@ -6,8 +6,8 @@ ConfigError and FormatError mark problems with user-supplied inputs
 Anything else escaping a command is treated as an internal error (exit 3).
 A run config file may leave any key at its default; a config block that a
 writer stored beside its data (the manifest's, the checkpoint sidecar's)
-holds every field, so a reader takes none from a default
-(``read_config_block``).
+holds every field and no other key, so a reader takes none from a default
+and a former key is an error (``read_config_block``).
 """
 
 import json
@@ -61,7 +61,6 @@ JSON_TYPES = {
     "int": (_is_int, "an integer"),
     "float": (_is_finite, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
                           "a list of finite numbers"),
 }
@@ -87,12 +86,16 @@ def read_config_block(cls, block, where: str):
     try:
         if not isinstance(block, dict):
             raise ConfigError(f"config block must be a JSON object, got {json.dumps(block)}")
-        missing = [f.name for f in fields(cls) if f.name not in block]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in block]
         if missing:
             raise ConfigError(f"config block lacks key(s) {', '.join(map(repr, missing))}")
+        unknown = [key for key in block if key not in names]
+        if unknown:
+            raise ConfigError(f"config block has unknown key(s) {', '.join(map(repr, unknown))}")
         check_types("config block", block, cls)
         return cls(**block).validate()
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 

@@ -6,7 +6,8 @@ Classification and localization features are formed as a residual
 aggregation: vision plus lambda times the matching language stream, so
 lambda = 0 reduces the model to vision-only bit for bit.
 
-Two small convolutional trunks (classification and localization) read the
+Two small convolutional trunks (classification and localization), each
+``HEAD_LAYERS`` conv layers of kernel ``KERNEL`` and width ``dim``, read the
 aggregated features; per-frame heads emit class probabilities and boundary
 offsets, which a forward pass returns in one ``Forward`` record with the
 gate and what ``backward_video`` reads.  The template head (token logits for
@@ -33,42 +34,28 @@ from .synthgen import LanguageBundle, Segment, VideoRecord
 
 LAMBDA_MODES = ("learned", "fixed", "language_only")
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
+HEAD_LAYERS = 2          # conv layers per trunk, each of width dim
+KERNEL = 3               # their kernel width
+SCORE_THRESHOLD = 0.01   # decode keeps the (frame, class) scores at or above this
+TOP_K_PRE_NMS = 200      # and at most this many of a video's rows, the highest scored
+NMS_TIOU = 0.5           # predict_corpus suppresses same-class overlaps above this tIoU
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A model's settings: the feature width and class count of its corpus,
+    and its gate (``forward_video``).  The trunks' shape and the decoding
+    settings are the module constants above."""
     dim: int
     num_classes: int
-    head_layers: int = 2
-    kernel: int = 3
-    hidden: int | None = None
-    nms_tiou: float = 0.5
-    top_k_pre_nms: int = 200
-    score_threshold: float = 0.01
     lambda_mode: str = "learned"
     fixed_lambda: float = 0.0
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.dim if self.hidden is None else self.hidden
 
     def validate(self) -> "ModelConfig":
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.head_layers < 1:
-            raise ConfigError(f"head_layers must be >= 1, got {self.head_layers}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.hidden is not None and self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if not (0.0 < self.nms_tiou < 1.0):
-            raise ConfigError(f"nms_tiou must lie in (0, 1), got {self.nms_tiou}")
-        if self.top_k_pre_nms < 1:
-            raise ConfigError(f"top_k_pre_nms must be >= 1, got {self.top_k_pre_nms}")
-        if not (0.0 <= self.score_threshold < 1.0):
-            raise ConfigError(f"score_threshold must lie in [0, 1), got {self.score_threshold}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
         if not (0.0 <= self.fixed_lambda <= 1.0):
@@ -88,22 +75,16 @@ class ModelState:
     def __init__(self, cfg: ModelConfig, rng: Rng | None):
         cfg.validate()
         self.cfg = cfg
-        d, h = cfg.dim, cfg.hidden_dim
+        d = cfg.dim
         # start the gate half-open so the language pathway actually trains;
         # the advantage regression then closes it wherever language fails to help
         self.adv_fc = Linear(d, 1, rng, w_scale=0.1 / np.sqrt(d))
         self.adv_fc.b.value[...] = 1.0
-        self.cls_trunk = []
-        self.loc_trunk = []
-        for i in range(cfg.head_layers):
-            din = d if i == 0 else h
-            self.cls_trunk.append(Conv1d(cfg.kernel, din, h, rng))
-        self.cls_out = Linear(h, cfg.num_classes, rng, w_scale=1.0 / np.sqrt(h))
-        self.tmpl_out = Linear(h, cfg.num_classes + 1, rng, w_scale=1.0 / np.sqrt(h))
-        for i in range(cfg.head_layers):
-            din = d if i == 0 else h
-            self.loc_trunk.append(Conv1d(cfg.kernel, din, h, rng))
-        self.loc_out = Linear(h, 2, rng, w_scale=1.0 / np.sqrt(h))
+        self.cls_trunk = [Conv1d(KERNEL, d, d, rng) for _ in range(HEAD_LAYERS)]
+        self.cls_out = Linear(d, cfg.num_classes, rng, w_scale=1.0 / np.sqrt(d))
+        self.tmpl_out = Linear(d, cfg.num_classes + 1, rng, w_scale=1.0 / np.sqrt(d))
+        self.loc_trunk = [Conv1d(KERNEL, d, d, rng) for _ in range(HEAD_LAYERS)]
+        self.loc_out = Linear(d, 2, rng, w_scale=1.0 / np.sqrt(d))
         self.loc_out.b.value[...] = 1.0  # start with open, non-degenerate intervals
 
         params = [p for _, p in self.named_params()]
@@ -367,17 +348,17 @@ def tiou_array(sa, ea, sb, eb) -> np.ndarray:
         return inter / ((ea - sa) + (eb - sb) - inter)
 
 
-def decode_proposals(scores: np.ndarray, offsets: np.ndarray, cfg: ModelConfig) -> Proposals:
+def decode_proposals(scores: np.ndarray, offsets: np.ndarray) -> Proposals:
     """Frame-wise decoding of one video's L x C scores and L x 2 offsets:
-    (l - off0, l + off1, c, score) above threshold.
+    (l - off0, l + off1, c, score) for each score >= ``SCORE_THRESHOLD``.
 
     Boundaries are clamped to [0, L] (``max(0, l - off0)``,
     ``min(L, l + off1)``); empty intervals are dropped, so every row is a
     non-empty interval.  The table is in canonical order, ties kept in
-    frame-major order, and cut to cfg.top_k_pre_nms rows.
+    frame-major order, and cut to ``TOP_K_PRE_NMS`` rows.
     """
     L = scores.shape[0]
-    frames, labels = np.nonzero(scores >= cfg.score_threshold)
+    frames, labels = np.nonzero(scores >= SCORE_THRESHOLD)
     start = frames - offsets[frames, 0]
     start = np.where(start > 0.0, start, 0.0)  # Python's max(0, x), NaN included
     end = frames + offsets[frames, 1]
@@ -385,7 +366,7 @@ def decode_proposals(scores: np.ndarray, offsets: np.ndarray, cfg: ModelConfig) 
     live = start < end
     start, end, labels = start[live], end[live], labels[live]
     score = scores[frames[live], labels]
-    order = np.lexsort((labels, end, start, -score))[:cfg.top_k_pre_nms]
+    order = np.lexsort((labels, end, start, -score))[:TOP_K_PRE_NMS]
     return Proposals(start[order], end[order], labels[order], score[order],
                      np.zeros(len(order), dtype=np.int64))
 
@@ -454,11 +435,11 @@ def predict_corpus(state: ModelState, videos: Iterable[VideoRecord],
             if view is None:
                 gates.append(fwd.lam)
             del record, fwd  # the activations and the view, freed before decode and the next pass
-            tables.append(decode_proposals(scores, offsets, state.cfg))
+            tables.append(decode_proposals(scores, offsets))
         del video  # before the stream builds the next
     kept = []
     while decoded:  # each stream's decoded tables, freed once stacked
-        kept.append(nms(Proposals.stack(decoded.pop(0)), state.cfg.nms_tiou))
+        kept.append(nms(Proposals.stack(decoded.pop(0)), NMS_TIOU))
     return kept[0], gates, gt, *kept[1:]
 
 

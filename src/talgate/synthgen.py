@@ -35,6 +35,8 @@ from .nn import Rng
 MIN_SEGMENT = 8      # frames; shortest generated action
 MAX_SEGMENTS = 3     # per video
 RAMP_SCALE = 32.0    # frames; normalizer for the boundary-distance ramps
+NOISE_SIGMA = 1.0    # std of the white noise on every vision and language stream
+BACKGROUND_FRACTION = 0.4  # share of a video's frames that no segment covers
 # decorrelate the conflicted twin's and the distractor clips' draws from the corpus stream
 _CONFLICT_SALT = 0xC04F11C7ED
 _DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED
@@ -44,15 +46,15 @@ _DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED
 class GenConfig:
     """A corpus's settings.  The defaults are the stock corpus, the bias
     benchmark: classes 0-3 visually easy with unhelpful language, classes
-    4-7 visually ambiguous with highly informative language."""
+    4-7 visually ambiguous with highly informative language.  The noise
+    level and the background share are the module constants
+    ``NOISE_SIGMA`` and ``BACKGROUND_FRACTION``."""
     num_classes: int = 8
     num_videos: int = 64
     frames: int = 256
     dim: int = 32
     ambiguity: tuple[float, ...] = (0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8)
     helpfulness: tuple[float, ...] = (0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9)
-    noise_sigma: float = 1.0
-    background_fraction: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
@@ -73,10 +75,6 @@ class GenConfig:
                 raise ConfigError(f"{name} needs {self.num_classes} entries, got {len(values)}")
             if any(not (0.0 <= v <= 1.0) for v in values):
                 raise ConfigError(f"{name} entries must lie in [0, 1], got {values}")
-        if not (self.noise_sigma >= 0.0 and np.isfinite(self.noise_sigma)):
-            raise ConfigError(f"noise_sigma must be a finite non-negative real, got {self.noise_sigma}")
-        if not (0.0 < self.background_fraction < 1.0):
-            raise ConfigError(f"background_fraction must lie in (0, 1), got {self.background_fraction}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         return self
@@ -158,7 +156,7 @@ def _split(total: int, parts: int, minimum: int, rng: Rng) -> list[int]:
 
 def _sample_segments(cfg: GenConfig, rng: Rng) -> list[Segment]:
     L = cfg.frames
-    budget = int(round((1.0 - cfg.background_fraction) * L))
+    budget = int(round((1.0 - BACKGROUND_FRACTION) * L))
     budget = max(MIN_SEGMENT, min(budget, L))
     max_segs = max(1, min(MAX_SEGMENTS, budget // MIN_SEGMENT))
     n = 1 + rng.randint(max_segs)
@@ -187,7 +185,7 @@ def _vision_frames(cfg: GenConfig, lat: _Latents, segments: list[Segment], rng: 
     language prior can exploit.  ``force_beta`` pins the weight instead
     (distractor clips use the pair midpoint, the most ambiguous look).
     """
-    noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
+    noise = rng.normal_matrix(cfg.frames, cfg.dim, NOISE_SIGMA)
     base = np.repeat(lat.vis_bg, cfg.frames, axis=0)
     for seg in segments:
         if force_beta is None:
@@ -209,9 +207,9 @@ def _language_bundle(cfg: GenConfig, lat: _Latents, segments: list[Segment],
     relabeling for a conflicted one.
     """
     L, D = cfg.frames, cfg.dim
-    cls_noise = rng.normal_matrix(L, D, cfg.noise_sigma)
-    loc_noise = rng.normal_matrix(L, D, cfg.noise_sigma)
-    adv_noise = rng.normal_matrix(L, D, cfg.noise_sigma)
+    cls_noise = rng.normal_matrix(L, D, NOISE_SIGMA)
+    loc_noise = rng.normal_matrix(L, D, NOISE_SIGMA)
+    adv_noise = rng.normal_matrix(L, D, NOISE_SIGMA)
 
     mean_h = float(np.mean(cfg.helpfulness))
     cls = np.repeat(mean_h * lat.lang_bg, L, axis=0)
@@ -305,9 +303,9 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
     pseudo = [Segment(s.start, s.end, eligible[rng.randint(len(eligible))])
               for s in _sample_segments(cfg, rng)]
     vis = _vision_frames(cfg, lat, pseudo, rng, force_beta=0.5)
-    cls_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
-    loc_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
-    adv_noise = rng.normal_matrix(cfg.frames, cfg.dim, cfg.noise_sigma)
+    cls_noise = rng.normal_matrix(cfg.frames, cfg.dim, NOISE_SIGMA)
+    loc_noise = rng.normal_matrix(cfg.frames, cfg.dim, NOISE_SIGMA)
+    adv_noise = rng.normal_matrix(cfg.frames, cfg.dim, NOISE_SIGMA)
     mean_h = float(np.mean(cfg.helpfulness))
     cls = np.repeat(mean_h * lat.lang_bg, cfg.frames, axis=0)
     adv = np.zeros((cfg.frames, cfg.dim))
@@ -322,16 +320,21 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
 _STREAM_KEYS = ("vis", "cls", "loc", "adv")
 
 
+def _is_blob_name(name) -> bool:
+    """Whether a manifest's blob name is one ``write_corpus`` writes: a bare
+    ``.bin`` file name, which names a file in the manifest's directory."""
+    return isinstance(name, str) and name.endswith(".bin") and Path(name).name == name
+
+
 def _manifest_blobs(path: Path) -> set[str]:
-    """The blob file names a corpus manifest names, each a bare ``.bin``
-    name in the manifest's directory; none for a missing or unreadable
-    manifest."""
+    """The names a corpus manifest gives its blobs that pass
+    ``_is_blob_name``; none for a missing or unreadable manifest."""
     try:
         entries = read_json(path, "manifest")["videos"]
         names = {name for entry in entries for name in entry["blobs"].values()}
     except (OSError, FormatError, LookupError, TypeError, AttributeError):
         return set()
-    return {n for n in names if isinstance(n, str) and n.endswith(".bin") and Path(n).name == n}
+    return set(filter(_is_blob_name, names))
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
@@ -424,11 +427,13 @@ def open_corpus(in_dir) -> Corpus:
 
     Every manifest check runs here, before any blob is read: a missing
     manifest or blob, and a manifest ``write_corpus`` cannot have written
-    (a config value of the wrong JSON type, no videos, a video count,
-    frames or dim off the config block, a repeated id, a segment out of
-    bounds or overlapping another), is a FormatError naming the key.  Each
-    blob is checked as its video is read: its header, size and finite
-    payload (``blobio.read_matrix``) and its shape against the manifest's.
+    (a config block with a key missing, unknown or of the wrong JSON type,
+    no videos, a video count, frames or dim off the config block, a
+    repeated id, a blob name that is not a bare ``.bin`` file name, a
+    segment out of bounds or overlapping another), is a FormatError naming
+    the key.  Each blob is checked as its video is read: its header, size
+    and finite payload (``blobio.read_matrix``) and its shape against the
+    manifest's.
     """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
@@ -459,7 +464,11 @@ def open_corpus(in_dir) -> Corpus:
         blobs = _get(entry, "blobs", dict, at)
         paths = []
         for key in _STREAM_KEYS:
-            blob_path = in_dir / _get(blobs, key, str, f"{at}.blobs")
+            name = _get(blobs, key, str, f"{at}.blobs")
+            if not _is_blob_name(name):
+                raise FormatError(f"{at}.blobs: key {key!r} must name a .bin file in the corpus "
+                                  f"directory, got {name!r}")
+            blob_path = in_dir / name
             if not blob_path.is_file():
                 raise FormatError(f"video {vid}: missing {key} blob {blob_path}")
             paths.append(blob_path)

@@ -372,7 +372,7 @@ def test_pipeline_determinism(tmp_path, capsys):
     cfg_path.write_text(json.dumps({
         "num_classes": 4, "num_videos": 12, "frames": 64, "dim": 8,
         "ambiguity": [0.1, 0.1, 0.7, 0.7], "helpfulness": [0.3, 0.3, 0.9, 0.9],
-        "epochs": 6, "top_k_pre_nms": 50,
+        "epochs": 6,
     }))
     outputs = []
     for tag in ("a", "b"):

@@ -26,7 +26,8 @@ from talgate.cli import (ABLATION_MODES, ABLATION_ROWS, SWEEP_LAMBDAS, _align, b
                          render_train_log)
 from talgate.errors import ConfigError, FormatError, read_json
 from talgate.metrics import validate_report
-from talgate.model import ModelConfig, ModelState, load_checkpoint, save_checkpoint
+from talgate.model import (TOP_K_PRE_NMS, ModelConfig, ModelState, load_checkpoint,
+                           save_checkpoint)
 from talgate.nn import Rng
 from talgate.synthgen import (Corpus, GenConfig, LanguageBundle, Segment,
                               VideoRecord, generate_corpus, open_corpus, read_corpus,
@@ -36,7 +37,7 @@ from talgate.train import TrainConfig
 TINY = {
     "num_classes": 3, "num_videos": 6, "frames": 48, "dim": 8,
     "ambiguity": [0.3, 0.3, 0.3], "helpfulness": [0.7, 0.7, 0.7],
-    "epochs": 4, "top_k_pre_nms": 50,
+    "epochs": 4,
 }
 
 
@@ -96,10 +97,7 @@ STOCK_RUN_CONFIG = {
     "num_classes": 8, "num_videos": 64, "frames": 256, "dim": 32,
     "ambiguity": [0.1, 0.1, 0.1, 0.1, 0.8, 0.8, 0.8, 0.8],
     "helpfulness": [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9],
-    "noise_sigma": 1.0, "background_fraction": 0.4,
-    "head_layers": 2, "kernel": 3, "hidden": None, "nms_tiou": 0.5,
-    "top_k_pre_nms": 200, "score_threshold": 0.01, "lambda_mode": "learned",
-    "fixed_lambda": 0.0,
+    "lambda_mode": "learned", "fixed_lambda": 0.0,
     "epochs": 60, "lambda_tg": 0.1, "lambda_adv": 0.1,
     "seed": 0,
 }
@@ -143,20 +141,18 @@ class TestRunConfig:
 
     def test_values_of_each_json_type_accepted(self, tmp_path):
         p = tmp_path / "c.json"
-        good = {"hidden": 8, "lambda_tg": 1, "fixed_lambda": 0.5, "epochs": 4,
+        good = {"num_videos": 8, "lambda_tg": 1, "fixed_lambda": 0.5, "epochs": 4,
                 "ambiguity": [0.1] * 7 + [1], "lambda_mode": "fixed"}
         p.write_text(json.dumps(good))
         run = load_run_config(str(p))
         assert {k: run[k] for k in good} == good
-        p.write_text('{"hidden": null}')
-        assert load_run_config(str(p))["hidden"] is None
 
 
 MISTYPED_CONFIGS = [
     ("train", "epochs", "x"),
     ("gen", "dim", "8"),
-    ("train", "hidden", "8"),
-    ("train", "hidden", 8.0),
+    ("train", "frames", "8"),
+    ("train", "epochs", 8.0),
     ("gen", "ambiguity", 3),
     ("gen", "ambiguity", ["0.1", "0.1", "0.1"]),
     ("gen", "seed", 1.5),
@@ -169,8 +165,8 @@ MISTYPED_CONFIGS = [
     ("train", "fixed_lambda", math.nan),
     ("train", "lambda_adv", math.inf),
     ("train", "lambda_tg", math.inf),
-    ("train", "noise_sigma", -math.inf),
-    ("ablate", "nms_tiou", math.nan),
+    ("train", "lambda_adv", -math.inf),
+    ("ablate", "fixed_lambda", math.nan),
 ]
 
 
@@ -205,10 +201,12 @@ def test_mistyped_config_value_is_data_error(command, key, value, workspace, tmp
 # load, whichever part of it the command uses.
 BAD_VALUE_CONFIGS = [
     ("gen", "epochs", 3),
+    # former keys are unknown at any value, their old defaults included: tIoU is fixed at
+    # metrics.TIOU_THRESHOLDS, Adam's settings and the localization weight at train's,
+    # the trunks' shape and the decoding settings at model's, the noise level and the
+    # background share at synthgen's
     ("train", "noise_sigma", -0.5),
     ("ablate", "nms_tiou", 1.0),
-    # former keys are unknown at any value, their old defaults included: tIoU is fixed at
-    # metrics.TIOU_THRESHOLDS, and Adam's settings and the localization weight at train's
     ("ablate", "tiou_thresholds", [0.3, 0.4, 0.5, 0.6, 0.7]),
     ("train", "lr", 2e-3),
     ("train", "lambda_loc", 1.0),
@@ -218,6 +216,14 @@ BAD_VALUE_CONFIGS = [
     ("train", "adam_eps", 0.0),
     ("train", "adam_eps", -1.0),
     ("ablate", "adam_eps", -1.0),
+    ("gen", "head_layers", 2),
+    ("train", "kernel", 3),
+    ("train", "hidden", None),
+    ("ablate", "nms_tiou", 0.5),
+    ("train", "top_k_pre_nms", 200),
+    ("ablate", "score_threshold", 0.01),
+    ("gen", "noise_sigma", 1.0),
+    ("train", "background_fraction", 0.4),
 ]
 
 
@@ -742,7 +748,7 @@ class TestStoredCorpus:
                 tracemalloc.stop()
 
         stream = frames * dim * 8  # one float64 stream of one video
-        table = model_cfg.top_k_pre_nms * 5 * 8  # a full decoded table: five 8-byte columns
+        table = TOP_K_PRE_NMS * 5 * 8  # a full decoded table: five 8-byte columns
         gate = frames * 8
         assert 12 * (3 * table + gate) + 4 * stream < 12 * stream
         assert peak(16) - peak(4) < 12 * (3 * table + gate) + 4 * stream
@@ -871,10 +877,13 @@ def _parent(doc, path):
     return doc
 
 
-def _set(*path, value=None):
-    """Replace (or, with value None, drop) the key at ``path`` of a JSON file."""
+_DROP = object()
+
+
+def _set(*path, value=_DROP):
+    """Replace (or, with no value, drop) the key at ``path`` of a JSON file."""
     def edit(doc):
-        if value is None:
+        if value is _DROP:
             del _parent(doc, path)[path[-1]]
         else:
             _parent(doc, path)[path[-1]] = value
@@ -900,6 +909,15 @@ def _overlapping_segment(p):
 
 def _nan_last(p):
     p.write_bytes(p.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+
+
+def _vis_blob(name_of):
+    """Name as the first video's vis blob the name ``name_of`` gives for the manifest's path."""
+    def corrupt(p):
+        doc = json.loads(p.read_text())
+        doc["videos"][0]["blobs"]["vis"] = name_of(p)
+        p.write_text(json.dumps(doc))
+    return corrupt
 
 
 def _drop_last_video(p):
@@ -967,8 +985,8 @@ CORRUPTIONS = [
                               (_overlapping_segment, "videos[0].gt[")]],
     # sidecar values of the wrong JSON type
     *[("run/model.ckpt.json", _set("model_config", key, value=value), _EVAL, repr(key))
-      for key, value in [("dim", 4.5), ("head_layers", 1.5), ("top_k_pre_nms", 2.5),
-                         ("hidden", True)]],
+      for key, value in [("dim", 4.5), ("num_classes", 1.5), ("lambda_mode", 2.5),
+                         ("fixed_lambda", True)]],
     # a manifest listing one video fewer than its config block's num_videos
     *[("corpus/manifest.json", _drop_last_video, argv, "'videos' has length 5")
       for argv in (_EVAL, _TRAIN)],
@@ -985,11 +1003,21 @@ CORRUPTIONS = [
     # a repeated checkpoint entry, and stored config blocks that lack a defaulted field
     ("run/model.ckpt", _repeat_first_entry, _EVAL, "repeated name 'adv_fc.w' of entry"),
     ("run/model.ckpt.json", _set("model_config", "lambda_mode"), _EVAL, "lacks key(s) 'lambda_mode'"),
-    ("corpus/manifest.json", _set("config", "noise_sigma"), _EVAL, "lacks key(s) 'noise_sigma'"),
+    ("corpus/manifest.json", _set("config", "helpfulness"), _EVAL, "lacks key(s) 'helpfulness'"),
     # a key repeated in a JSON object, which json.loads would let the last copy win
     ("corpus/manifest.json", _repeat("config", "seed"), _TRAIN, "repeated key 'seed'"),
     ("run/model.ckpt.json", _repeat("model_config", "dim"), _EVAL, "repeated key 'dim'"),
     ("run/train_log.jsonl", _repeat("loss_dh"), _REPORT, "repeated key 'loss_dh'"),
+    # blob names that leave the corpus directory, though each names a readable blob
+    ("corpus/manifest.json", _vis_blob(lambda p: str(p.parent.resolve() / "v0001_vis.bin")),
+     _TRAIN, "videos[0].blobs: key 'vis'"),
+    ("corpus/manifest.json", _vis_blob(lambda p: f"../{p.parent.name}/v0001_cls.bin"),
+     _EVAL, "videos[0].blobs: key 'vis'"),
+    # stored config blocks that still hold a former key
+    ("run/model.ckpt.json", _set("model_config", "hidden", value=None), _EVAL,
+     "unknown key(s) 'hidden'"),
+    ("corpus/manifest.json", _set("config", "noise_sigma", value=1.0), _TRAIN,
+     "unknown key(s) 'noise_sigma'"),
 ]
 
 
@@ -1186,11 +1214,12 @@ def perfect_corpus_and_state(root):
     corpus_dir = root / "oracle_corpus"
     write_corpus(Corpus(cfg, videos), corpus_dir)
 
-    state = ModelState(ModelConfig(dim=4, num_classes=2, head_layers=1, kernel=1,
-                                   lambda_mode="fixed", fixed_lambda=0.0), Rng(0))
-    for trunk in (state.cls_trunk, state.loc_trunk):
-        trunk[0].w.value[...] = np.eye(4)
-        trunk[0].b.value[...] = 0.0
+    state = ModelState(ModelConfig(dim=4, num_classes=2, lambda_mode="fixed", fixed_lambda=0.0),
+                       Rng(0))
+    for conv in state.cls_trunk + state.loc_trunk:  # each conv passes its non-negative input on
+        conv.w.value[...] = 0.0
+        conv.w.value[4:8] = np.eye(4)  # the centre tap of three
+        conv.b.value[...] = 0.0
     state.cls_out.w.value[...] = 0.0
     state.cls_out.w.value[0, 0] = 10.0
     state.cls_out.w.value[1, 1] = 10.0

@@ -18,8 +18,8 @@ from talgate.metrics import (HALLUCINATION_TOP_K, PROBE_SPAN_THRESHOLDS, REPORT_
                              average_precision, canonical_json,
                              difficulty_buckets, hallucination_rates, lap, map_at,
                              _report_validator, mla, validate_report)
-from talgate.model import (ModelConfig, ModelState, decode_proposals, forward_video,
-                           nms, predict_corpus)
+from talgate.model import (NMS_TIOU, SCORE_THRESHOLD, ModelConfig, ModelState,
+                           decode_proposals, forward_video, nms, predict_corpus)
 from talgate.nn import Rng
 from talgate.synthgen import (GenConfig, Segment, generate_corpus, generate_distractors,
                               inject_conflict, open_corpus, write_corpus)
@@ -417,8 +417,7 @@ class TestDifficultyBuckets:
 def constant_output_state(frames, score, num_classes=2, dim=6):
     """A handcrafted model that proposes [0, frames) at a fixed score on
     class 0 for every frame, regardless of input."""
-    cfg = ModelConfig(dim=dim, num_classes=num_classes, head_layers=1,
-                      lambda_mode="fixed", fixed_lambda=0.0)
+    cfg = ModelConfig(dim=dim, num_classes=num_classes, lambda_mode="fixed", fixed_lambda=0.0)
     state = ModelState(cfg, Rng(0))
     state.cls_out.w.value[...] = 0.0
     state.cls_out.b.value[...] = -50.0
@@ -454,20 +453,22 @@ class TestAmbiguityProbe:
         with pytest.raises(ConfigError, match="num_videos must be >= 1"):
             ambiguity_probe(constant_output_state(48, 0.8), probe_config(num=0))
 
-    # at score threshold 0.75, clips 4 and 7 of the eight decode no rows and the others do
-    @pytest.mark.parametrize("seed, top_k, threshold",
-                             [(5, 200, 0.01), (6, 200, 0.01), (5, 1, 0.01), (5, 200, 0.75)],
-                             ids=["5-200", "6-200", "5-1", "5-200-mixed"])
-    def test_top_row_is_first_row_kept_by_nms(self, seed, top_k, threshold, caplog):
+    # scores at least 0.75 clear the decode threshold once the class biases drop by
+    # logit(0.75) - logit(SCORE_THRESHOLD): then clips 4 and 7 of the eight decode
+    # no rows and the others do
+    @pytest.mark.parametrize("seed, cleared", [(5, 0.01), (6, 0.01), (5, 0.75)],
+                             ids=["5-200", "6-200", "5-200-mixed"])
+    def test_top_row_is_first_row_kept_by_nms(self, seed, cleared, caplog):
         cfg = probe_config(num=8)
         clips = list(generate_distractors(cfg))
-        state = ModelState(ModelConfig(dim=6, num_classes=2, top_k_pre_nms=top_k,
-                                       score_threshold=threshold), Rng(seed))
+        state = ModelState(ModelConfig(dim=6, num_classes=2), Rng(seed))
+        state.cls_out.b.value[...] -= (math.log(cleared / (1.0 - cleared))
+                                       - math.log(SCORE_THRESHOLD / (1.0 - SCORE_THRESHOLD)))
         confs, spans, suppressed, silent = [], [], 0, []
         for v in clips:
             fwd = forward_video(state, v.vis, v.lang)
-            decoded = decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg)
-            kept = nms(decoded, state.cfg.nms_tiou)
+            decoded = decode_proposals(fwd.cls_scores, fwd.offsets)
+            kept = nms(decoded, NMS_TIOU)
             assert proposal_rows(decoded)[:1] == proposal_rows(kept)[:1]
             suppressed += len(kept) < len(decoded)
             if not len(kept):
@@ -475,8 +476,8 @@ class TestAmbiguityProbe:
             top = proposal_rows(kept)[0] if len(kept) else (0.0, 0.0, 0, 0.0)
             confs.append(top[3])
             spans.append((top[1] - top[0]) / v.vis.shape[0])
-        assert suppressed > 0 or top_k == 1
-        assert len(silent) == (2 if threshold > 0.5 else 0)  # a mixed probe at 0.75
+        assert suppressed > 0
+        assert len(silent) == (2 if cleared > 0.5 else 0)  # a mixed probe
         want = ProbeStats(float(np.mean(confs)), float(np.mean(spans)),
                           {t: float(np.mean([s < t for s in spans])) for t in PROBE_SPAN_THRESHOLDS})
         with caplog.at_level(logging.INFO, logger="talgate.metrics"):

@@ -12,8 +12,8 @@ from oracles import (cross_entropy_reference, decode_reference, grad_check,
                      interval_iou, nms_reference, proposal_rows, proposals_from_rows,
                      video_rows)
 from talgate.errors import ConfigError, FormatError
-from talgate.model import (ModelConfig, ModelState, Proposals,
-                           aggregate, backward_video, decode_proposals,
+from talgate.model import (NMS_TIOU, SCORE_THRESHOLD, TOP_K_PRE_NMS, ModelConfig,
+                           ModelState, Proposals, aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
                            predict_corpus, save_checkpoint,
@@ -24,7 +24,7 @@ from talgate.synthgen import (Corpus, LanguageBundle, Segment, VideoRecord,
 
 
 def tiny_model_config(**overrides):
-    base = dict(dim=5, num_classes=3, head_layers=2, kernel=3)
+    base = dict(dim=5, num_classes=3)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -37,13 +37,12 @@ def random_bundle(rng, L, D):
 class TestModelConfig:
     @pytest.mark.parametrize("overrides, field", [
         (dict(num_classes=1), "num_classes"),
-        (dict(kernel=2), "kernel"),
-        (dict(head_layers=0), "head_layers"),
-        (dict(nms_tiou=0.0), "nms_tiou"),
-        (dict(score_threshold=1.0), "score_threshold"),
+        (dict(dim=0), "dim"),
+        (dict(fixed_lambda=-0.5), "fixed_lambda"),
+        (dict(fixed_lambda=math.nan), "fixed_lambda"),
+        (dict(lambda_mode="language-only"), "lambda_mode"),  # the ablation mode's spelling
         (dict(lambda_mode="magic"), "lambda_mode"),
         (dict(fixed_lambda=1.5), "fixed_lambda"),
-        (dict(hidden=0), "hidden"),
     ])
     def test_bad_value_names_field(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -219,18 +218,15 @@ class TestForwardModes:
 
 
 class TestDecode:
-    def setup_method(self):
-        self.cfg = tiny_model_config(num_classes=2, score_threshold=0.01)
-
     def test_below_threshold_empty(self):
-        assert proposal_rows(decode_proposals(np.full((5, 2), 0.001), np.ones((5, 2)), self.cfg)) == []
+        assert proposal_rows(decode_proposals(np.full((5, 2), 0.001), np.ones((5, 2)))) == []
 
     def test_direct_substitution(self):
         scores = np.zeros((20, 2))
         scores[10, 1] = 0.9
         offsets = np.zeros((20, 2))
         offsets[10] = (2.0, 3.0)
-        props = decode_proposals(scores, offsets, self.cfg)
+        props = decode_proposals(scores, offsets)
         assert proposal_rows(props) == [(8.0, 13.0, 1, 0.9)]
 
     def test_clamps_to_video_bounds(self):
@@ -238,39 +234,40 @@ class TestDecode:
         scores[1, 0] = 0.5
         offsets = np.zeros((20, 2))
         offsets[1] = (5.0, 30.0)
-        props = decode_proposals(scores, offsets, self.cfg)
+        props = decode_proposals(scores, offsets)
         assert proposal_rows(props) == [(0.0, 20.0, 0, 0.5)]
 
     def test_drops_empty_intervals(self):
         scores = np.zeros((20, 2))
         scores[4, 0] = 0.5
-        props = decode_proposals(scores, np.zeros((20, 2)), self.cfg)
+        props = decode_proposals(scores, np.zeros((20, 2)))
         assert len(props) == 0
 
     def test_sorted_and_truncated(self):
         rng = Rng(14)
-        scores = np.abs(rng.normal_matrix(30, 2, 0.3))
-        offsets = np.abs(rng.normal_matrix(30, 2, 4.0)) + 0.5
-        cfg = tiny_model_config(num_classes=2, top_k_pre_nms=7)
-        props = decode_proposals(scores, offsets, cfg)
-        assert len(props) == 7
+        scores = np.abs(rng.normal_matrix(150, 2, 0.3))
+        offsets = np.abs(rng.normal_matrix(150, 2, 4.0)) + 0.5
+        props = decode_proposals(scores, offsets)
+        assert len(props) == TOP_K_PRE_NMS
         assert np.all(props.score[:-1] >= props.score[1:])
-        everything = decode_proposals(scores, offsets, self.cfg)
-        assert proposal_rows(props) == proposal_rows(everything)[:7]
+        everything = decode_reference(scores.tolist(), offsets.tolist(), SCORE_THRESHOLD, 300)
+        assert len(everything) > TOP_K_PRE_NMS
+        assert proposal_rows(props) == everything[:TOP_K_PRE_NMS]
 
     def test_matches_reference_with_ties(self):
         rng = Rng(16)
-        cuts_through_ties = 0
+        # six score levels, one at the threshold and one below it, and
+        # half-frame offsets: tied scores, shared starts and ends, offsets past
+        # both video bounds, empty intervals; up to 480 candidate rows, so
+        # many tables are cut at TOP_K_PRE_NMS and many are not
+        levels = (0.0, SCORE_THRESHOLD, 0.25, 0.5, 0.75, 1.0)
+        top_k, cuts_through_ties = TOP_K_PRE_NMS, 0
         for _ in range(80):
-            L, C = 1 + rng.randint(30), 2 + rng.randint(3)
-            # five score levels and half-frame offsets: tied scores, shared
-            # starts and ends, offsets past both video bounds, empty intervals
-            scores = np.array([[rng.randint(6) / 5.0 for _ in range(C)] for _ in range(L)])
+            L, C = 1 + rng.randint(120), 2 + rng.randint(3)
+            scores = np.array([[levels[rng.randint(6)] for _ in range(C)] for _ in range(L)])
             offsets = np.array([[rng.randint(7) / 2.0 for _ in range(2)] for _ in range(L)])
-            top_k = 1 + rng.randint(L * C)
-            cfg = tiny_model_config(num_classes=C, score_threshold=0.2, top_k_pre_nms=top_k)
-            got = decode_proposals(scores, offsets, cfg)
-            want = decode_reference(scores.tolist(), offsets.tolist(), 0.2, L * C)
+            got = decode_proposals(scores, offsets)
+            want = decode_reference(scores.tolist(), offsets.tolist(), SCORE_THRESHOLD, L * C)
             assert proposal_rows(got) == want[:top_k]
             cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
         assert cuts_through_ties >= 10
@@ -645,8 +642,7 @@ class TestPrediction:
         kept = []
         for _ in range(2):
             fwd = forward_video(state, v.vis, v.lang)
-            kept.append(proposal_rows(nms(decode_proposals(fwd.cls_scores, fwd.offsets, state.cfg),
-                                          state.cfg.nms_tiou)))
+            kept.append(proposal_rows(nms(decode_proposals(fwd.cls_scores, fwd.offsets), NMS_TIOU)))
         assert kept[0] == kept[1]
         table, gates, gt = predict_corpus(state, corpus.videos)
         assert len(gates) == 2 and set(table.video.tolist()) <= {0, 1}
@@ -655,29 +651,31 @@ class TestPrediction:
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("gate", [None, 0.0])
     def test_predict_corpus_equals_per_video_oracles(self, seed, gate):
-        gen = GenConfig(num_classes=3, num_videos=6, frames=40, dim=8,
+        # 80 frames of 3 classes: up to 240 decoded rows a video, past the cut
+        gen = GenConfig(num_classes=3, num_videos=6, frames=80, dim=8,
                         ambiguity=(0.2, 0.5, 0.8), helpfulness=(0.5,) * 3, seed=seed)
         corpus = generate_corpus(gen)
         # gate 0: the vision view, the records without their language
         videos = corpus.videos if gate is None else [VideoRecord(v.id, v.vis, None, v.gt)
                                                      for v in corpus.videos]
-        cfg = ModelConfig(dim=8, num_classes=3, top_k_pre_nms=60, score_threshold=0.3)
-        state = ModelState(cfg, Rng(seed))
+        state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(seed))
         table, gates, gt = predict_corpus(state, videos)
         assert len(gates) == len(videos)
         assert list(gt.items()) == [(v.id, v.gt) for v in videos]  # in the order read
-        kept = 0
+        kept = cut = 0
         for v, got, lam in zip(videos, video_rows(table, len(videos)), gates, strict=True):
             out = forward_video(state, v.vis, v.lang)
             decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
-                                       cfg.score_threshold, cfg.top_k_pre_nms)
-            want = nms_reference(decoded, cfg.nms_tiou)
+                                       SCORE_THRESHOLD, TOP_K_PRE_NMS)
+            want = nms_reference(decoded, NMS_TIOU)
             assert got == want
-            assert got == proposal_rows(nms(decode_proposals(out.cls_scores, out.offsets, cfg), cfg.nms_tiou))
+            assert got == proposal_rows(nms(decode_proposals(out.cls_scores, out.offsets), NMS_TIOU))
             assert lam.shape == (v.vis.shape[0], 1) and lam.tobytes() == out.lam.tobytes()
             assert gate is None or not lam.any()
             kept += len(want) < len(decoded)
+            cut += len(decoded) == TOP_K_PRE_NMS
         assert kept >= 3  # NMS dropped rows in most videos
+        assert cut >= 3  # and decoding cut the table in most
 
     def test_no_forward_record_outlives_its_video(self, monkeypatch):
         import talgate.model as model
@@ -710,8 +708,7 @@ class TestPrediction:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        state = ModelState(tiny_model_config(hidden=6, lambda_mode="fixed",
-                                             fixed_lambda=0.4), Rng(20))
+        state = ModelState(tiny_model_config(lambda_mode="fixed", fixed_lambda=0.4), Rng(20))
         p = tmp_path / "model.ckpt"
         save_checkpoint(state, p)
         back = load_checkpoint(p)
@@ -791,10 +788,10 @@ class TestParameterStore:
         assert not any(p.grad.any() for p in params)
 
     def test_params_are_views_of_the_store(self):
-        self.check_store(ModelState(tiny_model_config(hidden=6), Rng(27)))
+        self.check_store(ModelState(tiny_model_config(), Rng(27)))
 
     def test_loaded_params_are_views_of_the_store(self, tmp_path):
-        state = ModelState(tiny_model_config(hidden=6), Rng(28))
+        state = ModelState(tiny_model_config(), Rng(28))
         save_checkpoint(state, tmp_path / "m.ckpt")
         back = load_checkpoint(tmp_path / "m.ckpt")
         assert back.values.tobytes() == state.values.tobytes()

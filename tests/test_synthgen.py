@@ -13,7 +13,7 @@ import pytest
 
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
-from talgate.synthgen import (Corpus, GenConfig, generate_corpus,
+from talgate.synthgen import (NOISE_SIGMA, Corpus, GenConfig, generate_corpus,
                               generate_distractors, inject_conflict, open_corpus,
                               partner_class, read_corpus, write_corpus)
 
@@ -63,8 +63,8 @@ class TestConfigValidation:
         (dict(dim=2), "dim"),
         (dict(ambiguity=(0.0, 0.0)), "ambiguity"),
         (dict(helpfulness=(0.5, 0.5, 0.5, 1.5)), "helpfulness"),
-        (dict(noise_sigma=-1.0), "noise_sigma"),
-        (dict(background_fraction=1.0), "background_fraction"),
+        (dict(ambiguity=(0.0, 0.0, -0.1, 0.0)), "ambiguity"),
+        (dict(helpfulness=(0.5, 0.5)), "helpfulness"),
         (dict(seed=-3), "seed"),
     ])
     def test_bad_value_names_field(self, overrides, field):
@@ -134,7 +134,7 @@ def test_zero_helpfulness_language_is_pure_noise():
     bound = 3.0 / np.sqrt(cfg.frames * cfg.num_videos)  # 3 sigma of the mean
     for stream in ("cls_stream", "loc_stream", "adv_stream"):
         stacked = np.concatenate([getattr(v.lang, stream) for v in corpus.videos])
-        assert np.abs(stacked.mean(axis=0)).max() < bound * cfg.noise_sigma * 1.5
+        assert np.abs(stacked.mean(axis=0)).max() < bound * NOISE_SIGMA * 1.5
 
 
 def test_helpfulness_scales_language_accuracy():

@@ -77,7 +77,7 @@ class TestAdam:
 
     def test_matches_per_parameter_loop_bitwise(self):
         rng = Rng(7)
-        state = ModelState(ModelConfig(dim=5, num_classes=3, hidden=4), rng)
+        state = ModelState(ModelConfig(dim=5, num_classes=3), rng)
         params = [p for _, p in state.named_params()]
         start = [p.value.copy() for p in params]
         opt = Adam(state.values, state.grads)
