@@ -8,7 +8,11 @@ with ``--conflict --probe``, with no flag and with ``--conflict`` alone,
 and a 6-video ``gen`` plus ``ablate`` in every mode of
 ``cli.ABLATION_MODES``, then prints
 ``sha256 path`` for every file under OUT and for each command's stdout, in
-path order.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
+path order.  Two more lines hash the streams eval generates and keeps no
+file of: ``generated/stock-twin`` the stock corpus's conflicted twin and
+``generated/stock-probe`` its probe clips (each video's id and its four
+streams, in order); a report shows them only through its rounded LAP and
+probe numbers.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
 and stdout with OUT stripped from it, so two checkouts that compute the
 same bytes print the same lines: run a copy of this script in each and
 diff the outputs.  BLAS runs on one thread, since a threaded GEMM may sum
@@ -29,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from talgate import cli
+from talgate import cli, synthgen
 
 SMALL = {"num_videos": 6}
 # each eval of the stock checkpoint: (name suffix, flags)
@@ -59,6 +63,15 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def streams_digest(videos) -> str:
+    h = hashlib.sha256()
+    for v in videos:
+        h.update(v.id.encode())
+        for stream in (v.vis, v.lang.cls_stream, v.lang.loc_stream, v.lang.adv_stream):
+            h.update(stream.tobytes())
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: artifact_digests.py OUT", file=sys.stderr)
@@ -81,6 +94,11 @@ def main(argv: list[str]) -> int:
         lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  stdout/{name}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         lines.append(f"{digest(path)}  {path.relative_to(out)}")
+    corpus = synthgen.read_corpus(out / "stock" / "corpus")
+    lines.append(f"{streams_digest(map(synthgen.inject_conflict(corpus.config), corpus.videos))}"
+                 "  generated/stock-twin")
+    lines.append(f"{streams_digest(synthgen.generate_distractors(corpus.config))}"
+                 "  generated/stock-probe")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     return 0
 

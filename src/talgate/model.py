@@ -366,6 +366,9 @@ def decode_proposals(scores: np.ndarray, offsets: np.ndarray) -> Proposals:
     live = start < end
     start, end, labels = start[live], end[live], labels[live]
     score = scores[frames[live], labels]
+    if len(score) > TOP_K_PRE_NMS:  # only rows scoring at least the k-th highest can make the cut
+        top = score >= np.partition(score, -TOP_K_PRE_NMS)[-TOP_K_PRE_NMS]
+        start, end, labels, score = start[top], end[top], labels[top], score[top]
     order = np.lexsort((labels, end, start, -score))[:TOP_K_PRE_NMS]
     return Proposals(start[order], end[order], labels[order], score[order],
                      np.zeros(len(order), dtype=np.int64))

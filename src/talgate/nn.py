@@ -60,8 +60,18 @@ class Rng:
     ``uniform`` maps the top 53 bits of one word onto [0, 1).  Normal draws
     use Box-Muller on pairs of words; a block of m normals consumes
     2 * ceil(m / 2) words (u1 block first, then u2 block), so the stream
-    position depends only on the sequence of draw sizes.  Identical seeds
-    give identical sequences on every platform.
+    position depends only on the sequence of draw sizes.
+
+    Words, ``uniform`` and ``randint`` are integer arithmetic and one exact
+    conversion, so identical seeds give identical draws on every platform.
+    Normals also go through numpy's ``log``/``sqrt`` and libm's
+    ``cos``/``sin``, whose last bits can vary with the numpy build, its CPU
+    dispatch and the libm; on one platform they repeat bit for bit.  A block
+    evaluates ``cos``/``sin`` on its angles grouped by the top 8 bits of
+    their u2 word, then puts the results back in draw order.  Each angle
+    still goes through the same elementwise call, so the bits are those of
+    draw-order evaluation; the grouping only keeps libm's range branches
+    predictable, which makes a block of fresh draws faster.
     """
 
     __slots__ = ("_seed", "_counter")
@@ -80,7 +90,13 @@ class Rng:
         return z ^ (z >> np.uint64(31))
 
     def next_u64(self) -> int:
-        return int(self._words(1)[0])
+        """One word, in Python integers: ``_words``' arithmetic without the
+        cost of a one-element array."""
+        self._counter += 1
+        z = (self._seed + self._counter * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """One float in [0, 1) with 53 random mantissa bits."""
@@ -104,9 +120,15 @@ class Rng:
         u2 = (words[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
+        # cos/sin on the angles grouped by range (a radix sort of the top 8 bits),
+        # then taken back to draw order through the inverse permutation
+        perm = np.argsort((words[pairs:] >> np.uint64(56)).astype(np.uint8), kind="stable")
+        back = np.empty_like(perm)
+        back[perm] = np.arange(pairs)
+        theta = theta.take(perm)
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        out[0::2] = r * np.cos(theta).take(back)
+        out[1::2] = r * np.sin(theta).take(back)
         return sigma * out[:n]
 
     def normal_matrix(self, rows: int, cols: int, sigma: float = 1.0) -> np.ndarray:

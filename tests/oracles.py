@@ -320,6 +320,23 @@ def focal_loss_grad_prior(p, y, alpha=0.25, gamma=2.0, eps=1e-7):
     return np.where(y > 0.5, dpos, dneg) * inside
 
 
+def normal_block_prior(words, n, sigma):
+    """n N(0, sigma^2) draws by Box-Muller from 2 * ceil(n / 2) SplitMix64
+    words (the u1 block, then the u2 block), cos and sin evaluated in draw
+    order."""
+    pairs = (n + 1) // 2
+    words = np.asarray(words, dtype=np.uint64)
+    assert len(words) == 2 * pairs
+    u1 = ((words[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (words[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return sigma * out[:n]
+
+
 def linear_input_grad_prior(dout, w):
     """d(x @ w) / dx applied to ``dout``: a matmul against the view w.T."""
     return dout @ w.T

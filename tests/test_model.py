@@ -272,6 +272,22 @@ class TestDecode:
             cuts_through_ties += top_k < len(want) and want[top_k - 1][3] == want[top_k][3]
         assert cuts_through_ties >= 10
 
+    def test_stock_shape_with_ties_at_the_cut(self):
+        rng = Rng(17)
+        L, C = 256, 8
+        offsets = np.array([[rng.randint(9) / 2.0 for _ in range(2)] for _ in range(L)])
+        scores = np.abs(rng.normal_matrix(L, C, 0.3)) + SCORE_THRESHOLD
+        ranked = decode_reference(scores.tolist(), offsets.tolist(), SCORE_THRESHOLD, L * C)
+        assert len(ranked) > 4 * TOP_K_PRE_NMS
+        # rows ranked 190-210 take the score of row 190: one tie run across the cut
+        scores[np.isin(scores, [row[3] for row in ranked[189:210]])] = ranked[189][3]
+        equal = np.full((L, C), 0.5)  # every row tied: start, end, label and frame order decide
+        for table in (scores, equal):
+            want = decode_reference(table.tolist(), offsets.tolist(), SCORE_THRESHOLD, L * C)
+            assert len(want) > TOP_K_PRE_NMS
+            assert want[TOP_K_PRE_NMS - 1][3] == want[TOP_K_PRE_NMS][3]
+            assert proposal_rows(decode_proposals(table, offsets)) == want[:TOP_K_PRE_NMS]
+
 
 def random_rows(rng, n, labels=3, levels=4):
     """n rows with whole-frame bounds and ``levels`` score levels: tied

@@ -7,8 +7,8 @@ import pytest
 
 from oracles import (conv1d_input_grad_prior, conv1d_reference, conv1d_taps_reference,
                      diou_reference, focal_loss_grad_prior, focal_loss_prior, grad_check,
-                     linear_input_grad_prior, linear_reference, relu_grad_prior,
-                     sigmoid_prior, splitmix64_stream)
+                     linear_input_grad_prior, linear_reference, normal_block_prior,
+                     relu_grad_prior, sigmoid_prior, splitmix64_stream)
 from talgate.nn import (PROB_EPS, Conv1d, Linear, Rng, ShapeError, diou_loss,
                         focal_loss, log_softmax, relu, relu_grad, sigmoid)
 
@@ -95,6 +95,23 @@ class TestRng:
         again = list(range(20))
         Rng(21).shuffle(again)
         assert items == again
+
+    def test_scalar_draws_interleaved_with_blocks_follow_the_stream(self):
+        seed = 0x9E3779B97F4A7C15
+        words = iter(splitmix64_stream(seed, 200))
+        rng, rejected = Rng(seed), 0
+        for n in (5, 1, 8, 3):
+            assert rng.next_u64() == next(words)
+            assert rng.randint(2**64) == next(words)  # the raw word
+            bound = 2**63 + 1  # rejects the words at or above 2**63 + 1, about half
+            while (w := next(words)) >= bound:
+                rejected += 1
+            assert rng.randint(bound) == w % bound
+            assert rng.randint(6) == next(words) % 6
+            assert rng.uniform() == (next(words) >> 11) * 2.0**-53
+            block = [next(words) for _ in range(2 * ((n + 1) // 2))]
+            assert _bits(rng.normal_matrix(1, n)) == _bits(normal_block_prior(block, n, 1.0))
+        assert rejected > 0
 
     def test_derangement_has_no_fixed_points(self):
         assert Rng(0).derangement(2) == [1, 0]
@@ -286,6 +303,21 @@ class TestBitwiseOracles:
             # the bool mask scales a gradient to the float mask's bits, signed zeros included
             g = np.where(np.arange(x.size).reshape(x.shape) % 2 == 0, 1.0, -1.0) * np.abs(x[::-1])
             assert _bits(g * mask) == _bits(g * relu_grad_prior(x))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x5DEECE66D2F1B3A7])
+    def test_normal_block(self, seed):
+        sizes = (1, 2, 3, 255, 8191, 8192, 24576)
+        sigmas = (1.0, 0.25, 0.0177)
+        stream = splitmix64_stream(seed, sum(2 * ((n + 1) // 2) + 1 for n in sizes) * len(sigmas))
+        rng, pos = Rng(seed), 0
+        for sigma in sigmas:
+            for n in sizes:
+                used = 2 * ((n + 1) // 2)
+                want = normal_block_prior(stream[pos:pos + used], n, sigma)
+                assert _bits(rng.normal_matrix(1, n, sigma)) == _bits(want[None, :])
+                pos += used
+                assert rng.uniform() == (stream[pos] >> 11) * 2.0**-53  # the block's stream position
+                pos += 1
 
     @pytest.mark.parametrize("alpha, gamma", [(0.25, 2.0), (1.0, 0.0), (0.5, 3.0)])
     def test_focal_loss(self, alpha, gamma):
