@@ -12,7 +12,13 @@ path order.  Two more lines hash the streams eval generates and keeps no
 file of: ``generated/stock-twin`` the stock corpus's conflicted twin and
 ``generated/stock-probe`` its probe clips (each video's id and its four
 streams, in order); a report shows them only through its rounded LAP and
-probe numbers.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
+probe numbers.  Six more hash what the stock checkpoint's scoring passes
+return before any metric rounds it: the ``model.predict_corpus`` tables of
+the corpus as stored, its vision view, its twin and the probe clips
+(``scores/stock-*``, every row's start, end, label, score and video) and
+the gates of the corpus and of the probe clips (``scores/stock-*gates``,
+each video's gate in read order), so a last-bit change in scoring shows
+here even where the report's 6-decimal rounding hides it.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
 and stdout with OUT stripped from it, so two checkouts that compute the
 same bytes print the same lines: run a copy of this script in each and
 diff the outputs.  BLAS runs on one thread, since a threaded GEMM may sum
@@ -33,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from talgate import cli, synthgen
+from talgate import cli, model, synthgen
 
 SMALL = {"num_videos": 6}
 # each eval of the stock checkpoint: (name suffix, flags)
@@ -72,6 +78,33 @@ def streams_digest(videos) -> str:
     return h.hexdigest()
 
 
+def table_digest(table) -> str:
+    h = hashlib.sha256()
+    for column in (table.start, table.end, table.label, table.score, table.video):
+        h.update(column.tobytes())
+    return h.hexdigest()
+
+
+def gates_digest(gates) -> str:
+    h = hashlib.sha256()
+    for gate in gates:
+        h.update(gate.tobytes())
+    return h.hexdigest()
+
+
+def scores_lines(out: Path) -> list[str]:
+    """The digests of the stock checkpoint's scoring tables and gates."""
+    state = model.load_checkpoint(out / "stock" / "run" / "model.ckpt")
+    corpus = synthgen.open_corpus(out / "stock" / "corpus")
+    stored, gates, _, vision, twin = model.predict_corpus(
+        state, corpus.videos, synthgen.VideoRecord.vision_view, synthgen.inject_conflict(corpus.config))
+    probe, probe_gates, _ = model.predict_corpus(state, synthgen.generate_distractors(corpus.config))
+    tables = (("stored", stored), ("vision", vision), ("twin", twin), ("probe", probe))
+    return [f"{table_digest(t)}  scores/stock-{name}" for name, t in tables] + [
+        f"{gates_digest(gates)}  scores/stock-gates",
+        f"{gates_digest(probe_gates)}  scores/stock-probe-gates"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: artifact_digests.py OUT", file=sys.stderr)
@@ -99,6 +132,7 @@ def main(argv: list[str]) -> int:
                  "  generated/stock-twin")
     lines.append(f"{streams_digest(synthgen.generate_distractors(corpus.config))}"
                  "  generated/stock-probe")
+    lines += scores_lines(out)
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     return 0
 

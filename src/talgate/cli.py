@@ -130,9 +130,10 @@ def build_report(state: ModelState, corpus: Corpus, *, conflict: bool = False,
 
     ``corpus.videos`` is read once, by one ``predict_corpus`` call, so a
     stored corpus (``synthgen.open_corpus``) reads each blob once and holds
-    one video at a time.  Each video is scored three ways as it is read:
-    as stored, which gives the mAP, the hallucination rates and the gates
-    ``mla`` reads; as its vision view, the video without its language (the
+    one video at a time.  Each video is scored three ways as it is read,
+    in one stacked forward pass (``model.forward_video``): as stored,
+    which gives the mAP, the hallucination rates and the gates ``mla``
+    reads; as its vision view, the video without its language (the
     vision-only path, which a gate of 0 reproduces bitwise), the closest
     in-run stand-in for a vision-only baseline, whose per-class APs make
     the difficulty buckets of the classes with ground truth, the classes

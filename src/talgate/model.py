@@ -10,11 +10,15 @@ Two small convolutional trunks (classification and localization), each
 ``HEAD_LAYERS`` conv layers of kernel ``KERNEL`` and width ``dim``, read the
 aggregated features; per-frame heads emit class probabilities and boundary
 offsets, which a forward pass returns in one ``Forward`` record with the
-gate and what ``backward_video`` reads.  The template head (token logits for
-the auxiliary captioning loss) reads the record's classification features,
-in a gated training step only.  A corpus pass (``predict_corpus``) returns
-one NMS-kept proposals table plus each video's gate and ground truth, and
-one more table per view of the corpus scored in the same read.
+gate and what ``backward_video`` reads.  A pass is a per-pass step (the
+gate and the trunk inputs) and ``head_forward``, which also runs the
+passes of one video read as one stack, each item with the bits of its own
+pass.  The template head (token logits for the auxiliary captioning loss)
+reads the record's classification features, in a gated training step
+only.  A corpus pass (``predict_corpus``) scores each video read, and the
+views of it, in one stacked forward pass, and returns one NMS-kept
+proposals table plus each video's gate and ground truth, and one more
+table per view.
 """
 
 from __future__ import annotations
@@ -113,16 +117,19 @@ class ModelState:
 class Forward:
     """One forward pass of one video: its outputs and what ``backward_video``
     reads, per trunk each conv layer's (padded input, pre-activation) and
-    its output layers' input.  A scoring pass keeps the outputs it reads."""
+    its output layers' input.  A scoring pass keeps the outputs it reads.
+    The record of a stack of passes holds its outputs with a leading stack
+    axis and nothing else (every other field None): it is scored, not
+    backpropagated."""
     cls_scores: np.ndarray  # L x C probabilities
     offsets: np.ndarray     # L x 2 non-negative boundary offsets
     lam: np.ndarray         # L x 1 effective gate
     adv_pred: np.ndarray    # L x 1 predicted language advantage; 0 if the advantage head did not run
-    cls_convs: list
-    cls_feat: np.ndarray    # read by cls_out and the template head (tmpl_out) alike
-    loc_convs: list
-    loc_feat: np.ndarray
-    loc_raw: np.ndarray
+    cls_convs: list | None
+    cls_feat: np.ndarray | None  # read by cls_out and the template head (tmpl_out) alike
+    loc_convs: list | None
+    loc_feat: np.ndarray | None
+    loc_raw: np.ndarray | None
     bundle: LanguageBundle | None = None  # bundle and adv_in: set when the advantage head ran
     adv_in: np.ndarray | None = None
 
@@ -143,38 +150,52 @@ def _lambda_grad(adv_pred, lam) -> np.ndarray:
     return 0.5 * (1.0 - lam * lam) * (a > 0.0)
 
 
-def aggregate(vis, bundle: LanguageBundle, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Residual feature aggregation: vision plus gated language streams."""
+def aggregate(vis, bundle: LanguageBundle, lam, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Residual feature aggregation: vision plus gated language streams,
+    written into ``out[0]`` and ``out[1]`` when ``out`` (2 x L x D) is given."""
     vis = as_matrix(vis, "vis")
     lam = as_matrix(lam, "lambda")
     if lam.shape != (vis.shape[0], 1):
         raise ShapeError(f"lambda shape {lam.shape} does not match frame count {vis.shape[0]}")
-    for name, stream in (("cls_stream", bundle.cls_stream), ("loc_stream", bundle.loc_stream)):
+    streams = (bundle.cls_stream, bundle.loc_stream)
+    for name, stream in zip(("cls_stream", "loc_stream"), streams):
         if stream.shape != vis.shape:
             raise ShapeError(f"{name} shape {stream.shape} does not match vis shape {vis.shape}")
-    return vis + lam * bundle.cls_stream, vis + lam * bundle.loc_stream
+    out = np.empty((2,) + vis.shape) if out is None else out
+    for f, stream in zip(out, streams):
+        np.multiply(lam, stream, out=f)
+        f += vis  # into the product: the bits of vis + lam * stream
+    return out[0], out[1]
 
 
-def _trunk_forward(trunk: list, x) -> tuple[np.ndarray, list]:
-    """A conv trunk's relu features and, per layer, the (padded input,
-    pre-activation) its backward reads."""
-    convs = []
+def _trunk_forward(trunk: list, x, convs: list | None) -> np.ndarray:
+    """A conv trunk's relu features.  Into ``convs``, unless it is None,
+    goes per layer the (padded input, pre-activation) its backward reads."""
     for conv in trunk:
         z, xp = conv.forward(x)
-        convs.append((xp, z))
+        if convs is not None:
+            convs.append((xp, z))
         x = relu(z)
-    return x, convs
+    return x
 
 
 def head_forward(f_cls, f_loc, state: ModelState) -> Forward:
-    """Run both trunks and their output layers; the gate and the advantage
-    read 0."""
-    feat, cls_convs = _trunk_forward(state.cls_trunk, f_cls)
-    logits, cls_feat = state.cls_out.forward(feat)
-    feat, loc_convs = _trunk_forward(state.loc_trunk, f_loc)
-    loc_raw, loc_feat = state.loc_out.forward(feat)
-    L = logits.shape[0]
-    return Forward(sigmoid(logits), relu(loc_raw), np.zeros((L, 1)), np.zeros((L, 1)),
+    """Run both trunks and their output layers on one pass's L x D trunk
+    inputs, or on a stack of passes' (S x L x D, item i pass i's); the gate
+    and the advantage read 0.  A stack is scored, not backpropagated: its
+    record keeps only the outputs, and each layer's buffers are free again
+    for the next."""
+    keep = np.ndim(f_cls) == 2
+    cls_convs, loc_convs = ([], []) if keep else (None, None)
+    logits, cls_feat = state.cls_out.forward(_trunk_forward(state.cls_trunk, f_cls, cls_convs))
+    if not keep:
+        cls_feat = None  # freed before the localization trunk allocates
+    loc_raw, loc_feat = state.loc_out.forward(_trunk_forward(state.loc_trunk, f_loc, loc_convs))
+    offsets = relu(loc_raw)
+    if not keep:
+        loc_feat = loc_raw = None
+    gate_shape = logits.shape[:-1] + (1,)
+    return Forward(sigmoid(logits), offsets, np.zeros(gate_shape), np.zeros(gate_shape),
                    cls_convs, cls_feat, loc_convs, loc_feat, loc_raw)
 
 
@@ -185,8 +206,30 @@ def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
     return d_feat
 
 
-def forward_video(state: ModelState, vis, bundle: LanguageBundle | None) -> Forward:
-    """Full forward pass for one video.
+def _pass_inputs(state: ModelState, vis, bundle: LanguageBundle | None, out=None) -> tuple:
+    """The per-pass step of ``forward_video``: one pass's trunk inputs and
+    gate, (f_cls, f_loc, lam, adv_pred, adv_in), the trunk inputs written
+    into ``out[0]`` and ``out[1]`` when ``out`` (2 x L x D) is given.
+    ``lam`` is None where the gate reads 0 (the vision-only path), and
+    ``adv_pred`` and ``adv_in`` are None where the advantage head does not
+    run."""
+    vis = as_matrix(vis, "vis")
+    L = vis.shape[0]
+    mode = state.cfg.lambda_mode
+    if bundle is None or mode == "language_only":
+        f_cls, f_loc = (vis, vis) if bundle is None else (bundle.cls_stream, bundle.loc_stream)
+        if out is not None:
+            out[0], out[1] = f_cls, f_loc
+            f_cls, f_loc = out
+        return f_cls, f_loc, None if bundle is None else np.ones((L, 1)), None, None
+    adv_pred, adv_in = state.adv_fc.forward(bundle.adv_stream)
+    learned = mode == "learned"
+    lam = lambda_from_advantage(adv_pred) if learned else np.full((L, 1), float(state.cfg.fixed_lambda))
+    return *aggregate(vis, bundle, lam, out), lam, adv_pred, adv_in
+
+
+def forward_video(state: ModelState, vis, bundle) -> Forward:
+    """Full forward pass for one video, or for the passes of one video read.
 
     ``bundle=None`` runs the vision-only path: both trunks read raw vision
     features, the advantage head does not run, and the gate reads 0.
@@ -195,22 +238,30 @@ def forward_video(state: ModelState, vis, bundle: LanguageBundle | None) -> Forw
     or language-only (``"language_only"``: the trunks read the pure
     language streams, lambda = 1, and the advantage head does not run).  A
     gate fixed at 0 reproduces the vision-only path bit for bit.
-    """
-    vis = as_matrix(vis, "vis")
-    if bundle is None:
-        return head_forward(vis, vis, state)
 
-    L = vis.shape[0]
-    mode = state.cfg.lambda_mode
-    if mode == "language_only":
-        fwd = head_forward(bundle.cls_stream, bundle.loc_stream, state)
-        fwd.lam = np.ones((L, 1))
+    ``vis`` and ``bundle`` may instead be lists of S matrices and S bundles
+    (or None), S passes of one read, each of the same shape: each runs its
+    own per-pass step, writing its trunk inputs into one stack, then one
+    ``head_forward`` runs the stack.  The record holds the outputs with a
+    leading axis of S, item i with the bits of pass i run alone.
+    """
+    if isinstance(bundle, list):
+        inputs = np.empty((2, len(bundle)) + np.shape(vis[0]))  # the trunk inputs of each pass
+        passes = [_pass_inputs(state, v, b, inputs[:, i])
+                  for i, (v, b) in enumerate(zip(vis, bundle, strict=True))]
+        fwd = head_forward(inputs[0], inputs[1], state)
+        for i, (_, _, lam, adv_pred, _) in enumerate(passes):
+            if lam is not None:
+                fwd.lam[i] = lam
+            if adv_pred is not None:
+                fwd.adv_pred[i] = adv_pred
         return fwd
-    adv_pred, adv_in = state.adv_fc.forward(bundle.adv_stream)
-    learned = mode == "learned"
-    lam = lambda_from_advantage(adv_pred) if learned else np.full((L, 1), float(state.cfg.fixed_lambda))
-    fwd = head_forward(*aggregate(vis, bundle, lam), state)
-    fwd.lam, fwd.adv_pred, fwd.bundle, fwd.adv_in = lam, adv_pred, bundle, adv_in
+    f_cls, f_loc, lam, adv_pred, adv_in = _pass_inputs(state, vis, bundle)
+    fwd = head_forward(f_cls, f_loc, state)
+    if lam is not None:
+        fwd.lam = lam
+    if adv_in is not None:
+        fwd.adv_pred, fwd.bundle, fwd.adv_in = adv_pred, bundle, adv_in
     return fwd
 
 
@@ -357,17 +408,17 @@ def decode_proposals(scores: np.ndarray, offsets: np.ndarray) -> Proposals:
     non-empty interval.  The table is in canonical order, ties kept in
     frame-major order, and cut to ``TOP_K_PRE_NMS`` rows.
     """
-    L = scores.shape[0]
-    frames, labels = np.nonzero(scores >= SCORE_THRESHOLD)
-    start = frames - offsets[frames, 0]
+    L, C = scores.shape
+    frame = np.arange(L)
+    start = frame - offsets[:, 0]  # each frame's interval, once for all its classes
     start = np.where(start > 0.0, start, 0.0)  # Python's max(0, x), NaN included
-    end = frames + offsets[frames, 1]
+    end = frame + offsets[:, 1]
     end = np.where(end < L, end, float(L))      # Python's min(L, x)
-    live = start < end
-    start, end, labels = start[live], end[live], labels[live]
-    score = scores[frames[live], labels]
+    hits = np.flatnonzero((scores >= SCORE_THRESHOLD) & (start < end)[:, None])  # frame-major
+    frames, labels = np.divmod(hits, C)
+    start, end, score = start[frames], end[frames], scores.reshape(-1)[hits]
     if len(score) > TOP_K_PRE_NMS:  # only rows scoring at least the k-th highest can make the cut
-        top = score >= np.partition(score, -TOP_K_PRE_NMS)[-TOP_K_PRE_NMS]
+        top = np.flatnonzero(score >= np.partition(score, -TOP_K_PRE_NMS)[-TOP_K_PRE_NMS])
         start, end, labels, score = start[top], end[top], labels[top], score[top]
     order = np.lexsort((labels, end, start, -score))[:TOP_K_PRE_NMS]
     return Proposals(start[order], end[order], labels[order], score[order],
@@ -415,31 +466,30 @@ def predict_corpus(state: ModelState, videos: Iterable[VideoRecord],
     each video's L x 1 gate; each video's ground truth by id), each in the
     order read, then one such table per view.
 
-    ``videos`` is read once.  Each video runs one forward pass, then each
-    view builds its record from the video (``VideoRecord.vision_view``, the
-    twin of ``synthgen.inject_conflict``) and runs one; a view keeps the
-    video's id and ground truth, against which all the tables are scored.
-    Of a pass only its scores and offsets are kept, and the video's gate
-    and ground truth: its ``Forward`` record and the view are dropped
-    before the scores are decoded, and the video once its views are
-    scored, before the next is read, so a stream (``synthgen.open_corpus``,
-    ``synthgen.generate_distractors``) holds one video at a time.  One
-    ``nms`` pass per table then suppresses the stack of its decoded
-    tables.  Records without language (``lang=None``) take the vision-only
-    path.
+    ``videos`` is read once.  Each view builds its record from the video
+    (``VideoRecord.vision_view``, the twin of ``synthgen.inject_conflict``);
+    a view keeps the video's id and ground truth, against which all the
+    tables are scored.  The video and its views then run as one stacked
+    forward pass (``forward_video`` on lists), so a read with no view is a
+    stack of one.  Of a read only each pass's scores and offsets are kept,
+    and the video's gate and ground truth: the ``Forward`` record, the
+    views and the video are dropped before the scores are decoded (one
+    decode per pass) and before the next video is read, so a stream
+    (``synthgen.open_corpus``, ``synthgen.generate_distractors``) holds one
+    video at a time.  One ``nms`` pass per table then suppresses the stack
+    of its decoded tables.  Records without language (``lang=None``) take
+    the vision-only path.
     """
     decoded, gates, gt = [[] for _ in range(1 + len(views))], [], {}
     for video in videos:
         gt[video.id] = video.gt
-        for view, tables in zip((None, *views), decoded):
-            record = video if view is None else view(video)
-            fwd = forward_video(state, record.vis, record.lang)
-            scores, offsets = fwd.cls_scores, fwd.offsets
-            if view is None:
-                gates.append(fwd.lam)
-            del record, fwd  # the activations and the view, freed before decode and the next pass
-            tables.append(decode_proposals(scores, offsets))
-        del video  # before the stream builds the next
+        records = [video, *(view(video) for view in views)]
+        fwd = forward_video(state, [r.vis for r in records], [r.lang for r in records])
+        scores, offsets = fwd.cls_scores, fwd.offsets
+        gates.append(fwd.lam[0].copy())  # a copy: the gate keeps no other pass's alive
+        del video, records, fwd  # the activations, views and video, freed before decode and the next read
+        for tables, pass_scores, pass_offsets in zip(decoded, scores, offsets):
+            tables.append(decode_proposals(pass_scores, pass_offsets))
     kept = []
     while decoded:  # each stream's decoded tables, freed once stacked
         kept.append(nms(Proposals.stack(decoded.pop(0)), NMS_TIOU))

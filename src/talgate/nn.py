@@ -1,13 +1,17 @@
 """Dense numeric kernels with hand-written reverse-mode gradients.
 
 Every tensor in this module is a 2-D float64 numpy array ("matrix",
-row-major).  A layer holds only its parameters; the activations its
-backward reads live with the caller (``model.Forward``, the record of a
-forward pass).  ``forward(x)`` returns ``(y, saved)``: the output and that
-read (the checked input, zero-padded for ``Conv1d``), kept while a
-backward may follow and then dropped.  ``backward(saved, dout)`` accumulates the
-parameter gradients in place and returns the gradient with respect to the
-layer input (``input_grad=False`` skips that one).
+row-major), save that a layer's ``forward`` also takes a stack of
+matrices along a leading axis: ``np.matmul`` runs each item's GEMMs at the
+item's own shapes, so an item's output has the bits of its own 2-D pass.
+A layer holds only its parameters; the activations its backward reads
+live with the caller (``model.Forward``, the record of a forward pass).
+``forward(x)`` returns ``(y, saved)``: the output and that read (the
+checked input, zero-padded for ``Conv1d``), kept while a backward may
+follow and then dropped.  ``backward(saved, dout)`` takes one matrix, not
+a stack; it accumulates the parameter gradients in place and returns the
+gradient with respect to the layer input (``input_grad=False`` skips that
+one).
 
 A loss returns its derivatives with its value, from one pass over the
 shared intermediates (``focal_loss`` and ``diou_loss`` here,
@@ -20,6 +24,7 @@ tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +37,15 @@ _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=8)
+def _golden_steps(n: int) -> np.ndarray:
+    """i * 0x9E3779B97F4A7C15 mod 2**64 for i = 1..n, read-only: the state
+    increments of ``Rng._words``, kept for the few block sizes a run draws."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps.flags.writeable = False
+    return steps
+
+
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
 
@@ -40,6 +54,14 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
+    return np.ascontiguousarray(m)
+
+
+def as_frames(data, name: str) -> np.ndarray:
+    """A matrix, or a stack of matrices along a leading axis, as C-contiguous float64."""
+    m = np.asarray(data, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"{name} must be 2-D or a 3-D stack, got shape {m.shape}")
     return np.ascontiguousarray(m)
 
 
@@ -68,10 +90,11 @@ class Rng:
     ``cos``/``sin``, whose last bits can vary with the numpy build, its CPU
     dispatch and the libm; on one platform they repeat bit for bit.  A block
     evaluates ``cos``/``sin`` on its angles grouped by the top 8 bits of
-    their u2 word, then puts the results back in draw order.  Each angle
-    still goes through the same elementwise call, so the bits are those of
-    draw-order evaluation; the grouping only keeps libm's range branches
-    predictable, which makes a block of fresh draws faster.
+    their u2 word and scatters each product ``r * cos``, ``r * sin`` to its
+    pair's place in draw order.  Each angle still goes through the same
+    elementwise call and each product is one rounding, so the bits are
+    those of draw-order evaluation; the grouping only keeps libm's range
+    branches predictable, which makes a block of fresh draws faster.
     """
 
     __slots__ = ("_seed", "_counter")
@@ -83,11 +106,15 @@ class Rng:
     def _words(self, n: int) -> np.ndarray:
         start = self._counter
         self._counter = start + n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)  # wraps mod 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        # state_(start + i) = state_start + i * golden (mod 2**64), i = 1..n; the
+        # mix in place on the one array, the shifts into one scratch array
+        z = _golden_steps(n) + np.uint64((self._seed + start * _GOLDEN) & _MASK64)
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            if mix is not None:
+                z *= np.uint64(mix)
+        return z
 
     def next_u64(self) -> int:
         """One word, in Python integers: ``_words``' arithmetic without the
@@ -114,24 +141,34 @@ class Rng:
 
     def _normal_block(self, n: int, sigma: float) -> np.ndarray:
         pairs = (n + 1) // 2
-        words = self._words(2 * pairs)
-        # u1 in (0, 1] keeps log() finite; u2 in [0, 1)
-        u1 = ((words[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (words[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        # cos/sin on the angles grouped by range (a radix sort of the top 8 bits),
-        # then taken back to draw order through the inverse permutation
-        perm = np.argsort((words[pairs:] >> np.uint64(56)).astype(np.uint8), kind="stable")
-        back = np.empty_like(perm)
-        back[perm] = np.arange(pairs)
-        theta = theta.take(perm)
+        top = self._words(2 * pairs)
+        top >>= np.uint64(11)  # each word's top 53 bits
+        # u1 = (top + 1) * 2**-53 in (0, 1] keeps log() finite; r = sqrt(-2 log u1)
+        r = top[:pairs].astype(np.float64)
+        r += 1.0
+        r *= 2.0**-53
+        r = np.log(r, out=r)
+        r *= -2.0
+        r = np.sqrt(r, out=r)
+        # theta = 2 pi u2, u2 = top * 2**-53 in [0, 1)
+        theta = top[pairs:].astype(np.float64)
+        theta *= 2.0**-53
+        theta *= 2.0 * math.pi
+        # cos/sin on the angles grouped by range (a radix sort of the word's top 8 bits),
+        # each product then scattered through the permutation to its draw position
+        perm = np.argsort((top[pairs:] >> np.uint64(45)).astype(np.uint8), kind="stable")
+        theta, r = theta.take(perm), r.take(perm)
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta).take(back)
-        out[1::2] = r * np.sin(theta).take(back)
-        return sigma * out[:n]
+        out[0::2][perm] = r * np.cos(theta)
+        out[1::2][perm] = r * np.sin(theta)
+        out = out[:n]
+        if sigma != 1.0:
+            out *= sigma
+        return out
 
     def normal_matrix(self, rows: int, cols: int, sigma: float = 1.0) -> np.ndarray:
+        if rows < 0 or cols < 0:  # before the stream moves
+            raise ValueError(f"normal_matrix needs non-negative sizes, got {rows} x {cols}")
         return self._normal_block(rows * cols, sigma).reshape(rows, cols)
 
     def shuffle(self, items: list) -> None:
@@ -175,12 +212,15 @@ class Linear:
         self.b = Param(np.zeros((1, dout)))
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(y, x): the output and the checked input, which ``backward`` reads."""
-        x = as_matrix(x, "linear input")
+        """(y, x): the output and the checked input, which ``backward`` reads.
+        ``x`` is a matrix or a stack of them."""
+        x = as_frames(x, "linear input")
         din = self.w.shape[0]
-        if x.shape[1] != din:
+        if x.shape[-1] != din:
             raise ShapeError(f"linear: input shape {x.shape} does not match weight shape {self.w.shape}")
-        return x @ self.w.value + self.b.value, x
+        y = x @ self.w.value
+        y += self.b.value
+        return y, x
 
     def backward(self, x: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients; return the input gradient,
@@ -204,7 +244,8 @@ class Conv1d:
 
     The kernel width must be odd.  Weights are stored as one
     (k * din) x dout matrix; the tap-t slice is rows [t*din, (t+1)*din).
-    Input and output are both frame-major: (L, din) -> (L, dout).
+    Input and output are both frame-major: (L, din) -> (L, dout), or
+    (S, L, din) -> (S, L, dout) for a stack of S inputs in ``forward``.
     """
 
     def __init__(self, k: int, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
@@ -218,26 +259,32 @@ class Conv1d:
         self.b = Param(np.zeros((1, dout)))
 
     def _taps(self, xp: np.ndarray, L: int) -> np.ndarray:
-        """The k tap windows of the padded input as one (k, L, din) view
-        without a copy: window t is xp[t:t + L]."""
-        row, col = xp.strides
-        return np.ndarray((self.k, L, self.din), xp.dtype, xp, 0, (row, row, col))
+        """The k tap windows of the padded input (or of each item of a stack)
+        as one (..., k, L, din) view without a copy: window t is xp[..., t:t + L, :]."""
+        *outer, row, col = xp.strides
+        return np.ndarray(xp.shape[:-2] + (self.k, L, self.din), xp.dtype, xp, 0,
+                          (*outer, row, row, col))
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(y, xp): the output and the padded input, which ``backward`` reads."""
-        x = as_matrix(x, "conv1d input")
-        if x.shape[1] != self.din:
+        """(y, xp): the output and the padded input, which ``backward`` reads.
+        ``x`` is a matrix or a stack of them."""
+        x = as_frames(x, "conv1d input")
+        if x.shape[-1] != self.din:
             raise ShapeError(f"conv1d: input shape {x.shape} does not match channel count {self.din}")
-        L = x.shape[0]
+        L = x.shape[-2]
         pad = (self.k - 1) // 2
-        xp = np.zeros((L + 2 * pad, self.din))
-        xp[pad:pad + L] = x
-        # one stacked matmul runs the k per-tap GEMMs; the sum then adds the
-        # bias and the taps in tap order, so each output bit is the per-tap loop's
+        xp = np.empty(x.shape[:-2] + (L + 2 * pad, self.din))
+        xp[..., :pad, :] = 0.0  # only the pad rows need zeros
+        xp[..., pad + L:, :] = 0.0
+        xp[..., pad:pad + L, :] = x
+        # one stacked matmul runs the k per-tap GEMMs of each item; the bias and
+        # the taps are then added in tap order into tap 0's product, so each
+        # output bit is the per-tap loop's
         prods = np.matmul(self._taps(xp, L), self.w.value.reshape(self.k, self.din, -1))
-        y = prods[0] + self.b.value
+        y = prods[..., 0, :, :]
+        y += self.b.value
         for t in range(1, self.k):
-            y += prods[t]
+            y += prods[..., t, :, :]
         return y, xp
 
     def backward(self, xp: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:

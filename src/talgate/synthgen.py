@@ -195,7 +195,8 @@ def _vision_frames(cfg: GenConfig, lat: _Latents, segments: list[Segment], rng: 
         proto = beta * lat.vis_protos[seg.label] \
             + (1.0 - beta) * lat.vis_protos[partner_class(seg.label, cfg.num_classes)]
         base[seg.start:seg.end] = proto
-    return base + noise
+    noise += base  # into the fresh noise: the bits of base + noise
+    return noise
 
 
 def _language_bundle(cfg: GenConfig, lat: _Latents, segments: list[Segment],
@@ -225,7 +226,10 @@ def _language_bundle(cfg: GenConfig, lat: _Latents, segments: list[Segment],
         loc[seg.start:seg.end, 0] = h * (idx - seg.start) / RAMP_SCALE
         loc[seg.start:seg.end, 1] = h * (seg.end - idx) / RAMP_SCALE
         adv[seg.start:seg.end] = h * lat.adv_dir
-    return LanguageBundle(cls + cls_noise, loc + loc_noise, adv + adv_noise, aligned=aligned)
+    cls_noise += cls  # each base into its fresh noise: the bits of base + noise
+    loc_noise += loc
+    adv_noise += adv
+    return LanguageBundle(cls_noise, loc_noise, adv_noise, aligned=aligned)
 
 
 def generate_corpus(cfg: GenConfig) -> Corpus:
@@ -313,7 +317,9 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
         h = cfg.helpfulness[seg.label]
         cls[seg.start:seg.end] = h * lat.lang_bg
         adv[seg.start:seg.end] = h * lat.adv_dir
-    lang = LanguageBundle(cls + cls_noise, loc_noise, adv + adv_noise, aligned=True)
+    cls_noise += cls  # each base into its fresh noise: the bits of base + noise
+    adv_noise += adv
+    lang = LanguageBundle(cls_noise, loc_noise, adv_noise, aligned=True)
     return VideoRecord(vid, vis, lang, [])
 
 

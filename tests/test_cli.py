@@ -426,19 +426,21 @@ class TestEval:
         from talgate.synthgen import generate_distractors, read_corpus
         state = load_checkpoint(workspace / "run" / "model.ckpt")
         corpus = read_corpus(workspace / "corpus")
-        passes = []
+        stacks, forward_video = [], model.forward_video
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                passes.append(fn)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(state, vis, bundles):  # one stacked forward per video read
+            stacks.append(len(bundles))
+            fwd = forward_video(state, vis, bundles)
+            assert len(vis) == len(fwd.cls_scores) == len(bundles)
+            return fwd
 
-        monkeypatch.setattr(model, "forward_video", counted(model.forward_video))  # every pass's
+        monkeypatch.setattr(model, "forward_video", counted)  # every read's, the probe's included
         report = cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
-        assert len(passes) == n + n + n + d  # aligned, vision view, conflicted, distractors
+        # each video as stored, as its vision view and as its twin, then each distractor
+        assert stacks == [3] * n + [1] * d
+        assert sum(stacks) == n + n + n + d  # every pass counted once
         assert report.lap == aligned_lap(state, corpus)
 
     def test_template_head_does_not_run(self, workspace, monkeypatch):
@@ -458,7 +460,7 @@ class TestEval:
         import talgate.model as model
         state = load_checkpoint(workspace / "run" / "model.ckpt")
         corpus = read_corpus(workspace / "corpus")
-        records, alive = [], []
+        records, passes, decodes, alive = [], [], [], []
 
         def check_dropped():
             alive.extend(i for i, ref in enumerate(records) if ref() is not None)
@@ -469,14 +471,21 @@ class TestEval:
                 out = fn(*args)
                 if keep:
                     records.append(weakref.ref(out))
+                    passes.append(len(out.cls_scores))
+                else:
+                    decodes.append(len(records))
                 return out
             return wrapper
 
-        # every pass's, the probe's included
+        # every read's, the probe's included
         monkeypatch.setattr(model, "forward_video", spied(model.forward_video, True))
         monkeypatch.setattr(model, "decode_proposals", spied(model.decode_proposals, False))
         cli.build_report(state, corpus, conflict=True, probe=True)
-        assert len(records) == 4 * len(corpus.videos) and alive == []
+        n, d = len(corpus.videos), corpus.config.num_videos  # the probe has num_videos clips
+        # a read's record is dead at its decodes and at the next read
+        assert passes == [3] * n + [1] * d and alive == []
+        # one decode per pass, each after its own read's forward
+        assert decodes == [i + 1 for i, size in enumerate(passes) for _ in range(size)]
 
     def test_buckets_hold_only_classes_with_ground_truth(self, monkeypatch):
         corpus = generate_corpus(GenConfig(num_classes=8, num_videos=3, frames=64, dim=8,
@@ -512,19 +521,24 @@ class TestEval:
             advantage_passes.append(len(x))
             return forward(x)
 
-        def noted(*args):  # (state, vis, bundle)
-            bundles.append(args[2])
-            return forward_video(*args)
+        def noted(state, vis, read_bundles):  # one stacked forward per video read
+            bundles.append([b is None for b in read_bundles])
+            fwd = forward_video(state, vis, read_bundles)
+            adv_preds.append([bool(item.any()) for item in fwd.adv_pred])
+            return fwd
 
+        adv_preds = []
         monkeypatch.setattr(state.adv_fc, "forward", counted)
-        monkeypatch.setattr(model, "forward_video", noted)  # predict_corpus's passes
+        monkeypatch.setattr(model, "forward_video", noted)  # predict_corpus's reads
         cli.build_report(state, corpus, conflict=True, probe=True)
         monkeypatch.undo()
         n, d = len(corpus.videos), len(list(generate_distractors(corpus.config)))
         # aligned, conflicted, distractors; the vision view runs no advantage head
         assert len(advantage_passes) == n + n + d
-        # each video's three passes in turn: aligned, vision view, conflicted
-        assert [b is None for b in bundles[:3 * n]] == [False, True, False] * n
+        # each video's three passes in one read: aligned, vision view, conflicted
+        assert bundles == [[False, True, False]] * n + [[False]] * d
+        # and the vision view's item reads no advantage prediction
+        assert [a[1] for a in adv_preds[:n]] == [False] * n and all(a[0] and a[2] for a in adv_preds[:n])
 
     def test_one_nms_pass_per_corpus_pass(self, workspace, monkeypatch):
         import talgate.model as model

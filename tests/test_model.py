@@ -217,6 +217,53 @@ class TestForwardModes:
         assert outputs.cls_scores.tobytes() == manual.cls_scores.tobytes()
 
 
+class TestStackedForward:
+    """A stack of passes through ``head_forward`` (``forward_video`` on lists)
+    gives each pass's outputs with the bits of that pass run alone."""
+
+    @pytest.mark.parametrize("L, D, C", [(256, 32, 8), (13, 5, 3)])  # stock shapes, a small odd one
+    @pytest.mark.parametrize("mode, fixed", [("learned", 0.0), ("fixed", 0.0), ("fixed", 0.35),
+                                             ("language_only", 0.0)])
+    def test_stack_equals_each_pass_alone(self, L, D, C, mode, fixed):
+        rng = Rng(40)
+        state = ModelState(ModelConfig(dim=D, num_classes=C, lambda_mode=mode, fixed_lambda=fixed), rng)
+        vis, other = rng.normal_matrix(L, D), rng.normal_matrix(L, D, 2.0)
+        aligned, twin = random_bundle(rng, L, D), random_bundle(rng, L, D)
+        # a read's passes (as stored, vision view, twin), then a view with other frames
+        passes = [(vis, aligned), (vis, None), (vis, twin), (other, aligned)]
+        for stack in (passes[:3], passes, passes[1:2], passes[2:3]):
+            stacked = forward_video(state, [v for v, _ in stack], [b for _, b in stack])
+            assert stacked.cls_scores.shape == (len(stack), L, C)
+            for i, (v, b) in enumerate(stack):
+                alone = forward_video(state, v, b)
+                for field in ("cls_scores", "offsets", "lam", "adv_pred"):
+                    assert getattr(stacked, field)[i].tobytes() == getattr(alone, field).tobytes(), (i, field)
+
+    @pytest.mark.parametrize("L, D, C", [(256, 32, 8), (13, 5, 3)])
+    def test_head_forward_over_a_stack_of_trunk_inputs(self, L, D, C):
+        rng = Rng(41)
+        state = ModelState(ModelConfig(dim=D, num_classes=C), rng)
+        f_cls = [rng.normal_matrix(L, D) for _ in range(3)]
+        f_loc = [f_cls[0], rng.normal_matrix(L, D, 0.5), rng.normal_matrix(L, D, 3.0)]
+        stacked = head_forward(np.stack(f_cls), np.stack(f_loc), state)
+        for i in range(3):
+            alone = head_forward(f_cls[i], f_loc[i], state)
+            for field in ("cls_scores", "offsets", "lam", "adv_pred"):
+                assert getattr(stacked, field)[i].tobytes() == getattr(alone, field).tobytes(), (i, field)
+        # scored, not backpropagated: the record keeps only the outputs
+        assert [f for f in ("cls_convs", "cls_feat", "loc_convs", "loc_feat", "loc_raw", "bundle", "adv_in")
+                if getattr(stacked, f) is not None] == []
+
+    def test_stack_keeps_no_bundle_and_takes_one_per_pass(self):
+        rng = Rng(42)
+        state = ModelState(tiny_model_config(), rng)
+        vis, bundle = rng.normal_matrix(9, 5), random_bundle(rng, 9, 5)
+        stacked = forward_video(state, [vis, vis], [bundle, None])
+        assert stacked.bundle is None and stacked.adv_in is None  # nothing for backward_video
+        with pytest.raises(ValueError):
+            forward_video(state, [vis, vis], [bundle])
+
+
 class TestDecode:
     def test_below_threshold_empty(self):
         assert proposal_rows(decode_proposals(np.full((5, 2), 0.001), np.ones((5, 2)))) == []
@@ -287,6 +334,32 @@ class TestDecode:
             assert len(want) > TOP_K_PRE_NMS
             assert want[TOP_K_PRE_NMS - 1][3] == want[TOP_K_PRE_NMS][3]
             assert proposal_rows(decode_proposals(table, offsets)) == want[:TOP_K_PRE_NMS]
+
+    def test_matches_reference_on_special_offsets(self):
+        rng = Rng(19)
+        # NaN, infinite, huge and negative offsets: clamped intervals, and
+        # frames whose interval is empty for every class; scores with NaN and
+        # few levels, so ties run across the TOP_K_PRE_NMS cut
+        specials = (math.nan, -math.inf, math.inf, -1e300, 1e300, -4.0, -0.5, -0.0, 0.0, 0.5,
+                    1.5, 3.0, 1e9)
+        levels = (math.nan, 0.0, SCORE_THRESHOLD, 0.3, 0.6, 0.9)
+        empty_frames = cuts_through_ties = 0
+        for _ in range(80):
+            L, C = 1 + rng.randint(200), 2 + rng.randint(4)
+            offsets = np.array([[specials[rng.randint(len(specials))] for _ in range(2)]
+                                for _ in range(L)])
+            scores = np.array([[levels[rng.randint(len(levels))] for _ in range(C)] for _ in range(L)])
+            got = decode_proposals(scores, offsets)
+            want = decode_reference(scores.tolist(), offsets.tolist(), SCORE_THRESHOLD, L * C)
+            assert proposal_rows(got) == want[:TOP_K_PRE_NMS]
+            frames = np.arange(L)
+            start = np.where(frames - offsets[:, 0] > 0.0, frames - offsets[:, 0], 0.0)
+            end = np.where(frames + offsets[:, 1] < L, frames + offsets[:, 1], float(L))
+            empty_frames += int(np.sum(~(start < end) & (scores >= SCORE_THRESHOLD).any(axis=1)))
+            cuts_through_ties += (TOP_K_PRE_NMS < len(want)
+                                  and want[TOP_K_PRE_NMS - 1][3] == want[TOP_K_PRE_NMS][3])
+        assert empty_frames >= 100  # frames with scoring classes but no interval
+        assert cuts_through_ties >= 10
 
 
 def random_rows(rng, n, labels=3, levels=4):
@@ -675,17 +748,21 @@ class TestPrediction:
         videos = corpus.videos if gate is None else [VideoRecord(v.id, v.vis, None, v.gt)
                                                      for v in corpus.videos]
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(seed))
-        table, gates, gt = predict_corpus(state, videos)
+        # each video and its vision view, scored as one stack per read
+        table, gates, gt, vision = predict_corpus(state, videos, VideoRecord.vision_view)
         assert len(gates) == len(videos)
         assert list(gt.items()) == [(v.id, v.gt) for v in videos]  # in the order read
         kept = cut = 0
-        for v, got, lam in zip(videos, video_rows(table, len(videos)), gates, strict=True):
-            out = forward_video(state, v.vis, v.lang)
-            decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
-                                       SCORE_THRESHOLD, TOP_K_PRE_NMS)
-            want = nms_reference(decoded, NMS_TIOU)
-            assert got == want
-            assert got == proposal_rows(nms(decode_proposals(out.cls_scores, out.offsets), NMS_TIOU))
+        for v, got, got_vision, lam in zip(videos, video_rows(table, len(videos)),
+                                           video_rows(vision, len(videos)), gates, strict=True):
+            for record, rows in ((v.vision_view(), got_vision), (v, got)):  # the stored video last
+                out = forward_video(state, record.vis, record.lang)  # the pass run alone
+                decoded = decode_reference(out.cls_scores.tolist(), out.offsets.tolist(),
+                                           SCORE_THRESHOLD, TOP_K_PRE_NMS)
+                want = nms_reference(decoded, NMS_TIOU)
+                assert rows == want
+                assert rows == proposal_rows(nms(decode_proposals(out.cls_scores, out.offsets), NMS_TIOU))
+            # the gate is the stored video's, not its view's
             assert lam.shape == (v.vis.shape[0], 1) and lam.tobytes() == out.lam.tobytes()
             assert gate is None or not lam.any()
             kept += len(want) < len(decoded)
@@ -694,32 +771,43 @@ class TestPrediction:
         assert cut >= 3  # and decoding cut the table in most
 
     def test_no_forward_record_outlives_its_video(self, monkeypatch):
+        for views in ((), (VideoRecord.vision_view,)):
+            self.check_records_die_before_decode(monkeypatch, views)
+            monkeypatch.undo()
+
+    @staticmethod
+    def check_records_die_before_decode(monkeypatch, views):
         import talgate.model as model
         gen = GenConfig(num_classes=3, num_videos=4, frames=32, dim=8,
                         ambiguity=(0.2,) * 3, helpfulness=(0.5,) * 3, seed=5)
         corpus = generate_corpus(gen)
         state = ModelState(ModelConfig(dim=8, num_classes=3), Rng(5))
         forward_video, decode = model.forward_video, model.decode_proposals
-        records, alive = [], []
+        records, stacks, decoded, alive = [], [], [], []
 
         def check_dropped():
             alive.extend(i for i, ref in enumerate(records) if ref() is not None)
 
-        def spy_forward(*args):
+        def spy_forward(state, vis, bundles):
             check_dropped()
-            fwd = forward_video(*args)
+            fwd = forward_video(state, vis, bundles)
             records.append(weakref.ref(fwd))
+            stacks.append([b is None for b in bundles])
             return fwd
 
         def spy_decode(*args):
             check_dropped()
+            decoded.append(len(records))
             return decode(*args)
 
         monkeypatch.setattr(model, "forward_video", spy_forward)
         monkeypatch.setattr(model, "decode_proposals", spy_decode)
-        model.predict_corpus(state, corpus.videos)
-        # each record is gone before its scores are decoded and before the next pass runs
-        assert len(records) == 4 and alive == []
+        model.predict_corpus(state, corpus.videos, *views)
+        # one stacked record per video read, its passes the video and then each view;
+        # each record is gone before its scores are decoded and before the next read
+        assert stacks == [[False] + [True] * len(views)] * 4 and alive == []
+        # one decode per pass, each after its read's record
+        assert decoded == [i + 1 for i in range(4) for _ in range(1 + len(views))]
 
 
 class TestCheckpoint:

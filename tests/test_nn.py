@@ -82,6 +82,13 @@ class TestRng:
         assert np.array_equal(ma.reshape(-1), mb.reshape(-1))
         assert ua == ub
 
+    def test_negative_size_leaves_the_stream_where_it_was(self):
+        rng = Rng(9)
+        for rows, cols in ((-1, 4), (4, -1), (-2, -3), (-1, 0)):
+            with pytest.raises(ValueError, match="non-negative"):
+                rng.normal_matrix(rows, cols)
+        assert rng.uniform() == (splitmix64_stream(9, 1)[0] >> 11) * 2.0**-53
+
     def test_odd_normal_block_consumes_padded_pair(self):
         rng = Rng(13)
         rng.normal_matrix(1, 3)  # 3 values -> 2 pairs -> 4 words
@@ -98,9 +105,10 @@ class TestRng:
 
     def test_scalar_draws_interleaved_with_blocks_follow_the_stream(self):
         seed = 0x9E3779B97F4A7C15
-        words = iter(splitmix64_stream(seed, 200))
+        words = iter(splitmix64_stream(seed, 2 * (8192 + 4097) + 200))
         rng, rejected = Rng(seed), 0
-        for n in (5, 1, 8, 3):
+        # odd and even sizes, a full 8192-value block; sigma 1 and not
+        for n, sigma in ((5, 1.0), (1, 0.3), (8, 1.0), (3, 2.5), (8192, 1.0), (4097, 0.0177)):
             assert rng.next_u64() == next(words)
             assert rng.randint(2**64) == next(words)  # the raw word
             bound = 2**63 + 1  # rejects the words at or above 2**63 + 1, about half
@@ -110,7 +118,7 @@ class TestRng:
             assert rng.randint(6) == next(words) % 6
             assert rng.uniform() == (next(words) >> 11) * 2.0**-53
             block = [next(words) for _ in range(2 * ((n + 1) // 2))]
-            assert _bits(rng.normal_matrix(1, n)) == _bits(normal_block_prior(block, n, 1.0))
+            assert _bits(rng.normal_matrix(1, n, sigma)) == _bits(normal_block_prior(block, n, sigma))
         assert rejected > 0
 
     def test_derangement_has_no_fixed_points(self):
@@ -152,6 +160,22 @@ class TestLinear:
         lin = Linear(3, 2)
         with pytest.raises(ShapeError, match=r"\(4, 4\).*\(3, 2\)"):
             lin.forward(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("S, L, din, dout", [(1, 7, 3, 5), (3, 256, 32, 8), (3, 256, 32, 1)])
+    def test_stack_equals_each_matrix_alone(self, S, L, din, dout):
+        rng = Rng(5 + S + dout)
+        lin = Linear(din, dout, rng)
+        lin.b.value[...] = rng.normal_matrix(1, dout)
+        x = np.stack([rng.normal_matrix(L, din) for _ in range(S)])
+        y, saved = lin.forward(x)
+        assert y.shape == (S, L, dout) and saved is x
+        for i in range(S):
+            assert y[i].tobytes() == lin.forward(x[i])[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2, 3)])
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(ShapeError, match="2-D or a 3-D stack"):
+            Linear(3, 2).forward(np.zeros(shape))
 
 
 class TestConv1d:
@@ -198,6 +222,18 @@ class TestConv1d:
         assert conv.w.grad.tobytes() == (dw + dw).tobytes()
         assert conv.b.grad.tobytes() == (db + db).tobytes()
         assert set(vars(conv)) == {"k", "din", "w", "b"}
+
+    @pytest.mark.parametrize("k, S, L, din, dout", [(3, 3, 256, 32, 32), (5, 2, 7, 3, 5), (3, 1, 2, 4, 3)])
+    def test_stack_equals_each_matrix_alone(self, k, S, L, din, dout):
+        rng = Rng(60 + k + S)
+        conv = Conv1d(k, din, dout, rng)
+        conv.b.value[...] = rng.normal_matrix(1, dout)
+        x = np.stack([rng.normal_matrix(L, din) for _ in range(S)])
+        y, xp = conv.forward(x)
+        assert y.shape == (S, L, dout) and xp.shape == (S, L + k - 1, din)
+        for i in range(S):
+            y_i, xp_i = conv.forward(x[i])
+            assert y[i].tobytes() == y_i.tobytes() and xp[i].tobytes() == xp_i.tobytes()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -304,10 +340,11 @@ class TestBitwiseOracles:
             g = np.where(np.arange(x.size).reshape(x.shape) % 2 == 0, 1.0, -1.0) * np.abs(x[::-1])
             assert _bits(g * mask) == _bits(g * relu_grad_prior(x))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x5DEECE66D2F1B3A7])
+    # 2**64 - golden ratio word: seed + idx * 0x9E3779B97F4A7C15 wraps past 2**64 to 0 at idx 1
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x5DEECE66D2F1B3A7, 0x61C8864680B583EB])
     def test_normal_block(self, seed):
-        sizes = (1, 2, 3, 255, 8191, 8192, 24576)
-        sigmas = (1.0, 0.25, 0.0177)
+        sizes = (1, 2, 3, 255, 4097, 8191, 8192, 24576)
+        sigmas = (1.0, 0.25, 0.0177, 3.5)
         stream = splitmix64_stream(seed, sum(2 * ((n + 1) // 2) + 1 for n in sizes) * len(sigmas))
         rng, pos = Rng(seed), 0
         for sigma in sigmas:

@@ -56,11 +56,13 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert stats["train.fit.calls"] == 1 and stats["cli.build_report.calls"] == 1
     assert stats["model.forward_video.calls"] > 0
     # one NMS pass per table of the eval (aligned, vision view, conflicted, distractors), from
-    # two corpus reads (the corpus, scored three ways, and the distractors), every forward pass
-    # of the eval decoded in that one loop, and kept_ratio reads len() of nms's argument and result
+    # two corpus reads (the corpus, scored three ways, and the distractors), one stacked forward
+    # per video read (3 videos, 3 distractors), every pass of the eval decoded in that one loop
+    # (3 per video, 1 per distractor), and kept_ratio reads len() of nms's argument and result
     assert stats["model.nms.calls"] == 4 and stats["model.predict_corpus.calls"] == 2
-    eval_passes = stats["model.forward_video.calls"] - trained["model.forward_video.calls"]
-    assert eval_passes == stats["model.decode_proposals.calls"] == 4 * 3
+    eval_reads = stats["model.forward_video.calls"] - trained["model.forward_video.calls"]
+    assert eval_reads == 3 + 3
+    assert stats["model.decode_proposals.calls"] == 3 * 3 + 3
     assert 0 < stats["model.nms.kept_ratio"] <= 1
     assert stats["metrics.ambiguity_probe.calls"] == 1
     # lap and the probe generate the streams they score, once per eval, under the traced names
