@@ -11,9 +11,13 @@ per-class knobs shape the bias structure:
 All randomness flows through one seeded Rng in a fixed draw order, so a
 config generates byte-identical corpora on every run.
 
-A corpus on disk is a manifest plus four blobs per video.  ``open_corpus``
-checks the manifest and reads the blobs one video at a time, as a reader
-iterates the videos; ``read_corpus`` holds them all in memory.  The
+A corpus on disk (format ``CORPUS_VERSION``) is a manifest plus one blob
+per video, ``{id}.bin``: a ``4 * frames`` x ``dim`` matrix that stacks the
+video's ``vis``, ``cls``, ``loc`` and ``adv`` streams by rows.  A manifest
+entry holds a video's id and ground truth; the shape comes from the config
+block.  ``open_corpus`` checks the manifest and reads one blob per video,
+as a reader iterates the videos, whose four streams are views of that one
+buffer; ``read_corpus`` holds them all in memory.  The
 conflicted twin and the distractor clips are functions of the corpus:
 each seeds its own Rng from the corpus seed and a salt, and is
 generated one video at a time, the twin from each video as it is read.
@@ -37,6 +41,7 @@ MAX_SEGMENTS = 3     # per video
 RAMP_SCALE = 32.0    # frames; normalizer for the boundary-distance ramps
 NOISE_SIGMA = 1.0    # std of the white noise on every vision and language stream
 BACKGROUND_FRACTION = 0.4  # share of a video's frames that no segment covers
+CORPUS_VERSION = 2   # the manifest's format: one blob per video, entries of an id and ground truth
 # decorrelate the conflicted twin's and the distractor clips' draws from the corpus stream
 _CONFLICT_SALT = 0xC04F11C7ED
 _DISTRACTOR_SALT = 0xD15C1A1B0A7E11ED
@@ -92,7 +97,6 @@ class LanguageBundle:
     cls_stream: np.ndarray
     loc_stream: np.ndarray
     adv_stream: np.ndarray
-    aligned: bool = True
 
 
 @dataclass(eq=False)
@@ -200,7 +204,7 @@ def _vision_frames(cfg: GenConfig, lat: _Latents, segments: list[Segment], rng: 
 
 
 def _language_bundle(cfg: GenConfig, lat: _Latents, segments: list[Segment],
-                     stream_labels: list[int], rng: Rng, aligned: bool) -> LanguageBundle:
+                     stream_labels: list[int], rng: Rng) -> LanguageBundle:
     """Language streams for a fixed segment layout.
 
     ``stream_labels`` names the class each segment's streams describe; it
@@ -229,7 +233,7 @@ def _language_bundle(cfg: GenConfig, lat: _Latents, segments: list[Segment],
     cls_noise += cls  # each base into its fresh noise: the bits of base + noise
     loc_noise += loc
     adv_noise += adv
-    return LanguageBundle(cls_noise, loc_noise, adv_noise, aligned=aligned)
+    return LanguageBundle(cls_noise, loc_noise, adv_noise)
 
 
 def generate_corpus(cfg: GenConfig) -> Corpus:
@@ -241,7 +245,7 @@ def generate_corpus(cfg: GenConfig) -> Corpus:
     for i in range(cfg.num_videos):
         segments = _sample_segments(cfg, rng)
         vis = _vision_frames(cfg, lat, segments, rng)
-        lang = _language_bundle(cfg, lat, segments, [s.label for s in segments], rng, aligned=True)
+        lang = _language_bundle(cfg, lat, segments, [s.label for s in segments], rng)
         videos.append(VideoRecord(f"v{i:04d}", vis, lang, segments))
     return Corpus(cfg, videos)
 
@@ -259,8 +263,7 @@ def inject_conflict(cfg: GenConfig) -> Callable[[VideoRecord], VideoRecord]:
     video is given, so applied to the corpus's videos in corpus order it
     builds the corpus's one twin.  Only a video's frames and ground truth
     are read, so a vision view (``lang=None``) has the same twin as the
-    video it was taken from.  A video whose language is already conflicted
-    is a ConfigError naming it, raised as its twin is asked for.
+    video it was taken from.
     """
     if cfg.num_classes < 2:
         raise ConfigError("conflict injection needs at least 2 classes")
@@ -269,10 +272,7 @@ def inject_conflict(cfg: GenConfig) -> Callable[[VideoRecord], VideoRecord]:
     lat = _draw_latents(cfg, Rng(cfg.seed))
 
     def twin(video: VideoRecord) -> VideoRecord:
-        if video.lang is not None and not video.lang.aligned:
-            raise ConfigError(f"video {video.id} is already conflicted")
-        lang = _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt], rng,
-                                aligned=False)
+        lang = _language_bundle(cfg, lat, video.gt, [pi[seg.label] for seg in video.gt], rng)
         return VideoRecord(video.id, video.vis, lang, video.gt)
     return twin
 
@@ -319,38 +319,36 @@ def _distractor(cfg: GenConfig, lat: _Latents, eligible: list[int], rng: Rng,
         adv[seg.start:seg.end] = h * lat.adv_dir
     cls_noise += cls  # each base into its fresh noise: the bits of base + noise
     adv_noise += adv
-    lang = LanguageBundle(cls_noise, loc_noise, adv_noise, aligned=True)
+    lang = LanguageBundle(cls_noise, loc_noise, adv_noise)
     return VideoRecord(vid, vis, lang, [])
 
 
-_STREAM_KEYS = ("vis", "cls", "loc", "adv")
-
-
-def _is_blob_name(name) -> bool:
-    """Whether a manifest's blob name is one ``write_corpus`` writes: a bare
-    ``.bin`` file name, which names a file in the manifest's directory."""
-    return isinstance(name, str) and name.endswith(".bin") and Path(name).name == name
+def _blob_name(vid) -> str | None:
+    """The name of video ``vid``'s blob, ``{vid}.bin``, if ``vid`` is a string
+    that makes it a bare file name, one in the manifest's directory; else None."""
+    name = f"{vid}.bin"
+    return name if isinstance(vid, str) and Path(name).name == name else None
 
 
 def _manifest_blobs(path: Path) -> set[str]:
-    """The names a corpus manifest gives its blobs that pass
-    ``_is_blob_name``; none for a missing or unreadable manifest."""
+    """The blob names (``_blob_name``) of a corpus manifest's entry ids; none
+    for a missing or unreadable manifest, or for an id that does not make a
+    bare file name."""
     try:
-        entries = read_json(path, "manifest")["videos"]
-        names = {name for entry in entries for name in entry["blobs"].values()}
-    except (OSError, FormatError, LookupError, TypeError, AttributeError):
+        ids = [entry["id"] for entry in read_json(path, "manifest")["videos"]]
+    except (OSError, FormatError, LookupError, TypeError):
         return set()
-    return set(filter(_is_blob_name, names))
+    return set(filter(None, map(_blob_name, ids)))
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
-    """Write blobs plus a manifest; returns the manifest path.
+    """Write one blob per video plus a manifest; returns the manifest path.
 
     An old manifest is removed before the first blob is written, and the
     new one is written last and atomically: a write that stops part-way
     leaves a directory without a manifest, which ``open_corpus`` rejects,
     never a manifest beside another corpus's blobs.  Once the new manifest
-    is written, the blobs the old one named and the new one does not are
+    is written, the blobs of the old one's ids that the new one lacks are
     removed.
     """
     out_dir = Path(out_dir)
@@ -360,21 +358,16 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     path.unlink(missing_ok=True)
     entries = []
     for video in corpus.videos:
-        blob_names = {key: f"{video.id}_{key}.bin" for key in _STREAM_KEYS}
-        streams = (video.vis, video.lang.cls_stream, video.lang.loc_stream, video.lang.adv_stream)
-        for name, m in zip(blob_names.values(), streams, strict=True):
-            blobio.write_matrix(out_dir / name, m)
+        lang = video.lang
+        blobio.write_matrix(out_dir / f"{video.id}.bin",
+                            np.concatenate((video.vis, lang.cls_stream, lang.loc_stream, lang.adv_stream)))
         entries.append({
             "id": video.id,
-            "frames": int(video.vis.shape[0]),
-            "dim": int(video.vis.shape[1]),
-            "aligned": bool(video.lang.aligned),
             "gt": [{"start": int(s.start), "end": int(s.end), "label": int(s.label)} for s in video.gt],
-            "blobs": blob_names,
         })
-    manifest = {"version": blobio.VERSION, "config": asdict(corpus.config), "videos": entries}
+    manifest = {"version": CORPUS_VERSION, "config": asdict(corpus.config), "videos": entries}
     write_atomic(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    for name in old_blobs - {n for e in entries for n in e["blobs"].values()}:
+    for name in old_blobs - {f"{entry['id']}.bin" for entry in entries}:
         (out_dir / name).unlink(missing_ok=True)
     return path
 
@@ -389,43 +382,41 @@ def _get(obj, key: str, kind: type, where: str):
 
 @dataclass(eq=False)
 class _StoredVideo:
-    """What the manifest says of one stored video; its blobs are read on demand."""
+    """What the manifest says of one stored video; its blob is read on demand."""
     id: str
-    shape: tuple[int, int]
-    blobs: list[Path]  # in _STREAM_KEYS order
+    path: Path
     gt: list[Segment]
-    aligned: bool
 
 
-def _read_video(entry: _StoredVideo) -> VideoRecord:
-    """One stored video: its four blobs, each read and checked against the manifest's shape."""
-    streams = []
-    for path in entry.blobs:
-        m = blobio.read_matrix(path)
-        if m.shape != entry.shape:
-            raise FormatError(f"video {entry.id}: blob {path} has shape {m.shape}, manifest says {entry.shape}")
-        streams.append(m)
-    vis, cls, loc, adv = streams
-    return VideoRecord(entry.id, vis, LanguageBundle(cls, loc, adv, aligned=entry.aligned), entry.gt)
+def _read_video(entry: _StoredVideo, frames: int, dim: int) -> VideoRecord:
+    """One stored video: its blob, read and checked against the config block's
+    shape, whose four row blocks are its streams, views of the one buffer."""
+    m = blobio.read_matrix(entry.path)
+    if m.shape != (4 * frames, dim):
+        raise FormatError(f"video {entry.id}: blob {entry.path} has shape {m.shape}, not "
+                          f"{(4 * frames, dim)}: four streams of the config block's frames x dim")
+    vis, cls, loc, adv = m.reshape(4, frames, dim)
+    return VideoRecord(entry.id, vis, LanguageBundle(cls, loc, adv), entry.gt)
 
 
 class StoredVideos:
-    """The videos of a stored corpus, read from its blobs on every iteration.
+    """The videos of a stored corpus, read from their blobs on every iteration.
 
     ``len`` comes from the manifest.  An iteration reads and checks one
-    video's four blobs at a time, in manifest order, yields the video and
-    keeps nothing of it, so a reader that drops each video before asking
-    for the next holds one at a time.
+    video's blob at a time, in manifest order, yields the video and keeps
+    nothing of it, so a reader that drops each video before asking for the
+    next holds one at a time.
     """
 
-    def __init__(self, entries: list[_StoredVideo]):
+    def __init__(self, entries: list[_StoredVideo], cfg: GenConfig):
         self._entries = entries
+        self._shape = (cfg.frames, cfg.dim)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[VideoRecord]:
-        return map(_read_video, self._entries)
+        return (_read_video(entry, *self._shape) for entry in self._entries)
 
 
 def open_corpus(in_dir) -> Corpus:
@@ -433,13 +424,14 @@ def open_corpus(in_dir) -> Corpus:
 
     Every manifest check runs here, before any blob is read: a missing
     manifest or blob, and a manifest ``write_corpus`` cannot have written
-    (a config block with a key missing, unknown or of the wrong JSON type,
-    no videos, a video count, frames or dim off the config block, a
-    repeated id, a blob name that is not a bare ``.bin`` file name, a
+    (a version other than ``CORPUS_VERSION``, a config block with a key
+    missing, unknown or of the wrong JSON type, no videos, a video count off
+    the config block, an entry with a key other than ``id`` and ``gt``, a
+    repeated id, an id that does not make a bare ``.bin`` file name, a
     segment out of bounds or overlapping another), is a FormatError naming
     the key.  Each blob is checked as its video is read: its header, size
     and finite payload (``blobio.read_matrix``) and its shape against the
-    manifest's.
+    config block's.
     """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
@@ -448,8 +440,9 @@ def open_corpus(in_dir) -> Corpus:
     manifest = read_json(manifest_path, "manifest")
     where = f"manifest {manifest_path}"
     version = _get(manifest, "version", int, where)
-    if version != blobio.VERSION:
-        raise FormatError(f"unsupported corpus version {version} in {where}")
+    if version != CORPUS_VERSION:
+        raise FormatError(f"unsupported corpus version {version} in {where}; "
+                          f"gen writes version {CORPUS_VERSION}")
     cfg = read_config_block(GenConfig, _get(manifest, "config", dict, where), where)
     entries = _get(manifest, "videos", list, where)
     if not entries:
@@ -461,33 +454,29 @@ def open_corpus(in_dir) -> Corpus:
     for i, entry in enumerate(entries):
         at = f"{where}, videos[{i}]"
         vid = _get(entry, "id", str, at)
+        extra = [key for key in entry if key not in ("id", "gt")]
+        if extra:  # a former key (blobs, frames, dim, aligned) or one no version wrote
+            raise FormatError(f"{at}: key {extra[0]!r} is not a key of a format-{CORPUS_VERSION} "
+                              "entry, which holds only 'id' and 'gt'")
         if any(v.id == vid for v in videos):
             raise FormatError(f"{at}.id: duplicate video id {vid!r}")
-        shape = (_get(entry, "frames", int, at), _get(entry, "dim", int, at))
-        for key, have, want in zip(("frames", "dim"), shape, (cfg.frames, cfg.dim)):
-            if have != want:
-                raise FormatError(f"{at}.{key} is {have}, but the config block says {want}")
-        blobs = _get(entry, "blobs", dict, at)
-        paths = []
-        for key in _STREAM_KEYS:
-            name = _get(blobs, key, str, f"{at}.blobs")
-            if not _is_blob_name(name):
-                raise FormatError(f"{at}.blobs: key {key!r} must name a .bin file in the corpus "
-                                  f"directory, got {name!r}")
-            blob_path = in_dir / name
-            if not blob_path.is_file():
-                raise FormatError(f"video {vid}: missing {key} blob {blob_path}")
-            paths.append(blob_path)
+        name = _blob_name(vid)
+        if name is None:
+            raise FormatError(f"{at}.id: {vid!r} does not make a bare .bin file name "
+                              "in the corpus directory")
+        blob_path = in_dir / name
+        if not blob_path.is_file():
+            raise FormatError(f"video {vid}: missing blob {blob_path}")
         gt = []
         for j, seg in enumerate(_get(entry, "gt", list, at)):
             s, e, lab = (_get(seg, k, int, f"{at}.gt[{j}]") for k in ("start", "end", "label"))
-            if not (0 <= s < e <= shape[0]) or not (0 <= lab < cfg.num_classes):
+            if not (0 <= s < e <= cfg.frames) or not (0 <= lab < cfg.num_classes):
                 raise FormatError(f"video {vid}: invalid segment {seg} in {where}")
             if any(s < g.end and g.start < e for g in gt):
                 raise FormatError(f"{at}.gt[{j}]: segment ({s}, {e}) overlaps an earlier one")
             gt.append(Segment(s, e, lab))
-        videos.append(_StoredVideo(vid, shape, paths, gt, _get(entry, "aligned", bool, at)))
-    return Corpus(cfg, StoredVideos(videos))
+        videos.append(_StoredVideo(vid, blob_path, gt))
+    return Corpus(cfg, StoredVideos(videos, cfg))
 
 
 def read_corpus(in_dir) -> Corpus:

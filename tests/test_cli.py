@@ -267,7 +267,7 @@ class TestGen:
         assert "wrote 6 videos" in capsys.readouterr().out
         names = {p.name for p in out.iterdir()}
         assert {"manifest.json", "config.json", "run.json"} <= names
-        assert "v0000_vis.bin" in names
+        assert {"v0000.bin", "v0005.bin"} <= names and len(names) == 3 + 6
         stamp = json.loads((out / "run.json").read_text())
         assert stamp["command"] == "gen" and stamp["tool"] == "talgate"
         assert json.loads((out / "config.json").read_text())["num_videos"] == 6
@@ -632,16 +632,17 @@ class TestEval:
         assert peak(16) - peak(4) < clip
 
     def test_conflict_on_a_stored_conflicted_video_is_data_error(self, workspace, tmp_path, capsys):
+        # format 1 marked a conflicted video with "aligned": false; format 2 has no such key,
+        # so the entry is refused as the manifest is opened, with or without --conflict
         shutil.copytree(workspace / "corpus", tmp_path / "corpus")
         _set("videos", 2, "aligned", value=False)(tmp_path / "corpus" / "manifest.json")
         argv = ["eval", "--ckpt", str(workspace / "run" / "model.ckpt"),
                 "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "r.json")]
-        assert main(argv + ["--conflict"]) == 2
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: video v0002 is already conflicted\n")
-        assert not (tmp_path / "r.json").exists()
-        # without --conflict the video is scored as stored
-        assert main(argv) == 0
+        for flags in (["--conflict"], []):
+            assert main(argv + flags) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: manifest ") and "videos[2]: key 'aligned'" in err
+            assert not (tmp_path / "r.json").exists()
 
     def test_eval_computes_no_gate_gradient(self, workspace, monkeypatch):
         import talgate.model as model
@@ -696,47 +697,59 @@ class TestStoredCorpus:
         corpus = open_corpus(workspace / "corpus")
         assert reads == []  # opening the manifest reads no blob
         cli.build_report(state, corpus, conflict=True, probe=True)
-        blobs = json.loads((workspace / "corpus" / "manifest.json").read_text())["videos"]
-        assert len(reads) == 4 * len(corpus.videos)
-        assert sorted(reads) == sorted(name for v in blobs for name in v["blobs"].values())
+        entries = json.loads((workspace / "corpus" / "manifest.json").read_text())["videos"]
+        # one read per video, of its one blob, in manifest order
+        assert reads == [f"{entry['id']}.bin" for entry in entries]
 
     def test_language_is_freed_before_the_next_video_is_read(self, workspace, monkeypatch):
         state = load_checkpoint(workspace / "run" / "model.ckpt")
-        language, read_matrix = [], blobio.read_matrix  # (blob name, weakref to its array)
+        language = []  # (video id, weakref to its language bundle or one of its streams)
+        read_matrix, inject_conflict = blobio.read_matrix, cli.inject_conflict
 
         def watched(path):
-            if Path(path).name.endswith("_vis.bin"):  # the first blob of the next video
-                alive = [name for name, ref in language if ref() is not None]
-                assert alive == [], f"{alive} still alive when {Path(path).name} is read"
-            m = read_matrix(path)
-            if not Path(path).name.endswith("_vis.bin"):
-                language.append((Path(path).name, weakref.ref(m)))
-            return m
+            alive = sorted({vid for vid, ref in language if ref() is not None})
+            assert alive == [], f"language of {alive} still alive when {Path(path).name} is read"
+            return read_matrix(path)
+
+        def twins(cfg):  # sees each stored video, with its language, as its twin is drawn
+            twin = inject_conflict(cfg)
+
+            def noted(video):
+                lang = video.lang
+                language.extend((video.id, weakref.ref(x)) for x in
+                                (lang, lang.cls_stream, lang.loc_stream, lang.adv_stream))
+                return twin(video)
+            return noted
 
         monkeypatch.setattr(blobio, "read_matrix", watched)
+        monkeypatch.setattr(cli, "inject_conflict", twins)
         corpus = open_corpus(workspace / "corpus")
         cli.build_report(state, corpus, conflict=True, probe=True)
-        assert len(language) == 3 * len(corpus.videos)
-        assert [name for name, ref in language if ref() is not None] == []
+        assert len(language) == 4 * len(corpus.videos)
+        assert [vid for vid, ref in language if ref() is not None] == []
 
     def test_frames_are_freed_before_the_next_video_is_read(self, workspace, monkeypatch):
         # each video is scored three ways while it is read, so no frames are held for later
         state = load_checkpoint(workspace / "run" / "model.ckpt")
-        frames, read_matrix = [], blobio.read_matrix  # (blob name, weakref to its array)
+        blobs, read_matrix = [], blobio.read_matrix  # (blob name, weakref to its buffer's owner)
+
+        def owner(a):  # the array every view of a's buffer keeps alive
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
 
         def watched(path):
+            alive = [name for name, ref in blobs if ref() is not None]
+            assert alive == [], f"{alive} still alive when {Path(path).name} is read"
             m = read_matrix(path)
-            if Path(path).name.endswith("_vis.bin"):  # the first blob of the next video
-                alive = [name for name, ref in frames if ref() is not None]
-                assert alive == [], f"{alive} still alive when {Path(path).name} is read"
-                frames.append((Path(path).name, weakref.ref(m)))
+            blobs.append((Path(path).name, weakref.ref(owner(m))))
             return m
 
         monkeypatch.setattr(blobio, "read_matrix", watched)
         corpus = open_corpus(workspace / "corpus")
         cli.build_report(state, corpus, conflict=True, probe=True)
-        assert len(frames) == len(corpus.videos)
-        assert [name for name, ref in frames if ref() is not None] == []
+        assert len(blobs) == len(corpus.videos)
+        assert [name for name, ref in blobs if ref() is not None] == []
 
     def test_eval_memory_grows_by_the_tables_and_gates_alone(self, tmp_path):
         # each video is scored as it is read and only its decoded tables and
@@ -925,13 +938,18 @@ def _nan_last(p):
     p.write_bytes(p.read_bytes()[:-8] + np.float64(np.nan).tobytes())
 
 
-def _vis_blob(name_of):
-    """Name as the first video's vis blob the name ``name_of`` gives for the manifest's path."""
+def _first_id(id_of):
+    """Give the first video the id ``id_of`` gives for the manifest's path."""
     def corrupt(p):
         doc = json.loads(p.read_text())
-        doc["videos"][0]["blobs"]["vis"] = name_of(p)
+        doc["videos"][0]["id"] = id_of(p)
         p.write_text(json.dumps(doc))
     return corrupt
+
+
+def _frames_only(p):
+    """Rewrite a video's blob as its first stream alone, a format-1 blob's shape."""
+    blobio.write_matrix(p, blobio.read_matrix(p)[:TINY["frames"]])
 
 
 def _drop_last_video(p):
@@ -955,19 +973,23 @@ _REPORT = ["report", "--run", "{run}"]
 
 # (file to corrupt, corruption, command reading it, text the error must name)
 CORRUPTIONS = [
-    ("corpus/v0000_vis.bin", _truncate, _EVAL, "truncated"),
-    ("corpus/v0000_vis.bin", _append, _EVAL, "trailing"),
-    ("corpus/v0000_vis.bin", _flip(0), _EVAL, "magic"),
+    ("corpus/v0000.bin", _truncate, _EVAL, "truncated"),
+    ("corpus/v0000.bin", _append, _EVAL, "trailing"),
+    ("corpus/v0000.bin", _flip(0), _EVAL, "magic"),
     ("run/model.ckpt", _truncate, _EVAL, "truncated"),
     ("run/model.ckpt", _append, _EVAL, "trailing"),
     ("run/model.ckpt", _flip(16), _EVAL, "name of entry 0"),
     ("corpus/manifest.json", _truncate, _EVAL, "JSON"),
     ("corpus/manifest.json", _append, _EVAL, "JSON"),
     ("corpus/manifest.json", _flip(0), _EVAL, "JSON"),
-    ("corpus/manifest.json", _set("videos", 0, "blobs"), _EVAL, "blobs"),
-    ("corpus/manifest.json", _set("videos", 0, "blobs", "adv"), _EVAL, "adv"),
-    ("corpus/manifest.json", _set("videos", 0, "frames"), _EVAL, "frames"),
-    ("corpus/manifest.json", _set("videos", 0, "aligned"), _EVAL, "aligned"),
+    # format-1 entry keys, and an entry without the id its blob's name is made of
+    ("corpus/manifest.json", _set("videos", 0, "blobs", value={"vis": "v0000_vis.bin"}), _EVAL,
+     "videos[0]: key 'blobs'"),
+    ("corpus/manifest.json", _set("videos", 0, "id"), _EVAL, "videos[0]: key 'id'"),
+    ("corpus/manifest.json", _set("videos", 0, "frames", value=TINY["frames"]), _EVAL,
+     "videos[0]: key 'frames'"),
+    ("corpus/manifest.json", _set("videos", 0, "aligned", value=True), _EVAL,
+     "videos[0]: key 'aligned'"),
     ("corpus/manifest.json", _set("videos", 0, "gt", 0, "label"), _EVAL, "label"),
     ("corpus/manifest.json", _set("config"), _EVAL, "config"),
     ("corpus/manifest.json", _set("config", value=[1]), _EVAL, "config"),
@@ -988,14 +1010,14 @@ CORRUPTIONS = [
     ("sweep/ablation.json", _set("rows", 0, "lap"), ["report", "--run", "{sweep}"], "lap"),
     # a gen stopped before its manifest, and a blob removed that the manifest still names
     ("corpus/manifest.json", _unlink, _EVAL, "no manifest.json"),
-    ("corpus/v0000_vis.bin", _unlink, _EVAL, "missing vis blob"),
-    # manifests write_corpus never writes: a repeated id, no videos, a video off the
-    # config's shape, overlapping segments
+    ("corpus/v0000.bin", _unlink, _EVAL, "missing blob"),
+    # manifests write_corpus never writes: a repeated id, no videos, a video that
+    # states its shape, overlapping segments
     *[("corpus/manifest.json", corrupt, argv, needle) for argv in (_EVAL, _TRAIN)
       for corrupt, needle in [(_set("videos", 1, "id", value="v0000"), "videos[1].id"),
                               (_set("videos", value=[]), "'videos'"),
-                              (_set("videos", 0, "frames", value=20), "videos[0].frames"),
-                              (_set("videos", 0, "dim", value=3), "videos[0].dim"),
+                              (_set("videos", 0, "frames", value=20), "videos[0]: key 'frames'"),
+                              (_set("videos", 0, "dim", value=3), "videos[0]: key 'dim'"),
                               (_overlapping_segment, "videos[0].gt[")]],
     # sidecar values of the wrong JSON type
     *[("run/model.ckpt.json", _set("model_config", key, value=value), _EVAL, repr(key))
@@ -1005,10 +1027,10 @@ CORRUPTIONS = [
     *[("corpus/manifest.json", _drop_last_video, argv, "'videos' has length 5")
       for argv in (_EVAL, _TRAIN)],
     # a payload eval finds bad only once it reaches a later video: a NaN in its
-    # frames, a truncated language stream
-    ("corpus/v0004_vis.bin", _nan_last, _EVAL + ["--conflict", "--probe"],
+    # last stream, a truncated blob
+    ("corpus/v0004.bin", _nan_last, _EVAL + ["--conflict", "--probe"],
      "non-finite entries in the matrix at offset 16"),
-    ("corpus/v0004_cls.bin", _truncate, _EVAL + ["--conflict", "--probe"],
+    ("corpus/v0004.bin", _truncate, _EVAL + ["--conflict", "--probe"],
      "payload of the matrix at offset 16"),
     # config block values of the wrong JSON type: an integer written as a float
     *[("corpus/manifest.json", _set("config", key, value=float(value)), argv, repr(key))
@@ -1022,21 +1044,31 @@ CORRUPTIONS = [
     ("corpus/manifest.json", _repeat("config", "seed"), _TRAIN, "repeated key 'seed'"),
     ("run/model.ckpt.json", _repeat("model_config", "dim"), _EVAL, "repeated key 'dim'"),
     ("run/train_log.jsonl", _repeat("loss_dh"), _REPORT, "repeated key 'loss_dh'"),
-    # blob names that leave the corpus directory, though each names a readable blob
-    ("corpus/manifest.json", _vis_blob(lambda p: str(p.parent.resolve() / "v0001_vis.bin")),
-     _TRAIN, "videos[0].blobs: key 'vis'"),
-    ("corpus/manifest.json", _vis_blob(lambda p: f"../{p.parent.name}/v0001_cls.bin"),
-     _EVAL, "videos[0].blobs: key 'vis'"),
+    # ids whose blob names leave the corpus directory, though each names a readable blob
+    ("corpus/manifest.json", _first_id(lambda p: str(p.parent.resolve() / "v0001")),
+     _TRAIN, "videos[0].id"),
+    ("corpus/manifest.json", _first_id(lambda p: f"../{p.parent.name}/v0001"),
+     _EVAL, "videos[0].id"),
     # stored config blocks that still hold a former key
     ("run/model.ckpt.json", _set("model_config", "hidden", value=None), _EVAL,
      "unknown key(s) 'hidden'"),
     ("corpus/manifest.json", _set("config", "noise_sigma", value=1.0), _TRAIN,
      "unknown key(s) 'noise_sigma'"),
+    # a format-1 manifest, whose videos are four blobs each; a video's blob of a
+    # format-1 blob's shape; ids that are not a bare file name
+    *[("corpus/manifest.json", _set("version", value=1), argv, "unsupported corpus version 1")
+      for argv in (_EVAL, _TRAIN)],
+    *[("corpus/v0002.bin", _frames_only, argv, "has shape (48, 8), not (192, 8)")
+      for argv in (_EVAL + ["--conflict", "--probe"], _TRAIN)],
+    ("corpus/manifest.json", _first_id(lambda p: "../x"), _EVAL,
+     "videos[0].id: '../x' does not make a bare .bin file name"),
+    ("corpus/manifest.json", _first_id(lambda p: "/abs"), _TRAIN,
+     "videos[0].id: '/abs' does not make a bare .bin file name"),
 ]
 
 
 # a case keeps its number in its id; the numbers of removed cases are not reused
-_RETIRED = range(47, 51)
+_RETIRED = {47, 48, 49, 50}
 _NUMBERS = [i for i in range(len(CORRUPTIONS) + len(_RETIRED)) if i not in _RETIRED]
 
 
@@ -1198,7 +1230,6 @@ class TestConflictedTwin:
         assert len(a) == len(b) == len(corpus.videos)
         for va, vb in zip(a, b):
             assert va.lang.cls_stream.tobytes() == vb.lang.cls_stream.tobytes()
-            assert not va.lang.aligned
 
 
 def perfect_corpus_and_state(root):

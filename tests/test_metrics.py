@@ -269,7 +269,7 @@ class TestLap:
                                         inject_conflict(corpus.config))
         drop = lap(0.5, twin, gt)
         monkeypatch.undo()
-        assert len(reads) == 4 * 6 and len(set(reads)) == len(reads)
+        assert reads == [f"{v.id}.bin" for v in corpus.videos]  # one blob per video, read once
         held = predict_corpus(state, map(inject_conflict(corpus.config), corpus.videos))[0]
         assert drop == lap(0.5, held, gt)
 

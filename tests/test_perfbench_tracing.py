@@ -55,6 +55,9 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     assert set(stats) <= tracing.metric_names()
     assert stats["train.fit.calls"] == 1 and stats["cli.build_report.calls"] == 1
     assert stats["model.forward_video.calls"] > 0
+    # one blob per video: gen writes each once, train and eval each read each once
+    assert stats["blobio.write_matrix.calls"] == 3
+    assert trained["blobio.read_matrix.calls"] == 3 and stats["blobio.read_matrix.calls"] == 3 + 3
     # one NMS pass per table of the eval (aligned, vision view, conflicted, distractors), from
     # two corpus reads (the corpus, scored three ways, and the distractors), one stacked forward
     # per video read (3 videos, 3 distractors), every pass of the eval decoded in that one loop

@@ -13,6 +13,7 @@ import pytest
 
 from talgate import blobio
 from talgate.errors import ConfigError, FormatError
+from talgate.nn import as_frames, as_matrix
 from talgate.synthgen import (NOISE_SIGMA, Corpus, GenConfig, generate_corpus,
                               generate_distractors, inject_conflict, open_corpus,
                               partner_class, read_corpus, write_corpus)
@@ -110,7 +111,6 @@ def test_record_structure():
         assert v.vis.shape == (cfg.frames, cfg.dim)
         for stream in (v.lang.cls_stream, v.lang.loc_stream, v.lang.adv_stream):
             assert stream.shape == (cfg.frames, cfg.dim)
-        assert v.lang.aligned
         assert len(v.gt) >= 1
         last_end = 0
         for s in v.gt:
@@ -169,7 +169,6 @@ class TestInjectConflict:
             assert a.vis.tobytes() == b.vis.tobytes()
             assert [(s.start, s.end, s.label) for s in a.gt] == \
                    [(s.start, s.end, s.label) for s in b.gt]
-            assert not b.lang.aligned
 
     def test_language_describes_a_deranged_class(self):
         frames, labels = in_segment_frames(self.corpus, "cls_stream")
@@ -200,14 +199,6 @@ class TestInjectConflict:
         twin = Corpus(self.cfg, list(map(inject_conflict(self.cfg), views)))
         assert corpus_bytes(twin) == corpus_bytes(self.twin)
 
-    def test_double_injection_rejected(self):
-        # each video is checked as its twin is built: the error names the first conflicted one
-        with pytest.raises(ConfigError, match="video v0000 is already conflicted"):
-            list(map(inject_conflict(self.cfg), self.twin.videos))
-        mixed = self.corpus.videos[:3] + self.twin.videos[3:]
-        with pytest.raises(ConfigError, match="video v0003 is already conflicted"):
-            list(map(inject_conflict(self.cfg), mixed))
-
     def test_same_rng_seed_same_twin(self):
         # the twin's draws are seeded from the corpus seed: a regenerated corpus has the same twin
         again = Corpus(self.cfg, list(map(inject_conflict(self.cfg), generate_corpus(self.cfg).videos)))
@@ -232,7 +223,6 @@ class TestDistractors:
         for i, v in enumerate(self.clips.videos):
             assert v.gt == []
             assert v.id == f"d{i:04d}"
-            assert v.lang.aligned
 
     def test_deterministic_and_distinct_from_corpus(self):
         again = Corpus(self.cfg, list(generate_distractors(self.cfg)))
@@ -306,6 +296,19 @@ class TestCorpusIO:
         for p in sorted((tmp_path / "a").iterdir()):
             assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
 
+    def test_one_blob_per_video(self, tmp_path):
+        corpus = generate_corpus(small_config(num_videos=3))
+        write_corpus(corpus, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["manifest.json", "v0000.bin", "v0001.bin", "v0002.bin"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        assert [sorted(e) for e in manifest["videos"]] == [["gt", "id"]] * 3
+        for v in corpus.videos:  # the four streams stacked by rows
+            blob = blobio.read_matrix(tmp_path / f"{v.id}.bin")
+            assert blob.tobytes() == np.concatenate(
+                (v.vis, v.lang.cls_stream, v.lang.loc_stream, v.lang.adv_stream)).tobytes()
+
     def test_open_reads_the_blobs_on_each_iteration(self, tmp_path, monkeypatch):
         corpus = generate_corpus(small_config(num_videos=3))
         write_corpus(corpus, tmp_path)
@@ -313,15 +316,28 @@ class TestCorpusIO:
         monkeypatch.setattr(blobio, "read_matrix", lambda p: reads.append(p.name) or read_matrix(p))
         stored = open_corpus(tmp_path)
         assert reads == [] and len(stored.videos) == 3 and stored.config == corpus.config
-        for _ in range(2):  # re-iterable, each pass reading every blob once
+        for _ in range(2):  # re-iterable, each pass reading each video's one blob once
             assert corpus_bytes(stored) == corpus_bytes(corpus)
-        assert reads == 2 * [f"v{i:04d}_{k}.bin" for i in range(3) for k in ("vis", "cls", "loc", "adv")]
-        assert all(v.lang.aligned for v in stored.videos)
+        assert reads == 2 * [f"v{i:04d}.bin" for i in range(3)]
+
+    def test_a_stored_videos_streams_are_views_of_its_blob(self, tmp_path, monkeypatch):
+        write_corpus(generate_corpus(small_config(num_videos=2)), tmp_path)
+        blobs, read_matrix = [], blobio.read_matrix
+        monkeypatch.setattr(blobio, "read_matrix", lambda p: blobs.append(read_matrix(p)) or blobs[-1])
+        for video, blob in zip(open_corpus(tmp_path).videos, blobs, strict=True):
+            streams = (video.vis, video.lang.cls_stream, video.lang.loc_stream, video.lang.adv_stream)
+            step = video.vis.nbytes  # the four row blocks, in order, tile the one buffer
+            for k, stream in enumerate(streams):
+                assert np.shares_memory(stream, blob) and stream.flags.c_contiguous
+                assert stream.ctypes.data == blob.ctypes.data + k * step
+                # the model's input checks take each stream as it is, without a copy
+                assert as_matrix(stream) is stream and as_frames(stream, "stream") is stream
+            assert sum(s.nbytes for s in streams) == blob.nbytes
 
     @pytest.mark.parametrize("corrupt, needle", [
         (lambda m: m["videos"][2]["gt"].append(m["videos"][2]["gt"][0]), r"videos\[2\]\.gt\[\d\]: .* overlaps"),
         (lambda m: m["videos"][2].update(aligned=None), r"videos\[2\]: key 'aligned'"),
-        (lambda m: m["videos"][2]["blobs"].update(adv="gone.bin"), "video v0002: missing adv blob"),
+        (lambda m: m["videos"][2].update(id="gone"), "video gone: missing blob"),
     ], ids=["overlapping-segments", "aligned-not-bool", "missing-blob"])
     def test_open_checks_the_whole_manifest_before_any_blob(self, tmp_path, monkeypatch,
                                                           corrupt, needle):
@@ -343,7 +359,7 @@ class TestCorpusIO:
     def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch, blobs):
         # a write over an existing corpus that stops after some blobs must
         # not leave the old manifest beside a mix of old and new blobs
-        write_corpus(generate_corpus(small_config(num_videos=2, seed=1)), tmp_path)
+        write_corpus(generate_corpus(small_config(num_videos=8, seed=1)), tmp_path)
         real, written = blobio.write_matrix, []
 
         def write_some(path, m):
@@ -354,7 +370,7 @@ class TestCorpusIO:
 
         monkeypatch.setattr(blobio, "write_matrix", write_some)
         with pytest.raises(OSError):
-            write_corpus(generate_corpus(small_config(num_videos=2, seed=2)), tmp_path)
+            write_corpus(generate_corpus(small_config(num_videos=8, seed=2)), tmp_path)
         assert len(written) == blobs
         with pytest.raises(FormatError, match="manifest.json"):
             read_corpus(tmp_path)
@@ -365,27 +381,46 @@ class TestCorpusIO:
         small = generate_corpus(small_config(num_videos=3))
         write_corpus(small, tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == sorted([f"v{i:04d}_{k}.bin" for i in range(3)
-                                for k in ("vis", "cls", "loc", "adv")] + ["manifest.json"])
+        assert names == ["manifest.json", "v0000.bin", "v0001.bin", "v0002.bin"]
         assert corpus_bytes(read_corpus(tmp_path)) == corpus_bytes(small)
 
     @pytest.mark.parametrize("manifest", [
-        "{nope",                                                   # not JSON
-        json.dumps({"videos": [{"blobs": ["v0000_vis.bin"]}]}),    # blobs not a mapping
-        json.dumps({"videos": [{"blobs": {"vis": "../outside.bin", "cls": "keep.txt",
-                                          "loc": "sub/v0000_loc.bin"}}]}),
+        lambda tmp: "{nope",                                            # not JSON
+        lambda tmp: json.dumps({"videos": [{"blobs": ["v0000_vis.bin"]}]}),  # a format-1 entry
+        lambda tmp: json.dumps({"videos": [{"id": i} for i in ("../outside", str(tmp / "abs"),
+                                                               "sub/x", ["keep"], 7)]}),
     ], ids=["not-json", "blobs-not-a-mapping", "names-outside-or-not-bin"])
     def test_rewrite_removes_only_bare_blob_names_of_a_readable_manifest(self, tmp_path, manifest):
         out = tmp_path / "c"
         (out / "sub").mkdir(parents=True)
-        bystanders = [tmp_path / "outside.bin", out / "keep.txt", out / "sub" / "v0000_loc.bin",
-                      out / "v0000_vis.bin"]
+        # blobs of ids that leave the directory or are no string, a format-1 blob, and
+        # a blob of the new corpus, which it overwrites
+        bystanders = [tmp_path / "outside.bin", tmp_path / "abs.bin", out / "sub" / "x.bin",
+                      out / "['keep'].bin", out / "7.bin", out / "v0000_vis.bin", out / "v0000.bin"]
         for p in bystanders:
             p.write_text("x")
-        (out / "manifest.json").write_text(manifest)
+        (out / "manifest.json").write_text(manifest(tmp_path))
         write_corpus(generate_corpus(small_config(num_videos=1)), out)
-        assert [p.exists() for p in bystanders] == [True] * 4
-        assert (out / "v0000_vis.bin").read_bytes() != b"x"  # overwritten by the new corpus
+        assert [p.exists() for p in bystanders] == [True] * 7
+        assert (out / "v0000.bin").read_bytes() != b"x"
+
+    def test_rewrite_removes_only_the_dropped_videos_blobs(self, tmp_path):
+        out = tmp_path / "c"
+        write_corpus(generate_corpus(small_config(num_videos=4)), out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        ids = ["../outside", str(tmp_path / "abs"), "sub/x"]
+        manifest["videos"] += [{"id": i, "gt": []} for i in ids]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "sub").mkdir()
+        bystanders = [tmp_path / "outside.bin", tmp_path / "abs.bin", out / "sub" / "x.bin",
+                      out / "v0001_vis.bin", out / "keep.bin"]
+        for p in bystanders:
+            p.write_text("x")
+        small = generate_corpus(small_config(num_videos=2))
+        write_corpus(small, out)
+        assert [p.exists() for p in bystanders] == [True] * 5
+        assert sorted(p.name for p in out.glob("v*.bin")) == ["v0000.bin", "v0001.bin", "v0001_vis.bin"]
+        assert corpus_bytes(read_corpus(out)) == corpus_bytes(small)
 
     def test_unreadable_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{nope")
@@ -404,14 +439,14 @@ class TestCorpusIO:
     def test_missing_blob_names_video(self, tmp_path):
         corpus = generate_corpus(small_config(num_videos=2))
         write_corpus(corpus, tmp_path)
-        (tmp_path / "v0001_loc.bin").unlink()
+        (tmp_path / "v0001.bin").unlink()
         with pytest.raises(FormatError, match="v0001"):
             read_corpus(tmp_path)
 
     def test_corrupt_blob_magic(self, tmp_path):
         corpus = generate_corpus(small_config(num_videos=1))
         write_corpus(corpus, tmp_path)
-        blob = tmp_path / "v0000_vis.bin"
+        blob = tmp_path / "v0000.bin"
         raw = bytearray(blob.read_bytes())
         raw[:4] = b"XXXX"
         blob.write_bytes(bytes(raw))
@@ -423,11 +458,19 @@ class TestCorpusIO:
         (lambda m: m["videos"][0]["gt"].append(m["videos"][0]["gt"][0]), r"videos\[0\]\.gt\[\d\]: .* overlaps"),
         (lambda m: m["videos"][1].update(id=m["videos"][0]["id"]), r"videos\[1\]\.id"),
         (lambda m: m.update(videos=[]), "'videos' is an empty list"),
-        (lambda m: m["videos"][1].update(frames=20), r"videos\[1\]\.frames"),
-        (lambda m: m["videos"][1].update(dim=3), r"videos\[1\]\.dim"),
+        (lambda m: m["videos"][1].update(frames=20), r"videos\[1\]: key 'frames'"),
+        (lambda m: m["videos"][1].update(dim=3), r"videos\[1\]: key 'dim'"),
         (lambda m: m["videos"].pop(), "'videos' has length 1, but the config block's num_videos is 2"),
+        # format 1: four blobs per video, named by each entry's blobs dict
+        (lambda m: m.update(version=1), r"unsupported corpus version 1 in manifest .*manifest\.json"),
+        (lambda m: m["videos"][1].update(aligned=False), r"videos\[1\]: key 'aligned' is not a key of a format-2 entry"),
+        (lambda m: m["videos"][1].update(blobs={"vis": "v0001_vis.bin"}), r"videos\[1\]: key 'blobs'"),
+        *[(lambda m, vid=vid: m["videos"][1].update(id=vid),
+           rf"videos\[1\]\.id: '{vid}' does not make a bare \.bin file name")
+          for vid in ("../x", "/abs", "sub/x")],
     ], ids=["segment-out-of-bounds", "overlapping-segments", "duplicate-id", "no-videos",
-            "frames-off-config", "dim-off-config", "count-off-config"])
+            "frames-off-config", "dim-off-config", "count-off-config", "format-1",
+            "holds-aligned", "holds-blobs", "id-up-a-directory", "id-absolute", "id-in-a-subdirectory"])
     def test_invalid_segment_in_manifest(self, tmp_path, corrupt, needle):
         corpus = generate_corpus(small_config(num_videos=2))
         write_corpus(corpus, tmp_path)
