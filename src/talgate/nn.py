@@ -4,10 +4,13 @@ Every tensor in this module is a 2-D float64 numpy array ("matrix",
 row-major), save that a layer's ``forward`` also takes a stack of
 matrices along a leading axis: ``np.matmul`` runs each item's GEMMs at the
 item's own shapes, so an item's output has the bits of its own 2-D pass.
-A layer holds only its parameters; the activations its backward reads
-live with the caller (``model.Forward``, the record of a forward pass).
-``forward(x)`` returns ``(y, saved)``: the output and that read (the
-checked input, zero-padded for ``Conv1d``), kept while a backward may
+There is one layer, ``Conv1d``; kernel 1 serves the model's output heads
+and advantage head (``Linear``, a kernel-1 ``Conv1d`` under its own name).
+A layer holds only its parameters and its shape (``k``, ``din``); the
+activations its backward reads live with the caller (``model.Forward``,
+the record of a forward pass).  ``forward(x)`` returns ``(y, saved)``: the
+output and that read (the checked input, zero-padded when the kernel is
+wider than 1, the input itself at kernel 1), kept while a backward may
 follow and then dropped.  ``backward(saved, dout)`` takes one matrix, not
 a stack; it accumulates the parameter gradients in place and returns the
 gradient with respect to the layer input (``input_grad=False`` skips that
@@ -202,43 +205,6 @@ class Param:
         return self.value.shape  # type: ignore[return-value]
 
 
-class Linear:
-    """y = x @ w + b with gradient accumulation on backward."""
-
-    def __init__(self, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
-        scale = math.sqrt(2.0 / din) if w_scale is None else w_scale
-        w0 = rng.normal_matrix(din, dout, scale) if rng is not None else np.zeros((din, dout))
-        self.w = Param(w0)
-        self.b = Param(np.zeros((1, dout)))
-
-    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(y, x): the output and the checked input, which ``backward`` reads.
-        ``x`` is a matrix or a stack of them."""
-        x = as_frames(x, "linear input")
-        din = self.w.shape[0]
-        if x.shape[-1] != din:
-            raise ShapeError(f"linear: input shape {x.shape} does not match weight shape {self.w.shape}")
-        y = x @ self.w.value
-        y += self.b.value
-        return y, x
-
-    def backward(self, x: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate the parameter gradients; return the input gradient,
-        or None when ``input_grad`` is false and nothing will read it."""
-        dout = as_matrix(dout, "linear dout")
-        if dout.shape != (x.shape[0], self.w.shape[1]):
-            raise ShapeError(f"linear: dout shape {dout.shape} does not match output shape {(x.shape[0], self.w.shape[1])}")
-        self.w.grad += x.T @ dout
-        self.b.grad += dout.sum(axis=0, keepdims=True)
-        if not input_grad:
-            return None
-        # a contiguous copy of w.T multiplies faster than the transposed view, same bits
-        return dout @ np.ascontiguousarray(self.w.value.T)
-
-    def params(self) -> list[tuple[str, Param]]:
-        return [("w", self.w), ("b", self.b)]
-
-
 class Conv1d:
     """Temporal cross-correlation with 'same' zero padding.
 
@@ -246,6 +212,9 @@ class Conv1d:
     (k * din) x dout matrix; the tap-t slice is rows [t*din, (t+1)*din).
     Input and output are both frame-major: (L, din) -> (L, dout), or
     (S, L, din) -> (S, L, dout) for a stack of S inputs in ``forward``.
+    Kernel 1 is a per-frame affine map, as in the model's output heads
+    (``Linear``): it has no pad, so the input itself is what ``forward``
+    saves and ``backward`` reads.
     """
 
     def __init__(self, k: int, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
@@ -261,22 +230,27 @@ class Conv1d:
     def _taps(self, xp: np.ndarray, L: int) -> np.ndarray:
         """The k tap windows of the padded input (or of each item of a stack)
         as one (..., k, L, din) view without a copy: window t is xp[..., t:t + L, :]."""
+        if self.k == 1:  # the one window is the input itself; a plain view is cheaper
+            return xp[..., None, :, :]
         *outer, row, col = xp.strides
         return np.ndarray(xp.shape[:-2] + (self.k, L, self.din), xp.dtype, xp, 0,
                           (*outer, row, row, col))
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(y, xp): the output and the padded input, which ``backward`` reads.
-        ``x`` is a matrix or a stack of them."""
+        """(y, xp): the output and the padded input (at kernel 1 the input
+        itself), which ``backward`` reads.  ``x`` is a matrix or a stack of them."""
         x = as_frames(x, "conv1d input")
         if x.shape[-1] != self.din:
-            raise ShapeError(f"conv1d: input shape {x.shape} does not match channel count {self.din}")
+            raise ShapeError(f"conv1d: input shape {x.shape} does not match kernel {self.k} "
+                             f"weight shape {self.w.shape} ({self.din} input channels)")
         L = x.shape[-2]
         pad = (self.k - 1) // 2
-        xp = np.empty(x.shape[:-2] + (L + 2 * pad, self.din))
-        xp[..., :pad, :] = 0.0  # only the pad rows need zeros
-        xp[..., pad + L:, :] = 0.0
-        xp[..., pad:pad + L, :] = x
+        xp = x
+        if pad:
+            xp = np.empty(x.shape[:-2] + (L + 2 * pad, self.din))
+            xp[..., :pad, :] = 0.0  # only the pad rows need zeros
+            xp[..., pad + L:, :] = 0.0
+            xp[..., pad:pad + L, :] = x
         # one stacked matmul runs the k per-tap GEMMs of each item; the bias and
         # the taps are then added in tap order into tap 0's product, so each
         # output bit is the per-tap loop's
@@ -303,6 +277,8 @@ class Conv1d:
         # per tap w_t.T, copied contiguous: faster than the transposed view, same bits
         w_t = np.ascontiguousarray(self.w.value.reshape(self.k, self.din, -1).transpose(0, 2, 1))
         dtaps = np.matmul(dout, w_t)
+        if not pad:
+            return dtaps[0]  # one tap, nothing to shift
         dxp = np.zeros_like(xp)
         for t in range(self.k):
             dxp[t:t + L] += dtaps[t]
@@ -310,6 +286,20 @@ class Conv1d:
 
     def params(self) -> list[tuple[str, Param]]:
         return [("w", self.w), ("b", self.b)]
+
+
+class Linear(Conv1d):
+    """y = x @ w + b on every frame: a kernel-1 ``Conv1d`` whose weight is
+    the din x dout matrix, with no code of its own."""
+
+    def __init__(self, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
+        super().__init__(1, din, dout, rng, w_scale)
+
+    # Conv1d's functions as this class's own entries: the benchmark's tracer
+    # (perfbench/tracing.py) patches a class's own entry by name, so these
+    # keep the 1x1 layers timed apart from the trunks
+    forward = Conv1d.forward
+    backward = Conv1d.backward
 
 
 def relu(x) -> np.ndarray:

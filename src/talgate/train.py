@@ -134,11 +134,10 @@ class FrameTargets:
                    tuple(sorted(set(labels[positive].tolist()))))
 
 
-def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTargets,
-                   lambda_loc: float = 1.0) -> DetectionLossResult:
+def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTargets) -> DetectionLossResult:
     """Focal classification of the L x C scores over every frame plus DIoU
-    regression of the L x 2 offsets on the positive frames of ``targets``,
-    summed per frame and normalized by the positive count (floored at 1).
+    regression of the L x 2 offsets on the positive frames of ``targets``
+    (at weight 1), summed per frame and normalized by the positive count (floored at 1).
 
     Predicted intervals are padded by a fixed 1e-6 on both sides so frames
     whose offsets collapse to zero still yield a valid interval.
@@ -154,9 +153,9 @@ def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTarget
         ps = li - offsets[li, 0] - INTERVAL_PAD
         pe = li + offsets[li, 1] + INTERVAL_PAD
         dl, dps, dpe = diou_loss(ps, pe, targets.gstart[li], targets.gend[li])
-        per_frame[li] += lambda_loc * dl
-        d_off[li, 0] = -lambda_loc * dps / m
-        d_off[li, 1] = lambda_loc * dpe / m
+        per_frame[li] += dl
+        d_off[li, 0] = -dps / m
+        d_off[li, 1] = dpe / m
     loss = float(per_frame.sum() / m)
     return DetectionLossResult(loss, per_frame.reshape(L, 1), d_scores, d_off)
 

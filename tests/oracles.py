@@ -337,9 +337,13 @@ def normal_block_prior(words, n, sigma):
     return sigma * out[:n]
 
 
-def linear_input_grad_prior(dout, w):
-    """d(x @ w) / dx applied to ``dout``: a matmul against the view w.T."""
-    return dout @ w.T
+def linear_prior(x, w, b, dout):
+    """The former ``Linear`` layer's arithmetic on one matrix: returns
+    (x @ w + b, x.T @ dout, dout.sum(0), dout @ w.T), the output and the
+    weight, bias and input gradients for output gradient ``dout``."""
+    y = x @ w
+    y += b
+    return y, x.T @ dout, dout.sum(axis=0, keepdims=True), dout @ w.T
 
 
 def conv1d_input_grad_prior(dout, w, k, din):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (conv1d_input_grad_prior, conv1d_reference, conv1d_taps_reference,
                      diou_reference, focal_loss_grad_prior, focal_loss_prior, grad_check,
-                     linear_input_grad_prior, linear_reference, normal_block_prior,
+                     linear_prior, linear_reference, normal_block_prior,
                      relu_grad_prior, sigmoid_prior, splitmix64_stream)
 from talgate.nn import (PROB_EPS, Conv1d, Linear, Rng, ShapeError, diou_loss,
                         focal_loss, log_softmax, relu, relu_grad, sigmoid)
@@ -146,7 +146,7 @@ class TestLinear:
         assert np.array_equal(y, x) and saved is x  # a checked matrix is kept as given
         lin.w.value[...] = 0.0
         assert np.array_equal(lin.forward(x)[0], np.zeros((5, 3)))
-        assert set(vars(lin)) == {"w", "b"}  # the caller keeps what a pass saves
+        assert set(vars(lin)) == {"k", "din", "w", "b"}  # the caller keeps what a pass saves
 
     def test_matches_loop_reference(self):
         rng = Rng(2)
@@ -157,9 +157,9 @@ class TestLinear:
         np.testing.assert_allclose(lin.forward(x)[0], expected, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
-        lin = Linear(3, 2)
-        with pytest.raises(ShapeError, match=r"\(4, 4\).*\(3, 2\)"):
-            lin.forward(np.zeros((4, 4)))
+        for layer in (Linear(3, 2), Conv1d(1, 3, 2)):
+            with pytest.raises(ShapeError, match=r"input shape \(4, 4\).*kernel 1 weight shape \(3, 2\)"):
+                layer.forward(np.zeros((4, 4)))
 
     @pytest.mark.parametrize("S, L, din, dout", [(1, 7, 3, 5), (3, 256, 32, 8), (3, 256, 32, 1)])
     def test_stack_equals_each_matrix_alone(self, S, L, din, dout):
@@ -380,7 +380,31 @@ class TestBitwiseOracles:
         lin = Linear(din, dout, rng)
         x, g = rng.normal_matrix(L, din), rng.normal_matrix(L, dout)
         g[0, :] = 0.0
-        assert _bits(lin.backward(x, g)) == _bits(linear_input_grad_prior(g, lin.w.value))
+        assert _bits(lin.backward(x, g)) == _bits(linear_prior(x, lin.w.value, lin.b.value, g)[3])
+
+    # the model's four output heads (adv_fc, cls_out, tmpl_out, loc_out) and a small shape
+    @pytest.mark.parametrize("L, din, dout", [(256, 32, 8), (256, 32, 1), (256, 32, 9), (256, 32, 2), (7, 3, 5)])
+    def test_linear_is_kernel1_conv_with_the_prior_arithmetic(self, L, din, dout):
+        rng = Rng(56 + dout)
+        lin = Linear(din, dout, rng)
+        lin.b.value[...] = rng.normal_matrix(1, dout)
+        xs = np.stack([rng.normal_matrix(L, din) for _ in range(3)])
+        ys, saved = lin.forward(xs)
+        assert saved is xs
+        for x, y in zip(xs, ys):
+            g = rng.normal_matrix(L, dout)
+            g[L // 2, :] = 0.0  # an all-zero row
+            want_y, want_dw, want_db, want_dx = linear_prior(x, lin.w.value, lin.b.value, g)
+            assert _bits(y) == _bits(want_y)
+            y, saved = lin.forward(x)
+            assert _bits(y) == _bits(want_y) and saved is x
+            lin.w.grad[...] = lin.b.grad[...] = 0.0
+            assert _bits(lin.backward(saved, g)) == _bits(want_dx)
+            assert _bits(lin.w.grad) == _bits(want_dw) and _bits(lin.b.grad) == _bits(want_db)
+        # one implementation: Linear's entries are Conv1d's functions, under its own names
+        for name in ("forward", "backward"):
+            assert Linear.__dict__[name] is Conv1d.__dict__[name]
+        assert {k for k, v in vars(Linear).items() if callable(v)} == {"__init__", "forward", "backward"}
 
     @pytest.mark.parametrize("k, L, din, dout", [
         (1, 7, 3, 5), (3, 7, 3, 5), (5, 7, 5, 3), (3, 1, 4, 2), (3, 256, 32, 32), (3, 256, 8, 32),

@@ -71,6 +71,12 @@ def test_tracer_patches_every_target_and_restores_it(tmp_path):
     # lap and the probe generate the streams they score, once per eval, under the traced names
     assert stats["synthgen.inject_conflict.calls"] == 1
     assert stats["synthgen.generate_distractors.calls"] == 1
+    # the trunks and the four 1x1 layers are timed apart, each call once: Linear's forward
+    # and backward are Conv1d's functions under its own class entries
+    def layer_calls(s):
+        return [s[f"nn.{layer}.{m}.calls"] for layer in ("Conv1d", "Linear") for m in ("forward", "backward")]
+    assert layer_calls(trained) == [24, 24, 18, 18]
+    assert layer_calls(stats) == [48, 24, 39, 18]  # eval adds forward passes only
     # the training losses keep their traced names and are called by fit
     for name in ("train.detection_loss", "model.template_loss", "model.template_loss_grad"):
         assert stats[f"{name}.calls"] > 0, name

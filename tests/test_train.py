@@ -163,7 +163,7 @@ class TestDetectionLoss:
         gt = [Segment(2, 7, 0), Segment(10, 14, 2)]
         scores = 1.0 / (1.0 + np.exp(-rng.normal_matrix(L, C)))
         offsets = np.abs(rng.normal_matrix(L, 2)) + 0.3
-        det = detection_loss(scores, offsets, targets_of(gt, scores), lambda_loc=0.7)
+        det = detection_loss(scores, offsets, targets_of(gt, scores))
         assert det.loss == pytest.approx(det.per_frame.sum() / 9, rel=1e-12)  # 9 positive frames
         labels = np.full(L, C)
         for seg in gt:
@@ -175,9 +175,9 @@ class TestDetectionLoss:
             want = focal_loss(scores[l:l + 1], y)[0].sum()
             if labels[l] != C:
                 seg = next(s for s in gt if s.start <= l < s.end)
-                want += 0.7 * diou_reference(l - offsets[l, 0] - INTERVAL_PAD,
-                                             l + offsets[l, 1] + INTERVAL_PAD,
-                                             float(seg.start), float(seg.end))
+                want += diou_reference(l - offsets[l, 0] - INTERVAL_PAD,
+                                       l + offsets[l, 1] + INTERVAL_PAD,
+                                       float(seg.start), float(seg.end))
             assert det.per_frame[l, 0] == pytest.approx(want, rel=1e-12)
 
     def test_score_gradients(self):
