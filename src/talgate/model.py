@@ -116,8 +116,9 @@ class ModelState:
 @dataclass(eq=False)
 class Forward:
     """One forward pass of one video: its outputs and what ``backward_video``
-    reads, per trunk each conv layer's (padded input, pre-activation) and
-    its output layers' input.  A scoring pass keeps the outputs it reads.
+    reads, per trunk each conv layer's (padded input, pre-activation), each
+    an array of its own, and its output layers' input.  A scoring pass
+    keeps the outputs it reads.
     The record of a stack of passes holds its outputs with a leading stack
     axis and nothing else (every other field None): it is scored, not
     backpropagated."""
@@ -202,7 +203,10 @@ def head_forward(f_cls, f_loc, state: ModelState) -> Forward:
 def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
     for i in reversed(range(len(trunk))):
         xp, z = convs[i]
-        d_feat = trunk[i].backward(xp, d_feat * relu_grad(z), input_grad or i > 0)
+        # relu_grad(z) compared into a float buffer: a float product is faster
+        # than one that casts a bool mask, and has the same bits
+        mask = np.greater(z, 0.0, out=np.empty_like(z))
+        d_feat = trunk[i].backward(xp, np.multiply(d_feat, mask, out=mask), input_grad or i > 0)
     return d_feat
 
 

@@ -9,12 +9,13 @@ and advantage head (``Linear``, a kernel-1 ``Conv1d`` under its own name).
 A layer holds only its parameters and its shape (``k``, ``din``); the
 activations its backward reads live with the caller (``model.Forward``,
 the record of a forward pass).  ``forward(x)`` returns ``(y, saved)``: the
-output and that read (the checked input, zero-padded when the kernel is
-wider than 1, the input itself at kernel 1), kept while a backward may
-follow and then dropped.  ``backward(saved, dout)`` takes one matrix, not
-a stack; it accumulates the parameter gradients in place and returns the
-gradient with respect to the layer input (``input_grad=False`` skips that
-one).
+output, an array of its own, and that read (the checked input,
+zero-padded when the kernel is wider than 1, the input itself at kernel
+1), kept while a backward may follow and then dropped.  ``backward(saved,
+dout)`` takes one matrix, not a stack; it accumulates the parameter
+gradients in place and returns the gradient with respect to the layer
+input (``input_grad=False`` skips that one).  Both add their per-tap
+products in tap order (``Conv1d``).
 
 A loss returns its derivatives with its value, from one pass over the
 shared intermediates (``focal_loss`` and ``diou_loss`` here,
@@ -205,6 +206,18 @@ class Param:
         return self.value.shape  # type: ignore[return-value]
 
 
+def _row_sum(m: np.ndarray) -> np.ndarray:
+    """``m.sum(axis=0)`` of a matrix, bit for bit.  Wider than one column,
+    einsum adds the rows in the same order in about half the time, but of
+    two NaNs in a column it may keep the other one, so a NaN result falls
+    back to ``sum``.  A single column numpy's ``sum`` adds pairwise, faster."""
+    if m.shape[1] > 1:
+        s = np.einsum("ij->j", m)
+        if not math.isnan(s @ s):  # the squares hold no inf - inf: NaN only from a NaN in s
+            return s
+    return m.sum(axis=0)
+
+
 class Conv1d:
     """Temporal cross-correlation with 'same' zero padding.
 
@@ -214,7 +227,14 @@ class Conv1d:
     (S, L, din) -> (S, L, dout) for a stack of S inputs in ``forward``.
     Kernel 1 is a per-frame affine map, as in the model's output heads
     (``Linear``): it has no pad, so the input itself is what ``forward``
-    saves and ``backward`` reads.
+    saves and ``backward`` reads, and it runs ``x @ w + b``, ``x.T @ dout``
+    and ``dout @ w.T`` with no tap axis.
+
+    Forward: y = x_0 @ w_0, y += b, then y += x_t @ w_t for t = 1..k-1,
+    x_t the padded input's rows t..t+L-1.  Backward: each row of the input
+    gradient adds the products dout @ w_t.T that reach it in tap order, as
+    a zero-filled padded buffer would from +0.0; the bias gradient is
+    ``dout.sum(axis=0)`` (``_row_sum``).
     """
 
     def __init__(self, k: int, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
@@ -227,15 +247,6 @@ class Conv1d:
         self.w = Param(w0)
         self.b = Param(np.zeros((1, dout)))
 
-    def _taps(self, xp: np.ndarray, L: int) -> np.ndarray:
-        """The k tap windows of the padded input (or of each item of a stack)
-        as one (..., k, L, din) view without a copy: window t is xp[..., t:t + L, :]."""
-        if self.k == 1:  # the one window is the input itself; a plain view is cheaper
-            return xp[..., None, :, :]
-        *outer, row, col = xp.strides
-        return np.ndarray(xp.shape[:-2] + (self.k, L, self.din), xp.dtype, xp, 0,
-                          (*outer, row, row, col))
-
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(y, xp): the output and the padded input (at kernel 1 the input
         itself), which ``backward`` reads.  ``x`` is a matrix or a stack of them."""
@@ -243,46 +254,62 @@ class Conv1d:
         if x.shape[-1] != self.din:
             raise ShapeError(f"conv1d: input shape {x.shape} does not match kernel {self.k} "
                              f"weight shape {self.w.shape} ({self.din} input channels)")
-        L = x.shape[-2]
+        L, din = x.shape[-2], self.din
         pad = (self.k - 1) // 2
         xp = x
         if pad:
-            xp = np.empty(x.shape[:-2] + (L + 2 * pad, self.din))
+            xp = np.empty(x.shape[:-2] + (L + 2 * pad, din))
             xp[..., :pad, :] = 0.0  # only the pad rows need zeros
             xp[..., pad + L:, :] = 0.0
             xp[..., pad:pad + L, :] = x
-        # one stacked matmul runs the k per-tap GEMMs of each item; the bias and
-        # the taps are then added in tap order into tap 0's product, so each
-        # output bit is the per-tap loop's
-        prods = np.matmul(self._taps(xp, L), self.w.value.reshape(self.k, self.din, -1))
-        y = prods[..., 0, :, :]
+        # one GEMM per tap (per item of a stack); taps 1..k-1 share one scratch buffer
+        w = self.w.value
+        y = np.matmul(xp[..., :L, :], w[:din])
         y += self.b.value
+        scratch = None
         for t in range(1, self.k):
-            y += prods[..., t, :, :]
+            scratch = np.matmul(xp[..., t:t + L, :], w[t * din:(t + 1) * din], out=scratch)
+            y += scratch
         return y, xp
 
     def backward(self, xp: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients; return the input gradient,
         or None when ``input_grad`` is false and nothing will read it."""
         dout = as_matrix(dout, "conv1d dout")
-        pad = (self.k - 1) // 2
+        k, din = self.k, self.din
+        pad = (k - 1) // 2
         L = xp.shape[0] - 2 * pad
         if dout.shape != (L, self.w.shape[1]):
             raise ShapeError(f"conv1d: dout shape {dout.shape} does not match output shape {(L, self.w.shape[1])}")
-        self.b.grad += dout.sum(axis=0, keepdims=True)
-        taps = self._taps(xp, L)
-        self.w.grad += np.matmul(taps.transpose(0, 2, 1), dout).reshape(self.w.shape)
+        self.b.grad += _row_sum(dout)
+        w, dw = self.w.value, self.w.grad
+        if k == 1:
+            dw += xp.T @ dout
+        else:  # the k transposed tap windows as one strided view: one matmul call runs
+            # every tap's GEMM, fewer calls than one per tap, the same GEMMs
+            row, col = xp.strides
+            windows = np.ndarray((k, din, L), xp.dtype, xp, 0, (row, col, row))
+            dw += np.matmul(windows, dout).reshape(dw.shape)
         if not input_grad:
             return None
-        # per tap w_t.T, copied contiguous: faster than the transposed view, same bits
-        w_t = np.ascontiguousarray(self.w.value.reshape(self.k, self.din, -1).transpose(0, 2, 1))
-        dtaps = np.matmul(dout, w_t)
+        # per tap w_t.T, copied contiguous: faster than the transposed view,
+        # whose GEMM can sum in another order when L is small
+        w_t = np.ascontiguousarray(w.reshape(k, din, -1).transpose(0, 2, 1))
         if not pad:
-            return dtaps[0]  # one tap, nothing to shift
-        dxp = np.zeros_like(xp)
-        for t in range(self.k):
-            dxp[t:t + L] += dtaps[t]
-        return dxp[pad:pad + L]
+            return dout @ w_t[0]
+        # tap t's product adds into rows t..t+L-1 of the padded input's gradient,
+        # in tap order; tap 0 writes its rows, and each later tap writes the one
+        # row that no earlier tap reached, so the buffer needs no zero fill
+        dxp = np.empty_like(xp)
+        np.matmul(dout, w_t[0], out=dxp[:L])
+        scratch = None
+        for t in range(1, k):
+            scratch = np.matmul(dout, w_t[t], out=scratch)
+            dxp[t:t + L - 1] += scratch[:L - 1]
+            dxp[t + L - 1] = scratch[L - 1]
+        dx = dxp[pad:pad + L]
+        dx += 0.0  # as a sum started from +0.0 would: -0.0 reads +0.0
+        return dx
 
     def params(self) -> list[tuple[str, Param]]:
         return [("w", self.w), ("b", self.b)]
@@ -328,24 +355,32 @@ def sigmoid(x) -> np.ndarray:
 def focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise focal loss on probabilities clamped to [eps, 1 - eps],
     and its derivative with respect to p: (loss, dloss/dp).  ``y`` holds the
-    targets, 0/1 or a boolean mask.
+    targets, 0/1 or a boolean mask, of p's shape or a scalar.
 
     y = 1: -alpha * (1 - p)**gamma * log(p)
     y = 0: -(1 - alpha) * p**gamma * log(1 - p)
 
-    The derivative is zero where the probability clamp is active.
+    The y = 0 branch runs on every entry, the y = 1 branch on the positive
+    entries only, each entry through the same elementwise operations.  The
+    derivative is zero where the probability clamp is active.
     """
     p_raw = np.asarray(p, dtype=np.float64)
     p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
     q = 1.0 - p
-    log_p, log_q = np.log(p), np.log(q)
-    q_gamma, p_gamma = q**gamma, p**gamma
+    log_q = np.log(q)
+    p_gamma = p**gamma
+    loss = np.asarray(-(1.0 - alpha) * p_gamma * log_q)
+    grad = np.asarray(-(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q))
     pos = np.asarray(y) > 0.5
-    loss = np.where(pos, -alpha * q_gamma * log_p, -(1.0 - alpha) * p_gamma * log_q)
-    dpos = alpha * (gamma * q ** (gamma - 1.0) * log_p - q_gamma / p)
-    dneg = -(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)
-    inside = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    return loss, np.where(pos, dpos, dneg) * inside
+    if pos.shape != p_raw.shape:
+        pos = np.broadcast_to(pos, p_raw.shape)
+    # a 0-d p is a numpy scalar here, whose power is not the array one: it keeps its own
+    pp, qp = (p[pos], q[pos]) if p_raw.ndim else (p, q)
+    log_p, q_gamma = np.log(pp), qp**gamma
+    loss[pos] = -alpha * q_gamma * log_p
+    grad[pos] = alpha * (gamma * qp ** (gamma - 1.0) * log_p - q_gamma / pp)
+    grad *= (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
+    return loss, grad
 
 
 def diou_loss(ps, pe, gs, ge):
@@ -364,29 +399,33 @@ def diou_loss(ps, pe, gs, ge):
     iou = inter / union
     d = (ps + pe) / 2.0 - (gs + ge) / 2.0
     enc = np.maximum(pe, ge) - np.minimum(ps, gs)
-    loss = 1.0 - iou + d * d / (enc * enc)
+    enc2 = enc * enc  # each product, power and quotient below that two terms share, once
+    loss = 1.0 - iou + d * d / enc2
 
     open_inter = inter > 0.0
     dinter_dps = np.where(open_inter & (ps > gs), -1.0, 0.0)
     dinter_dpe = np.where(open_inter & (pe < ge), 1.0, 0.0)
     dunion_dps = -1.0 - dinter_dps
     dunion_dpe = 1.0 - dinter_dpe
-    diou_dps = (dinter_dps * union - inter * dunion_dps) / (union * union)
-    diou_dpe = (dinter_dpe * union - inter * dunion_dpe) / (union * union)
+    union2 = union * union
+    diou_dps = (dinter_dps * union - inter * dunion_dps) / union2
+    diou_dpe = (dinter_dpe * union - inter * dunion_dpe) / union2
     denc_dps = np.where(ps < gs, -1.0, 0.0)
     denc_dpe = np.where(pe > ge, 1.0, 0.0)
     # d(d^2/enc^2) with d(d)/dps = d(d)/dpe = 1/2
-    dpen_dps = d / (enc * enc) - 2.0 * d * d * denc_dps / enc**3
-    dpen_dpe = d / (enc * enc) - 2.0 * d * d * denc_dpe / enc**3
+    d_enc2, dd2, enc3 = d / enc2, 2.0 * d * d, enc**3
+    dpen_dps = d_enc2 - dd2 * denc_dps / enc3
+    dpen_dpe = d_enc2 - dd2 * denc_dpe / enc3
     return loss, -diou_dps + dpen_dps, -diou_dpe + dpen_dpe
 
 
 def log_softmax(logits) -> np.ndarray:
-    """Row-wise log-softmax via the shifted log-sum-exp identity."""
+    """Row-wise log-softmax via the shifted log-sum-exp identity: with
+    s = z - max(z), s - log(sum(exp(s)))."""
     z = np.asarray(logits, dtype=np.float64)
     squeeze = z.ndim == 1
     if squeeze:
         z = z[None, :]
-    zmax = z.max(axis=1, keepdims=True)
-    out = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-    return out[0] if squeeze else out
+    s = z - z.max(axis=1, keepdims=True)
+    s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
+    return s[0] if squeeze else s

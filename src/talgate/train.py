@@ -15,9 +15,11 @@ flows into the detection head through the targets).
 
 A fit reads each video's ground truth once, before the first epoch,
 through ``model.frame_targets`` (``corpus_targets``): the per-frame labels
-(background is label C), covering segment bounds and positive frames
-(``FrameTargets``) feed every step's detection loss, template loss and
-advantage targets, and a step's present classes are the labels' own.
+(background is label C) and what every step derives from them
+(``FrameTargets``: the one-hot class mask, the positive frames, their
+covering segment bounds and their classes' places among the present ones)
+feed every step's detection loss, template loss and advantage targets, and
+a step's present classes are the labels' own.
 Every fit runs Adam at the module's ``ADAM_*`` constants and weighs the
 detection loss's DIoU term by 1.
 """
@@ -116,22 +118,25 @@ class DetectionLossResult:
 
 @dataclass(frozen=True, eq=False)
 class FrameTargets:
-    """One video's per-frame targets, derived once per fit (``corpus_targets``)."""
+    """One video's per-frame targets and the constants every step reads,
+    derived once per fit (``corpus_targets``)."""
     labels: np.ndarray           # L, int64: the class of each frame, C on background
-    gstart: np.ndarray           # L, the covering segment's bounds; 0 on background
-    gend: np.ndarray
-    mask: np.ndarray             # L x 1 bool: the positive (non-background) frames
-    positive: np.ndarray         # their indices, ascending
-    present: tuple[int, ...]     # their classes, ascending
+    onehot: np.ndarray           # L x C bool: each frame's class column; none on background
+    positive: np.ndarray         # the positive (non-background) frames' indices, ascending
+    seg_start: np.ndarray        # each positive frame's covering segment bounds
+    seg_end: np.ndarray
+    present: tuple[int, ...]     # the positive frames' classes, ascending
+    present_index: np.ndarray    # each positive frame's class, as an index into present
 
     @classmethod
     def of(cls, gt: list[Segment], frames: int, num_classes: int) -> "FrameTargets":
-        """``frame_targets`` of ``gt`` and the positive frames of its labels."""
+        """``frame_targets`` of ``gt`` and the constants of its positive frames."""
         labels, gstart, gend = frame_targets(gt, frames, num_classes)
-        mask = labels < num_classes
-        positive = np.flatnonzero(mask)
-        return cls(labels, gstart, gend, mask.reshape(-1, 1), positive,
-                   tuple(sorted(set(labels[positive].tolist()))))
+        positive = np.flatnonzero(labels < num_classes)
+        present = tuple(sorted(set(labels[positive].tolist())))
+        return cls(labels, labels[:, None] == np.arange(num_classes), positive,
+                   gstart[positive], gend[positive], present,
+                   np.searchsorted(present, labels[positive]))
 
 
 def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTargets) -> DetectionLossResult:
@@ -142,17 +147,17 @@ def detection_loss(scores: np.ndarray, offsets: np.ndarray, targets: FrameTarget
     Predicted intervals are padded by a fixed 1e-6 on both sides so frames
     whose offsets collapse to zero still yield a valid interval.
     """
-    L, C = scores.shape
+    L = len(scores)
     li = targets.positive
-    fl, dfl = focal_loss(scores, targets.labels[:, None] == np.arange(C))  # background matches no class
+    fl, d_scores = focal_loss(scores, targets.onehot)  # background matches no class
     per_frame = fl.sum(axis=1)
     m = max(1, len(li))
-    d_scores = dfl / m
+    d_scores /= m
     d_off = np.zeros((L, 2))
     if len(li):
         ps = li - offsets[li, 0] - INTERVAL_PAD
         pe = li + offsets[li, 1] + INTERVAL_PAD
-        dl, dps, dpe = diou_loss(ps, pe, targets.gstart[li], targets.gend[li])
+        dl, dps, dpe = diou_loss(ps, pe, targets.seg_start, targets.seg_end)
         per_frame[li] += dl
         d_off[li, 0] = -dps / m
         d_off[li, 1] = dpe / m
@@ -164,35 +169,32 @@ def target_advantage(table_means: dict[int, float], per_frame_vl: np.ndarray,
                      targets: FrameTargets) -> tuple[np.ndarray, np.ndarray]:
     """Frozen regression targets for the advantage head: on each positive
     frame of ``targets``, the class table's mean for the frame's class less
-    the frame's vision+language loss.
+    the frame's vision+language loss (``per_frame_vl``, one per frame).
 
-    Returns (targets, mask), both L x 1; background frames are masked out.
-    A present class missing from the class table ``table_means`` is a
-    ConfigError.
+    Returns (targets, frames): one target per positive frame and those
+    frames (``targets.positive``); background frames have none.  A present
+    class missing from the class table ``table_means`` is a ConfigError.
     """
     for c in targets.present:
         if c not in table_means:
             raise ConfigError(f"class {c} missing from the vision-only loss table")
     means = np.array([table_means[c] for c in targets.present])
-    li = targets.positive
-    pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
-    out = np.zeros_like(pf)
-    out[li, 0] = means[np.searchsorted(targets.present, targets.labels[li])] - pf[li, 0]
-    return out, targets.mask
+    pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1)
+    return means[targets.present_index] - pf[targets.positive], targets.positive
 
 
-def advantage_loss(adv_pred, targets, mask) -> tuple[float, np.ndarray]:
-    """Mean squared error over masked (positive) frames and its gradient
-    with respect to ``adv_pred``: (loss, grad), (0, zeros) when no frame
-    is masked in."""
-    mask = np.asarray(mask, dtype=bool)
-    diff = np.asarray(adv_pred, float) - np.asarray(targets, float)
-    grad = np.zeros_like(diff)
-    n = int(mask.sum())
+def advantage_loss(adv_pred, targets, frames) -> tuple[float, np.ndarray]:
+    """Mean squared error of the L x 1 ``adv_pred`` on the rows ``frames``
+    (the positive frames) against ``targets``, one per row, and its gradient
+    with respect to ``adv_pred``: (loss, grad), grad zero off those rows;
+    (0, zeros) when there are none."""
+    pred = np.asarray(adv_pred, dtype=np.float64)
+    grad = np.zeros_like(pred)
+    n = len(frames)
     if n == 0:
         return 0.0, grad
-    d = diff[mask]
-    grad[mask] = 2.0 * d / n
+    d = pred[frames, 0] - targets
+    grad[frames, 0] = 2.0 * d / n
     return float(np.mean(d * d)), grad
 
 
@@ -292,7 +294,7 @@ def train_epoch(corpus: Corpus, targets: list[FrameTargets], state: ModelState, 
         fwd = forward_video(state, video.vis, None if vision else video.lang)
         det = detection_loss(fwd.cls_scores, fwd.offsets, truth)
         if vision:
-            tg = adv = 0.0
+            tg = adv = mean_lambda = 0.0  # the gate reads 0
             d_tmpl = d_adv = None  # the template head does not run: its gradient is zero
         else:
             tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
@@ -301,8 +303,8 @@ def train_epoch(corpus: Corpus, targets: list[FrameTargets], state: ModelState, 
             adv, d_adv = advantage_loss(fwd.adv_pred,
                                         *target_advantage(table_means, det.per_frame, truth))
             d_adv = cfg.lambda_adv * d_adv
+            mean_lambda = float(fwd.lam.mean())
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, d_adv)
-        mean_lambda = float(fwd.lam.mean())
         del fwd  # this step's activations, freed before the next forward pass allocates its own
         opt.step()
         steps.append(StepLog(truth.present, det.loss, tg, adv,

@@ -346,16 +346,97 @@ def linear_prior(x, w, b, dout):
     return y, x.T @ dout, dout.sum(axis=0, keepdims=True), dout @ w.T
 
 
+def conv1d_forward_prior(x, w, b, k):
+    """Same-padded Conv1d forward of a matrix or a stack (..., L, din): the k
+    tap windows as one strided view, one stacked matmul for every tap's
+    GEMM, then the bias and taps 1..k-1 added in order into tap 0's product."""
+    x = np.asarray(x, dtype=np.float64)
+    L, din = x.shape[-2:]
+    pad = (k - 1) // 2
+    xp = np.zeros(x.shape[:-2] + (L + 2 * pad, din))
+    xp[..., pad:pad + L, :] = x
+    *outer, row, col = xp.strides
+    taps = np.ndarray(xp.shape[:-2] + (k, L, din), xp.dtype, xp, 0, (*outer, row, row, col))
+    prods = np.matmul(taps, w.reshape(k, din, -1))
+    y = prods[..., 0, :, :]
+    y += b
+    for t in range(1, k):
+        y += prods[..., t, :, :]
+    return y
+
+
+def diou_loss_prior(ps, pe, gs, ge):
+    """Vectorized DIoU loss and its derivatives w.r.t. the predicted ends,
+    each shared product, power and quotient computed again at each use."""
+    inter = np.maximum(np.minimum(pe, ge) - np.maximum(ps, gs), 0.0)
+    union = (pe - ps) + (ge - gs) - inter
+    iou = inter / union
+    d = (ps + pe) / 2.0 - (gs + ge) / 2.0
+    enc = np.maximum(pe, ge) - np.minimum(ps, gs)
+    loss = 1.0 - iou + d * d / (enc * enc)
+    open_inter = inter > 0.0
+    dinter_dps = np.where(open_inter & (ps > gs), -1.0, 0.0)
+    dinter_dpe = np.where(open_inter & (pe < ge), 1.0, 0.0)
+    dunion_dps = -1.0 - dinter_dps
+    dunion_dpe = 1.0 - dinter_dpe
+    diou_dps = (dinter_dps * union - inter * dunion_dps) / (union * union)
+    diou_dpe = (dinter_dpe * union - inter * dunion_dpe) / (union * union)
+    denc_dps = np.where(ps < gs, -1.0, 0.0)
+    denc_dpe = np.where(pe > ge, 1.0, 0.0)
+    dpen_dps = d / (enc * enc) - 2.0 * d * d * denc_dps / enc**3
+    dpen_dpe = d / (enc * enc) - 2.0 * d * d * denc_dpe / enc**3
+    return loss, -diou_dps + dpen_dps, -diou_dpe + dpen_dpe
+
+
+def log_softmax_prior(z):
+    """Row-wise log-softmax of a matrix, the shifted row computed twice:
+    z - max - log(sum(exp(z - max)))."""
+    zmax = z.max(axis=1, keepdims=True)
+    return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+
+
 def conv1d_input_grad_prior(dout, w, k, din):
     """Same-padded Conv1d input gradient from one stacked matmul against
-    the per-tap transposed views of w."""
+    each tap's w_t.T copied contiguous (which sums as the transposed view
+    does at L = 256, not at every L), the taps' products then added in order
+    into a zero-filled padded buffer; at kernel 1 the one product itself."""
     L = dout.shape[0]
     pad = (k - 1) // 2
-    dtaps = np.matmul(dout, w.reshape(k, din, -1).transpose(0, 2, 1))
+    dtaps = np.matmul(dout, np.ascontiguousarray(w.reshape(k, din, -1).transpose(0, 2, 1)))
+    if not pad:
+        return dtaps[0]
     dxp = np.zeros((L + 2 * pad, din))
     for t in range(k):
         dxp[t:t + L] += dtaps[t]
     return dxp[pad:pad + L]
+
+
+def target_advantage_prior(table_means, per_frame_vl, labels, num_classes):
+    """Advantage targets as an L x 1 column, zero off the positive frames,
+    and the L x 1 mask of those frames: each positive frame's class mean
+    less the frame's loss."""
+    mask = labels < num_classes
+    li = np.flatnonzero(mask)
+    present = sorted(set(labels[li].tolist()))
+    means = np.array([table_means[c] for c in present])
+    pf = np.asarray(per_frame_vl, dtype=np.float64).reshape(-1, 1)
+    out = np.zeros_like(pf)
+    out[li, 0] = means[np.searchsorted(present, labels[li])] - pf[li, 0]
+    return out, mask.reshape(-1, 1)
+
+
+def advantage_loss_prior(adv_pred, targets, mask):
+    """Mean squared error over the masked frames of full-length columns,
+    and its gradient, zero off the mask."""
+    mask = np.asarray(mask, dtype=bool)
+    diff = np.asarray(adv_pred, float) - np.asarray(targets, float)
+    grad = np.zeros_like(diff)
+    n = int(mask.sum())
+    if n == 0:
+        return 0.0, grad
+    d = diff[mask]
+    grad[mask] = 2.0 * d / n
+    return float(np.mean(d * d)), grad
 
 
 def grad_check(f, x, h=1e-5):

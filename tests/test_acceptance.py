@@ -78,7 +78,7 @@ def full_model_loss_error():
     truth = FrameTargets.of(gt, L, C)
     fwd0 = forward_video(state, vis, bundle)
     det0 = detection_loss(fwd0.cls_scores, fwd0.offsets, truth)
-    targets, mask = target_advantage(table, det0.per_frame, truth)
+    targets, frames = target_advantage(table, det0.per_frame, truth)
 
     def total_loss():
         state.zero_grads()
@@ -87,7 +87,7 @@ def full_model_loss_error():
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
         tg = template_loss(tmpl_logits, truth.labels)
         d_tmpl = tc.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)
-        adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
+        adv, d_adv = advantage_loss(fwd.adv_pred, targets, frames)
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, tc.lambda_adv * d_adv)
         return det.loss + tc.lambda_tg * tg + tc.lambda_adv * adv
 
@@ -156,8 +156,8 @@ def test_gradient_suite():
         rng.normal_matrix(25, 4))
 
     targets = rng.normal_matrix(100, 1)
-    mask = rng.normal_matrix(100, 1) > -0.3
-    errs["advantage"] = grad_check(lambda a: advantage_loss(a, targets, mask),
+    frames = np.flatnonzero(rng.normal_matrix(100, 1) > -0.3)
+    errs["advantage"] = grad_check(lambda a: advantage_loss(a, targets[frames, 0], frames),
                                    rng.normal_matrix(100, 1))
 
     det_targets = FrameTargets.of([Segment(5, 45, 0)], 50, 2)

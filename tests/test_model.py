@@ -12,7 +12,7 @@ from oracles import (cross_entropy_reference, decode_reference, grad_check,
                      interval_iou, nms_reference, proposal_rows, proposals_from_rows,
                      video_rows)
 from talgate.errors import ConfigError, FormatError
-from talgate.model import (NMS_TIOU, SCORE_THRESHOLD, TOP_K_PRE_NMS, ModelConfig,
+from talgate.model import (HEAD_LAYERS, KERNEL, NMS_TIOU, SCORE_THRESHOLD, TOP_K_PRE_NMS, ModelConfig,
                            ModelState, Proposals, aggregate, backward_video, decode_proposals,
                            forward_video, frame_targets, head_forward,
                            lambda_from_advantage, load_checkpoint, nms,
@@ -164,6 +164,20 @@ class TestHeadForward:
         after = head_forward(x, x, state)
         assert np.abs(after.cls_scores - before.cls_scores).max() > 0.0
         assert np.abs(after.offsets - before.offsets).max() > 0.0
+
+    @pytest.mark.parametrize("bundle", [False, True])
+    def test_training_record_owns_each_pre_activation(self, bundle):
+        # each conv layer's pre-activation is its own L x D buffer, not a view of a
+        # larger per-tap product kept alive until backward
+        rng = Rng(43)
+        state = ModelState(ModelConfig(dim=32, num_classes=8), rng)
+        vis = rng.normal_matrix(256, 32)
+        fwd = forward_video(state, vis, random_bundle(rng, 256, 32) if bundle else None)
+        convs = fwd.cls_convs + fwd.loc_convs
+        assert len(convs) == 2 * HEAD_LAYERS
+        for xp, z in convs:
+            assert z.base is None and z.flags.owndata and z.shape == (256, 32) and z.nbytes == 256 * 32 * 8
+            assert xp.shape == (256 + KERNEL - 1, 32)
 
 
 class TestForwardModes:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (conv1d_input_grad_prior, conv1d_reference, conv1d_taps_reference,
-                     diou_reference, focal_loss_grad_prior, focal_loss_prior, grad_check,
-                     linear_prior, linear_reference, normal_block_prior,
-                     relu_grad_prior, sigmoid_prior, splitmix64_stream)
-from talgate.nn import (PROB_EPS, Conv1d, Linear, Rng, ShapeError, diou_loss,
+from oracles import (conv1d_forward_prior, conv1d_input_grad_prior, conv1d_reference,
+                     conv1d_taps_reference, diou_loss_prior, diou_reference, focal_loss_grad_prior,
+                     focal_loss_prior, grad_check, linear_prior, linear_reference, log_softmax_prior,
+                     normal_block_prior, relu_grad_prior, sigmoid_prior, splitmix64_stream)
+from talgate.nn import (PROB_EPS, Conv1d, Linear, Rng, ShapeError, _row_sum, diou_loss,
                         focal_loss, log_softmax, relu, relu_grad, sigmoid)
 
 
@@ -320,6 +320,14 @@ def _edge_matrices(seed: int):
     yield _SPECIALS.reshape(4, 5)
 
 
+def _sprinkle(rng: Rng, m: np.ndarray, count: int) -> np.ndarray:
+    """``m`` with ``count`` of the edge values written over random entries, in place."""
+    flat = m.reshape(-1)
+    for v in _SPECIALS[rng.randint(len(_SPECIALS)):][:count]:
+        flat[rng.randint(len(flat))] = v
+    return m
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestBitwiseOracles:
     """The kernels against their prior forms in ``oracles``, bit for bit."""
@@ -368,7 +376,7 @@ class TestBitwiseOracles:
                 loss, grad = focal_loss(p, y, alpha, gamma)
                 assert _bits(loss) == _bits(focal_loss_prior(p, y, alpha, gamma))
                 assert _bits(grad) == _bits(focal_loss_grad_prior(p, y, alpha, gamma))
-        for v in _PROBS:
+        for v in [*_PROBS, *(rng.uniform() for _ in range(200))]:  # 0-d, scalar arithmetic
             for y in (0.0, 1.0):
                 loss, grad = focal_loss(v, y, alpha, gamma)
                 assert _bits(loss) == _bits(focal_loss_prior(v, y, alpha, gamma))
@@ -416,6 +424,85 @@ class TestBitwiseOracles:
         g[0, :] = 0.0
         xp = conv.forward(x)[1]
         assert _bits(conv.backward(xp, g)) == _bits(conv1d_input_grad_prior(g, conv.w.value, k, din))
+
+    # the model's layers: the trunks (kernel 3, width 32) and the heads (kernel 1 at
+    # widths 1, 2, 8 and 9), plus kernel 5; clean weights, then weights with edge values
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dout", [1, 2, 8, 9, 32])
+    def test_conv1d_per_tap_kernels(self, k, dout):
+        rng, din = Rng(57 + 10 * k + dout), 32
+        conv = Conv1d(k, din, dout, rng)
+        for sprinkle_weights in (False, True):
+            conv.b.value[...] = rng.normal_matrix(1, dout)
+            if sprinkle_weights:
+                _sprinkle(rng, conv.w.value, 4)
+                _sprinkle(rng, conv.b.value, 1)
+            w, b = conv.w.value, conv.b.value
+            for L in (1, 2, 7, 256):
+                for S in (1, 3):
+                    xs = np.stack([_sprinkle(rng, rng.normal_matrix(L, din, 4.0), i) for i in range(S)])
+                    ys, xps = conv.forward(xs)
+                    assert _bits(ys) == _bits(conv1d_forward_prior(xs, w, b, k))
+                    assert xps is xs if k == 1 else xps.shape == (S, L + k - 1, din)
+                for x in xs:
+                    y, xp = conv.forward(x)
+                    assert _bits(y) == _bits(conv1d_forward_prior(x, w, b, k))
+                    g = _sprinkle(rng, rng.normal_matrix(L, dout), 3)
+                    g[L // 2] = 0.0  # an all-zero row, and one of negative zeros
+                    g[L - 1] = -0.0
+                    conv.w.grad[...] = conv.b.grad[...] = 0.0
+                    dx = conv.backward(xp, g)
+                    _, dw, db, _ = conv1d_taps_reference(x, w, b, k, g)  # its dx sums in another order
+                    assert _bits(conv.w.grad) == _bits(0.0 + dw)  # accumulated into a zeroed store
+                    assert _bits(conv.b.grad) == _bits(0.0 + db)
+                    assert _bits(dx) == _bits(conv1d_input_grad_prior(g, w, k, din))
+                    # the pre-activation owns its L x dout floats, as a record keeps it
+                    assert y.base is None and y.shape == (L, dout)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diou_loss(self):
+        rng = Rng(60)
+        for n in (1, 3, 154, 256):
+            for trial in range(4):
+                gs = np.floor(rng.normal_matrix(1, n, 50.0)[0])
+                ge = gs + 1.0 + np.floor(np.abs(rng.normal_matrix(1, n, 20.0)[0]))
+                mid = gs + np.abs(rng.normal_matrix(1, n, 10.0)[0])
+                ps = mid - np.abs(rng.normal_matrix(1, n, 8.0)[0])
+                pe = mid + np.abs(rng.normal_matrix(1, n, 8.0)[0])
+                if trial == 1:  # predictions on the ground-truth ends: every min/max switch tied
+                    ps, pe = gs.copy(), ge.copy()
+                if trial >= 2:
+                    for a in (ps, pe, gs, ge):
+                        _sprinkle(rng, a, 3)
+                got, want = diou_loss(ps, pe, gs, ge), diou_loss_prior(ps, pe, gs, ge)
+                for g, w in zip(got, want):
+                    assert _bits(g) == _bits(w)
+        for ps, pe, gs, ge in ((0.0, 2.0, 2.0, 4.0), (3.0, 7.0, 3.0, 7.0), (-1e-300, 5e-324, 0.0, 1.0)):
+            for g, w in zip(diou_loss(ps, pe, gs, ge), diou_loss_prior(ps, pe, gs, ge)):
+                assert _bits(g) == _bits(w)  # 0-d
+
+    def test_log_softmax(self):
+        rng = Rng(59)
+        rows = [rng.normal_matrix(256, 9, 4.0), _SPECIALS.reshape(4, 5), _SPECIALS.reshape(5, 4),
+                np.full((2, 3), -np.inf), rng.normal_matrix(1, 1)]
+        rows += [_sprinkle(rng, rng.normal_matrix(7, 9, 30.0), 5) for _ in range(8)]
+        for z in rows:
+            assert _bits(log_softmax(z)) == _bits(log_softmax_prior(z))
+            assert _bits(log_softmax(z[0])) == _bits(log_softmax_prior(z[:1])[0])  # one row, 1-D
+
+    @pytest.mark.parametrize("L", [1, 7, 256])
+    def test_bias_grad_adds_rows_as_sum_does(self, L):
+        # wider than one column the bias gradient is einsum's row-by-row sum
+        rng = Rng(58 + L)
+        for dout in range(1, 34):
+            conv = Conv1d(1, 1, dout)
+            for g in (rng.normal_matrix(L, dout, 1e3), _sprinkle(rng, rng.normal_matrix(L, dout), 4),
+                      np.full((L, dout), -0.0)):
+                assert _bits(_row_sum(g)) == _bits(g.sum(axis=0))
+                conv.b.grad[...] = 0.0
+                conv.backward(np.zeros((L, 1)), g, input_grad=False)
+                assert _bits(conv.b.grad) == _bits(0.0 + g.sum(axis=0, keepdims=True))
 
 
 def _normal(rng: Rng, sigma: float) -> float:

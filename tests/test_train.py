@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import adam_reference, adam_step_prior, diou_reference, grad_check
+from oracles import (adam_reference, adam_step_prior, advantage_loss_prior, diou_reference,
+                     grad_check, target_advantage_prior)
 from talgate.errors import ConfigError, FormatError
 from talgate.model import (ModelConfig, ModelState, backward_video, forward_video,
                            frame_targets, template_loss, template_loss_grad)
@@ -137,6 +138,27 @@ class TestClasswiseLossTable:
             target_advantage(table, np.zeros((4, 1)), targets)
 
 
+class TestFrameTargets:
+    @pytest.mark.parametrize("gt, frames, num_classes", [
+        ([], 12, 3),
+        ([Segment(0, 12, 2)], 12, 3),
+        ([Segment(9, 12, 1), Segment(1, 4, 2), Segment(5, 6, 1)], 12, 3),
+        ([Segment(3, 200, 7), Segment(210, 256, 0), Segment(0, 2, 4)], 256, 8),
+    ])
+    def test_constants_match_a_recomputation(self, gt, frames, num_classes):
+        t = FrameTargets.of(gt, frames, num_classes)
+        labels, gstart, gend = frame_targets(gt, frames, num_classes)
+        assert t.labels.tobytes() == labels.tobytes()
+        assert np.array_equal(t.onehot, labels[:, None] == np.arange(num_classes))
+        assert t.onehot.dtype == bool and t.onehot.shape == (frames, num_classes)
+        positive = [l for l in range(frames) if labels[l] < num_classes]
+        assert t.positive.tolist() == positive
+        assert t.seg_start.tobytes() == gstart[positive].tobytes()
+        assert t.seg_end.tobytes() == gend[positive].tobytes()
+        assert t.present == tuple(sorted({int(labels[l]) for l in positive}))
+        assert [t.present[i] for i in t.present_index] == labels[positive].tolist()
+
+
 class TestDetectionLoss:
     def test_perfect_predictions_near_zero(self):
         L, C = 20, 3
@@ -215,15 +237,14 @@ class TestAdvantageTargets:
     def test_direct_difference(self):
         table = self.table_with(1, 0.5)
         pf = np.full((10, 1), 0.3)
-        targets, mask = self.targets(table, pf, [Segment(2, 6, 1)])
-        assert np.all(targets[2:6] == pytest.approx(0.2, abs=1e-15))
-        assert np.all(targets[:2] == 0.0) and np.all(targets[6:] == 0.0)
-        assert mask[2:6].all() and not mask[:2].any() and not mask[6:].any()
+        targets, frames = self.targets(table, pf, [Segment(2, 6, 1)])
+        assert np.all(targets == pytest.approx(0.2, abs=1e-15)) and len(targets) == 4
+        assert frames.tolist() == [2, 3, 4, 5]  # the positive frames only
 
     def test_equal_losses_zero_target(self):
         table = self.table_with(0, 0.4)
         targets, _ = self.targets(table, np.full((6, 1), 0.4), [Segment(0, 6, 0)])
-        assert np.all(targets == 0.0)
+        assert np.all(targets == 0.0) and len(targets) == 6
 
     def test_missing_class_rejected(self):
         with pytest.raises(ConfigError, match="class 3"):
@@ -233,13 +254,10 @@ class TestAdvantageTargets:
         # the table lacks classes 1 and 3: only the video's class 3 is an error
         table = {0: 0.5, 2: 0.9}
         pf = np.arange(12, dtype=float).reshape(12, 1) / 10.0
-        targets, mask = self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 0)])
-        want = np.zeros((12, 1))
-        want[1:4] = 0.9 - pf[1:4]
-        want[7:10] = 0.5 - pf[7:10]
+        targets, frames = self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 0)])
+        want = np.concatenate([0.9 - pf[1:4, 0], 0.5 - pf[7:10, 0]])
         assert targets.tobytes() == want.tobytes()
-        assert mask[:, 0].tolist() == [False, True, True, True, False, False, False,
-                                       True, True, True, False, False]
+        assert frames.tolist() == [1, 2, 3, 7, 8, 9]
         with pytest.raises(ConfigError, match="class 3"):
             self.targets(table, pf, [Segment(1, 4, 2), Segment(7, 10, 3)])
         with pytest.raises(ConfigError, match="class 1"):
@@ -251,28 +269,58 @@ class TestAdvantageTargets:
             self.targets(self.table_with(0, 0.1), np.zeros((6, 1)), [Segment(0, 9, 0)])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestAdvantageBitwise:
+    """The advantage pair on the positive frames against its mask-based
+    prior form in ``oracles``, bit for bit."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, 1e300, -1e300]
+
+    @pytest.mark.parametrize("gt", [
+        [], [Segment(0, 40, 2)], [Segment(3, 9, 1), Segment(12, 20, 0), Segment(30, 38, 3)]])
+    def test_matches_the_mask_prior(self, gt):
+        rng, L, C = Rng(35), 40, 4
+        truth = FrameTargets.of(gt, L, C)
+        table = {c: rng.uniform() * 3.0 for c in range(C)}
+        table[1] = -0.0
+        for trial in range(4):
+            per_frame, pred = rng.normal_matrix(L, 1, 2.0), rng.normal_matrix(L, 1, 2.0)
+            if trial:  # edge values over random frames, both NaN signs among them
+                for v in self.EDGES:
+                    per_frame[rng.randint(L), 0] = v
+                    pred[rng.randint(L), 0] = v
+            targets, frames = target_advantage(table, per_frame, truth)
+            want_targets, mask = target_advantage_prior(table, per_frame, truth.labels, C)
+            assert frames.tolist() == np.flatnonzero(mask[:, 0]).tolist()
+            assert targets.tobytes() == want_targets[frames, 0].tobytes()
+            loss, grad = advantage_loss(pred, targets, frames)
+            want_loss, want_grad = advantage_loss_prior(pred, want_targets, mask)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestAdvantageLoss:
     def test_values(self):
         pred = np.array([[1.0], [2.0], [5.0]])
-        targets = np.array([[1.0], [4.0], [9.0]])
-        mask = np.array([[True], [True], [False]])
-        loss, grad = advantage_loss(pred, targets, mask)
+        targets = np.array([1.0, 4.0])  # rows 0 and 1; row 2 has none
+        loss, grad = advantage_loss(pred, targets, np.array([0, 1]))
         assert loss == pytest.approx(2.0, abs=1e-15)
-        assert grad[:, 0].tolist() == [0.0, -2.0, 0.0]  # 2 * diff / 2 on the masked rows
-        loss, grad = advantage_loss(pred, targets, np.zeros((3, 1), dtype=bool))
+        assert grad[:, 0].tolist() == [0.0, -2.0, 0.0]  # 2 * diff / 2 on the given rows
+        loss, grad = advantage_loss(pred, np.zeros(0), np.zeros(0, dtype=np.int64))
         assert loss == 0.0 and np.array_equal(grad, np.zeros((3, 1)))
 
     def test_grad(self):
         rng = Rng(34)
         targets = rng.normal_matrix(8, 1)
-        mask = rng.normal_matrix(8, 1) > 0.0
+        frames = np.flatnonzero(rng.normal_matrix(8, 1) > 0.0)
 
         def f(pred):
-            return advantage_loss(pred, targets, mask)
+            return advantage_loss(pred, targets[frames, 0], frames)
 
         assert grad_check(f, rng.normal_matrix(8, 1)) < 1e-6
-        empty = np.zeros((8, 1), dtype=bool)
-        assert np.array_equal(advantage_loss(targets, targets, empty)[1], np.zeros((8, 1)))
+        empty = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(advantage_loss(targets, targets[empty, 0], empty)[1], np.zeros((8, 1)))
 
 
 class TestVisionEpoch:
@@ -448,8 +496,7 @@ class TestStopGradient:
         tmpl_logits = state.tmpl_out.forward(fwd.cls_feat)[0]
         tg = template_loss(tmpl_logits, truth.labels)
         d_tmpl = cfg.lambda_tg * template_loss_grad(tmpl_logits, truth.labels)
-        targets, mask = target_advantage(table, det.per_frame, truth)
-        adv, d_adv = advantage_loss(fwd.adv_pred, targets, mask)
+        adv, d_adv = advantage_loss(fwd.adv_pred, *target_advantage(table, det.per_frame, truth))
         backward_video(state, fwd, det.d_cls_scores, det.d_offsets, d_tmpl, cfg.lambda_adv * d_adv)
         grads = {name: p.grad.copy() for name, p in state.named_params()}
         return det.loss, tg, adv, grads
