@@ -21,8 +21,9 @@ each video's gate in read order), so a last-bit change in scoring shows
 here even where the report's 6-decimal rounding hides it.  ``train_log.jsonl`` is hashed without its ``wall_time`` fields
 and stdout with OUT stripped from it, so two checkouts that compute the
 same bytes print the same lines: run a copy of this script in each and
-diff the outputs.  BLAS runs on one thread, since a threaded GEMM may sum
-in another order.
+diff the outputs.  ``tests/test_golden.py`` compares the lines of
+``digest_lines`` with ``tests/golden/artifact_digests.txt``.  BLAS runs on
+one thread, since a threaded GEMM may sum in another order.
 """
 
 import os
@@ -105,24 +106,19 @@ def scores_lines(out: Path) -> list[str]:
         f"{gates_digest(probe_gates)}  scores/stock-probe-gates"]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: artifact_digests.py OUT", file=sys.stderr)
-        return 1
-    out = Path(argv[0]).resolve()
-    if out.exists() and any(out.iterdir()):
-        print(f"{out} is not empty", file=sys.stderr)
-        return 1
+def digest_lines(out: Path) -> list[str]:
+    """Run every command into ``out``, an empty or new directory, and return
+    the ``sha256 path`` lines in path order.  A command that exits non-zero
+    raises RuntimeError naming it and its exit code."""
     (out / "small").mkdir(parents=True)
     (out / "small" / "config.json").write_text(json.dumps(SMALL))
     lines = []
-    for name, argv_ in commands(out):
+    for name, argv in commands(out):
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            rc = cli.main([str(a) for a in argv_])
+            rc = cli.main([str(a) for a in argv])
         if rc != 0:
-            print(f"talgate {name} exited {rc}", file=sys.stderr)
-            return rc
+            raise RuntimeError(f"talgate {name} exited {rc}")
         text = printed.getvalue().replace(str(out), "")
         lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  stdout/{name}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
@@ -133,7 +129,23 @@ def main(argv: list[str]) -> int:
     lines.append(f"{streams_digest(synthgen.generate_distractors(corpus.config))}"
                  "  generated/stock-probe")
     lines += scores_lines(out)
-    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: artifact_digests.py OUT", file=sys.stderr)
+        return 1
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 1
+    try:
+        lines = digest_lines(out)
+    except RuntimeError as err:
+        print(err, file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 
