@@ -203,10 +203,7 @@ def head_forward(f_cls, f_loc, state: ModelState) -> Forward:
 def _trunk_backward(trunk: list, convs: list, d_feat, input_grad: bool):
     for i in reversed(range(len(trunk))):
         xp, z = convs[i]
-        # relu_grad(z) compared into a float buffer: a float product is faster
-        # than one that casts a bool mask, and has the same bits
-        mask = np.greater(z, 0.0, out=np.empty_like(z))
-        d_feat = trunk[i].backward(xp, np.multiply(d_feat, mask, out=mask), input_grad or i > 0)
+        d_feat = trunk[i].backward(xp, d_feat * relu_grad(z), input_grad or i > 0)
     return d_feat
 
 

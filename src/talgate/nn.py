@@ -213,7 +213,7 @@ def _row_sum(m: np.ndarray) -> np.ndarray:
     back to ``sum``.  A single column numpy's ``sum`` adds pairwise, faster."""
     if m.shape[1] > 1:
         s = np.einsum("ij->j", m)
-        if not math.isnan(s @ s):  # the squares hold no inf - inf: NaN only from a NaN in s
+        if not math.isnan(s.max()):  # the max is NaN only from a NaN in s
             return s
     return m.sum(axis=0)
 
@@ -231,10 +231,9 @@ class Conv1d:
     and ``dout @ w.T`` with no tap axis.
 
     Forward: y = x_0 @ w_0, y += b, then y += x_t @ w_t for t = 1..k-1,
-    x_t the padded input's rows t..t+L-1.  Backward: each row of the input
-    gradient adds the products dout @ w_t.T that reach it in tap order, as
-    a zero-filled padded buffer would from +0.0; the bias gradient is
-    ``dout.sum(axis=0)`` (``_row_sum``).
+    x_t the zero-padded input's rows t..t+L-1.  Backward: the products
+    dout @ w_t.T add in tap order into rows t..t+L-1 of a zero-filled
+    padded buffer; the bias gradient is ``dout.sum(axis=0)`` (``_row_sum``).
     """
 
     def __init__(self, k: int, din: int, dout: int, rng: Rng | None = None, w_scale: float | None = None):
@@ -258,18 +257,14 @@ class Conv1d:
         pad = (self.k - 1) // 2
         xp = x
         if pad:
-            xp = np.empty(x.shape[:-2] + (L + 2 * pad, din))
-            xp[..., :pad, :] = 0.0  # only the pad rows need zeros
-            xp[..., pad + L:, :] = 0.0
+            xp = np.zeros(x.shape[:-2] + (L + 2 * pad, din))
             xp[..., pad:pad + L, :] = x
-        # one GEMM per tap (per item of a stack); taps 1..k-1 share one scratch buffer
+        # one GEMM per tap (per item of a stack)
         w = self.w.value
         y = np.matmul(xp[..., :L, :], w[:din])
         y += self.b.value
-        scratch = None
         for t in range(1, self.k):
-            scratch = np.matmul(xp[..., t:t + L, :], w[t * din:(t + 1) * din], out=scratch)
-            y += scratch
+            y += np.matmul(xp[..., t:t + L, :], w[t * din:(t + 1) * din])
         return y, xp
 
     def backward(self, xp: np.ndarray, dout, input_grad: bool = True) -> np.ndarray | None:
@@ -297,19 +292,11 @@ class Conv1d:
         w_t = np.ascontiguousarray(w.reshape(k, din, -1).transpose(0, 2, 1))
         if not pad:
             return dout @ w_t[0]
-        # tap t's product adds into rows t..t+L-1 of the padded input's gradient,
-        # in tap order; tap 0 writes its rows, and each later tap writes the one
-        # row that no earlier tap reached, so the buffer needs no zero fill
-        dxp = np.empty_like(xp)
-        np.matmul(dout, w_t[0], out=dxp[:L])
-        scratch = None
-        for t in range(1, k):
-            scratch = np.matmul(dout, w_t[t], out=scratch)
-            dxp[t:t + L - 1] += scratch[:L - 1]
-            dxp[t + L - 1] = scratch[L - 1]
-        dx = dxp[pad:pad + L]
-        dx += 0.0  # as a sum started from +0.0 would: -0.0 reads +0.0
-        return dx
+        # tap t's product adds into rows t..t+L-1 of the padded input's gradient
+        dxp = np.zeros_like(xp)
+        for t in range(k):
+            dxp[t:t + L] += dout @ w_t[t]
+        return dxp[pad:pad + L]
 
     def params(self) -> list[tuple[str, Param]]:
         return [("w", self.w), ("b", self.b)]
@@ -360,27 +347,19 @@ def focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0) -> tuple[np.ndarra
     y = 1: -alpha * (1 - p)**gamma * log(p)
     y = 0: -(1 - alpha) * p**gamma * log(1 - p)
 
-    The y = 0 branch runs on every entry, the y = 1 branch on the positive
-    entries only, each entry through the same elementwise operations.  The
-    derivative is zero where the probability clamp is active.
+    The derivative is zero where the probability clamp is active.
     """
     p_raw = np.asarray(p, dtype=np.float64)
     p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
     q = 1.0 - p
-    log_q = np.log(q)
-    p_gamma = p**gamma
-    loss = np.asarray(-(1.0 - alpha) * p_gamma * log_q)
-    grad = np.asarray(-(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q))
+    log_p, log_q = np.log(p), np.log(q)
+    q_gamma, p_gamma = q**gamma, p**gamma
     pos = np.asarray(y) > 0.5
-    if pos.shape != p_raw.shape:
-        pos = np.broadcast_to(pos, p_raw.shape)
-    # a 0-d p is a numpy scalar here, whose power is not the array one: it keeps its own
-    pp, qp = (p[pos], q[pos]) if p_raw.ndim else (p, q)
-    log_p, q_gamma = np.log(pp), qp**gamma
-    loss[pos] = -alpha * q_gamma * log_p
-    grad[pos] = alpha * (gamma * qp ** (gamma - 1.0) * log_p - q_gamma / pp)
-    grad *= (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    return loss, grad
+    loss = np.where(pos, -alpha * q_gamma * log_p, -(1.0 - alpha) * p_gamma * log_q)
+    dpos = alpha * (gamma * q ** (gamma - 1.0) * log_p - q_gamma / p)
+    dneg = -(1.0 - alpha) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)
+    inside = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
+    return loss, np.where(pos, dpos, dneg) * inside
 
 
 def diou_loss(ps, pe, gs, ge):
@@ -420,12 +399,9 @@ def diou_loss(ps, pe, gs, ge):
 
 
 def log_softmax(logits) -> np.ndarray:
-    """Row-wise log-softmax via the shifted log-sum-exp identity: with
-    s = z - max(z), s - log(sum(exp(s)))."""
+    """Row-wise log-softmax of a matrix via the shifted log-sum-exp
+    identity: with s = z - max(z), s - log(sum(exp(s)))."""
     z = np.asarray(logits, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
     s = z - z.max(axis=1, keepdims=True)
     s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
-    return s[0] if squeeze else s
+    return s

@@ -72,8 +72,7 @@ class Adam:
     It updates ``values`` in place from ``grads``, two same-shape arrays,
     as whole vectors.  ``fit`` passes a ``ModelState``'s flat ``values`` and
     ``grads`` stores, so one step is a few elementwise operations over every
-    parameter at once.  The step runs in place on the moments and on two
-    scratch vectors allocated once, so it makes no temporaries; it performs
+    parameter at once.  The step updates the moments in place and performs
     the operations of
 
         m = beta1 * m + (1 - beta1) * g
@@ -89,23 +88,18 @@ class Adam:
         self._grads = grads
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
-        self._a = np.empty_like(values)
-        self._b = np.empty_like(values)
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        g, m, v, a, b = self._grads, self._m, self._v, self._a, self._b
+        g, m, v = self._grads, self._m, self._v
         m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.multiply(ADAM_LR, np.divide(m, c1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
-        self._values -= np.divide(a, b, out=a)
+        v += (1.0 - ADAM_BETA2) * g * g
+        self._values -= ADAM_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(eq=False)

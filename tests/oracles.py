@@ -8,10 +8,10 @@ one tap or one parameter at a time, so the package's batched forms must
 match them bit for bit.
 
 The ``*_prior`` kernels keep an earlier, plainer form of a package kernel
-(masked gathers, separate value and gradient passes, matmuls against
-transposed views, an Adam step with temporaries).  The package's faster
-forms perform the same floating-point operations in the same order, so
-they must match these bit for bit on every input.
+(masked gathers, separate value and gradient passes, a stacked matmul
+over strided tap windows).  The package's forms perform the same
+floating-point operations in the same order, so they must match these bit
+for bit on every input.
 
 The last four helpers are no references: they convert between plain rows
 and the package's ``Proposals`` tables, one video's or a corpus's.
@@ -338,12 +338,15 @@ def normal_block_prior(words, n, sigma):
 
 
 def linear_prior(x, w, b, dout):
-    """The former ``Linear`` layer's arithmetic on one matrix: returns
+    """A per-frame affine layer's arithmetic on one matrix: returns
     (x @ w + b, x.T @ dout, dout.sum(0), dout @ w.T), the output and the
-    weight, bias and input gradients for output gradient ``dout``."""
+    weight, bias and input gradients for output gradient ``dout``.  The
+    input gradient multiplies by w.T copied contiguous, as the kernel-1
+    ``Conv1d`` does: at small L the transposed view's GEMM can sum in
+    another order."""
     y = x @ w
     y += b
-    return y, x.T @ dout, dout.sum(axis=0, keepdims=True), dout @ w.T
+    return y, x.T @ dout, dout.sum(axis=0, keepdims=True), dout @ np.ascontiguousarray(w.T)
 
 
 def conv1d_forward_prior(x, w, b, k):

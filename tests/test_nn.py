@@ -1,6 +1,7 @@
 """Numeric kernels: PRNG portability, closed-form loss values, gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,7 +383,8 @@ class TestBitwiseOracles:
                 assert _bits(loss) == _bits(focal_loss_prior(v, y, alpha, gamma))
                 assert _bits(grad) == _bits(focal_loss_grad_prior(v, y, alpha, gamma))
 
-    @pytest.mark.parametrize("L, din, dout", [(1, 3, 2), (7, 5, 3), (256, 32, 8), (256, 32, 9), (256, 32, 2)])
+    @pytest.mark.parametrize("L, din, dout", [(1, 3, 2), (7, 5, 3), (2, 32, 32), (7, 32, 32),
+                                              (256, 32, 8), (256, 32, 9), (256, 32, 2)])
     def test_linear_input_grad(self, L, din, dout):
         rng = Rng(54 + L + dout)
         lin = Linear(din, dout, rng)
@@ -489,7 +491,7 @@ class TestBitwiseOracles:
         rows += [_sprinkle(rng, rng.normal_matrix(7, 9, 30.0), 5) for _ in range(8)]
         for z in rows:
             assert _bits(log_softmax(z)) == _bits(log_softmax_prior(z))
-            assert _bits(log_softmax(z[0])) == _bits(log_softmax_prior(z[:1])[0])  # one row, 1-D
+            assert _bits(log_softmax(z[:1])) == _bits(log_softmax_prior(z[:1]))  # one row
 
     @pytest.mark.parametrize("L", [1, 7, 256])
     def test_bias_grad_adds_rows_as_sum_does(self, L):
@@ -503,6 +505,15 @@ class TestBitwiseOracles:
                 conv.b.grad[...] = 0.0
                 conv.backward(np.zeros((L, 1)), g, input_grad=False)
                 assert _bits(conv.b.grad) == _bits(0.0 + g.sum(axis=0, keepdims=True))
+
+    def test_bias_grad_of_huge_gradients_warns_no_more_than_sum(self):
+        # column sums past 1e154, whose squares overflow, as a lambda_tg of 1e300 gives
+        conv = Conv1d(1, 1, 8)
+        g = np.full((4, 8), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            conv.backward(np.zeros((4, 1)), g, input_grad=False)
+        assert _bits(conv.b.grad) == _bits(g.sum(axis=0, keepdims=True))
 
 
 def _normal(rng: Rng, sigma: float) -> float:
