@@ -71,8 +71,10 @@ def assert_same_lines(got: list[str], want: list[str]) -> None:
 
 
 @pytest.mark.slow  # a stock train, three evals and an ablation in every mode
-def test_artifact_digests_match_the_golden_file(tmp_path):
+def test_artifact_digests_match_the_golden_file(tmp_path, monkeypatch):
     want = [line for line in golden_lines() if "  fits/" not in line]
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # the script sets them; undone after the test
     assert_same_lines(_load_script().digest_lines(tmp_path / "out"), want)
 
 
